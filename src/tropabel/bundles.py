@@ -14,6 +14,7 @@ matrix itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -28,7 +29,7 @@ from .errors import (
     NotContained,
     SlopeMismatch,
 )
-from .lattices import QLattice, Sublattice, quotient, reduce_mod_lattice
+from .lattices import QLattice, Sublattice, reduce_mod_lattice
 from .linalg import Mat
 from .nspairings import TropTorus, is_r_symmetric
 from .rationals import rat
@@ -123,13 +124,11 @@ def _char_value(torus: TropTorus, x: Sequence[int | Fraction], m: Sequence[Fract
 
 
 def _coset_reps(lat: Sublattice) -> list[tuple[int, ...]]:
-    """Canonical representatives of Z^g / lat, reduced into lat's basis box."""
-    q = quotient(Sublattice.full(lat.ambient_rank), lat)
-    reps = []
-    for e in q.elements():
-        red = reduce_mod_lattice(q.lift(e), lat.mat)
-        reps.append(tuple(int(x) for x in red))
-    return sorted(reps)
+    """Canonical representatives of Z^g / lat: the Hermite diagonal box, a
+    complete residue system, reduced into lat's basis box."""
+    g = lat.ambient_rank
+    box = itertools.product(*(range(lat.basis[i][i]) for i in range(g)))
+    return sorted(tuple(int(x) for x in reduce_mod_lattice(p, lat.mat)) for p in box)
 
 
 # ---------------------------------------------------------------------------

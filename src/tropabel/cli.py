@@ -139,7 +139,7 @@ def cmd_ns_analyze(scenario: Scenario, bound: int) -> dict[str, Any]:
         report["torsion_pairing_phases"] = table
         admissible = cls.admissible_lattices(bound)
         report["admissible_lattices"] = [jsonio.lattice_to_json(l) for l in admissible]
-        report["class_rank"] = cls.class_rank(bound)
+        report["class_rank"] = admissible[0].index
     return report
 
 

@@ -32,7 +32,10 @@ def rational_to_json(x: Fraction) -> str:
 def rational_from_json(s: Any) -> Fraction:
     if not isinstance(s, (str, int)):
         raise ScenarioError(f"expected a rational string, got {s!r}")
-    return rat(s)
+    try:
+        return rat(s)
+    except ZeroDivisionError:
+        raise ScenarioError(f"rational {s!r} has a zero denominator") from None
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list[str]:
@@ -60,8 +63,15 @@ def lattice_to_json(lat: Sublattice) -> list[list[int]]:
 
 
 def lattice_from_json(data: Any) -> Sublattice:
-    if not isinstance(data, list):
-        raise ScenarioError(f"expected a lattice basis, got {data!r}")
+    if (
+        not isinstance(data, list)
+        or not data
+        or not all(
+            isinstance(r, list) and len(r) == len(data) and all(type(x) is int for x in r)
+            for r in data
+        )
+    ):
+        raise ScenarioError(f"expected a square integer lattice basis, got {data!r}")
     return Sublattice(data)
 
 
@@ -120,6 +130,9 @@ def summand_to_json(s: TropLineBundle) -> dict[str, Any]:
 def summand_from_json(data: Any, torus: TropTorus) -> TropLineBundle:
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a summand object, got {data!r}")
+    missing = [key for key in ("lattice", "H", "l") if key not in data]
+    if missing:
+        raise ScenarioError(f"summand is missing {', '.join(missing)}")
     return TropLineBundle(
         torus,
         lattice_from_json(data["lattice"]),

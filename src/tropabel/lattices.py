@@ -5,7 +5,9 @@ Sublattice bases are kept in the canonical column Hermite form from
 same subgroup of Z^g.  Quotients by finite-index sublattices come back as
 ``FiniteAbelianGroup`` values carrying invariant factors, generator lifts and
 the projection map, which is everything the pairing machinery downstream
-needs.
+needs.  ``enumerate_subgroups`` lists the subgroups of such a group that have a
+given order; admissible covers correspond to the Lagrangian (isotropic of
+order sqrt|D|) subgroups of a defect group D.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotContained, SingularLattice, TooLarge
 from .linalg import Mat, column_hnf, hnf, kernel_columns, snf
@@ -172,12 +174,6 @@ class FiniteAbelianGroup:
     def elements(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*(range(d) for d in self.invariant_factors)))
 
-    def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
-
-    def element_order(self, e: Sequence[int]) -> int:
-        return element_order(self.invariant_factors, e)
-
 
 def quotient(ambient: Sublattice, sub: Sublattice) -> FiniteAbelianGroup:
     """The finite group ambient/sub, with generator lifts in Z^g coordinates."""
@@ -205,74 +201,55 @@ def quotient(ambient: Sublattice, sub: Sublattice) -> FiniteAbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-def element_order(factors: Sequence[int], e: Sequence[int]) -> int:
-    return math.lcm(*(d // math.gcd(d, x) for d, x in zip(factors, e))) if factors else 1
+def _divisors(n: int) -> list[int]:
+    return [a for a in range(1, n + 1) if n % a == 0]
 
 
-def subgroup_span(factors: Sequence[int], gens: Iterable[Sequence[int]]) -> frozenset:
-    """All elements generated by gens inside the direct sum of Z/d_i."""
-    zero = tuple(0 for _ in factors)
-    span = {zero}
-    for gen in gens:
-        gen = tuple(gen)
-        n = element_order(factors, gen)
-        step = zero
-        new = set()
-        for _ in range(n):
-            new |= {tuple((s + x) % d for s, x, d in zip(el, step, factors)) for el in span}
-            step = tuple((s + x) % d for s, x, d in zip(step, gen, factors))
-        span = new
-    return frozenset(span)
+def _contains_diagonal(basis: Sequence[Sequence[int]], d: Sequence[int]) -> bool:
+    """Whether the lower-triangular basis spans every d_j e_j, by integer
+    forward substitution (the diagonal of ``basis`` divides ``d``)."""
+    k = len(d)
+    for j in range(k):
+        x = [0] * k
+        x[j] = d[j] // basis[j][j]
+        for i in range(j + 1, k):
+            x[i], r = divmod(-sum(basis[i][l] * x[l] for l in range(j, i)), basis[i][i])
+            if r:
+                return False
+    return True
 
 
 def enumerate_subgroups(
-    group: FiniteAbelianGroup, bound: int = SUBGROUP_ENUMERATION_BOUND
+    group: FiniteAbelianGroup, order: int, bound: int = SUBGROUP_ENUMERATION_BOUND
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """All subgroups, each as a canonical tuple of generating elements.
+    """All subgroups of the given order, each as a sorted Hermite basis.
 
-    Walks the subgroup lattice by closure: every known subgroup is extended by
-    every element not already in it (for abelian groups the closure of (S, x)
-    is just S + <x>). Raises TooLarge when the group order exceeds ``bound``.
+    In the group's Smith coordinates, with invariant factors d, a subgroup is
+    M / diag(d) Z^k for a lattice diag(d) Z^k <= M <= Z^k of index
+    |G| / order.  M is returned as its lower-triangular Hermite basis
+    (``basis[i][j]`` is the i-th coordinate of the j-th column, entries left
+    of the diagonal reduced into range(basis[i][i])); its columns generate
+    the subgroup.  Raises TooLarge when the group order exceeds ``bound``.
     """
     if group.order > bound:
         raise TooLarge(f"group of order {group.order} exceeds enumeration bound {bound}")
-    factors = group.invariant_factors
-    elements = group.elements()
-    zero = tuple(0 for _ in factors)
-    trivial = frozenset({zero})
-    seen = {trivial}
-    queue = [trivial]
-    while queue:
-        s = queue.pop()
-        for x in elements:
-            if x in s:
-                continue
-            n = element_order(factors, x)
-            multiples = []
-            step = zero
-            for _ in range(n):
-                multiples.append(step)
-                step = tuple((a + b) % d for a, b, d in zip(step, x, factors))
-            t = frozenset(
-                tuple((a + b) % d for a, b, d in zip(el, mult, factors))
-                for el in s
-                for mult in multiples
-            )
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    keyed = []
-    for s in seen:
-        ordered = sorted(s)
-        gens: list[tuple[int, ...]] = []
-        span = trivial
-        for el in ordered:
-            if el not in span:
-                gens.append(el)
-                span = subgroup_span(factors, gens)
-        keyed.append(((len(ordered), ordered), tuple(gens)))
-    keyed.sort()
-    return [gens for _, gens in keyed]
+    d = group.invariant_factors
+    k = len(d)
+    if group.order % order:
+        return []
+    index = group.order // order
+    below = [(i, j) for i in range(k) for j in range(i)]
+    found = []
+    for diag in itertools.product(*(_divisors(x) for x in d)):
+        if math.prod(diag) != index:
+            continue
+        for entries in itertools.product(*(range(diag[i]) for i, _ in below)):
+            basis = [[diag[i] if i == j else 0 for j in range(k)] for i in range(k)]
+            for (i, j), x in zip(below, entries):
+                basis[i][j] = x
+            if _contains_diagonal(basis, d):
+                found.append(tuple(tuple(row) for row in basis))
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

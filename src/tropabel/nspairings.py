@@ -34,7 +34,6 @@ from .lattices import (
     Sublattice,
     enumerate_subgroups,
     quotient,
-    subgroup_span,
 )
 from .linalg import Mat, congruence_lattice
 from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
@@ -217,6 +216,20 @@ class NSClass:
                     return False
         return True
 
+    def _phase_form(self, gens: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+        """(F, den) with F[i][j] / den the phase of torsion_pairing(gens[i], gens[j])."""
+        phases = []
+        for a in gens:
+            row = []
+            for b in gens:
+                value = self.torsion_pairing(a, b)
+                if value.is_torsion() is None:
+                    raise InternalInconsistency("torsion pairing left the torsion subgroup")
+                row.append(value.phase)
+            phases.append(row)
+        den = math.lcm(*(x.denominator for row in phases for x in row))
+        return [[int(x * den) for x in row] for row in phases], den
+
     # -- the distinguished lattices ------------------------------------------
 
     @cached_property
@@ -228,17 +241,7 @@ class NSClass:
         """Vectors pairing symmetrically with the whole integrality lattice."""
         t = self._multiplicative_torus()
         lam = self.integrality
-        gens = lam.generators()
-        g = len(gens)
-        phases = [[Fraction(0)] * g for _ in range(g)]
-        for i in range(g):
-            for j in range(g):
-                b = self.torsion_pairing(gens[j], gens[i])
-                if b.is_torsion() is None:
-                    raise InternalInconsistency("torsion pairing left the torsion subgroup")
-                phases[i][j] = b.phase
-        den = math.lcm(*(x.denominator for row in phases for x in row))
-        cond = [[int(x * den) for x in row] for row in phases]
+        cond, den = self._phase_form(lam.generators())
         coords = congruence_lattice(cond, den)
         ambient = lam.mat @ Mat(coords)
         return Sublattice(ambient.int_rows())
@@ -258,29 +261,26 @@ class NSClass:
         self, bound: int = SUBGROUP_ENUMERATION_BOUND
     ) -> list[Sublattice]:
         """Sublattices between symmetry and integrality whose defect image is a
-        maximal isotropic subgroup; all have one common index in Z^g."""
+        Lagrangian subgroup (isotropic of order sqrt|D|: the pairing is
+        nondegenerate on D); all have one common index in Z^g."""
         q = self.defect_group
-        subgroup_gens = enumerate_subgroups(q, bound)
-        spans = [subgroup_span(q.invariant_factors, gens) for gens in subgroup_gens]
-        isotropic = []
-        for k, gens in enumerate(subgroup_gens):
-            lifts = [q.lift(e) for e in gens]
-            if all(
-                self.torsion_pairing(x, y).is_one()
-                for i, x in enumerate(lifts)
-                for y in lifts[i + 1 :]
-            ):
-                isotropic.append(k)
-        maximal = [
-            k
-            for k in isotropic
-            if not any(k2 != k and spans[k] < spans[k2] for k2 in isotropic)
-        ]
-        lattices = []
+        half = math.isqrt(q.order)
+        if half * half != q.order:
+            raise InternalInconsistency("defect group order is not a perfect square")
+        # the pairing is bilinear: tabulate it on the generator lifts once
+        form, den = self._phase_form(q.generator_lifts)
+        k = len(form)
         base_gens = self.symmetry.generators()
-        for k in maximal:
-            lifts = [q.lift(e) for e in subgroup_gens[k]]
-            lattices.append(Sublattice.from_generators(base_gens + lifts))
+        lattices = []
+        for basis in enumerate_subgroups(q, half, bound):
+            cols = [[basis[i][j] for i in range(k)] for j in range(k)]
+            if all(
+                sum(u[a] * form[a][b] * v[b] for a in range(k) for b in range(k)) % den == 0
+                for i, u in enumerate(cols)
+                for v in cols[i + 1 :]
+            ):
+                lifts = [q.lift(c) for c in cols]
+                lattices.append(Sublattice.from_generators(base_gens + lifts))
         indices = {lat.index for lat in lattices}
         if len(indices) != 1:
             raise InternalInconsistency("admissible lattices have unequal indices")

@@ -309,6 +309,46 @@ def test_bound_exceeded_exit_code(capsys):
     assert json.loads(err)["kind"] == "TooLarge"
 
 
+def run_edited(capsys, tmp_path, scenario, edit, *argv):
+    """Run the CLI on a copy of a shipped scenario changed by ``edit``."""
+    data = json.load(open(scen(scenario), encoding="utf-8"))
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return run_cli(capsys, *argv, "--scenario", str(path))
+
+
+def test_zero_denominator_is_validation_error(capsys, tmp_path):
+    def edit(data):
+        data["ns_class"][0][0] = "1/0"
+
+    code, out, err = run_edited(capsys, tmp_path, "reference_example.json", edit, "ns-analyze")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "ScenarioError"
+
+
+@pytest.mark.parametrize("sub", [[[2, 0], [0]], [[2.5, 0], [0, 1]]])
+def test_malformed_lattice_is_validation_error(capsys, tmp_path, sub):
+    def edit(data):
+        data["parameters"]["sub"] = sub
+
+    code, out, err = run_edited(capsys, tmp_path, "bundle_ops.json", edit, "bundle", "pullback")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "ScenarioError"
+
+
+def test_summand_missing_key_is_validation_error(capsys, tmp_path):
+    def edit(data):
+        del data["bundles"]["E1"]["summands"][0]["l"]
+
+    code, out, err = run_edited(capsys, tmp_path, "bundle_ops.json", edit, "bundle", "sum")
+    assert code == 2
+    assert out == ""
+    assert "l" in json.loads(err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # JSON round-trips
 # ---------------------------------------------------------------------------

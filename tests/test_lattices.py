@@ -11,7 +11,6 @@ from tropabel.lattices import (
     enumerate_subgroups,
     quotient,
     reduce_mod_lattice,
-    subgroup_span,
 )
 from tropabel.linalg import Mat
 
@@ -163,7 +162,7 @@ def test_quotient_of_nonfull_ambient():
 
 def count_subgroups(sub_basis):
     q = quotient(Sublattice.full(len(sub_basis)), Sublattice(sub_basis))
-    return len(enumerate_subgroups(q))
+    return sum(len(enumerate_subgroups(q, d)) for d in range(1, q.order + 1) if q.order % d == 0)
 
 
 def test_subgroup_counts():
@@ -177,19 +176,25 @@ def test_subgroup_counts():
     assert count_subgroups([[1, 0], [0, 1]]) == 1
 
 
-def test_subgroup_spans_are_subgroups():
+def test_subgroup_bases_contain_diagonal():
     q = quotient(Sublattice.full(2), Sublattice([[2, 0], [0, 4]]))
-    for gens in enumerate_subgroups(q):
-        span = subgroup_span(q.invariant_factors, gens)
-        for a in span:
-            for b in span:
-                assert q.add(a, b) in span
+    d = q.invariant_factors
+    k = len(d)
+    diagonal = Sublattice([[d[i] if i == j else 0 for j in range(k)] for i in range(k)])
+    for order in (1, 2, 4, 8):
+        bases = enumerate_subgroups(q, order)
+        assert bases and len(set(bases)) == len(bases)
+        for basis in bases:
+            lat = Sublattice(basis)
+            assert lat.basis == basis
+            assert lat.contains_lattice(diagonal)
+            assert q.order // lat.index == order
 
 
 def test_enumerate_subgroups_too_large():
     q = quotient(Sublattice.full(2), Sublattice([[100, 0], [0, 100]]))
     with pytest.raises(TooLarge):
-        enumerate_subgroups(q, bound=64)
+        enumerate_subgroups(q, 100, bound=64)
 
 
 # ---------------------------------------------------------------------------

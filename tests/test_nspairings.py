@@ -316,6 +316,74 @@ def test_admissible_index_identity():
     assert found_nontrivial > 0
 
 
+def _cyclic_square_class(n: int) -> NSClass:
+    """Class I on the torus (t, zeta_n), (1, t): defect group (Z/n)^2."""
+    t = NATorus(
+        (
+            MultiplicativePoint((T_UNIF, mono(phase=F(1, n)))),
+            MultiplicativePoint((ONE, T_UNIF)),
+        )
+    )
+    return NSClass(t, Mat.identity(2))
+
+
+def _unit_class(g: int, phases: dict) -> NSClass:
+    """Class I on the torus whose generator j has valuation e_j and phase
+    phases[(j, i)] in coordinate i."""
+    t = NATorus(
+        tuple(
+            MultiplicativePoint(
+                tuple(
+                    mono(phase=phases.get((j, i), 0), texp=1 if i == j else 0)
+                    for i in range(g)
+                )
+            )
+            for j in range(g)
+        )
+    )
+    return NSClass(t, Mat.identity(g))
+
+
+def _assert_admissible_covers(ns: NSClass, count: int) -> None:
+    lats = ns.admissible_lattices()
+    assert len(lats) == count
+    for lat in lats:
+        assert ns.symmetry <= lat <= ns.integrality
+        gens = lat.generators()
+        assert all(ns.torsion_pairing(a, b).is_one() for a in gens for b in gens)
+
+
+def _sigma(n: int) -> int:
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_admissible_counts_cyclic_square(n):
+    ns = _cyclic_square_class(n)
+    assert ns.defect_group.invariant_factors == (n, n)
+    _assert_admissible_covers(ns, _sigma(n))
+
+
+@pytest.mark.parametrize(
+    "phases, invariants, count",
+    [
+        ({(0, 1): F(1, 2), (2, 3): F(1, 2)}, (2, 2, 2, 2), 15),
+        ({(0, 1): F(1, 3), (2, 3): F(1, 3)}, (3, 3, 3, 3), 40),
+        ({(0, 1): F(1, 4), (2, 3): F(1, 2)}, (2, 2, 4, 4), 39),
+    ],
+)
+def test_admissible_counts_rank_four(phases, invariants, count):
+    ns = _unit_class(4, phases)
+    assert ns.defect_group.invariant_factors == invariants
+    _assert_admissible_covers(ns, count)
+
+
+def test_admissible_counts_default_bound():
+    ns = _cyclic_square_class(100)
+    assert ns.defect_group.order == 10_000
+    _assert_admissible_covers(ns, 217)
+
+
 # ---------------------------------------------------------------------------
 # Extended pairing
 # ---------------------------------------------------------------------------
