@@ -29,7 +29,7 @@ from .errors import (
     NotContained,
     SlopeMismatch,
 )
-from .lattices import QLattice, Sublattice, reduce_mod_lattice
+from .lattices import QLattice, Sublattice
 from .linalg import Mat
 from .nspairings import TropTorus, is_r_symmetric
 from .rationals import rat
@@ -71,7 +71,7 @@ class TropLineBundle:
 
     def l_value(self, x: Sequence[int | Fraction]) -> Fraction:
         """The Q-linear extension of the covector, at lattice coordinates x."""
-        coords = self.lattice.mat_inv.mul_vec(tuple(rat(c) for c in x))
+        coords = self.lattice.coordinates(x)
         return sum((a * b for a, b in zip(self.l, coords)), Fraction(0))
 
 
@@ -126,9 +126,8 @@ def _char_value(torus: TropTorus, x: Sequence[int | Fraction], m: Sequence[Fract
 def _coset_reps(lat: Sublattice) -> list[tuple[int, ...]]:
     """Canonical representatives of Z^g / lat: the Hermite diagonal box, a
     complete residue system, reduced into lat's basis box."""
-    g = lat.ambient_rank
-    box = itertools.product(*(range(lat.basis[i][i]) for i in range(g)))
-    return sorted(tuple(int(x) for x in reduce_mod_lattice(p, lat.mat)) for p in box)
+    box = itertools.product(*(range(row[i]) for i, row in enumerate(lat.basis)))
+    return sorted(lat.reduce(p) for p in box)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ def pullback(e: TropVectorBundle, sub: Sublattice) -> TropVectorBundle:
     for s in e.summands:
         inter = s.lattice & sub
         total = s.lattice + sub
-        new_lat = Sublattice((sub.mat_inv @ inter.mat).int_rows())
+        new_lat = Sublattice.from_generators([sub.coordinates(b) for b in inter.generators()])
         amb_basis = sub.mat @ new_lat.mat
         amb_cols = [amb_basis.col(j) for j in range(new_lat.ambient_rank)]
         new_ns = s.ns @ sub.mat
@@ -209,14 +208,12 @@ def pushforward(
     """
     if e.torus != cover_torus(parent, sub):
         raise AmbientMismatch("bundle does not live on the stated cover of the parent")
+    sub_inv = Mat.from_cols([sub.coordinates(e) for e in Sublattice.full(parent.g).generators()])
     out = []
     for s in e.summands:
         amb_lat = Sublattice((sub.mat @ s.lattice.mat).int_rows())
-        ns = s.ns @ sub.mat_inv
-        l = tuple(
-            s.l_value(sub.mat_inv.mul_vec(tuple(Fraction(c) for c in col)))
-            for col in amb_lat.generators()
-        )
+        ns = s.ns @ sub_inv
+        l = tuple(s.l_value(sub.coordinates(col)) for col in amb_lat.generators())
         out.append(TropLineBundle(parent, amb_lat, ns, l))
     return TropVectorBundle(parent, tuple(out))
 

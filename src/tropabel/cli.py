@@ -6,7 +6,7 @@ Commands: ns-analyze; bundle {sum,tensor,pullback,pushforward,translate,slope,
 equiv,moduli-point}; rep {decompose,canonical,eta,stratum}; na {trop-line,
 trop-simple,trop-rep,verify-square}.  Identical (scenario, seed) pairs produce
 byte-identical output; exit codes are 0 success, 2 validation, 3 resource
-bound exceeded, 4 internal inconsistency.
+bound exceeded, 4 internal inconsistency or any other fault of the program.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import bundles, jsonio, naside, tropchar
-from .errors import TropabelError
+from .errors import TooLarge, TropabelError
 from .lattices import SUBGROUP_ENUMERATION_BOUND, Sublattice
 from .monomials import ValuedMonomial
 from .nspairings import (
@@ -116,9 +116,8 @@ def cmd_ns_analyze(scenario: Scenario, bound: int) -> dict[str, Any]:
     }
     m_large = extended_character_lattice(cls.matrix)
     n_large = dual_integrality_lattice(cls.matrix)
-    ext_index = Fraction(1) / abs(m_large.basis.det())
     report["extended_character_lattice"] = jsonio.matrix_to_json(m_large.basis)
-    report["extended_character_index"] = int(ext_index)
+    report["extended_character_index"] = int(1 / m_large.covolume)
     report["dual_integrality_lattice"] = jsonio.lattice_to_json(n_large)
     report["dual_integrality_index"] = n_large.index
     if isinstance(torus, NATorus):
@@ -305,6 +304,8 @@ def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]
             rng = random.Random(seed)
             count = int(params.get("count", 5))
             r = int(params.get("r", 2))
+            if count * r > bound:
+                raise TooLarge(f"{count} representations of size {r} exceed the bound {bound}")
             reps = [_random_na_rep(rng, r, torus.g) for _ in range(count)]
         cases = []
         for rep in reps:
@@ -392,17 +393,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = run(args)
-    except TropabelError as exc:
-        print(
-            json.dumps({"error": str(exc), "kind": type(exc).__name__}),
-            file=sys.stderr,
-        )
-        return exc.exit_code
-    except ValueError as exc:
-        print(
-            json.dumps({"error": str(exc), "kind": "ValueError"}), file=sys.stderr
-        )
-        return 2
+    except Exception as exc:
+        if isinstance(exc, TropabelError):
+            code, record = exc.exit_code, {"kind": type(exc).__name__}
+        elif isinstance(exc, ValueError):
+            code, record = 2, {"kind": "ValueError"}
+        else:  # a fault of the program, not of its input
+            code, record = 4, {"kind": type(exc).__name__, "command": args.command}
+        print(json.dumps({"error": str(exc), **record}), file=sys.stderr)
+        return code
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -7,6 +7,7 @@ Every encoder here has a decoder that round-trips losslessly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -30,8 +31,8 @@ def rational_to_json(x: Fraction) -> str:
 
 
 def rational_from_json(s: Any) -> Fraction:
-    if not isinstance(s, (str, int)):
-        raise ScenarioError(f"expected a rational string, got {s!r}")
+    if not (isinstance(s, int) or isinstance(s, str) and re.fullmatch(r"[+-]?\d+(/\d+)?", s)):
+        raise ScenarioError(f"expected an integer or a rational string 'p/q', got {s!r}")
     try:
         return rat(s)
     except ZeroDivisionError:
@@ -146,8 +147,8 @@ def bundle_to_json(e: TropVectorBundle) -> dict[str, Any]:
 
 
 def bundle_from_json(data: Any, torus: TropTorus) -> TropVectorBundle:
-    if not isinstance(data, dict) or "summands" not in data:
-        raise ScenarioError(f"expected a bundle object, got {data!r}")
+    if not isinstance(data, dict) or not isinstance(data.get("summands"), list):
+        raise ScenarioError(f"expected a bundle object with a list of summands, got {data!r}")
     summands = tuple(summand_from_json(s, torus) for s in data["summands"])
     return TropVectorBundle(torus, summands)
 
@@ -167,7 +168,9 @@ def gl_element_to_json(a: TropGLElement) -> dict[str, Any]:
 def gl_element_from_json(data: Any) -> TropGLElement:
     if not isinstance(data, dict) or "perm" not in data:
         raise ScenarioError(f"expected a tropical matrix object, got {data!r}")
-    perm = tuple(int(i) - 1 for i in data["perm"])
+    if not isinstance(data["perm"], list) or not all(type(i) is int for i in data["perm"]):
+        raise ScenarioError(f"perm must be a list of integers, got {data['perm']!r}")
+    perm = tuple(i - 1 for i in data["perm"])
     d = vector_from_json(data.get("d", ["0"] * len(perm)))
     return TropGLElement(perm, d)
 

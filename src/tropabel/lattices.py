@@ -2,12 +2,16 @@
 
 Sublattice bases are kept in the canonical column Hermite form from
 ``linalg``, so two Sublattice values are equal exactly when they describe the
-same subgroup of Z^g.  Quotients by finite-index sublattices come back as
-``FiniteAbelianGroup`` values carrying invariant factors, generator lifts and
-the projection map, which is everything the pairing machinery downstream
-needs.  ``enumerate_subgroups`` lists the subgroups of such a group that have a
-given order; admissible covers correspond to the Lagrangian (isotropic of
-order sqrt|D|) subgroups of a defect group D.
+same subgroup of Z^g.  The basis is lower-triangular, so coordinates,
+membership and box representatives all come from one integer forward
+substitution (``_forward_solve``), never from Gaussian elimination, and a
+``QLattice`` is a Sublattice scaled by 1/den.  Quotients by finite-index
+sublattices come back as ``FiniteAbelianGroup`` values carrying invariant
+factors, generator lifts and the projection map, which is everything the
+pairing machinery downstream needs.  ``enumerate_subgroups`` lists the
+subgroups of such a group that have a given order; admissible covers
+correspond to the Lagrangian (isotropic of order sqrt|D|) subgroups of a
+defect group D.
 """
 
 from __future__ import annotations
@@ -20,20 +24,28 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import NotContained, SingularLattice, TooLarge
-from .linalg import Mat, column_hnf, hnf, kernel_columns, snf
+from .linalg import IntRows, Mat, column_hnf, hnf, kernel_columns, snf
 from .rationals import lcm_denominator, rat
 
 SUBGROUP_ENUMERATION_BOUND = 10_000
 
 
-def _as_int_vec(v: Sequence[int | Fraction]) -> tuple[int, ...]:
-    out = []
-    for x in v:
-        f = rat(x)
-        if f.denominator != 1:
-            raise NotContained(f"{f} is not an integer coordinate")
-        out.append(int(f))
-    return tuple(out)
+def _forward_solve(basis: Sequence[Sequence[int]], v: Sequence) -> tuple[int | Fraction, ...]:
+    """x with basis @ x = v for a lower-triangular integer basis, by forward substitution;
+    x_i is an int where the division is exact and a Fraction where it is not."""
+    x: list[int | Fraction] = []
+    for i, row in enumerate(basis):
+        r = v[i] - sum(row[j] * x[j] for j in range(i))
+        if type(r) is int:
+            q, m = divmod(r, row[i])
+            x.append(Fraction(r, row[i]) if m else q)
+        else:
+            x.append(r / row[i])
+    return tuple(x)
+
+
+def _is_integral(x: Sequence[int | Fraction]) -> bool:
+    return all(c.denominator == 1 for c in x)
 
 
 class Sublattice:
@@ -54,10 +66,11 @@ class Sublattice:
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence[int]]) -> "Sublattice":
         """Lattice spanned by the given vectors (must have full rank)."""
+        if not all(_is_integral(v) for v in gens):
+            raise NotContained("generators must be integer vectors")
         g = len(gens[0])
-        cols = [_as_int_vec(v) for v in gens]
-        h, _ = column_hnf([[c[i] for c in cols] for i in range(g)])
-        nonzero = [j for j in range(len(cols)) if any(h[i][j] for i in range(g))]
+        h, _ = column_hnf([[int(v[i]) for v in gens] for i in range(g)])
+        nonzero = [j for j in range(len(gens)) if any(h[i][j] for i in range(g))]
         if len(nonzero) != g:
             raise SingularLattice("generators do not span a full-rank lattice")
         return cls([[h[i][j] for j in nonzero] for i in range(g)])
@@ -81,10 +94,6 @@ class Sublattice:
     def mat(self) -> Mat:
         return Mat(self.basis)
 
-    @cached_property
-    def mat_inv(self) -> Mat:
-        return self.mat.inv()
-
     @property
     def index(self) -> int:
         """Index in Z^g: the product of the Hermite diagonal."""
@@ -98,18 +107,23 @@ class Sublattice:
 
     # -- membership and coordinates ------------------------------------------
 
-    def coordinates(self, v: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of v in this basis (rational for rational input)."""
-        return self.mat_inv.mul_vec(tuple(rat(x) for x in v))
+    def coordinates(self, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
+        """Coordinates of v in this basis (rational where v is off the lattice)."""
+        return _forward_solve(self.basis, v)
 
     def contains(self, v: Sequence[int | Fraction]) -> bool:
-        return all(c.denominator == 1 for c in self.coordinates(v))
+        return _is_integral(self.coordinates(v))
 
     def contains_lattice(self, other: "Sublattice") -> bool:
         return all(self.contains(gen) for gen in other.generators())
 
     def __le__(self, other: "Sublattice") -> bool:
         return other.contains_lattice(self)
+
+    def reduce(self, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
+        """The representative of v whose coordinates lie in [0,1)^g."""
+        k = [math.floor(c) for c in self.coordinates(v)]
+        return tuple(x - sum(b * c for b, c in zip(row, k)) for x, row in zip(v, self.basis))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -147,7 +161,8 @@ class FiniteAbelianGroup:
 
     invariant_factors: tuple[int, ...]
     generator_lifts: tuple[tuple[int, ...], ...]
-    _proj: Mat = field(repr=False)
+    _ambient: Sublattice = field(repr=False)
+    _u: tuple[tuple[int, ...], ...] = field(repr=False)
     _moduli: tuple[int, ...] = field(repr=False)
 
     @property
@@ -155,43 +170,48 @@ class FiniteAbelianGroup:
         return math.prod(self.invariant_factors)
 
     def project(self, v: Sequence[int | Fraction]) -> tuple[int, ...]:
-        """Coordinates of the class of v, one entry per invariant factor."""
-        x = self._proj.mul_vec(tuple(rat(c) for c in v))
-        if any(c.denominator != 1 for c in x):
+        """Coordinates of the class of v, one entry per invariant factor:
+        U times the integer coordinates of v in the ambient basis."""
+        x = self._ambient.coordinates(v)
+        if not _is_integral(x):
             raise NotContained("vector is not in the numerator lattice")
-        full = [int(c) % d for c, d in zip(x, self._moduli)]
-        return tuple(full[i] for i in range(len(full)) if self._moduli[i] > 1)
+        rows = zip(self._u, self._moduli)
+        return tuple(sum(a * int(c) for a, c in zip(row, x)) % d for row, d in rows if d > 1)
 
     def lift(self, e: Sequence[int]) -> tuple[int, ...]:
         """An ambient representative of the element with coordinates e."""
-        g = len(self._proj.entries)
-        out = [0] * g
-        for c, gen in zip(e, self.generator_lifts):
-            for i in range(g):
-                out[i] += c * gen[i]
-        return tuple(out)
+        g = self._ambient.ambient_rank
+        return tuple(sum(c * gen[i] for c, gen in zip(e, self.generator_lifts)) for i in range(g))
 
     def elements(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*(range(d) for d in self.invariant_factors)))
 
 
+def _smith_adapted(ambient: Sublattice, sub: Sublattice) -> tuple[IntRows, list[int], list]:
+    """(U, d, A): the Smith form U C W = diag(d) of sub's coordinates C in ambient's
+    basis B, and the basis A = B U^-1 of ambient, whose multiples d_j A_j span sub."""
+    g = ambient.ambient_rank
+    cols = [ambient.coordinates(gen) for gen in sub.generators()]
+    if not all(_is_integral(col) for col in cols):
+        raise NotContained("the second lattice is not inside the first")
+    u, d, _ = snf([[int(col[i]) for col in cols] for i in range(g)])
+    _, u_inv = hnf(u)  # U is unimodular: its Hermite form is I, reached by U^-1
+    adapted = [
+        tuple(sum(b * u_inv[k][j] for k, b in enumerate(row)) for row in ambient.basis)
+        for j in range(g)
+    ]
+    return u, [d[i][i] for i in range(g)], adapted
+
+
 def quotient(ambient: Sublattice, sub: Sublattice) -> FiniteAbelianGroup:
     """The finite group ambient/sub, with generator lifts in Z^g coordinates."""
-    if not ambient.contains_lattice(sub):
-        raise NotContained("quotient requires the second lattice inside the first")
-    g = ambient.ambient_rank
-    c = ambient.mat_inv @ sub.mat
-    u, d, w = snf(c.int_rows())
-    diag = [d[i][i] for i in range(g)]
-    u_inv = Mat(u).inv()
-    lift_cols = ambient.mat @ u_inv
-    kept = [i for i in range(g) if diag[i] > 1]
-    lifts = tuple(tuple(int(lift_cols.entries[i][j]) for i in range(g)) for j in kept)
-    proj = Mat(u) @ ambient.mat_inv
+    u, diag, adapted = _smith_adapted(ambient, sub)
+    kept = [i for i, x in enumerate(diag) if x > 1]
     return FiniteAbelianGroup(
         invariant_factors=tuple(diag[i] for i in kept),
-        generator_lifts=lifts,
-        _proj=proj,
+        generator_lifts=tuple(adapted[i] for i in kept),
+        _ambient=ambient,
+        _u=tuple(map(tuple, u)),
         _moduli=tuple(diag),
     )
 
@@ -205,20 +225,6 @@ def _divisors(n: int) -> list[int]:
     return [a for a in range(1, n + 1) if n % a == 0]
 
 
-def _contains_diagonal(basis: Sequence[Sequence[int]], d: Sequence[int]) -> bool:
-    """Whether the lower-triangular basis spans every d_j e_j, by integer
-    forward substitution (the diagonal of ``basis`` divides ``d``)."""
-    k = len(d)
-    for j in range(k):
-        x = [0] * k
-        x[j] = d[j] // basis[j][j]
-        for i in range(j + 1, k):
-            x[i], r = divmod(-sum(basis[i][l] * x[l] for l in range(j, i)), basis[i][i])
-            if r:
-                return False
-    return True
-
-
 def enumerate_subgroups(
     group: FiniteAbelianGroup, order: int, bound: int = SUBGROUP_ENUMERATION_BOUND
 ) -> list[tuple[tuple[int, ...], ...]]:
@@ -229,7 +235,9 @@ def enumerate_subgroups(
     |G| / order.  M is returned as its lower-triangular Hermite basis
     (``basis[i][j]`` is the i-th coordinate of the j-th column, entries left
     of the diagonal reduced into range(basis[i][i])); its columns generate
-    the subgroup.  Raises TooLarge when the group order exceeds ``bound``.
+    the subgroup.  Raises TooLarge when the group order, or the number of
+    candidate bases (the sum over admissible diagonals of prod_i diag_i^i),
+    exceeds ``bound``.
     """
     if group.order > bound:
         raise TooLarge(f"group of order {group.order} exceeds enumeration bound {bound}")
@@ -238,17 +246,21 @@ def enumerate_subgroups(
     if group.order % order:
         return []
     index = group.order // order
-    below = [(i, j) for i in range(k) for j in range(i)]
+    diags = [t for t in itertools.product(*map(_divisors, d)) if math.prod(t) == index]
+    candidates = sum(math.prod(x**i for i, x in enumerate(diag)) for diag in diags)
+    if candidates > bound:
+        raise TooLarge(f"{candidates} candidate subgroups exceed enumeration bound {bound}")
+    spans = [tuple(x if i == j else 0 for i in range(k)) for j, x in enumerate(d)]
     found = []
-    for diag in itertools.product(*(_divisors(x) for x in d)):
-        if math.prod(diag) != index:
-            continue
-        for entries in itertools.product(*(range(diag[i]) for i, _ in below)):
-            basis = [[diag[i] if i == j else 0 for j in range(k)] for i in range(k)]
-            for (i, j), x in zip(below, entries):
-                basis[i][j] = x
-            if _contains_diagonal(basis, d):
-                found.append(tuple(tuple(row) for row in basis))
+    for diag in diags:
+        for below in itertools.product(*(range(diag[i]) for i in range(k) for _ in range(i))):
+            # row i holds its i entries left of the diagonal, then diag[i], then zeros
+            basis = tuple(
+                below[i * (i - 1) // 2 : i * (i + 1) // 2] + (diag[i],) + (0,) * (k - 1 - i)
+                for i in range(k)
+            )
+            if all(_is_integral(_forward_solve(basis, col)) for col in spans):
+                found.append(basis)
     return sorted(found)
 
 
@@ -272,48 +284,51 @@ def reduce_mod_lattice(
 
 
 class QLattice:
-    """Full-rank lattice in Q^g, canonicalized by a scaled Hermite basis."""
+    """Full-rank lattice L in Q^g, kept as the Sublattice den * L of Z^g, where
+    den, the least common denominator of L's coordinates, is an invariant of L."""
 
-    __slots__ = ("basis",)
+    __slots__ = ("lattice", "den")
 
     def __init__(self, basis: Mat):
-        self.basis = basis
+        """The lattice spanned by the columns of ``basis``."""
+        self.den = lcm_denominator([x for row in basis.entries for x in row])
+        self.lattice = Sublattice.from_generators(
+            [[x * self.den for x in basis.col(j)] for j in range(basis.m)]
+        )
 
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence[Fraction]]) -> "QLattice":
-        g = len(gens[0])
-        cols = [tuple(rat(x) for x in v) for v in gens]
-        den = lcm_denominator([x for col in cols for x in col])
-        int_rows = [[int(col[i] * den) for col in cols] for i in range(g)]
-        h, _ = column_hnf(int_rows)
-        nonzero = [j for j in range(len(cols)) if any(h[i][j] for i in range(g))]
-        if len(nonzero) != g:
-            raise SingularLattice("generators do not span a full-rank lattice")
-        basis = Mat([[Fraction(h[i][j], den) for j in nonzero] for i in range(g)])
-        return cls(basis)
+        return cls(Mat.from_cols(gens))
 
     @classmethod
     def standard(cls, g: int) -> "QLattice":
         return cls(Mat.identity(g))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QLattice) and self.basis == other.basis
+        if not isinstance(other, QLattice):
+            return False
+        return (self.den, self.lattice) == (other.den, other.lattice)
 
     def __hash__(self) -> int:
-        return hash(self.basis)
+        return hash((self.den, self.lattice))
 
     def __repr__(self) -> str:
         return f"QLattice({self.basis!r})"
 
     @property
+    def basis(self) -> Mat:
+        return Mat([[Fraction(x, self.den) for x in row] for row in self.lattice.basis])
+
+    @property
     def covolume(self) -> Fraction:
-        return abs(self.basis.det())
+        return Fraction(self.lattice.index, self.den**self.lattice.ambient_rank)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(c.denominator == 1 for c in self.basis.solve(tuple(rat(x) for x in v)))
+        return self.lattice.contains([x * self.den for x in v])
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return reduce_mod_lattice(v, self.basis)
+        """The representative of v whose coordinates lie in [0,1)^g."""
+        return tuple(Fraction(x, self.den) for x in self.lattice.reduce([x * self.den for x in v]))
 
     def index_over(self, sub: "QLattice") -> Fraction:
         """[self : sub] for sub contained in self."""

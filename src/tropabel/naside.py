@@ -23,8 +23,8 @@ from .errors import (
     NotInLattice,
     SizeMismatch,
 )
-from .lattices import SUBGROUP_ENUMERATION_BOUND, Sublattice
-from .linalg import Mat, snf
+from .lattices import SUBGROUP_ENUMERATION_BOUND, Sublattice, _smith_adapted
+from .linalg import Mat
 from .monomials import ONE, MultiplicativePoint, ValuedMonomial, eval_character
 from .nspairings import NATorus, NSClass
 from .tropchar import TropGLElement, TropRepresentation, bundle_from_rep
@@ -128,9 +128,7 @@ def extend_r(b: NALineBundle, lam: Sequence[int]) -> ValuedMonomial:
     coeffs = b.lattice.coordinates(tuple(int(x) for x in lam))
     if any(c.denominator != 1 for c in coeffs):
         raise NotInLattice("element is not in the cover lattice")
-    return _extend_from_basis(
-        b.ns, b.lattice.generators(), b.r_basis, [int(c) for c in coeffs]
-    )
+    return _extend_from_basis(b.ns, b.lattice.generators(), b.r_basis, coeffs)
 
 
 def restrict_na(b: NALineBundle, sub: Sublattice) -> NALineBundle:
@@ -149,23 +147,16 @@ def represent_on(b: NALineBundle, target: Sublattice) -> NALineBundle:
     exact roots of the restricted values; raises ValueError when a required
     root does not exist in the monomial model.
     """
-    inter = b.lattice & target
-    coords = (target.mat_inv @ inter.mat).int_rows()
-    u, d, _ = snf(coords)
-    adapted_cols = target.mat @ Mat(u).inv()
-    adapted = [
-        tuple(int(x) for x in adapted_cols.col(j)) for j in range(target.ambient_rank)
-    ]
+    u, d, adapted = _smith_adapted(target, b.lattice & target)
     values = []
-    for i, w in enumerate(adapted):
-        k = d[i][i]
+    for k, w in zip(d, adapted):
         scaled = tuple(k * x for x in w)
         chi = extend_r(b, scaled)
         corr = b.ns.gm_pairing(w, w) ** (k * (k - 1) // 2)
         values.append((chi / corr).root_pow(Fraction(1, k)))
-    hnf_coeff = u  # Hermite basis of target in adapted coordinates
+    # U holds the Hermite basis of target in adapted coordinates
     r_basis = tuple(
-        _extend_from_basis(b.ns, adapted, values, [row[j] for row in hnf_coeff])
+        _extend_from_basis(b.ns, adapted, values, [row[j] for row in u])
         for j in range(target.ambient_rank)
     )
     return NALineBundle(b.ns, target, r_basis)

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-Rational = Fraction
+from typing import Sequence
 
 
 def rat(x: int | str | Fraction) -> Fraction:
@@ -27,10 +25,6 @@ def rat(x: int | str | Fraction) -> Fraction:
 def rat_str(x: Fraction) -> str:
     # Fraction.__str__ is already canonical: "3", "-1/2", ...
     return str(Fraction(x))
-
-
-def rat_vector(xs: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
-    return tuple(rat(x) for x in xs)
 
 
 def frac_mod_1(x: Fraction) -> Fraction:

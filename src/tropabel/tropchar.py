@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .bundles import TropLineBundle, TropVectorBundle, _coset_reps
 from .errors import NotCommuting, NotInvertible, SizeMismatch
-from .lattices import Sublattice, reduce_mod_lattice
+from .lattices import Sublattice
 from .linalg import Mat
 from .nspairings import TropTorus
 from .rationals import rat
@@ -284,7 +284,7 @@ def rep_from_bundle(e: TropVectorBundle) -> TropRepresentation:
         for (reps, lookup, s), off in zip(blocks, offsets):
             for k, c in enumerate(reps):
                 shifted = tuple(x + (1 if i == j else 0) for i, x in enumerate(c))
-                target = tuple(int(x) for x in reduce_mod_lattice(shifted, s.lattice.mat))
+                target = s.lattice.reduce(shifted)
                 k2 = lookup[target]
                 perm[off + k] = off + k2
                 closing = tuple(a - b for a, b in zip(shifted, target))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tropabel import jsonio
+from tropabel import cli, jsonio
 from tropabel.bundles import as_bundle, line_bundle
 from tropabel.cli import main
 from tropabel.lattices import Sublattice
@@ -349,6 +349,52 @@ def test_summand_missing_key_is_validation_error(capsys, tmp_path):
     assert "l" in json.loads(err)["error"]
 
 
+def _set_summands(data, value):
+    data["bundles"]["E1"]["summands"] = value
+
+
+def _set_perm(data, value):
+    data["representations"]["R"]["images"][0]["perm"] = value
+
+
+@pytest.mark.parametrize(
+    "scenario, edit, argv",
+    [
+        ("bundle_ops.json", lambda d: _set_summands(d, 5), ("bundle", "sum")),
+        ("rep_demo.json", lambda d: _set_perm(d, [[1]]), ("rep", "decompose")),
+        ("rep_demo.json", lambda d: _set_perm(d, [1.7, 2]), ("rep", "decompose")),
+        ("rep_demo.json", lambda d: _set_perm(d, 2), ("rep", "decompose")),
+    ],
+    ids=["summands-not-a-list", "perm-nested", "perm-float", "perm-not-a-list"],
+)
+def test_malformed_json_shapes_are_validation_errors(capsys, tmp_path, scenario, edit, argv):
+    code, out, err = run_edited(capsys, tmp_path, scenario, edit, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "ScenarioError"
+
+
+def test_unexpected_exception_maps_to_exit_4(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run", broken)
+    code, out, err = run_cli(capsys, "rep", "decompose", "--scenario", scen("rep_demo.json"))
+    assert code == 4
+    assert out == ""
+    assert json.loads(err) == {"error": "boom", "kind": "RuntimeError", "command": "rep"}
+
+
+def test_verify_square_work_is_bounded(capsys):
+    argv = ("na", "verify-square", "--scenario", scen("na_random.json"))
+    # na_random.json generates count = 3 representations of size r = 3
+    code, out, err = run_cli(capsys, *argv, "--bound", "8")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["kind"] == "TooLarge"
+    assert run_cli(capsys, *argv, "--bound", "9")[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # JSON round-trips
 # ---------------------------------------------------------------------------
@@ -356,11 +402,20 @@ def test_summand_missing_key_is_validation_error(capsys, tmp_path):
 
 def test_rational_and_matrix_round_trip():
     assert jsonio.rational_from_json("22/7") == F(22, 7)
+    assert jsonio.rational_from_json("-3") == -3
+    assert jsonio.rational_from_json("+5/10") == F(1, 2)
+    assert jsonio.rational_from_json(7) == 7
     assert jsonio.rational_to_json(F(-3, 4)) == "-3/4"
     m = Mat([[F(1, 2), F(3)], [F(0), F(-5, 6)]])
     assert jsonio.matrix_from_json(jsonio.matrix_to_json(m)) == m
     with pytest.raises(jsonio.ScenarioError):
         jsonio.rational_from_json(0.5)
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", "-2.0", "1/2.5", " 1/2", "", "0x10"])
+def test_rational_strings_are_p_over_q_only(text):
+    with pytest.raises(jsonio.ScenarioError):
+        jsonio.rational_from_json(text)
 
 
 def test_mono_and_torus_round_trip():

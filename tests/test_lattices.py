@@ -5,6 +5,7 @@ import pytest
 
 from tropabel.errors import NotContained, RankDeficient, SingularLattice, TooLarge
 from tropabel.lattices import (
+    SUBGROUP_ENUMERATION_BOUND,
     FiniteAbelianGroup,
     QLattice,
     Sublattice,
@@ -197,6 +198,15 @@ def test_enumerate_subgroups_too_large():
         enumerate_subgroups(q, 100, bound=64)
 
 
+def test_enumerate_subgroups_bounds_candidates():
+    # (Z/10)^4 has order 10,000, inside the default bound, but its subgroups of
+    # order 100 have 282,100 candidate Hermite bases
+    q = quotient(Sublattice.full(4), Sublattice([[10 * (i == j) for j in range(4)] for i in range(4)]))
+    assert q.order <= SUBGROUP_ENUMERATION_BOUND
+    with pytest.raises(TooLarge, match="282100 candidate"):
+        enumerate_subgroups(q, 100)
+
+
 # ---------------------------------------------------------------------------
 # Box reduction and rational lattices
 # ---------------------------------------------------------------------------
@@ -211,18 +221,25 @@ def test_reduce_mod_lattice_examples():
 
 def test_reduce_mod_lattice_properties():
     rng = random.Random(33)
-    for _ in range(30):
-        lat = rand_sublattice(rng, 2, max_diag=3)
-        v = (F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(-9, 9), rng.randint(1, 4)))
-        r = reduce_mod_lattice(v, lat.mat)
-        # representative has basis coordinates in [0, 1)
-        coords = lat.mat.solve(r)
-        assert all(0 <= c < 1 for c in coords)
-        # idempotent and coset-invariant
-        assert reduce_mod_lattice(r, lat.mat) == r
-        shift = lat.mat.mul_vec((F(rng.randint(-3, 3)), F(rng.randint(-3, 3))))
-        shifted = tuple(a + b for a, b in zip(v, shift))
-        assert reduce_mod_lattice(shifted, lat.mat) == r
+    for g in range(1, 5):
+        for _ in range(30):
+            lat = rand_sublattice(rng, g, max_diag=3)
+            v = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(g))
+            r = reduce_mod_lattice(v, lat.mat)
+            # representative has basis coordinates in [0, 1)
+            coords = lat.mat.solve(r)
+            assert all(0 <= c < 1 for c in coords)
+            # idempotent and coset-invariant
+            assert reduce_mod_lattice(r, lat.mat) == r
+            shift = lat.mat.mul_vec(tuple(F(rng.randint(-3, 3)) for _ in range(g)))
+            shifted = tuple(a + b for a, b in zip(v, shift))
+            assert reduce_mod_lattice(shifted, lat.mat) == r
+            # the Hermite forward substitution agrees with the general solver
+            w = tuple(rng.randint(-9, 9) for _ in range(g))
+            for x in (v, shifted, w):
+                assert lat.reduce(x) == reduce_mod_lattice(x, lat.mat)
+                assert lat.coordinates(x) == lat.mat.solve(x)
+            assert lat.contains(w) == all(c.denominator == 1 for c in lat.mat.solve(w))
 
 
 def test_qlattice_basics():
@@ -233,6 +250,25 @@ def test_qlattice_basics():
     std = QLattice.standard(2)
     assert half.index_over(std) == 4
     assert half.reduce((F(3, 4), F(0))) == (F(1, 4), F(0))
+
+
+def test_qlattice_from_non_hermite_basis():
+    basis = Mat([[F(1, 2), F(1, 2)], [F(1, 3), F(-1, 3)]])
+    lat = QLattice(basis)
+    # canonical: the Hermite basis of 6 * lat, divided by 6
+    assert lat.den == 6
+    assert lat.basis == Mat([[F(1, 2), 0], [F(1, 3), F(2, 3)]])
+    assert lat == QLattice.from_generators([(F(1, 2), F(-1, 3)), (F(1, 2), F(1, 3))])
+    assert lat.covolume == abs(basis.det()) == F(1, 3)
+    assert lat.contains((F(1), F(0))) and lat.contains((F(1, 2), F(-1, 3)))
+    assert not lat.contains((F(1, 2), F(0)))
+    rng = random.Random(5)
+    for _ in range(20):
+        v = (F(rng.randint(-9, 9), rng.randint(1, 5)), F(rng.randint(-9, 9), rng.randint(1, 5)))
+        r = lat.reduce(v)
+        assert r == reduce_mod_lattice(v, lat.basis)
+        # the same coset as the representative in the original basis' box
+        assert lat.contains(tuple(a - b for a, b in zip(r, reduce_mod_lattice(v, basis))))
 
 
 def test_qlattice_from_generators():
