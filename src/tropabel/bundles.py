@@ -31,7 +31,7 @@ from .errors import (
 )
 from .lattices import QLattice, Sublattice
 from .linalg import Mat
-from .nspairings import TropTorus, is_r_symmetric
+from .nspairings import TropTorus, extended_character_lattice, is_r_symmetric
 from .rationals import rat
 
 
@@ -119,7 +119,7 @@ def cover_torus(torus: TropTorus, sub: Sublattice) -> TropTorus:
 
 def _char_value(torus: TropTorus, x: Sequence[int | Fraction], m: Sequence[Fraction]) -> Fraction:
     """<x, m>: the character m evaluated at lattice coordinates x."""
-    pos = torus.v.mul_vec(tuple(rat(c) for c in x))
+    pos = torus.v.mul_vec(x)
     return sum((a * b for a, b in zip(pos, m)), Fraction(0))
 
 
@@ -164,7 +164,7 @@ def tensor(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
             basis = inter.generators()
             base_l = [s1.l_value(b) + s2.l_value(b) for b in basis]
             for delta in _coset_reps(total):
-                m = s2.ns.mul_vec(tuple(Fraction(x) for x in delta))
+                m = s2.ns.mul_vec(delta)
                 l = tuple(
                     v - _char_value(torus, b, m) for v, b in zip(base_l, basis)
                 )
@@ -186,11 +186,10 @@ def pullback(e: TropVectorBundle, sub: Sublattice) -> TropVectorBundle:
         inter = s.lattice & sub
         total = s.lattice + sub
         new_lat = Sublattice.from_generators([sub.coordinates(b) for b in inter.generators()])
-        amb_basis = sub.mat @ new_lat.mat
-        amb_cols = [amb_basis.col(j) for j in range(new_lat.ambient_rank)]
+        amb_cols = list(zip(*(sub.mat @ new_lat.mat).num))
         new_ns = s.ns @ sub.mat
         for delta in _coset_reps(total):
-            m = s.ns.mul_vec(tuple(Fraction(x) for x in delta))
+            m = s.ns.mul_vec(delta)
             l = tuple(
                 s.l_value(c) - _char_value(torus, c, m) for c in amb_cols
             )
@@ -271,11 +270,9 @@ def restrict_line_bundle(s: TropLineBundle, cover: Sublattice) -> TropLineBundle
 
 
 def _twist_lattice(torus: TropTorus, lat: Sublattice, ns: Mat) -> QLattice:
-    """Covectors on lat coming from integral characters and class images."""
-    bt_vt = lat.mat.T @ torus.v.T
-    cols = [bt_vt.col(j) for j in range(lat.ambient_rank)]
-    cols += [(bt_vt @ ns).col(j) for j in range(lat.ambient_rank)]
-    return QLattice.from_generators(cols)
+    """Covectors on lat coming from integral characters and class images: the
+    image of the extended character lattice under B^T V^T."""
+    return QLattice(lat.mat.T @ torus.v.T @ extended_character_lattice(ns).basis)
 
 
 def iso_pushforward(s1: TropLineBundle, s2: TropLineBundle) -> bool:

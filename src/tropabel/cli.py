@@ -47,6 +47,15 @@ class Scenario:
         self.parameters: dict[str, Any] = data.get("parameters", {})
         if not isinstance(self.parameters, dict):
             raise jsonio.ScenarioError("'parameters' must be an object")
+        for key in ("count", "r", "seed", "bound"):
+            value = self.parameters.get(key, 1)
+            positive = key in ("count", "r")
+            if type(value) is not int or positive and value < 1:
+                kind = "a positive integer" if positive else "an integer"
+                raise jsonio.ScenarioError(f"parameters.{key} must be {kind}, got {value!r}")
+        names = self.parameters.get("operands", "")
+        if not isinstance(names, (str, list)) or not all(isinstance(n, str) for n in names):
+            raise jsonio.ScenarioError(f"parameters.operands must be names, got {names!r}")
         self._raw = data
 
     @property
@@ -302,8 +311,8 @@ def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]
             reps = [jsonio.na_rep_from_json(v) for _, v in sorted(raw.items())]
         else:
             rng = random.Random(seed)
-            count = int(params.get("count", 5))
-            r = int(params.get("r", 2))
+            count = params.get("count", 5)
+            r = params.get("r", 2)
             if count * r > bound:
                 raise TooLarge(f"{count} representations of size {r} exceed the bound {bound}")
             reps = [_random_na_rep(rng, r, torus.g) for _ in range(count)]
@@ -372,12 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> dict[str, Any]:
     scenario = load_scenario(args.scenario)
     params = scenario.parameters
-    seed = args.seed if args.seed is not None else int(params.get("seed", 0))
-    bound = (
-        args.bound
-        if args.bound is not None
-        else int(params.get("bound", SUBGROUP_ENUMERATION_BOUND))
-    )
+    seed = args.seed if args.seed is not None else params.get("seed", 0)
+    bound = params.get("bound", SUBGROUP_ENUMERATION_BOUND) if args.bound is None else args.bound
     if args.command == "ns-analyze":
         return cmd_ns_analyze(scenario, bound)
     if args.command == "bundle":

@@ -26,6 +26,13 @@ class ScenarioError(TropabelError):
     """Malformed or unresolvable scenario data."""
 
 
+def _json_list(data: Any, what: str) -> list:
+    """data, which must be a JSON list (of ``what``)."""
+    if not isinstance(data, list):
+        raise ScenarioError(f"expected a list of {what}, got {data!r}")
+    return data
+
+
 def rational_to_json(x: Fraction) -> str:
     return rat_str(x)
 
@@ -44,9 +51,7 @@ def vector_to_json(v: Sequence[Fraction]) -> list[str]:
 
 
 def vector_from_json(data: Any) -> tuple[Fraction, ...]:
-    if not isinstance(data, list):
-        raise ScenarioError(f"expected a list of rationals, got {data!r}")
-    return tuple(rational_from_json(x) for x in data)
+    return tuple(rational_from_json(x) for x in _json_list(data, "rationals"))
 
 
 def matrix_to_json(m: Mat) -> list[list[str]]:
@@ -54,9 +59,7 @@ def matrix_to_json(m: Mat) -> list[list[str]]:
 
 
 def matrix_from_json(data: Any) -> Mat:
-    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise ScenarioError(f"expected a matrix, got {data!r}")
-    return Mat([[rational_from_json(x) for x in row] for row in data])
+    return Mat(vector_from_json(row) for row in _json_list(data, "matrix rows"))
 
 
 def lattice_to_json(lat: Sublattice) -> list[list[int]]:
@@ -99,9 +102,7 @@ def point_to_json(p: MultiplicativePoint) -> list[dict[str, str]]:
 
 
 def point_from_json(data: Any) -> MultiplicativePoint:
-    if not isinstance(data, list):
-        raise ScenarioError(f"expected a point (list of monomials), got {data!r}")
-    return MultiplicativePoint(tuple(mono_from_json(c) for c in data))
+    return MultiplicativePoint(tuple(mono_from_json(c) for c in _json_list(data, "monomials")))
 
 
 def torus_to_json(t: TropTorus | NATorus) -> dict[str, Any]:
@@ -114,7 +115,7 @@ def torus_from_json(data: Any) -> TropTorus | NATorus:
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a torus object, got {data!r}")
     if "generators" in data:
-        return NATorus(tuple(point_from_json(p) for p in data["generators"]))
+        return NATorus(tuple(point_from_json(p) for p in _json_list(data["generators"], "points")))
     if "v" in data:
         return TropTorus(matrix_from_json(data["v"]))
     raise ScenarioError("torus needs either 'generators' or 'v'")
@@ -147,10 +148,10 @@ def bundle_to_json(e: TropVectorBundle) -> dict[str, Any]:
 
 
 def bundle_from_json(data: Any, torus: TropTorus) -> TropVectorBundle:
-    if not isinstance(data, dict) or not isinstance(data.get("summands"), list):
-        raise ScenarioError(f"expected a bundle object with a list of summands, got {data!r}")
-    summands = tuple(summand_from_json(s, torus) for s in data["summands"])
-    return TropVectorBundle(torus, summands)
+    if not isinstance(data, dict):
+        raise ScenarioError(f"expected a bundle object, got {data!r}")
+    summands = _json_list(data.get("summands"), "summands")
+    return TropVectorBundle(torus, tuple(summand_from_json(s, torus) for s in summands))
 
 
 def moduli_point_to_json(p: ModuliPoint) -> dict[str, Any]:
@@ -182,7 +183,8 @@ def rep_to_json(rep: TropRepresentation) -> dict[str, Any]:
 def rep_from_json(data: Any) -> TropRepresentation:
     if not isinstance(data, dict) or "images" not in data:
         raise ScenarioError(f"expected a representation object, got {data!r}")
-    return TropRepresentation(tuple(gl_element_from_json(a) for a in data["images"]))
+    images = _json_list(data["images"], "tropical matrices")
+    return TropRepresentation(tuple(gl_element_from_json(a) for a in images))
 
 
 def character_to_json(c: NACharacter) -> list[dict[str, str]]:
@@ -190,9 +192,7 @@ def character_to_json(c: NACharacter) -> list[dict[str, str]]:
 
 
 def character_from_json(data: Any) -> NACharacter:
-    if not isinstance(data, list):
-        raise ScenarioError(f"expected a character (list of monomials), got {data!r}")
-    return NACharacter(tuple(mono_from_json(v) for v in data))
+    return NACharacter(tuple(mono_from_json(v) for v in _json_list(data, "monomials")))
 
 
 def na_bundle_to_json(b: NALineBundle) -> dict[str, Any]:
@@ -217,9 +217,8 @@ def na_bundle_from_json(data: Any, torus: NATorus, default_ns: Mat | None) -> NA
         if "lattice" in data
         else Sublattice.full(torus.g)
     )
-    return NALineBundle(
-        NSClass(torus, h), lattice, tuple(mono_from_json(v) for v in data["r"])
-    )
+    r = tuple(mono_from_json(v) for v in _json_list(data["r"], "monomials"))
+    return NALineBundle(NSClass(torus, h), lattice, r)
 
 
 def na_rep_to_json(rep: NASemisimpleRep) -> dict[str, Any]:
@@ -229,4 +228,5 @@ def na_rep_to_json(rep: NASemisimpleRep) -> dict[str, Any]:
 def na_rep_from_json(data: Any) -> NASemisimpleRep:
     if not isinstance(data, dict) or "characters" not in data:
         raise ScenarioError(f"expected a semisimple representation, got {data!r}")
-    return NASemisimpleRep(tuple(character_from_json(c) for c in data["characters"]))
+    characters = _json_list(data["characters"], "characters")
+    return NASemisimpleRep(tuple(character_from_json(c) for c in characters))

@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import NotContained, SingularLattice, TooLarge
+from .errors import DimensionMismatch, NotContained, SingularLattice, TooLarge
 from .linalg import IntRows, Mat, column_hnf, hnf, kernel_columns, snf
-from .rationals import lcm_denominator, rat
+from .rationals import rat
 
 SUBGROUP_ENUMERATION_BOUND = 10_000
 
@@ -57,9 +57,9 @@ class Sublattice:
 
     def __init__(self, basis_rows: Sequence[Sequence[int]]):
         g = len(basis_rows)
+        if any(len(row) != g for row in basis_rows):
+            raise DimensionMismatch("a lattice basis must be square")
         rows, _ = hnf([[int(x) for x in row] for row in basis_rows])
-        if any(rows[i][i] <= 0 for i in range(g)):
-            raise SingularLattice("basis does not have full rank")
         self.ambient_rank = g
         self.basis = tuple(tuple(row) for row in rows)
 
@@ -92,7 +92,7 @@ class Sublattice:
 
     @cached_property
     def mat(self) -> Mat:
-        return Mat(self.basis)
+        return Mat._from_int(self.basis)
 
     @property
     def index(self) -> int:
@@ -279,22 +279,21 @@ def reduce_mod_lattice(
     w = tuple(rat(x) for x in v)
     coords = basis.solve(w)
     k = [math.floor(c) for c in coords]
-    shift = basis.mul_vec(tuple(Fraction(x) for x in k))
+    shift = basis.mul_vec(k)
     return tuple(a - b for a, b in zip(w, shift))
 
 
 class QLattice:
     """Full-rank lattice L in Q^g, kept as the Sublattice den * L of Z^g, where
-    den, the least common denominator of L's coordinates, is an invariant of L."""
+    den, the least common denominator of L's coordinates, is an invariant of L
+    (the lowest-terms denominator of any basis of L)."""
 
     __slots__ = ("lattice", "den")
 
     def __init__(self, basis: Mat):
         """The lattice spanned by the columns of ``basis``."""
-        self.den = lcm_denominator([x for row in basis.entries for x in row])
-        self.lattice = Sublattice.from_generators(
-            [[x * self.den for x in basis.col(j)] for j in range(basis.m)]
-        )
+        self.den = basis.den
+        self.lattice = Sublattice.from_generators(list(zip(*basis.num)))
 
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence[Fraction]]) -> "QLattice":
@@ -317,7 +316,7 @@ class QLattice:
 
     @property
     def basis(self) -> Mat:
-        return Mat([[Fraction(x, self.den) for x in row] for row in self.lattice.basis])
+        return Mat._from_int(self.lattice.basis, self.den)
 
     @property
     def covolume(self) -> Fraction:

@@ -2,9 +2,14 @@
 
 Two layers live here:
 
-  * ``Mat`` — an immutable dense matrix of ``Fraction`` entries with exact
-    Gaussian elimination (det, solve, inverse).  Desk-scale only; no pivoting
-    heuristics beyond "first nonzero" are needed because arithmetic is exact.
+  * ``Mat`` — an immutable dense rational matrix stored as integer rows
+    ``num`` over one positive denominator ``den``, in lowest terms, so that
+    products, sums, transposes and integrality tests are integer work and two
+    equal matrices have equal ``(num, den)``.  ``Mat(rows)`` coerces ints,
+    ``"p/q"`` strings and ``Fraction``s; ``entries`` gives the ``Fraction``
+    rows on demand.  Exact Gaussian elimination (det, solve, inverse) runs on
+    ``entries``; desk-scale only, no pivoting heuristics beyond "first
+    nonzero" are needed because arithmetic is exact.
 
   * integer normal forms — column Hermite form in one fixed convention
     (lower-triangular, positive diagonal, off-diagonal row entries reduced into
@@ -18,6 +23,7 @@ the package.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,42 +34,59 @@ IntRows = list[list[int]]
 
 
 class Mat:
-    """Immutable rational matrix. Never mutate ``entries``."""
+    """Immutable rational matrix ``num / den`` in lowest terms: gcd(den, num) = 1."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("num", "den")
 
     def __init__(self, rows: Iterable[Iterable[int | str | Fraction]]):
-        self.entries: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(rat(x) for x in row) for row in rows
-        )
-        if self.entries:
-            m = len(self.entries[0])
-            if any(len(row) != m for row in self.entries):
+        entries = [[rat(x) for x in row] for row in rows]
+        if entries:
+            m = len(entries[0])
+            if any(len(row) != m for row in entries):
                 raise DimensionMismatch("ragged rows")
+        # the lcm of lowest-terms denominators leaves no common factor
+        den = math.lcm(*(x.denominator for row in entries for x in row))
+        self.num = tuple(tuple(x.numerator * den // x.denominator for x in row) for row in entries)
+        self.den = den
+
+    @classmethod
+    def _from_int(cls, num: Iterable[Iterable[int]], den: int = 1) -> "Mat":
+        """The matrix num / den for integer rows num and den > 0, reduced to lowest terms."""
+        num = tuple(map(tuple, num))
+        d = math.gcd(den, *(x for row in num for x in row))
+        if d != 1:
+            num = tuple(tuple(x // d for x in row) for row in num)
+            den //= d
+        self = cls.__new__(cls)
+        self.num, self.den = num, den
+        return self
 
     # -- shape and access ----------------------------------------------------
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
     @property
     def m(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.num[0]) if self.num else 0
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as ``Fraction`` rows, built on each access."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
+        return tuple(Fraction(row[j], self.den) for row in self.num)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_int([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "Mat":
-        return cls([[0] * m for _ in range(n)])
+        return cls._from_int([[0] * m for _ in range(n)])
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int | str | Fraction]]) -> "Mat":
@@ -73,10 +96,10 @@ class Mat:
     # -- structure -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mat) and self.entries == other.entries
+        return isinstance(other, Mat) and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -84,55 +107,48 @@ class Mat:
 
     @property
     def T(self) -> "Mat":
-        return Mat(zip(*self.entries)) if self.entries else Mat([])
+        return Mat._from_int(zip(*self.num), self.den)
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
+        return self.den == 1
 
     def is_symmetric(self) -> bool:
-        return self == self.T
+        return self.num == tuple(zip(*self.num))
 
     def int_rows(self) -> IntRows:
-        if not self.is_integral():
+        if self.den != 1:
             raise DimensionMismatch("matrix is not integral")
-        return [[int(x) for x in row] for row in self.entries]
+        return [list(row) for row in self.num]
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(
-            [a + b for a, b in zip(r, s)]
-            for r, s in zip(self.entries, other.entries)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Mat._from_int(
+            ([a * x + b * y for x, y in zip(r, s)] for r, s in zip(self.num, other.num)), den
         )
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(
-            [a - b for a, b in zip(r, s)]
-            for r, s in zip(self.entries, other.entries)
-        )
-
-    def __neg__(self) -> "Mat":
-        return Mat([-x for x in row] for row in self.entries)
 
     def scale(self, c: int | Fraction) -> "Mat":
         c = rat(c)
-        return Mat([c * x for x in row] for row in self.entries)
+        p = c.numerator
+        return Mat._from_int(([p * x for x in row] for row in self.num), self.den * c.denominator)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.m != other.n:
             raise DimensionMismatch(f"cannot multiply {self.n}x{self.m} by {other.n}x{other.m}")
-        cols = list(zip(*other.entries))
-        return Mat(
-            [sum(a * b for a, b in zip(row, col)) for col in cols]
-            for row in self.entries
+        cols = list(zip(*other.num))
+        return Mat._from_int(
+            ([sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.num),
+            self.den * other.den,
         )
 
-    def mul_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def mul_vec(self, v: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.m:
             raise DimensionMismatch(f"vector length {len(v)} != {self.m}")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        den = self.den
+        return tuple(Fraction(sum(a * b for a, b in zip(row, v)), den) for row in self.num)
 
     def _same_shape(self, other: "Mat") -> None:
         if (self.n, self.m) != (other.n, other.m):

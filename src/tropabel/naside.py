@@ -194,7 +194,7 @@ def translate_na(b: NALineBundle, x: MultiplicativePoint) -> NALineBundle:
         raise AmbientMismatch("point rank differs from the torus rank")
     values = []
     for v, r in zip(b.lattice.generators(), b.r_basis):
-        image = b.ns.matrix.mul_vec(tuple(Fraction(c) for c in v))
+        image = b.ns.matrix.mul_vec(v)
         m = tuple(int(c) for c in image)
         values.append(r * eval_character(x, m))
     return NALineBundle(b.ns, b.lattice, tuple(values))

@@ -37,7 +37,6 @@ from .lattices import (
 )
 from .linalg import Mat, congruence_lattice
 from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
-from .rationals import rat
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class TropTorus:
 
     def position(self, a: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
         """N_Q-coordinates of the point with lattice coordinates a."""
-        return self.v.mul_vec(tuple(rat(x) for x in a))
+        return self.v.mul_vec(a)
 
 
 @dataclass(frozen=True)
@@ -109,18 +108,9 @@ def is_r_symmetric(h: Mat, v: Mat) -> bool:
     return (v.T @ h).is_symmetric()
 
 
-def _matrix_denominator(h: Mat) -> int:
-    return math.lcm(*(x.denominator for row in h.entries for x in row))
-
-
 def integrality_lattice(h: Mat) -> Sublattice:
     """Sublattice of lattice vectors whose image under h is integral."""
-    g = h.n
-    den = _matrix_denominator(h)
-    if den == 1:
-        return Sublattice.full(g)
-    scaled = h.scale(den).int_rows()
-    return Sublattice(congruence_lattice(scaled, den))
+    return Sublattice(congruence_lattice(h.num, h.den))
 
 
 def dual_integrality_lattice(h: Mat) -> Sublattice:
@@ -129,14 +119,14 @@ def dual_integrality_lattice(h: Mat) -> Sublattice:
 
 
 def extended_character_lattice(h: Mat) -> QLattice:
-    """The character lattice enlarged by the image of h (full period lattice)."""
-    g = h.n
-    units = [tuple(Fraction(1 if i == j else 0) for i in range(g)) for j in range(g)]
-    return QLattice.from_generators(units + [h.col(j) for j in range(g)])
+    """The character lattice enlarged by the image of h (full period lattice):
+    the column span of [I | h] = [den I | num] / den."""
+    rows = [[h.den if i == j else 0 for j in range(h.n)] + list(r) for i, r in enumerate(h.num)]
+    return QLattice(Mat._from_int(rows, h.den))
 
 
 def _h_image(h: Mat, b: Sequence[int | Fraction]) -> list[int]:
-    img = h.mul_vec(tuple(rat(x) for x in b))
+    img = h.mul_vec(b)
     if any(x.denominator != 1 for x in img):
         raise NotInLargeLattice(f"h-image {img} is not integral")
     return [int(x) for x in img]
@@ -166,8 +156,7 @@ class NSClass:
         if not is_r_symmetric(self.matrix, self.torus.v):
             raise InvalidClass("V^T H is not symmetric")
         if isinstance(self.torus, NATorus):
-            d = self._denominator
-            hd = self.matrix.scale(d)
+            hd = self.matrix.scale(self.matrix.den)
             for i in range(g):
                 for j in range(i + 1, g):
                     ei = _unit(g, i)
@@ -182,17 +171,13 @@ class NSClass:
     # -- basic pairings ------------------------------------------------------
 
     @cached_property
-    def _denominator(self) -> int:
-        return _matrix_denominator(self.matrix)
-
-    @cached_property
     def gram(self) -> Mat:
         """The real pairing matrix V^T @ H (symmetric by construction)."""
         return self.torus.v.T @ self.matrix
 
     def real_pairing(self, a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> Fraction:
-        row = self.gram.mul_vec(tuple(rat(x) for x in b))
-        return sum((rat(x) * y for x, y in zip(a, row)), Fraction(0))
+        row = self.gram.mul_vec(b)
+        return sum((x * y for x, y in zip(a, row)), Fraction(0))
 
     def _multiplicative_torus(self) -> NATorus:
         if not isinstance(self.torus, NATorus):
@@ -227,8 +212,8 @@ class NSClass:
                     raise InternalInconsistency("torsion pairing left the torsion subgroup")
                 row.append(value.phase)
             phases.append(row)
-        den = math.lcm(*(x.denominator for row in phases for x in row))
-        return [[int(x * den) for x in row] for row in phases], den
+        form = Mat(phases)
+        return form.num, form.den
 
     # -- the distinguished lattices ------------------------------------------
 
@@ -243,8 +228,7 @@ class NSClass:
         lam = self.integrality
         cond, den = self._phase_form(lam.generators())
         coords = congruence_lattice(cond, den)
-        ambient = lam.mat @ Mat(coords)
-        return Sublattice(ambient.int_rows())
+        return Sublattice((lam.mat @ Mat._from_int(coords)).num)
 
     @cached_property
     def defect_group(self) -> FiniteAbelianGroup:

@@ -7,9 +7,7 @@ float ever enters the pipeline.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Sequence
 
 
 def rat(x: int | str | Fraction) -> Fraction:
@@ -31,6 +29,3 @@ def frac_mod_1(x: Fraction) -> Fraction:
     """Representative of x in [0, 1)."""
     return x - (x.numerator // x.denominator)
 
-
-def lcm_denominator(xs: Sequence[Fraction]) -> int:
-    return math.lcm(*(x.denominator for x in xs)) if xs else 1

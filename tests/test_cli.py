@@ -1,3 +1,7 @@
+import builtins
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropabel import cli, jsonio
 from tropabel.bundles import as_bundle, line_bundle
@@ -17,6 +23,7 @@ from tropabel.nspairings import NATorus, TropTorus
 from tropabel.tropchar import TropGLElement, TropRepresentation
 
 from conftest import mono
+from test_acceptance import CLI_MATRIX
 
 F = Fraction
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -374,6 +381,55 @@ def test_malformed_json_shapes_are_validation_errors(capsys, tmp_path, scenario,
     assert json.loads(err)["kind"] == "ScenarioError"
 
 
+def _set_at(path, value):
+    def edit(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+# JSON lists the decoders iterate: a non-list there is malformed input
+LIST_FIELDS = [
+    ("na_square.json", ("torus", "generators"), ("na", "trop-rep")),
+    ("rep_demo.json", ("representations", "R", "images"), ("rep", "decompose")),
+    ("na_square.json", ("na_reps", "S", "characters"), ("na", "trop-rep")),
+    ("reference_example.json", ("na_bundles", "B1", "r"), ("na", "trop-line")),
+]
+# parameters: integers (not bool), count and r positive, operands names
+BAD_PARAMETERS = [
+    ("na_random.json", "count", [-2, 0, 2.7, True, None], ("na", "verify-square")),
+    ("na_random.json", "r", [0, 1.9], ("na", "verify-square")),
+    ("na_random.json", "seed", [None, 1.5, "7"], ("na", "verify-square")),
+    ("reference_example.json", "bound", [10.5, True], ("ns-analyze",)),
+    ("bundle_ops.json", "operands", [5, [["E1"], "E2"], None], ("bundle", "sum")),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, edit, argv",
+    [
+        pytest.param(scenario, _set_at(path, value), argv, id=f"{path[-1]}={json.dumps(value)}")
+        for scenario, path, argv in LIST_FIELDS
+        for value in (5, None, True)
+    ]
+    + [
+        pytest.param(
+            scenario, _set_at(("parameters", key), value), argv, id=f"{key}={json.dumps(value)}"
+        )
+        for scenario, key, values, argv in BAD_PARAMETERS
+        for value in values
+    ],
+)
+def test_malformed_fields_are_validation_errors(capsys, tmp_path, scenario, edit, argv):
+    code, out, err = run_edited(capsys, tmp_path, scenario, edit, *argv)
+    assert code == 2, err
+    assert out == ""
+    assert json.loads(err)["kind"] == "ScenarioError"
+
+
 def test_unexpected_exception_maps_to_exit_4(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
@@ -464,3 +520,50 @@ def test_na_rep_round_trip():
         )
     )
     assert jsonio.na_rep_from_json(jsonio.na_rep_to_json(rep)) == rep
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed scenarios: one node of a shipped scenario replaced by a small leaf
+# ---------------------------------------------------------------------------
+
+LEAVES = [-1, 0, 1, 2, 3, 2.5, True, None, "x", "0/0", [], {}]
+
+
+def _paths(tree, path=()):
+    """Every node of a JSON tree, as the key path from the root."""
+    yield path
+    if isinstance(tree, (dict, list)):
+        for key, child in tree.items() if isinstance(tree, dict) else enumerate(tree):
+            yield from _paths(child, path + (key,))
+
+
+def _replaced(tree, path, leaf):
+    if not path:
+        return leaf
+    tree = copy.deepcopy(tree)
+    _set_at(path, leaf)(tree)
+    return tree
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.data())
+def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, data):
+    command, op, scenario = data.draw(st.sampled_from(CLI_MATRIX))
+    tree = json.load(open(scen(scenario), encoding="utf-8"))
+    path = data.draw(st.sampled_from(list(_paths(tree))))
+    leaf = data.draw(st.sampled_from(LEAVES))
+    target = tmp_path_factory.mktemp("fuzz") / scenario
+    target.write_text(json.dumps(_replaced(tree, path, leaf)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command] + ([op] if op else []) + ["--scenario", str(target)])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    assert out.getvalue() == ""
+    record = json.loads(err.getvalue())
+    kind = record["kind"]
+    # a built-in exception other than ValueError is a fault of the program
+    assert kind == "ValueError" or not isinstance(getattr(builtins, kind, None), type), record
+    assert code != 4 or kind == "InternalInconsistency", record

@@ -1,9 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from tropabel.errors import NotContained, RankDeficient, SingularLattice, TooLarge
+from tropabel.errors import (
+    DimensionMismatch,
+    NotContained,
+    RankDeficient,
+    SingularLattice,
+    TooLarge,
+)
 from tropabel.lattices import (
     SUBGROUP_ENUMERATION_BOUND,
     FiniteAbelianGroup,
@@ -38,6 +45,8 @@ def test_sublattice_canonical_basis():
 def test_sublattice_rejects_degenerate():
     with pytest.raises(RankDeficient):
         Sublattice([[1, 2], [2, 4]])
+    with pytest.raises(DimensionMismatch):
+        Sublattice([[1], [0]])
     with pytest.raises(SingularLattice):
         Sublattice.from_generators([(1, 0)])
 
@@ -269,6 +278,20 @@ def test_qlattice_from_non_hermite_basis():
         assert r == reduce_mod_lattice(v, lat.basis)
         # the same coset as the representative in the original basis' box
         assert lat.contains(tuple(a - b for a, b in zip(r, reduce_mod_lattice(v, basis))))
+
+
+def test_qlattice_den_is_lcm_of_basis_denominators():
+    rng = random.Random(13)
+    for _ in range(40):
+        g = rng.randint(1, 3)
+        rows = [[F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(g)] for _ in range(g)]
+        basis = Mat(rows)
+        if basis.det() == 0:
+            continue
+        lat = QLattice(basis)
+        assert lat.den == math.lcm(*(x.denominator for r in rows for x in r))
+        assert lat.basis.den == lat.den
+        assert lat == QLattice(lat.basis)
 
 
 def test_qlattice_from_generators():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -69,6 +70,46 @@ def test_solve_singular():
 def test_from_cols_round_trip():
     m = Mat([[1, 2], [3, 4]])
     assert Mat.from_cols([m.col(0), m.col(1)]) == m
+
+
+def rand_frac_rows(rng, n, m):
+    return [[F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(m)] for _ in range(n)]
+
+
+def test_mat_arithmetic_matches_fraction_reference():
+    """num/den arithmetic against entrywise Fraction arithmetic done here."""
+    rng = random.Random(31)
+    for _ in range(60):
+        n, k, m = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        a, a2, b = rand_frac_rows(rng, n, k), rand_frac_rows(rng, n, k), rand_frac_rows(rng, k, m)
+        c = F(rng.randint(-4, 4), rng.randint(1, 4))
+        v = [rng.randint(-5, 5) for _ in range(k)]
+        ma, mb = Mat(a), Mat(b)
+        prod = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+        assert (ma @ mb).entries == tuple(map(tuple, prod))
+        assert (ma + Mat(a2)).entries == tuple(
+            tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, a2)
+        )
+        assert ma.scale(c).entries == tuple(tuple(c * x for x in r) for r in a)
+        assert ma.T.entries == tuple(zip(*a))
+        assert ma.mul_vec(v) == tuple(sum(x * y for x, y in zip(r, v)) for r in a)
+        assert ma.is_integral() == all(x.denominator == 1 for r in a for x in r)
+        # the stored form is canonical: lowest terms over a positive denominator
+        for res in (ma, ma @ mb, ma + Mat(a2), ma.scale(c), ma.T):
+            assert res.den > 0
+            assert math.gcd(res.den, *(x for r in res.num for x in r)) == 1
+            assert res == Mat(res.entries)
+
+
+def test_mat_canonical_form():
+    assert Mat([[F(2, 4)]]) == Mat([["1/2"]])
+    assert hash(Mat([[F(2, 4)]])) == hash(Mat([["1/2"]]))
+    assert Mat([[F(2, 4), 1]]).num == ((1, 2),) and Mat([[F(2, 4), 1]]).den == 2
+    assert Mat([[F(1, 3), 0]]).scale(0) == Mat.zeros(1, 2)
+    assert Mat.zeros(2, 3).den == 1
+    assert (Mat([[F(1, 2)]]) + Mat([[F(-1, 2)]])).den == 1
+    with pytest.raises(TypeError):
+        Mat([[0.5]])
 
 
 # ---------------------------------------------------------------------------
