@@ -14,6 +14,7 @@ matrix itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -269,9 +270,12 @@ def restrict_line_bundle(s: TropLineBundle, cover: Sublattice) -> TropLineBundle
     return TropLineBundle(s.torus, cover, s.ns, l)
 
 
+@functools.lru_cache(maxsize=64)
 def _twist_lattice(torus: TropTorus, lat: Sublattice, ns: Mat) -> QLattice:
     """Covectors on lat coming from integral characters and class images: the
-    image of the extended character lattice under B^T V^T."""
+    image of the extended character lattice under B^T V^T.  Memoised: every
+    argument and the result are immutable, and one (torus, gamma, class)
+    serves all summands of a moduli computation."""
     return QLattice(lat.mat.T @ torus.v.T @ extended_character_lattice(ns).basis)
 
 

@@ -18,7 +18,7 @@ from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial
 from .naside import NACharacter, NALineBundle, NASemisimpleRep
 from .nspairings import NATorus, NSClass, TropTorus
-from .rationals import rat, rat_str
+from .rationals import rat_str
 from .tropchar import TropGLElement, TropRepresentation
 
 
@@ -37,13 +37,21 @@ def rational_to_json(x: Fraction) -> str:
     return rat_str(x)
 
 
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
 def rational_from_json(s: Any) -> Fraction:
-    if not (isinstance(s, int) or isinstance(s, str) and re.fullmatch(r"[+-]?\d+(/\d+)?", s)):
+    """A JSON integer (not a boolean) or a string "n" / "p/q", parsed once."""
+    if type(s) is int:
+        return Fraction(s)
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
         raise ScenarioError(f"expected an integer or a rational string 'p/q', got {s!r}")
-    try:
-        return rat(s)
-    except ZeroDivisionError:
-        raise ScenarioError(f"rational {s!r} has a zero denominator") from None
+    num, den = match.groups()
+    den = int(den) if den is not None else 1
+    if den == 0:
+        raise ScenarioError(f"rational {s!r} has a zero denominator")
+    return Fraction(int(num), den)
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list[str]:

@@ -64,6 +64,14 @@ class Sublattice:
         self.basis = tuple(tuple(row) for row in rows)
 
     @classmethod
+    def _from_hermite(cls, rows: Sequence[Sequence[int]]) -> "Sublattice":
+        """The lattice of a basis already in canonical Hermite form."""
+        self = cls.__new__(cls)
+        self.ambient_rank = len(rows)
+        self.basis = tuple(tuple(row) for row in rows)
+        return self
+
+    @classmethod
     def from_generators(cls, gens: Sequence[Sequence[int]]) -> "Sublattice":
         """Lattice spanned by the given vectors (must have full rank)."""
         if not all(_is_integral(v) for v in gens):
@@ -73,11 +81,12 @@ class Sublattice:
         nonzero = [j for j in range(len(gens)) if any(h[i][j] for i in range(g))]
         if len(nonzero) != g:
             raise SingularLattice("generators do not span a full-rank lattice")
-        return cls([[h[i][j] for j in nonzero] for i in range(g)])
+        # the nonzero columns of a column Hermite form are the canonical basis
+        return cls._from_hermite([[h[i][j] for j in nonzero] for i in range(g)])
 
     @classmethod
     def full(cls, g: int) -> "Sublattice":
-        return cls([[1 if i == j else 0 for j in range(g)] for i in range(g)])
+        return cls._from_hermite([[1 if i == j else 0 for j in range(g)] for i in range(g)])
 
     # -- structure -----------------------------------------------------------
 

@@ -95,6 +95,18 @@ class NALineBundle:
         if not self.ns.is_gm_symmetric_on(self.lattice):
             raise InvalidClass("class is not symmetric on the cover lattice")
 
+    @classmethod
+    def _from_valid(
+        cls, ns: NSClass, lattice: Sublattice, r_basis: tuple[ValuedMonomial, ...]
+    ) -> "NALineBundle":
+        """A bundle on (ns, lattice) data already validated by the public
+        constructor, with g values in r_basis: internal results skip the checks."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "r_basis", r_basis)
+        return self
+
 
 def _extend_from_basis(
     ns: NSClass,
@@ -163,11 +175,15 @@ def represent_on(b: NALineBundle, target: Sublattice) -> NALineBundle:
 
 
 def tropicalize_line_bundle(b: NALineBundle) -> TropLineBundle:
-    """Valuation of the factor: l = v(r) - (1/2) [., .]-real on the basis."""
+    """Valuation of the factor: l = v(r) - (1/2) [., .]-real on the basis.
+
+    r at the k-th basis vector is r_basis[k] itself (every cocycle exponent
+    of ``extend_r`` vanishes there), so its valuation is read off directly.
+    """
     torus = b.ns.torus.trop()
     l = tuple(
-        extend_r(b, v).valuation() - Fraction(1, 2) * b.ns.real_pairing(v, v)
-        for v in b.lattice.generators()
+        r.valuation() - Fraction(1, 2) * b.ns.real_pairing(v, v)
+        for r, v in zip(b.r_basis, b.lattice.generators())
     )
     return TropLineBundle(torus, b.lattice, b.ns.matrix, l)
 
@@ -241,12 +257,19 @@ class NASemisimpleRep:
 
 
 def bundles_from_rep(rep: NASemisimpleRep, torus: NATorus) -> tuple[NALineBundle, ...]:
-    """One degree-zero line bundle on the full lattice per character."""
+    """One degree-zero line bundle on the full lattice per character.
+
+    All of them share (zero class, full lattice): the first is validated, the
+    others reuse that check.
+    """
     if torus.g != rep.g:
         raise AmbientMismatch("torus rank differs from the representation rank")
     zero = NSClass(torus, Mat.zeros(torus.g, torus.g))
     full = Sublattice.full(torus.g)
-    return tuple(NALineBundle(zero, full, c.values) for c in rep.characters)
+    first, *rest = rep.characters
+    return (NALineBundle(zero, full, first.values),) + tuple(
+        NALineBundle._from_valid(zero, full, c.values) for c in rest
+    )
 
 
 def trop_rep(rep: NASemisimpleRep) -> TropRepresentation:
@@ -256,7 +279,7 @@ def trop_rep(rep: NASemisimpleRep) -> TropRepresentation:
     images = []
     for j in range(g):
         d = tuple(c.values[j].valuation() for c in rep.characters)
-        images.append(TropGLElement(idperm, d))
+        images.append(TropGLElement._from_valid(idperm, d))
     return TropRepresentation(tuple(images))
 
 

@@ -89,6 +89,10 @@ class NATorus:
         )
 
     def trop(self) -> TropTorus:
+        return self._trop
+
+    @cached_property
+    def _trop(self) -> TropTorus:
         return TropTorus(self.v)
 
     def embed(self, a: Sequence[int]) -> MultiplicativePoint:

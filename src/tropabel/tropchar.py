@@ -41,6 +41,15 @@ class TropGLElement:
             raise SizeMismatch("translation vector length differs from perm size")
         object.__setattr__(self, "d", tuple(rat(x) for x in self.d))
 
+    @classmethod
+    def _from_valid(cls, perm: tuple[int, ...], d: tuple[Fraction, ...]) -> "TropGLElement":
+        """An element from a permutation tuple and a same-length tuple of
+        Fractions known to be valid: internal results skip the checks."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "d", d)
+        return self
+
     @property
     def r(self) -> int:
         return len(self.perm)
@@ -60,7 +69,7 @@ class TropGLElement:
 
 
 def identity(r: int) -> TropGLElement:
-    return TropGLElement(tuple(range(r)), (Fraction(0),) * r)
+    return TropGLElement._from_valid(tuple(range(r)), (Fraction(0),) * r)
 
 
 def compose(a: TropGLElement, b: TropGLElement) -> TropGLElement:
@@ -70,13 +79,13 @@ def compose(a: TropGLElement, b: TropGLElement) -> TropGLElement:
     perm = tuple(a.perm[b.perm[i]] for i in range(a.r))
     a_inv = a.inv_perm
     d = tuple(a.d[i] + b.d[a_inv[i]] for i in range(a.r))
-    return TropGLElement(perm, d)
+    return TropGLElement._from_valid(perm, d)
 
 
 def inverse(a: TropGLElement) -> TropGLElement:
     inv = a.inv_perm
     d = tuple(-a.d[a.perm[i]] for i in range(a.r))
-    return TropGLElement(inv, d)
+    return TropGLElement._from_valid(inv, d)
 
 
 def power(a: TropGLElement, n: int) -> TropGLElement:
@@ -183,10 +192,18 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
     lattice is generated by the Schreier vectors v_q + e_i - v_(sigma_i q) of
     a breadth-first spanning tree, and the covector value at a stabilizer
     element is the translation component at p of its image.
+
+    That component is read by walking the base point, not by multiplying out
+    the image: (A x)_p = d_p + x at sigma^-1(p), so the translation of
+    A_1^(b_1) ... A_g^(b_g) at p is the sum of the d-entries met while p is
+    moved b_1 times by sigma_1^-1, then b_2 times by sigma_2^-1, and so on.
+    Hermite generators have no negative coordinates, so the walk only steps
+    forward, and it must end at p.
     """
     _require_commuting(rep)
     g, r = rep.g, rep.r
     perms = [a.perm for a in rep.images]
+    inv_perms = [a.inv_perm for a in rep.images]
     seen = [False] * r
     out = []
     for p in range(r):
@@ -216,10 +233,14 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
         lat = Sublattice.from_generators(gens)
         l = []
         for b in lat.generators():
-            image = rep.value(b)
-            if image.perm[p] != p:
+            pos, acc = p, Fraction(0)
+            for img, inv, e in zip(rep.images, inv_perms, b):
+                for _ in range(e):
+                    acc += img.d[pos]
+                    pos = inv[pos]
+            if pos != p:
                 raise NotCommuting("stabilizer element does not fix the base point")
-            l.append(image.d[p])
+            l.append(acc)
         out.append(OrbitSummand(orbit, lat, tuple(l)))
     return tuple(out)
 
@@ -289,5 +310,5 @@ def rep_from_bundle(e: TropVectorBundle) -> TropRepresentation:
                 perm[off + k] = off + k2
                 closing = tuple(a - b for a, b in zip(shifted, target))
                 d[off + k2] = s.l_value(closing)
-        images.append(TropGLElement(tuple(perm), tuple(d)))
+        images.append(TropGLElement._from_valid(tuple(perm), tuple(d)))
     return TropRepresentation(tuple(images))

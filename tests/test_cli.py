@@ -335,6 +335,17 @@ def test_zero_denominator_is_validation_error(capsys, tmp_path):
     assert json.loads(err)["kind"] == "ScenarioError"
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_rational_is_validation_error(capsys, tmp_path, value):
+    def edit(data):
+        data["bundles"]["E1"]["summands"][0]["l"] = [value, "0"]
+
+    code, out, err = run_edited(capsys, tmp_path, "bundle_ops.json", edit, "bundle", "sum")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "ScenarioError"
+
+
 @pytest.mark.parametrize("sub", [[[2, 0], [0]], [[2.5, 0], [0, 1]]])
 def test_malformed_lattice_is_validation_error(capsys, tmp_path, sub):
     def edit(data):
@@ -468,7 +479,7 @@ def test_rational_and_matrix_round_trip():
         jsonio.rational_from_json(0.5)
 
 
-@pytest.mark.parametrize("text", ["1.5", "1e3", "-2.0", "1/2.5", " 1/2", "", "0x10"])
+@pytest.mark.parametrize("text", ["1.5", "1e3", "-2.0", "1/2.5", " 1/2", "", "0x10", True, False])
 def test_rational_strings_are_p_over_q_only(text):
     with pytest.raises(jsonio.ScenarioError):
         jsonio.rational_from_json(text)

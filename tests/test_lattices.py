@@ -312,3 +312,21 @@ def test_sublattices_of_index_helper():
     assert sum(1 for l in lats if l.index == 1) == 1
     assert sum(1 for l in lats if l.index == 2) == 3
     assert sum(1 for l in lats if l.index == 3) == 4
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_from_generators_is_already_canonical(g):
+    # from_generators keeps its column Hermite form without a second pass
+    rng = random.Random(263 + g)
+    built = 0
+    for _ in range(40):
+        gens = [tuple(rng.randint(-6, 6) for _ in range(g)) for _ in range(rng.randint(g, g + 3))]
+        try:
+            lat = Sublattice.from_generators(gens)
+        except SingularLattice:
+            continue
+        built += 1
+        assert lat.basis == Sublattice([list(row) for row in lat.basis]).basis
+        assert all(lat.contains(v) for v in gens)
+    assert built >= 30
+    assert Sublattice.full(g).basis == Sublattice([[int(i == j) for j in range(g)] for i in range(g)]).basis

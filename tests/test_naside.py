@@ -1,10 +1,14 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tropabel.bundles import as_bundle, moduli_point, translate
+from tropabel import jsonio
+from tropabel.bundles import TropLineBundle, as_bundle, moduli_point, translate
 from tropabel.errors import (
+    AmbientMismatch,
     InvalidClass,
     NotAdmissible,
     NotContained,
@@ -32,6 +36,7 @@ from tropabel.naside import (
     verify_commuting_square,
 )
 from tropabel.nspairings import NATorus, NSClass, TropTorus
+from tropabel.tropchar import TropGLElement
 
 from conftest import (
     MINUS_ONE,
@@ -44,6 +49,7 @@ from conftest import (
 )
 
 F = Fraction
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def reference_class(reference_torus):
@@ -364,3 +370,56 @@ def test_verify_commuting_square_twist_invariant(reference_torus):
     ok2, via_na2, _ = verify_commuting_square(twisted, reference_torus)
     assert ok2
     assert [p.coords for p in via_na2] == [p.coords for p in via_na]
+
+
+# ---------------------------------------------------------------------------
+# Tropicalization against its definition; internal constructors
+# ---------------------------------------------------------------------------
+
+
+def reference_na_bundles():
+    """The NA bundles of the shipped reference scenario."""
+    data = json.loads((SCENARIOS / "reference_example.json").read_text(encoding="utf-8"))
+    torus = jsonio.torus_from_json(data["torus"])
+    h = jsonio.matrix_from_json(data["ns_class"])
+    return [jsonio.na_bundle_from_json(b, torus, h) for b in data["na_bundles"].values()]
+
+
+def test_tropicalize_line_bundle_matches_definition():
+    # l = v(r) - (1/2) [v, v]-real on the basis, with r through extend_r
+    rng = random.Random(241)
+    bundles = reference_na_bundles()
+    while len(bundles) < 30:
+        g = rng.randint(1, 3)
+        ns, lat = rand_symmetric_instance(rng, g)
+        if not lat.is_full() and ns.matrix != Mat.zeros(g, g):
+            bundles.append(rand_na_bundle(rng, ns, lat))
+    for b in bundles:
+        assert not b.lattice.is_full() and b.ns.matrix != Mat.zeros(b.ns.torus.g, b.ns.torus.g)
+        expected = tuple(
+            extend_r(b, v).valuation() - F(1, 2) * b.ns.real_pairing(v, v)
+            for v in b.lattice.generators()
+        )
+        s = tropicalize_line_bundle(b)
+        assert s.l == expected
+        assert s == TropLineBundle(TropTorus(b.ns.torus.v), b.lattice, b.ns.matrix, expected)
+
+
+def test_internal_bundles_equal_public_construction(reference_torus):
+    rng = random.Random(251)
+    chars = tuple(NACharacter((rand_unit_mono(rng), rand_unit_mono(rng))) for _ in range(5))
+    rep = NASemisimpleRep(chars)
+    bundles = bundles_from_rep(rep, reference_torus)
+    assert [b.r_basis for b in bundles] == [c.values for c in rep.characters]
+    for b in bundles:
+        assert b == NALineBundle(b.ns, b.lattice, b.r_basis)
+    for img in trop_rep(rep).images:
+        assert img == TropGLElement(img.perm, img.d)
+    assert reference_torus.trop() is reference_torus.trop()
+    assert reference_torus.trop() == TropTorus(reference_torus.v)
+    # the public constructor still validates
+    ns = reference_class(reference_torus)
+    with pytest.raises(InvalidClass):
+        NALineBundle(ns, Sublattice.full(2), (ONE, ONE))
+    with pytest.raises(AmbientMismatch):
+        NALineBundle(ns, Sublattice([[2, 0], [0, 1]]), (ONE,))

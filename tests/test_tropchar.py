@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import tropabel.tropchar as tropchar
+
 import pytest
 
 from tropabel.bundles import as_bundle, is_homogeneous, line_bundle
@@ -61,6 +63,40 @@ def rand_commuting_rep(rng, r, g):
     rep = TropRepresentation(tuple(images))
     assert check_commuting(rep)
     return rep
+
+
+def rand_hermite(rng, index, g):
+    """A random Hermite basis of the given index: its prime factors spread
+    over the diagonal, entries left of it reduced into [0, diagonal)."""
+    diag = [1] * g
+    n, p = index, 2
+    while n > 1:
+        while n % p == 0:
+            diag[rng.randrange(g)] *= p
+            n //= p
+        p += 1
+    rows = [[rng.randrange(diag[i]) if j < i else 0 for j in range(g)] for i in range(g)]
+    for i in range(g):
+        rows[i][i] = diag[i]
+    return Sublattice(rows)
+
+
+def rand_bundle_rep(rng, r, g):
+    """rep_from_bundle of a random homogeneous bundle of rank r (one to three
+    summands), conjugated by a random element: a generic commuting rep."""
+    torus = TropTorus(Mat.identity(g))
+    cuts = sorted(rng.sample(range(1, r), min(r - 1, rng.randint(0, 2))))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [r])]
+    summands = [
+        line_bundle(
+            torus,
+            rand_hermite(rng, k, g),
+            Mat.zeros(g, g),
+            tuple(rand_fraction(rng, max_den=6) for _ in range(g)),
+        )
+        for k in parts
+    ]
+    return conjugate(rep_from_bundle(as_bundle(summands)), rand_element(rng, r))
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +303,63 @@ def test_rep_from_bundle_multiple_summands():
         (Sublattice([[2, 0], [0, 1]]), (F(1, 2), F(0))),
     )
     assert bundle_from_rep(rep, torus) == e
+
+
+# ---------------------------------------------------------------------------
+# The base-point walk of decompose_rep against the multiplied-out images
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_decompose_walk_matches_value(g):
+    rng = random.Random(229 + g)
+    for _ in range(12):
+        r = rng.randint(1, 16)
+        rep = rand_bundle_rep(rng, r, g)
+        pieces = decompose_rep(rep)
+        assert sum(len(s.orbit) for s in pieces) == r
+        for piece in pieces:
+            p = piece.orbit[0]
+            for b, l in zip(piece.lattice.generators(), piece.l):
+                image = rep.value(b)
+                assert image.perm[p] == p
+                assert l == image.d[p]
+
+
+def test_decompose_composes_only_for_the_commuting_check(monkeypatch):
+    # the stabilizer characters must not multiply out images: at r = 32 that
+    # costs |b|_1 compositions per Hermite generator b
+    calls = 0
+    real = tropchar.compose
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    rng = random.Random(233)
+    for g in (2, 3):
+        rep = rand_bundle_rep(rng, 32, g)
+        calls = 0
+        monkeypatch.setattr(tropchar, "compose", counting)
+        pieces = decompose_rep(rep)
+        monkeypatch.undo()
+        assert sum(len(s.orbit) for s in pieces) == 32
+        assert calls <= g * (g - 1)
+
+
+def test_internal_elements_equal_public_construction():
+    rng = random.Random(239)
+    for _ in range(10):
+        r = rng.randint(1, 6)
+        a, b = rand_element(rng, r), rand_element(rng, r)
+        rep = rand_bundle_rep(rng, r, 2)
+        for x in (identity(r), compose(a, b), inverse(a), *rep.images):
+            rebuilt = TropGLElement(tuple(x.perm), tuple(x.d))
+            assert x == rebuilt and hash(x) == hash(rebuilt)
+            assert type(x.perm) is tuple and type(x.d) is tuple
+            assert all(type(v) is Fraction for v in x.d)
+    with pytest.raises(NotInvertible):
+        TropGLElement((1, 1, 0), (0, 0, 0))
+    with pytest.raises(SizeMismatch):
+        TropGLElement((1, 0), (0, 0, 0))
