@@ -62,6 +62,19 @@ class TropLineBundle:
         if not (self.ns @ self.lattice.mat).is_integral():
             raise InvalidClass("class matrix is not integral on the cover lattice")
 
+    @classmethod
+    def _from_valid(
+        cls, torus: TropTorus, lattice: Sublattice, ns: Mat, l: tuple[Fraction, ...]
+    ) -> "TropLineBundle":
+        """A summand from data known to be valid, with g Fractions in l:
+        internal results skip the checks."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "l", l)
+        return self
+
     @property
     def rank(self) -> int:
         return self.lattice.index

@@ -137,14 +137,10 @@ def cmd_ns_analyze(scenario: Scenario, bound: int) -> dict[str, Any]:
         report["defect_invariants"] = [d for d in defect.invariant_factors]
         lifts = [list(l) for l in defect.generator_lifts]
         report["defect_generators"] = lifts
-        table = [
-            [
-                jsonio.rational_to_json(cls.torsion_pairing(tuple(a), tuple(b)).phase)
-                for b in lifts
-            ]
-            for a in lifts
+        form, den = cls._phase_form(defect.generator_lifts)
+        report["torsion_pairing_phases"] = [
+            [jsonio.rational_to_json(Fraction(x, den)) for x in row] for row in form
         ]
-        report["torsion_pairing_phases"] = table
         admissible = cls.admissible_lattices(bound)
         report["admissible_lattices"] = [jsonio.lattice_to_json(l) for l in admissible]
         report["class_rank"] = admissible[0].index

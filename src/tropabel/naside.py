@@ -185,7 +185,8 @@ def tropicalize_line_bundle(b: NALineBundle) -> TropLineBundle:
         r.valuation() - Fraction(1, 2) * b.ns.real_pairing(v, v)
         for r, v in zip(b.r_basis, b.lattice.generators())
     )
-    return TropLineBundle(torus, b.lattice, b.ns.matrix, l)
+    # b's class is real-symmetric (NSClass) and integral on its lattice
+    return TropLineBundle._from_valid(torus, b.lattice, b.ns.matrix, l)
 
 
 def tropicalize_simple(

@@ -197,27 +197,44 @@ class NSClass:
         return self.gm_pairing(a, b) / self.gm_pairing(b, a)
 
     def is_gm_symmetric_on(self, sub: Sublattice) -> bool:
-        """Whether the multiplicative pairing is symmetric on the sublattice."""
-        gens = sub.generators()
+        """Whether the multiplicative pairing is symmetric on the sublattice,
+        which must lie in the integrality lattice."""
+        if not self.integrality.contains_lattice(sub):
+            raise NotInLargeLattice("sublattice is not contained in the integrality lattice")
+        form, _ = self._phase_form(sub.generators())
+        return not any(any(row) for row in form)
+
+    @cached_property
+    def _omega(self) -> tuple[list[list[int]], int]:
+        """(W, den) with W / den = Omega = PH - (PH)^T, P[j][i] the phase of
+        coordinate i of torus generator j.
+
+        The phase of gm(a, b) is a^T P H b, so torsion_pairing(a, b) has phase
+        a^T Omega b mod 1: magnitudes and valuations cancel for every class
+        that passes the constructor.  Checked once against the reference
+        torsion_pairing on each pair of integrality generators.
+        """
+        t = self._multiplicative_torus()
+        ph = Mat([[c.phase for c in gen.coords] for gen in t.generators]) @ self.matrix
+        g = self.torus.g
+        omega = [[ph.num[i][j] - ph.num[j][i] for j in range(g)] for i in range(g)]
+        gens = self.integrality.generators()
+        form = _form_mod(omega, ph.den, gens)
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                if not self.torsion_pairing(gens[i], gens[j]).is_one():
-                    return False
-        return True
-
-    def _phase_form(self, gens: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-        """(F, den) with F[i][j] / den the phase of torsion_pairing(gens[i], gens[j])."""
-        phases = []
-        for a in gens:
-            row = []
-            for b in gens:
-                value = self.torsion_pairing(a, b)
+                value = self.torsion_pairing(gens[i], gens[j])
                 if value.is_torsion() is None:
                     raise InternalInconsistency("torsion pairing left the torsion subgroup")
-                row.append(value.phase)
-            phases.append(row)
-        form = Mat(phases)
-        return form.num, form.den
+                if value.phase != Fraction(form[i][j], ph.den):
+                    raise InternalInconsistency("torsion pairing disagrees with its phase matrix")
+        return omega, ph.den
+
+    def _phase_form(self, gens: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+        """(F, den) with F[i][j] / den the phase of torsion_pairing(gens[i], gens[j]):
+        the integer form G^T Omega G mod den, Omega = PH - (PH)^T (see _omega);
+        every generator must lie in the integrality lattice."""
+        omega, den = self._omega
+        return _form_mod(omega, den, gens), den
 
     # -- the distinguished lattices ------------------------------------------
 
@@ -227,8 +244,9 @@ class NSClass:
 
     @cached_property
     def symmetry(self) -> Sublattice:
-        """Vectors pairing symmetrically with the whole integrality lattice."""
-        t = self._multiplicative_torus()
+        """Vectors pairing symmetrically with the whole integrality lattice:
+        the x in it with G^T Omega G x = 0 mod 1 in integrality coordinates,
+        Omega = PH - (PH)^T the phase matrix of the torsion pairing."""
         lam = self.integrality
         cond, den = self._phase_form(lam.generators())
         coords = congruence_lattice(cond, den)
@@ -296,6 +314,14 @@ class NSClass:
         t = self._multiplicative_torus()
         part = eval_character(t.embed(gamma), [int(x) for x in m0])
         return part * self.gm_pairing(lam, gamma)
+
+
+def _form_mod(
+    omega: Sequence[Sequence[int]], den: int, gens: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The integer form gens^T omega gens, reduced mod den."""
+    images = [[sum(w * x for w, x in zip(row, b)) for row in omega] for b in gens]
+    return [[sum(x * y for x, y in zip(a, wb)) % den for wb in images] for a in gens]
 
 
 def _unit(g: int, i: int) -> tuple[int, ...]:

@@ -20,9 +20,9 @@ def rat(x: int | str | Fraction) -> Fraction:
     return Fraction(x)
 
 
-def rat_str(x: Fraction) -> str:
-    # Fraction.__str__ is already canonical: "3", "-1/2", ...
-    return str(Fraction(x))
+def rat_str(x: int | Fraction) -> str:
+    # str of an int or a Fraction is already canonical: "3", "-1/2", ...
+    return str(x)
 
 
 def frac_mod_1(x: Fraction) -> Fraction:

@@ -265,8 +265,9 @@ def bundle_from_rep(rep: TropRepresentation, torus: TropTorus) -> TropVectorBund
     if torus.g != rep.g:
         raise SizeMismatch("torus rank differs from the number of generators")
     zero = Mat.zeros(torus.g, torus.g)
+    # the zero class is symmetric and integral on every cover
     summands = [
-        TropLineBundle(torus, s.lattice, zero, s.l) for s in decompose_rep(rep)
+        TropLineBundle._from_valid(torus, s.lattice, zero, s.l) for s in decompose_rep(rep)
     ]
     return TropVectorBundle(torus, tuple(summands))
 

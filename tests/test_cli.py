@@ -19,7 +19,7 @@ from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
 from tropabel.monomials import ValuedMonomial
 from tropabel.naside import NACharacter, NASemisimpleRep
-from tropabel.nspairings import NATorus, TropTorus
+from tropabel.nspairings import NATorus, NSClass, TropTorus
 from tropabel.tropchar import TropGLElement, TropRepresentation
 
 from conftest import mono
@@ -450,6 +450,55 @@ def test_unexpected_exception_maps_to_exit_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert json.loads(err) == {"error": "boom", "kind": "RuntimeError", "command": "rep"}
+
+
+def _unit_torus_scenario(g: int, phases: dict) -> dict:
+    """Class I on the torus whose generator j has valuation e_j and phase
+    phases[(j, i)] in coordinate i."""
+    gens = [
+        [
+            {"mag": "1", "phase": phases.get((j, i), "0"), "texp": "1" if i == j else "0"}
+            for i in range(g)
+        ]
+        for j in range(g)
+    ]
+    identity = [["1" if i == j else "0" for j in range(g)] for i in range(g)]
+    return {"torus": {"g": g, "generators": gens}, "ns_class": identity}
+
+
+def test_ns_analyze_tabulates_the_pairing_once(monkeypatch):
+    # the phase table and the isotropy tests read the phase matrix; the
+    # reference pairing runs only in its once-per-class self-check
+    calls = 0
+    real = NSClass.torsion_pairing
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return real(self, a, b)
+
+    data = _unit_torus_scenario(4, {(0, 1): "1/3", (2, 3): "1/3"})
+    monkeypatch.setattr(NSClass, "torsion_pairing", counting)
+    report = cli.cmd_ns_analyze(cli.Scenario(data), cli.SUBGROUP_ENUMERATION_BOUND)
+    monkeypatch.undo()
+    assert report["defect_invariants"] == [3, 3, 3, 3]
+    assert len(report["admissible_lattices"]) == 40
+    assert 0 < calls <= 4 * 3 // 2
+    ns = NSClass(cli.Scenario(data).torus, Mat.identity(4))
+    lifts = report["defect_generators"]
+    assert report["torsion_pairing_phases"] == [
+        [jsonio.rational_to_json(ns.torsion_pairing(a, b).phase) for b in lifts] for a in lifts
+    ]
+
+
+@pytest.mark.parametrize("twist", [mono(phase=F(1, 2)), mono(texp=1)])
+def test_disagreeing_reference_pairing_exits_4(capsys, monkeypatch, twist):
+    real = NSClass.torsion_pairing
+    monkeypatch.setattr(NSClass, "torsion_pairing", lambda self, a, b: real(self, a, b) * twist)
+    code, out, err = run_cli(capsys, "ns-analyze", "--scenario", scen("reference_example.json"))
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["kind"] == "InternalInconsistency"
 
 
 def test_verify_square_work_is_bounded(capsys):

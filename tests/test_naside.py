@@ -36,7 +36,7 @@ from tropabel.naside import (
     verify_commuting_square,
 )
 from tropabel.nspairings import NATorus, NSClass, TropTorus
-from tropabel.tropchar import TropGLElement
+from tropabel.tropchar import TropGLElement, bundle_from_rep
 
 from conftest import (
     MINUS_ONE,
@@ -423,3 +423,28 @@ def test_internal_bundles_equal_public_construction(reference_torus):
         NALineBundle(ns, Sublattice.full(2), (ONE, ONE))
     with pytest.raises(AmbientMismatch):
         NALineBundle(ns, Sublattice([[2, 0], [0, 1]]), (ONE,))
+
+
+def test_internal_trop_bundles_equal_public_construction():
+    # bundle_from_rep and tropicalize_line_bundle skip the checks of the
+    # public TropLineBundle constructor on data valid by construction
+    rng = random.Random(277)
+    summands = []
+    for _ in range(6):
+        g = rng.randint(1, 3)
+        ns, lat = rand_symmetric_instance(rng, g)
+        b = rand_na_bundle(rng, ns, lat)
+        summands.append(tropicalize_line_bundle(b))
+        chars = tuple(
+            NACharacter(tuple(rand_unit_mono(rng) for _ in range(g))) for _ in range(3)
+        )
+        trop = ns.torus.trop()
+        summands.extend(bundle_from_rep(trop_rep(NASemisimpleRep(chars)), trop).summands)
+    for s in summands:
+        assert all(type(x) is Fraction for x in s.l)
+        rebuilt = TropLineBundle(s.torus, s.lattice, s.ns, s.l)
+        assert s == rebuilt and hash(s) == hash(rebuilt)
+    # the public constructor still validates
+    asymmetric = Mat([[0, 1], [0, 0]])
+    with pytest.raises(InvalidClass):
+        TropLineBundle(TropTorus(Mat.identity(2)), Sublattice.full(2), asymmetric, (0, 0))

@@ -5,6 +5,7 @@ import pytest
 
 from tropabel.errors import (
     DimensionMismatch,
+    InternalInconsistency,
     InvalidClass,
     NotInLargeLattice,
     NotInSmallLattice,
@@ -31,6 +32,7 @@ from conftest import (
     rand_fraction,
     rand_integral_symmetric,
     rand_r_symmetric,
+    rand_sublattice,
     rand_unit_torus,
 )
 
@@ -274,6 +276,138 @@ def test_symmetry_lattice_brute_force():
                 continue
             symmetric = all(ns.torsion_pairing(v, b).is_one() for b in gens)
             assert symmetric == gamma.contains(v)
+
+
+# ---------------------------------------------------------------------------
+# The phase matrix Omega = PH - (PH)^T against the reference torsion_pairing
+# ---------------------------------------------------------------------------
+
+
+def _magnitude_torus(off_mag) -> NATorus:
+    """The running-example torus with magnitude off_mag on both off-diagonal
+    coordinates: generators (t, m) and (-m, t)."""
+    return NATorus(
+        (
+            MultiplicativePoint((T_UNIF, mono(off_mag))),
+            MultiplicativePoint((mono(off_mag, F(1, 2)), T_UNIF)),
+        )
+    )
+
+
+def _rand_magnitude_torus(rng, g: int) -> NATorus:
+    """Integer valuations v, magnitudes 2^(k v) and random phases: the
+    magnitude exponents are k V^T, so every r-symmetric H symmetrizes them."""
+    k = rng.randint(1, 2)
+    while True:
+        vals = [[rng.randint(-2, 2) for _ in range(g)] for _ in range(g)]
+        if Mat(vals).det() != 0:
+            break
+    return NATorus(
+        tuple(
+            MultiplicativePoint(
+                tuple(
+                    mono(F(2) ** (k * vals[j][i]), rand_fraction(rng, 0, 5, 6), vals[j][i])
+                    for i in range(g)
+                )
+            )
+            for j in range(g)
+        )
+    )
+
+
+def _omega_classes() -> list[NSClass]:
+    """Classes with non-unit magnitudes and rational H, fixed and random."""
+    mag2 = _magnitude_torus(2)
+    plain = _magnitude_torus(1)
+    out = [
+        NSClass(mag2, Mat.identity(2)),
+        NSClass(mag2, Mat([[F(1, 2), 0], [0, F(1, 2)]])),
+        NSClass(mag2, Mat([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 2)]])),
+        NSClass(mag2, Mat([[2, -1], [-1, 2]])),
+        NSClass(plain, Mat([[F(1, 2), 0], [0, 1]])),
+        NSClass(plain, Mat([[F(1, 3), F(1, 2)], [F(1, 2), F(2, 5)]])),
+    ]
+    rng = random.Random(257)
+    for _ in range(12):
+        g = rng.randint(2, 4)
+        t = rand_unit_torus(rng, g) if rng.random() < 0.5 else _rand_magnitude_torus(rng, g)
+        out.append(NSClass(t, rand_r_symmetric(rng, t.v, max_den=3)))
+    return out
+
+
+def _rand_integrality_vector(rng, ns: NSClass) -> tuple[int, ...]:
+    coords = [rng.randint(-3, 3) for _ in range(ns.torus.g)]
+    return tuple(int(x) for x in ns.integrality.mat.mul_vec(coords))
+
+
+def test_omega_matches_torsion_pairing_on_random_pairs():
+    rng = random.Random(263)
+    nonunit = 0
+    for ns in _omega_classes():
+        omega, den = ns._omega
+        g = ns.torus.g
+        assert all(omega[i][j] == -omega[j][i] for i in range(g) for j in range(g))
+        nonunit += any(c.magnitude != 1 for p in ns.torus.generators for c in p.coords)
+        for _ in range(15):
+            a = _rand_integrality_vector(rng, ns)
+            b = _rand_integrality_vector(rng, ns)
+            value = ns.torsion_pairing(a, b)
+            assert value.is_torsion() is not None
+            phase = sum(x * w * y for x, row in zip(a, omega) for w, y in zip(row, b))
+            assert value.phase == F(phase % den, den)
+    assert nonunit >= 4
+
+
+def test_phase_form_matches_torsion_pairing_on_random_generators():
+    rng = random.Random(269)
+    for ns in _omega_classes():
+        gens = [_rand_integrality_vector(rng, ns) for _ in range(rng.randint(1, 5))]
+        form, den = ns._phase_form(gens)
+        assert form == [
+            [ns.torsion_pairing(a, b).phase * den for b in gens] for a in gens
+        ]
+
+
+def test_is_gm_symmetric_on_matches_reference_loop():
+    rng = random.Random(271)
+    outcomes = set()
+    for ns in _omega_classes():
+        lam = ns.integrality
+        g = ns.torus.g
+        subs = [lam, ns.symmetry]
+        if ns.defect_group.order <= 256:
+            subs += ns.admissible_lattices()[:2]
+        for _ in range(6):
+            subs.append(Sublattice((lam.mat @ rand_sublattice(rng, g, 4).mat).num))
+        for sub in subs:
+            gens = sub.generators()
+            expected = all(
+                ns.torsion_pairing(gens[i], gens[j]).is_one()
+                for i in range(len(gens))
+                for j in range(i + 1, len(gens))
+            )
+            assert ns.is_gm_symmetric_on(sub) == expected
+            outcomes.add(expected)
+        outside = [v for v in Sublattice.full(g).generators() if not lam.contains(v)]
+        if outside:
+            with pytest.raises(NotInLargeLattice):
+                ns.is_gm_symmetric_on(Sublattice.from_generators(lam.generators() + outside))
+    assert outcomes == {True, False}
+    half = NSClass(_magnitude_torus(1), Mat([[F(1, 2), 0], [0, 1]]))
+    with pytest.raises(NotInLargeLattice):
+        half.is_gm_symmetric_on(Sublattice.full(2))
+
+
+def test_omega_self_check_catches_a_disagreeing_reference(monkeypatch):
+    real = NSClass.torsion_pairing
+    for twist in (MINUS_ONE, T_UNIF):
+        monkeypatch.setattr(
+            NSClass, "torsion_pairing", lambda self, a, b: real(self, a, b) * twist
+        )
+        ns = NSClass(_magnitude_torus(2), Mat.identity(2))
+        with pytest.raises(InternalInconsistency):
+            ns.symmetry
+        monkeypatch.undo()
 
 
 def test_admissible_trivial_cases(reference_torus):
