@@ -114,7 +114,7 @@ def line_bundle(
     ns: Mat,
     l: Sequence[int | str | Fraction],
 ) -> TropLineBundle:
-    return TropLineBundle(torus, lattice, ns, tuple(rat(x) for x in l))
+    return TropLineBundle(torus, lattice, ns, tuple(l))
 
 
 def as_bundle(summands: TropLineBundle | Iterable[TropLineBundle]) -> TropVectorBundle:
@@ -182,7 +182,7 @@ def tensor(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
                 l = tuple(
                     v - _char_value(torus, b, m) for v, b in zip(base_l, basis)
                 )
-                out.append(TropLineBundle(torus, inter, ns, l))
+                out.append(TropLineBundle._from_valid(torus, inter, ns, l))
     return TropVectorBundle(torus, tuple(out))
 
 
@@ -207,7 +207,7 @@ def pullback(e: TropVectorBundle, sub: Sublattice) -> TropVectorBundle:
             l = tuple(
                 s.l_value(c) - _char_value(torus, c, m) for c in amb_cols
             )
-            out.append(TropLineBundle(target, new_lat, new_ns, l))
+            out.append(TropLineBundle._from_valid(target, new_lat, new_ns, l))
     return TropVectorBundle(target, tuple(out))
 
 
@@ -221,21 +221,20 @@ def pushforward(
     """
     if e.torus != cover_torus(parent, sub):
         raise AmbientMismatch("bundle does not live on the stated cover of the parent")
-    sub_inv = Mat.from_cols([sub.coordinates(e) for e in Sublattice.full(parent.g).generators()])
+    sub_inv = sub.mat.inv()
     out = []
     for s in e.summands:
         amb_lat = Sublattice((sub.mat @ s.lattice.mat).int_rows())
         ns = s.ns @ sub_inv
         l = tuple(s.l_value(sub.coordinates(col)) for col in amb_lat.generators())
-        out.append(TropLineBundle(parent, amb_lat, ns, l))
+        out.append(TropLineBundle._from_valid(parent, amb_lat, ns, l))
     return TropVectorBundle(parent, tuple(out))
 
 
 def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVectorBundle:
     """Translate by the point with N_Q-coordinates x: l goes to l - <., H(x)>."""
     torus = e.torus
-    pos = tuple(rat(c) for c in x)
-    lam_coords = torus.v.inv().mul_vec(pos)
+    lam_coords = torus.v.solve(x)
     out = []
     for s in e.summands:
         m = s.ns.mul_vec(lam_coords)
@@ -243,7 +242,7 @@ def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVec
             v - _char_value(torus, b, m)
             for v, b in zip(s.l, s.lattice.generators())
         )
-        out.append(TropLineBundle(torus, s.lattice, s.ns, l))
+        out.append(TropLineBundle._from_valid(torus, s.lattice, s.ns, l))
     return TropVectorBundle(torus, tuple(out))
 
 
@@ -280,7 +279,7 @@ def restrict_line_bundle(s: TropLineBundle, cover: Sublattice) -> TropLineBundle
     if not s.lattice.contains_lattice(cover):
         raise NotContained("restriction target is not contained in the cover lattice")
     l = tuple(s.l_value(b) for b in cover.generators())
-    return TropLineBundle(s.torus, cover, s.ns, l)
+    return TropLineBundle._from_valid(s.torus, cover, s.ns, l)
 
 
 @functools.lru_cache(maxsize=64)

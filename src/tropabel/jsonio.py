@@ -18,7 +18,6 @@ from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial
 from .naside import NACharacter, NALineBundle, NASemisimpleRep
 from .nspairings import NATorus, NSClass, TropTorus
-from .rationals import rat_str
 from .tropchar import TropGLElement, TropRepresentation
 
 
@@ -34,7 +33,7 @@ def _json_list(data: Any, what: str) -> list:
 
 
 def rational_to_json(x: Fraction) -> str:
-    return rat_str(x)
+    return str(x)
 
 
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
@@ -55,7 +54,7 @@ def rational_from_json(s: Any) -> Fraction:
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list[str]:
-    return [rat_str(x) for x in v]
+    return [str(x) for x in v]
 
 
 def vector_from_json(data: Any) -> tuple[Fraction, ...]:
@@ -63,7 +62,7 @@ def vector_from_json(data: Any) -> tuple[Fraction, ...]:
 
 
 def matrix_to_json(m: Mat) -> list[list[str]]:
-    return [[rat_str(x) for x in row] for row in m.entries]
+    return [[str(x) for x in row] for row in m.entries]
 
 
 def matrix_from_json(data: Any) -> Mat:
@@ -89,9 +88,9 @@ def lattice_from_json(data: Any) -> Sublattice:
 
 def mono_to_json(m: ValuedMonomial) -> dict[str, str]:
     return {
-        "mag": rat_str(m.magnitude),
-        "phase": rat_str(m.phase),
-        "texp": rat_str(m.t_exponent),
+        "mag": str(m.magnitude),
+        "phase": str(m.phase),
+        "texp": str(m.t_exponent),
     }
 
 

@@ -7,9 +7,9 @@ Two layers live here:
     products, sums, transposes and integrality tests are integer work and two
     equal matrices have equal ``(num, den)``.  ``Mat(rows)`` coerces ints,
     ``"p/q"`` strings and ``Fraction``s; ``entries`` gives the ``Fraction``
-    rows on demand.  Exact Gaussian elimination (det, solve, inverse) runs on
-    ``entries``; desk-scale only, no pivoting heuristics beyond "first
-    nonzero" are needed because arithmetic is exact.
+    rows for output only.  Determinant, solve and inverse come from one
+    fraction-free Gauss-Jordan pass on the integer ``num``; desk-scale only,
+    no pivoting beyond "first nonzero" is needed because arithmetic is exact.
 
   * integer normal forms — column Hermite form in one fixed convention
     (lower-triangular, positive diagonal, off-diagonal row entries reduced into
@@ -156,26 +156,36 @@ class Mat:
 
     # -- elimination ---------------------------------------------------------
 
+    def _eliminate(self, rhs: Sequence[Sequence[int]]) -> tuple[int, IntRows]:
+        """(det(num), Y) with num @ Y = det(num) * rhs for integer rows rhs
+        (Y is empty when det(num) = 0).  Fraction-free Gauss-Jordan (Bareiss):
+        each step divides by the previous pivot, every entry stays a minor of
+        [num | rhs] so the division is exact, and every diagonal entry ends
+        equal to the last pivot, det(num) up to the sign of the row swaps."""
+        n = self.n
+        a = [list(row) + list(r) for row, r in zip(self.num, rhs)]
+        sign, prev = 1, 1
+        for k in range(n):
+            piv = next((i for i in range(k, n) if a[i][k]), None)
+            if piv is None:
+                return 0, []
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            pivot_row = a[k]
+            p = pivot_row[k]
+            for i in range(n):
+                if i != k:
+                    f = a[i][k]
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+            prev = p
+        return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
     def det(self) -> Fraction:
         if self.n != self.m:
             raise DimensionMismatch("determinant of non-square matrix")
-        a = [list(row) for row in self.entries]
-        n = self.n
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det *= a[c][c]
-            inv = 1 / a[c][c]
-            for i in range(c + 1, n):
-                if a[i][c] != 0:
-                    f = a[i][c] * inv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-        return det
+        d, _ = self._eliminate([()] * self.n)
+        return Fraction(d, self.den**self.n)
 
     def solve_mat(self, rhs: "Mat") -> "Mat":
         """Solve self @ X = rhs for a square nonsingular self."""
@@ -183,25 +193,15 @@ class Mat:
             raise DimensionMismatch("solve needs a square matrix")
         if rhs.n != self.n:
             raise DimensionMismatch("right-hand side has wrong height")
-        n, k = self.n, rhs.m
-        a = [list(srow) + list(rrow) for srow, rrow in zip(self.entries, rhs.entries)]
-        for c in range(n):
-            piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-            if piv is None:
-                raise SingularLattice("singular matrix in exact solve")
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-            inv = 1 / a[c][c]
-            a[c] = [x * inv for x in a[c]]
-            for i in range(n):
-                if i != c and a[i][c] != 0:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-        return Mat([a[i][n:] for i in range(n)])
+        # num @ Y = d * rhs.num, so X = den * Y / (d * rhs.den)
+        d, y = self._eliminate(rhs.num)
+        if d == 0:
+            raise SingularLattice("singular matrix in exact solve")
+        c = self.den if d > 0 else -self.den
+        return Mat._from_int(([c * x for x in row] for row in y), abs(d) * rhs.den)
 
     def solve(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        sol = self.solve_mat(Mat([[x] for x in v]))
-        return tuple(row[0] for row in sol.entries)
+        return self.solve_mat(Mat([[x] for x in v])).col(0)
 
     def inv(self) -> "Mat":
         return self.solve_mat(Mat.identity(self.n))

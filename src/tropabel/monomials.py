@@ -161,7 +161,7 @@ def eval_character(p: MultiplicativePoint, m: Sequence[int]) -> ValuedMonomial:
     """The character with exponent vector m, evaluated at p: prod p_i^{m_i}."""
     if len(m) != p.g:
         raise DimensionMismatch(f"character length {len(m)} != point length {p.g}")
-    out = ValuedMonomial.one()
+    out = ONE
     for c, e in zip(p.coords, m):
         if e:
             out = out * c ** int(e)

@@ -36,7 +36,7 @@ from .lattices import (
     quotient,
 )
 from .linalg import Mat, congruence_lattice
-from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
+from .monomials import ONE, MultiplicativePoint, ValuedMonomial, eval_character
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,8 @@ class TropTorus:
     def __post_init__(self):
         if self.v.n != self.v.m:
             raise DimensionMismatch("period matrix must be square")
+        if self.v.n == 0:
+            raise DimensionMismatch("a torus needs at least one period generator")
         if self.v.det() == 0:
             raise SingularLattice("period matrix must be nonsingular")
 
@@ -69,6 +71,8 @@ class NATorus:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         g = len(self.generators)
+        if g == 0:
+            raise DimensionMismatch("a torus needs at least one period generator")
         if any(p.g != g for p in self.generators):
             raise DimensionMismatch("generator coordinates must have length g")
         if self.v.det() == 0:
@@ -97,7 +101,7 @@ class NATorus:
 
     def embed(self, a: Sequence[int]) -> MultiplicativePoint:
         """The period-lattice point with integer coordinates a."""
-        out = MultiplicativePoint(tuple(ValuedMonomial.one() for _ in range(self.g)))
+        out = MultiplicativePoint((ONE,) * self.g)
         for gen, e in zip(self.generators, a):
             if e:
                 out = out * gen ** int(e)
@@ -136,10 +140,6 @@ def _h_image(h: Mat, b: Sequence[int | Fraction]) -> list[int]:
     return [int(x) for x in img]
 
 
-def _pairing(t: NATorus, h: Mat, a: Sequence[int], b: Sequence[int]) -> ValuedMonomial:
-    return eval_character(t.embed(a), _h_image(h, b))
-
-
 @dataclass(frozen=True)
 class NSClass:
     """A polarization-type class H over a fixed torus.
@@ -160,17 +160,17 @@ class NSClass:
         if not is_r_symmetric(self.matrix, self.torus.v):
             raise InvalidClass("V^T H is not symmetric")
         if isinstance(self.torus, NATorus):
-            hd = self.matrix.scale(self.matrix.den)
-            for i in range(g):
-                for j in range(i + 1, g):
-                    ei = _unit(g, i)
-                    ej = _unit(g, j)
-                    b = _pairing(self.torus, hd, ei, ej) / _pairing(self.torus, hd, ej, ei)
-                    if b.is_torsion() is None:
-                        raise InvalidClass(
-                            "no integer multiple of H is symmetric for the "
-                            "multiplicative pairing on this torus"
-                        )
+            # gm(e_i, e_j) for num = den * H is prod_k x_ik^num[k][j], x_ik
+            # coordinate k of generator i.  Its valuations are symmetric (V^T H
+            # is) and phases never decide torsion, so only magnitudes can fail.
+            num = self.matrix.num
+            mag = [[math.prod(c.magnitude ** row[j] for c, row in zip(p.coords, num))
+                    for j in range(g)] for p in self.torus.generators]
+            if any(mag[i][j] != mag[j][i] for i in range(g) for j in range(i)):
+                raise InvalidClass(
+                    "no integer multiple of H is symmetric for the "
+                    "multiplicative pairing on this torus"
+                )
 
     # -- basic pairings ------------------------------------------------------
 
@@ -190,7 +190,7 @@ class NSClass:
 
     def gm_pairing(self, a: Sequence[int], b: Sequence[int]) -> ValuedMonomial:
         """The multiplicative pairing <a, H(b)>; b must land integrally."""
-        return _pairing(self._multiplicative_torus(), self.matrix, a, b)
+        return eval_character(self._multiplicative_torus().embed(a), _h_image(self.matrix, b))
 
     def torsion_pairing(self, a: Sequence[int], b: Sequence[int]) -> ValuedMonomial:
         """The alternating pairing gm(a,b)/gm(b,a); both args where H is integral."""
@@ -322,7 +322,3 @@ def _form_mod(
     """The integer form gens^T omega gens, reduced mod den."""
     images = [[sum(w * x for w, x in zip(row, b)) for row in omega] for b in gens]
     return [[sum(x * y for x, y in zip(a, wb)) % den for wb in images] for a in gens]
-
-
-def _unit(g: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if k == i else 0 for k in range(g))

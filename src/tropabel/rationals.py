@@ -1,8 +1,8 @@
 """Rational scalars.
 
 The whole library computes over Q, represented by ``fractions.Fraction``.
-These helpers centralize parsing/formatting of the "p/q" wire format so no
-float ever enters the pipeline.
+These helpers coerce input to it and reject floats, so that none ever enters
+the pipeline.
 """
 
 from __future__ import annotations
@@ -18,11 +18,6 @@ def rat(x: int | str | Fraction) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not allowed; pass an int, Fraction, or 'p/q' string")
     return Fraction(x)
-
-
-def rat_str(x: int | Fraction) -> str:
-    # str of an int or a Fraction is already canonical: "3", "-1/2", ...
-    return str(x)
 
 
 def frac_mod_1(x: Fraction) -> Fraction:

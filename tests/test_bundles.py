@@ -37,9 +37,9 @@ from tropabel.errors import (
 )
 from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
-from tropabel.nspairings import TropTorus
+from tropabel.nspairings import TropTorus, integrality_lattice
 
-from conftest import rand_fraction, rand_integral_symmetric, rand_sublattice
+from conftest import rand_fraction, rand_integral_symmetric, rand_r_symmetric, rand_sublattice
 
 F = Fraction
 
@@ -403,3 +403,38 @@ def test_sym_point():
     other = ModuliPoint(LINE, gamma, Mat([[1]]), (F(0),))
     with pytest.raises(MixedClasses):
         sym_point([p1, other])
+
+
+def test_bundle_operations_equal_public_construction():
+    # tensor, pullback, pushforward, translate and restrict_line_bundle skip
+    # the checks of the public TropLineBundle constructor on summands valid by
+    # construction
+    rng = random.Random(419)
+
+    def rand_summand(torus):
+        # an integral class, or a rational one on a cover where it is integral
+        if rng.random() < 0.5:
+            return rand_line_bundle(rng, torus, rand_sublattice(rng, torus.g, 2))
+        ns = rand_r_symmetric(rng, torus.v, max_den=2)
+        lattice = integrality_lattice(ns) & rand_sublattice(rng, torus.g, 2)
+        return line_bundle(torus, lattice, ns, [rand_fraction(rng) for _ in range(torus.g)])
+
+    for _ in range(8):
+        g = rng.randint(2, 3)
+        torus = rand_torus(rng, g)
+        e1 = as_bundle([rand_summand(torus) for _ in range(2)])
+        e2 = as_bundle(rand_summand(torus))
+        sub = rand_sublattice(rng, g, 2)
+        on_cover = as_bundle(rand_summand(cover_torus(torus, sub)))
+        s = e1.summands[0]
+        results = [
+            *tensor(e1, e2).summands,
+            *pullback(e1, sub).summands,
+            *pushforward(on_cover, sub, torus).summands,
+            *translate(e1, [rand_fraction(rng) for _ in range(g)]).summands,
+            restrict_line_bundle(s, s.lattice & sub),
+        ]
+        for r in results:
+            assert all(type(x) is Fraction for x in r.l)
+            rebuilt = TropLineBundle(r.torus, r.lattice, r.ns, r.l)
+            assert r == rebuilt and hash(r) == hash(rebuilt)

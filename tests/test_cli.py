@@ -367,6 +367,24 @@ def test_summand_missing_key_is_validation_error(capsys, tmp_path):
     assert "l" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "torus, argv",
+    [
+        ({"generators": []}, ("ns-analyze",)),
+        ({"generators": []}, ("na", "verify-square")),
+        ({"v": []}, ("ns-analyze",)),
+    ],
+    ids=["na-ns-analyze", "na-verify-square", "trop-ns-analyze"],
+)
+def test_zero_rank_torus_is_validation_error(capsys, tmp_path, torus, argv):
+    path = tmp_path / "zero_rank.json"
+    path.write_text(json.dumps({"torus": torus, "ns_class": []}), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "DimensionMismatch"
+
+
 def _set_summands(data, value):
     data["bundles"]["E1"]["summands"] = value
 

@@ -50,6 +50,26 @@ def test_mat_shape_errors():
         a.mul_vec((F(1),))
 
 
+def to_sympy(rows):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    )
+
+
+def from_sympy(m):
+    return Mat([[F(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)])
+
+
+def rand_rational_square(rng, n):
+    """Rational n x n rows with denominators up to 6, singular about a third
+    of the time (last row a multiple of the first)."""
+    rows = rand_frac_rows(rng, n, n)
+    if rng.random() < 0.35:
+        c = F(rng.randint(-3, 3), rng.randint(1, 3)) if n > 1 else F(0)
+        rows[-1] = [c * x for x in rows[0]]
+    return rows
+
+
 def test_det_inverse_random():
     rng = random.Random(11)
     for _ in range(25):
@@ -59,6 +79,41 @@ def test_det_inverse_random():
         assert m.det() == sym_det
         if m.det() != 0:
             assert m @ m.inv() == Mat.identity(n)
+    singular = fractional = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows = rand_rational_square(rng, n)
+        m, sym = Mat(rows), to_sympy(rows)
+        fractional += m.den != 1
+        sym_det = sym.det()
+        assert m.det() == F(int(sym_det.p), int(sym_det.q))
+        if sym_det == 0:
+            singular += 1
+            with pytest.raises(SingularLattice):
+                m.inv()
+        else:
+            assert m.inv() == from_sympy(sym.inv())
+    assert 10 <= singular <= 40 and fractional >= 40
+
+
+def test_solve_mat_rational():
+    rng = random.Random(17)
+    singular = 0
+    for _ in range(60):
+        n, k = rng.randint(1, 5), rng.randint(1, 3)
+        rows = rand_rational_square(rng, n)
+        a, rhs = Mat(rows), Mat(rand_frac_rows(rng, n, k))
+        if to_sympy(rows).det() == 0:
+            singular += 1
+            with pytest.raises(SingularLattice):
+                a.solve_mat(rhs)
+            with pytest.raises(SingularLattice):
+                a.solve(rhs.col(0))
+        else:
+            x = a.solve_mat(rhs)
+            assert a @ x == rhs
+            assert a.mul_vec(a.solve(rhs.col(0))) == rhs.col(0)
+    assert singular >= 10
 
 
 def test_solve_singular():

@@ -173,6 +173,58 @@ def test_class_rejects_nonsymmetrizable_magnitudes():
         NSClass(t, Mat.identity(2))
 
 
+def _rand_small_magnitude_torus(rng, g: int) -> NATorus:
+    """Integer valuations v and magnitudes q^v for one small rational q, which
+    every r-symmetric class symmetrizes; then, half the time, one coordinate's
+    magnitude multiplied by 2 or 3/2, which may break that."""
+    q = F(rng.randint(1, 3), rng.randint(1, 3))
+    while True:
+        vals = [[rng.randint(-2, 2) for _ in range(g)] for _ in range(g)]
+        if Mat(vals).det() != 0:
+            break
+    mags = [[q ** vals[j][i] for i in range(g)] for j in range(g)]
+    if rng.random() < 0.5:
+        mags[rng.randrange(g)][rng.randrange(g)] *= rng.choice([F(2), F(3, 2)])
+    return NATorus(
+        tuple(
+            MultiplicativePoint(
+                tuple(mono(mags[j][i], rand_fraction(rng, 0, 5, 6), vals[j][i]) for i in range(g))
+            )
+            for j in range(g)
+        )
+    )
+
+
+def test_class_check_matches_monomial_reference():
+    # NSClass compares magnitude products; the reference is the torsion
+    # pairing of den * H on each pair of basis vectors, built from monomials
+    rng = random.Random(409)
+    outcomes = set()
+    for _ in range(40):
+        g = rng.randint(2, 4)
+        t = _rand_small_magnitude_torus(rng, g)
+        h = rand_r_symmetric(rng, t.v, max_den=2)
+        num = h.scale(h.den)
+        units = Mat.identity(g).int_rows()
+        cols = [[int(x) for x in num.col(j)] for j in range(g)]
+        valid = all(
+            (
+                eval_character(t.embed(units[i]), cols[j])
+                / eval_character(t.embed(units[j]), cols[i])
+            ).is_torsion()
+            is not None
+            for i in range(g)
+            for j in range(i + 1, g)
+        )
+        outcomes.add(valid)
+        if valid:
+            NSClass(t, h)
+        else:
+            with pytest.raises(InvalidClass):
+                NSClass(t, h)
+    assert outcomes == {True, False}
+
+
 def test_real_pairing_is_symmetric_bilinear():
     rng = random.Random(73)
     for _ in range(20):
