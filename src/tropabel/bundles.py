@@ -276,6 +276,8 @@ def is_semi_homogeneous(e: TropVectorBundle) -> bool:
 
 def restrict_line_bundle(s: TropLineBundle, cover: Sublattice) -> TropLineBundle:
     """The same factor of automorphy on a finer cover (pure restriction)."""
+    if cover.ambient_rank != s.torus.g:
+        raise AmbientMismatch("cover lattice does not match the torus rank")
     if not s.lattice.contains_lattice(cover):
         raise NotContained("restriction target is not contained in the cover lattice")
     l = tuple(s.l_value(b) for b in cover.generators())

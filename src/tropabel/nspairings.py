@@ -71,12 +71,10 @@ class NATorus:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         g = len(self.generators)
-        if g == 0:
-            raise DimensionMismatch("a torus needs at least one period generator")
         if any(p.g != g for p in self.generators):
             raise DimensionMismatch("generator coordinates must have length g")
-        if self.v.det() == 0:
-            raise SingularLattice("valuation matrix of the periods is singular")
+        # rank and nonsingularity are those of the valuation matrix
+        self._trop
 
     @property
     def g(self) -> int:

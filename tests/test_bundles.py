@@ -356,6 +356,18 @@ def test_equivalent_uses_common_cover():
     assert equivalent(a, b) == equivalent(b, a)
 
 
+@pytest.mark.parametrize(
+    "cover", [Sublattice([[1, 0], [0, 1]]), Sublattice([[2, 0], [0, 1]])]
+)
+def test_restriction_to_a_cover_of_another_rank_is_rejected(cover):
+    s = line_bundle(LINE, Sublattice.full(1), Mat([[1]]), (0,))
+    with pytest.raises(AmbientMismatch):
+        restrict_line_bundle(s, cover)
+    t = line_bundle(EYE2, Sublattice.full(2), Mat.zeros(2, 2), (0, 0))
+    with pytest.raises(AmbientMismatch):
+        restrict_line_bundle(t, Sublattice([[1]]))
+
+
 def test_moduli_point_one_dimensional():
     s = line_bundle(LINE, Sublattice.full(1), Mat([[0]]), (F(3, 2),))
     p = moduli_point(s, Sublattice.full(1), Mat([[0]]))

@@ -385,6 +385,37 @@ def test_zero_rank_torus_is_validation_error(capsys, tmp_path, torus, argv):
     assert json.loads(err)["kind"] == "DimensionMismatch"
 
 
+@pytest.mark.parametrize("e2_class", ["0", "1"], ids=["classes-differ", "classes-agree"])
+@pytest.mark.parametrize(
+    "cover", [[[1, 0], [0, 1]], [[2, 0], [0, 1]]], ids=["full", "index-2"]
+)
+def test_equiv_cover_of_another_rank_is_validation_error(capsys, tmp_path, cover, e2_class):
+    scenario = {
+        "torus": {"v": [["1"]]},
+        "bundles": {
+            "E1": {"summands": [{"lattice": [[1]], "H": [["1"]], "l": ["0"]}]},
+            "E2": {"summands": [{"lattice": [[1]], "H": [[e2_class]], "l": ["0"]}]},
+        },
+        "parameters": {"operands": ["E1", "E2"], "cover": cover},
+    }
+    path = tmp_path / "wide_cover.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, out, err = run_cli(capsys, "bundle", "equiv", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "AmbientMismatch"
+
+
+def test_equiv_cover_of_lower_rank_is_validation_error(capsys, tmp_path):
+    def edit(data):
+        data["parameters"]["cover"] = [[1]]
+
+    code, out, err = run_edited(capsys, tmp_path, "bundle_ops.json", edit, "bundle", "equiv")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "AmbientMismatch"
+
+
 def _set_summands(data, value):
     data["bundles"]["E1"]["summands"] = value
 
