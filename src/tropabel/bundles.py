@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -81,7 +82,7 @@ class TropLineBundle:
 
     @property
     def sort_key(self):
-        return (self.lattice.basis, self.ns.entries, self.l)
+        return (self.lattice.basis, self.ns, self.l)
 
     def l_value(self, x: Sequence[int | Fraction]) -> Fraction:
         """The Q-linear extension of the covector, at lattice coordinates x."""
@@ -340,13 +341,42 @@ class ModuliPoint:
 
 
 def moduli_point(s: TropLineBundle, gamma: Sublattice, ns: Mat) -> ModuliPoint:
-    if s.ns != ns:
-        raise SlopeMismatch("summand slope differs from the supplied class")
-    if not s.lattice.contains_lattice(gamma):
-        raise NotCompatible("gamma is not contained in the summand's cover lattice")
-    restricted = tuple(s.l_value(b) for b in gamma.generators())
-    coords = _twist_lattice(s.torus, gamma, ns).reduce(restricted)
-    return ModuliPoint(s.torus, gamma, ns, coords)
+    return moduli_points([s], gamma, ns)[0]
+
+
+def moduli_points(
+    summands: Sequence[TropLineBundle], gamma: Sublattice, ns: Mat
+) -> list[ModuliPoint]:
+    """The moduli points of summands on one torus, all for (gamma, ns).
+
+    Each summand must have class ns and a cover lattice containing gamma.
+    gamma's basis is solved once in each distinct cover lattice, and every
+    restricted covector is reduced modulo the one twist lattice in a single
+    integer pass.
+    """
+    if not summands:
+        return []
+    first = summands[0]
+    if gamma.ambient_rank != first.torus.g:
+        raise AmbientMismatch("gamma does not match the torus rank")
+    gens = gamma.generators()
+    cols: dict[Sublattice, list[tuple[int, ...]]] = {}
+    restricted = []
+    for s in summands:
+        _same_torus(s, first)
+        if s.ns != ns:
+            raise SlopeMismatch("summand slope differs from the supplied class")
+        c = cols.get(s.lattice)
+        if c is None:
+            c = [s.lattice.coordinates(b) for b in gens]
+            if not all(x.denominator == 1 for col in c for x in col):
+                raise NotCompatible("gamma is not contained in the summand's cover lattice")
+            cols[s.lattice] = c
+        m = math.lcm(*(x.denominator for x in s.l))
+        l_num = [x.numerator * (m // x.denominator) for x in s.l]
+        restricted.append(tuple(Fraction(sum(a * x for a, x in zip(l_num, col)), m) for col in c))
+    coords = _twist_lattice(first.torus, gamma, ns).reduce_all(restricted)
+    return [ModuliPoint(s.torus, gamma, ns, x) for s, x in zip(summands, coords)]
 
 
 def sym_point(points: Sequence[ModuliPoint]) -> tuple[tuple[Fraction, ...], ...]:

@@ -62,7 +62,9 @@ def vector_from_json(data: Any) -> tuple[Fraction, ...]:
 
 
 def matrix_to_json(m: Mat) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
+    if m.den == 1:
+        return [[str(x) for x in row] for row in m.num]
+    return [[str(Fraction(x, m.den)) for x in row] for row in m.num]
 
 
 def matrix_from_json(data: Any) -> Mat:

@@ -4,8 +4,10 @@ Sublattice bases are kept in the canonical column Hermite form from
 ``linalg``, so two Sublattice values are equal exactly when they describe the
 same subgroup of Z^g.  The basis is lower-triangular, so coordinates,
 membership and box representatives all come from one integer forward
-substitution (``_forward_solve``), never from Gaussian elimination, and a
-``QLattice`` is a Sublattice scaled by 1/den.  Quotients by finite-index
+substitution (``_forward_solve``), never from Gaussian elimination.  A
+``QLattice`` is a Sublattice scaled by 1/den; it reduces a batch of rational
+vectors into its coordinate box in integers, with one adjugate of the Hermite
+basis and a floor division per coordinate.  Quotients by finite-index
 sublattices come back as ``FiniteAbelianGroup`` values carrying invariant
 factors, generator lifts and the projection map, which is everything the
 pairing machinery downstream needs.  ``enumerate_subgroups`` lists the
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotContained, SingularLattice, TooLarge
 from .linalg import IntRows, Mat, column_hnf, hnf, kernel_columns, snf
@@ -336,7 +338,32 @@ class QLattice:
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """The representative of v whose coordinates lie in [0,1)^g."""
-        return tuple(Fraction(x, self.den) for x in self.lattice.reduce([x * self.den for x in v]))
+        return self.reduce_all([v])[0]
+
+    def reduce_all(self, vectors: Iterable[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
+        """The representative of each vector whose coordinates lie in [0,1)^g,
+        in one integer pass.
+
+        With B the Hermite basis of den * L, a common denominator M of v and
+        W = M * den * v, the coordinates of v are adj(B) W / (det(B) M), so
+        their floor is k = (adj(B) W) // (det(B) M) and the representative is
+        (W - M B k) / (M den).  adj(B) comes from one elimination for the batch.
+        """
+        basis, den = self.lattice.basis, self.den
+        g = len(basis)
+        d, adj = self.lattice.mat._eliminate([[int(i == j) for j in range(g)] for i in range(g)])
+        out = []
+        for v in vectors:
+            m = math.lcm(*(x.denominator for x in v))
+            w = [x.numerator * (m // x.denominator) * den for x in v]
+            dm = d * m
+            k = [sum(a * x for a, x in zip(row, w)) // dm for row in adj]
+            md = m * den
+            out.append(tuple(
+                Fraction(x - m * sum(b * c for b, c in zip(row, k)), md)
+                for x, row in zip(w, basis)
+            ))
+        return out
 
     def index_over(self, sub: "QLattice") -> Fraction:
         """[self : sub] for sub contained in self."""

@@ -7,9 +7,10 @@ Two layers live here:
     products, sums, transposes and integrality tests are integer work and two
     equal matrices have equal ``(num, den)``.  ``Mat(rows)`` coerces ints,
     ``"p/q"`` strings and ``Fraction``s; ``entries`` gives the ``Fraction``
-    rows for output only.  Determinant, solve and inverse come from one
-    fraction-free Gauss-Jordan pass on the integer ``num``; desk-scale only,
-    no pivoting beyond "first nonzero" is needed because arithmetic is exact.
+    rows, and ``<`` orders matrices as those rows without building them.
+    Determinant, solve and inverse come from one fraction-free Gauss-Jordan
+    pass on the integer ``num``; desk-scale only, no pivoting beyond "first
+    nonzero" is needed because arithmetic is exact.
 
   * integer normal forms — column Hermite form in one fixed convention
     (lower-triangular, positive diagonal, off-diagonal row entries reduced into
@@ -100,6 +101,18 @@ class Mat:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
+
+    def __lt__(self, other: "Mat") -> bool:
+        """The order of the ``Fraction`` rows of ``entries``, lexicographic row by
+        row, decided on ``num`` by cross-multiplication: x/a < y/b iff x*b < y*a."""
+        a, b = self.den, other.den
+        for r, s in zip(self.num, other.num):
+            for x, y in zip(r, s):
+                if x * b != y * a:
+                    return x * b < y * a
+            if len(r) != len(s):
+                return len(r) < len(s)
+        return len(self.num) < len(other.num)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)

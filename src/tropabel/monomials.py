@@ -33,6 +33,18 @@ class ValuedMonomial:
         if self.magnitude <= 0:
             raise ValueError(f"magnitude must be positive, got {self.magnitude}")
 
+    @classmethod
+    def _from_valid(
+        cls, magnitude: Fraction, phase: Fraction, t_exponent: Fraction
+    ) -> "ValuedMonomial":
+        """A monomial from Fractions with magnitude > 0, as results of the group
+        operations are: only the phase is reduced mod 1, the other checks are skipped."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "magnitude", magnitude)
+        object.__setattr__(self, "phase", frac_mod_1(phase))
+        object.__setattr__(self, "t_exponent", t_exponent)
+        return self
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -55,14 +67,14 @@ class ValuedMonomial:
     # -- group structure -----------------------------------------------------
 
     def __mul__(self, other: "ValuedMonomial") -> "ValuedMonomial":
-        return ValuedMonomial(
+        return ValuedMonomial._from_valid(
             self.magnitude * other.magnitude,
             self.phase + other.phase,
             self.t_exponent + other.t_exponent,
         )
 
     def inv(self) -> "ValuedMonomial":
-        return ValuedMonomial(1 / self.magnitude, -self.phase, -self.t_exponent)
+        return ValuedMonomial._from_valid(1 / self.magnitude, -self.phase, -self.t_exponent)
 
     def __truediv__(self, other: "ValuedMonomial") -> "ValuedMonomial":
         return self * other.inv()
@@ -70,7 +82,7 @@ class ValuedMonomial:
     def __pow__(self, n: int) -> "ValuedMonomial":
         if not isinstance(n, int):
             raise TypeError("integer exponent required; use root_pow for rationals")
-        return ValuedMonomial(self.magnitude**n, n * self.phase, n * self.t_exponent)
+        return ValuedMonomial._from_valid(self.magnitude**n, n * self.phase, n * self.t_exponent)
 
     def root_pow(self, e: Fraction) -> "ValuedMonomial":
         """x^e for rational e, defined only when the result stays monomial.

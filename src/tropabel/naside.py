@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bundles import ModuliPoint, TropLineBundle, moduli_point
+from .bundles import ModuliPoint, TropLineBundle, moduli_point, moduli_points
 from .errors import (
     AmbientMismatch,
     InvalidClass,
@@ -179,14 +179,17 @@ def tropicalize_line_bundle(b: NALineBundle) -> TropLineBundle:
 
     r at the k-th basis vector is r_basis[k] itself (every cocycle exponent
     of ``extend_r`` vanishes there), so its valuation is read off directly.
+    The real pairing [v, v] = v^T G v, G = V^T H, is one integer quadratic
+    form on G's numerator, over 2 * G's denominator with the 1/2.
     """
     torus = b.ns.torus.trop()
-    l = tuple(
-        r.valuation() - Fraction(1, 2) * b.ns.real_pairing(v, v)
-        for r, v in zip(b.r_basis, b.lattice.generators())
-    )
+    gram = b.ns.gram
+    l = []
+    for r, v in zip(b.r_basis, b.lattice.generators()):
+        form = sum(x * sum(a * y for a, y in zip(row, v)) for x, row in zip(v, gram.num))
+        l.append(r.valuation() - Fraction(form, 2 * gram.den))
     # b's class is real-symmetric (NSClass) and integral on its lattice
-    return TropLineBundle._from_valid(torus, b.lattice, b.ns.matrix, l)
+    return TropLineBundle._from_valid(torus, b.lattice, b.ns.matrix, tuple(l))
 
 
 def tropicalize_simple(
@@ -316,15 +319,10 @@ def verify_commuting_square(
     zero = Mat.zeros(g, g)
     full = Sublattice.full(g)
 
-    via_na = [
-        moduli_point(tropicalize_line_bundle(b), full, zero)
-        for b in bundles_from_rep(rep, torus)
-    ]
-    trop_torus = torus.trop()
-    via_trop = [
-        moduli_point(s, full, zero)
-        for s in bundle_from_rep(trop_rep(rep), trop_torus).summands
-    ]
+    via_na = moduli_points(
+        [tropicalize_line_bundle(b) for b in bundles_from_rep(rep, torus)], full, zero
+    )
+    via_trop = moduli_points(bundle_from_rep(trop_rep(rep), torus.trop()).summands, full, zero)
     via_na.sort(key=lambda p: p.coords)
     via_trop.sort(key=lambda p: p.coords)
     return via_na == via_trop, via_na, via_trop

@@ -205,6 +205,7 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
     perms = [a.perm for a in rep.images]
     inv_perms = [a.inv_perm for a in rep.images]
     seen = [False] * r
+    full = Sublattice.full(g)
     out = []
     for p in range(r):
         if seen[p]:
@@ -223,14 +224,18 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
                     seen[q2] = True
                     queue.append(q2)
         orbit = tuple(sorted(paths))
-        gens = []
-        for q in orbit:
-            for i in range(g):
-                v = list(paths[q])
-                v[i] += 1
-                w = paths[perms[i][q]]
-                gens.append(tuple(a - b for a, b in zip(v, w)))
-        lat = Sublattice.from_generators(gens)
+        if len(orbit) == 1:
+            # a fixed point's Schreier generators are e_1 ... e_g
+            lat = full
+        else:
+            gens = []
+            for q in orbit:
+                for i in range(g):
+                    v = list(paths[q])
+                    v[i] += 1
+                    w = paths[perms[i][q]]
+                    gens.append(tuple(a - b for a, b in zip(v, w)))
+            lat = Sublattice.from_generators(gens)
         l = []
         for b in lat.generators():
             pos, acc = p, Fraction(0)

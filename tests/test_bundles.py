@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from tropabel.bundles import (
     iso_pushforward,
     line_bundle,
     moduli_point,
+    moduli_points,
     pullback,
     pushforward,
     restrict_line_bundle,
@@ -35,11 +38,17 @@ from tropabel.errors import (
     NotContained,
     SlopeMismatch,
 )
-from tropabel.lattices import Sublattice
+from tropabel.lattices import QLattice, Sublattice, reduce_mod_lattice
 from tropabel.linalg import Mat
-from tropabel.nspairings import TropTorus, integrality_lattice
+from tropabel.nspairings import TropTorus, extended_character_lattice, integrality_lattice
 
-from conftest import rand_fraction, rand_integral_symmetric, rand_r_symmetric, rand_sublattice
+from conftest import (
+    rand_fraction,
+    rand_integral_symmetric,
+    rand_matrix,
+    rand_r_symmetric,
+    rand_sublattice,
+)
 
 F = Fraction
 
@@ -396,6 +405,70 @@ def test_moduli_point_errors():
     finer = line_bundle(EYE2, Sublattice([[2, 0], [0, 2]]), Mat.identity(2), (0, 0))
     with pytest.raises(NotCompatible):
         moduli_point(finer, Sublattice.full(2), Mat.identity(2))
+
+
+def test_moduli_points_match_reduction_reference():
+    # every point of a batch is the box representative, in the Hermite basis
+    # of the twist lattice, of the covector restricted to gamma
+    rng = random.Random(457)
+    negative_fractional = 0
+    for _ in range(40):
+        g = rng.randint(1, 4)
+        while True:
+            v = rand_matrix(rng, g, max_den=3)
+            ns = rand_r_symmetric(rng, v, max_den=2) if v.det() != 0 else Mat.zeros(g, g)
+            if ns != Mat.zeros(g, g):
+                break
+        torus = TropTorus(v)
+        covers = {integrality_lattice(ns) & rand_sublattice(rng, g, 2) for _ in range(3)}
+        gamma = functools.reduce(operator.and_, covers) & rand_sublattice(rng, g, 3)
+        if gamma.is_full():
+            gamma = gamma.scaled(2)
+        summands = [
+            line_bundle(torus, cover, ns, [F(rng.randint(-40, 40), rng.randint(1, 7))
+                                           for _ in range(g)])
+            for cover in covers
+            for _ in range(rng.randint(1, 4))
+        ]
+        rng.shuffle(summands)
+        twist = QLattice(gamma.mat.T @ v.T @ extended_character_lattice(ns).basis)
+        points = moduli_points(summands, gamma, ns)
+        assert len(points) == len(summands)
+        for s, p in zip(summands, points):
+            restricted = tuple(s.l_value(b) for b in gamma.generators())
+            assert p == ModuliPoint(torus, gamma, ns, reduce_mod_lattice(restricted, twist.basis))
+            assert p == moduli_point(s, gamma, ns)
+            assert all(type(x) is Fraction for x in p.coords)
+            coords = twist.basis.solve(restricted)
+            negative_fractional += any(c < 0 and c.denominator != 1 for c in coords)
+    # floor and truncation differ only on these
+    assert negative_fractional >= 20
+
+
+def test_moduli_points_errors():
+    ns = Mat.identity(2)
+    gamma = Sublattice([[2, 0], [0, 2]])
+    good = [line_bundle(EYE2, Sublattice.full(2), ns, (F(k, 3), -k)) for k in range(3)]
+    other_slope = line_bundle(EYE2, Sublattice.full(2), Mat.zeros(2, 2), (0, 0))
+    too_fine = line_bundle(EYE2, Sublattice([[4, 0], [0, 1]]), ns, (0, 0))
+    other_torus = line_bundle(TropTorus(Mat([[2, 0], [0, 1]])), Sublattice.full(2), ns, (0, 0))
+    other_rank = line_bundle(TropTorus(Mat.identity(3)), Sublattice.full(3), Mat.identity(3),
+                             (0, 0, 0))
+    assert moduli_points([], gamma, ns) == []
+    for bad, error in [
+        (other_slope, SlopeMismatch),
+        (too_fine, NotCompatible),
+        (other_torus, AmbientMismatch),
+        (other_rank, AmbientMismatch),
+    ]:
+        for k in range(len(good) + 1):
+            with pytest.raises(error):
+                moduli_points(good[:k] + [bad] + good[k:], gamma, ns)
+    for wrong in (Sublattice([[2]]), Sublattice([[2, 0, 0], [0, 2, 0], [0, 0, 1]])):
+        with pytest.raises(AmbientMismatch):
+            moduli_points(good, wrong, ns)
+        with pytest.raises(AmbientMismatch):
+            moduli_point(good[0], wrong, ns)
 
 
 def test_gamma_compatible():

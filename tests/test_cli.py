@@ -210,6 +210,34 @@ def test_na_verify_square_generated(capsys):
         assert case["via_na"] == case["via_trop"]
 
 
+def test_na_verify_square_rank_three_large(capsys, tmp_path):
+    # the benchmark runs verify-square at g = 2 only
+    def gen(phase, texps):
+        return [{"mag": "1", "phase": phase, "texp": t} for t in texps]
+
+    scenario = {
+        "torus": {
+            "g": 3,
+            "generators": [
+                gen("1/3", ["2", "1/2", "0"]),
+                gen("0", ["-1/3", "1", "1/5"]),
+                gen("1/4", ["0", "-2/7", "3/2"]),
+            ],
+        },
+        "parameters": {"count": 2, "r": 64},
+    }
+    path = tmp_path / "na_rank3.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    out = run_json(capsys, "na", "verify-square", "--scenario", str(path), "--seed", "5")
+    assert out["all_equal"] is True
+    assert len(out["cases"]) == 2
+    for case in out["cases"]:
+        assert case["equal"] is True
+        assert len(case["via_na"]) == 64
+        assert case["via_na"] == case["via_trop"]
+        assert len({tuple(p["coords"]) for p in case["via_na"]}) > 1
+
+
 # ---------------------------------------------------------------------------
 # Determinism and output plumbing
 # ---------------------------------------------------------------------------
@@ -411,6 +439,19 @@ def test_equiv_cover_of_lower_rank_is_validation_error(capsys, tmp_path):
         data["parameters"]["cover"] = [[1]]
 
     code, out, err = run_edited(capsys, tmp_path, "bundle_ops.json", edit, "bundle", "equiv")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "AmbientMismatch"
+
+
+@pytest.mark.parametrize("gamma", [[[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+def test_moduli_point_gamma_of_another_rank_is_validation_error(capsys, tmp_path, gamma):
+    def edit(data):
+        data["parameters"]["gamma"] = gamma
+
+    code, out, err = run_edited(
+        capsys, tmp_path, "bundle_ops.json", edit, "bundle", "moduli-point"
+    )
     assert code == 2
     assert out == ""
     assert json.loads(err)["kind"] == "AmbientMismatch"

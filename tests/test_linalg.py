@@ -7,6 +7,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from tropabel.errors import DimensionMismatch, RankDeficient, SingularLattice
+from tropabel.jsonio import matrix_to_json
 from tropabel.linalg import Mat, congruence_lattice, hnf, kernel_columns, snf
 
 F = Fraction
@@ -306,3 +307,23 @@ def test_congruence_lattice_brute_force():
                 sum(a[i][j] * v[j] for j in range(g)) % d == 0 for i in range(g)
             )
             assert satisfies == in_span
+
+
+def test_order_and_encoding_follow_the_fraction_entries():
+    # few distinct small entries, so pairs often agree on a prefix or are equal
+    rng = random.Random(467)
+
+    def rand_mat(n, m):
+        return Mat([[Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(m)]
+                    for _ in range(n)])
+
+    equal = 0
+    for _ in range(400):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        a = rand_mat(n, m)
+        b = Mat(a.entries) if rng.random() < 0.2 else rand_mat(n, m)
+        equal += a == b
+        assert (a < b) == (a.entries < b.entries)
+        assert (b < a) == (b.entries < a.entries)
+        assert matrix_to_json(a) == [[str(x) for x in row] for row in a.entries]
+    assert equal >= 60

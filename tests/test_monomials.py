@@ -158,3 +158,22 @@ def test_eval_character_example():
     assert eval_character(p, (0, 0)) == ONE
     with pytest.raises(DimensionMismatch):
         eval_character(p, (1, 0, 0))
+
+
+def test_group_operations_equal_public_construction():
+    rng = random.Random(479)
+    for _ in range(200):
+        a, b = rand_mono(rng), rand_mono(rng)
+        n = rng.randint(-4, 4)
+        expected = [
+            (a * b, ValuedMonomial(a.magnitude * b.magnitude, a.phase + b.phase,
+                                   a.t_exponent + b.t_exponent)),
+            (a.inv(), ValuedMonomial(1 / a.magnitude, -a.phase, -a.t_exponent)),
+            (a**n, ValuedMonomial(a.magnitude**n, n * a.phase, n * a.t_exponent)),
+            (a / b, ValuedMonomial(a.magnitude / b.magnitude, a.phase - b.phase,
+                                   a.t_exponent - b.t_exponent)),
+        ]
+        for x, public in expected:
+            assert x == public and hash(x) == hash(public)
+            assert all(type(c) is Fraction for c in (x.magnitude, x.phase, x.t_exponent))
+            assert 0 <= x.phase < 1

@@ -15,7 +15,7 @@ from tropabel.errors import (
     NotInLattice,
     SizeMismatch,
 )
-from tropabel.lattices import Sublattice
+from tropabel.lattices import QLattice, Sublattice
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from tropabel.naside import (
@@ -355,6 +355,42 @@ def test_verify_commuting_square_random():
         assert via_na == via_trop
         assert len(via_na) == len(chars)
         assert via_na == sorted(via_na, key=lambda p: p.coords)
+
+
+def test_commuting_square_reduces_once_per_side(monkeypatch):
+    # all r points of a side share (full lattice, zero class): one batched
+    # reduction per side, and the diagonal representation's one-point orbits
+    # need no Hermite form
+    calls = {"reduce_all": 0, "from_generators": 0}
+    real_reduce_all = QLattice.reduce_all
+    real_from_generators = Sublattice.from_generators
+
+    def counting_reduce_all(self, vectors):
+        calls["reduce_all"] += 1
+        return real_reduce_all(self, vectors)
+
+    def counting_from_generators(gens):
+        calls["from_generators"] += 1
+        return real_from_generators(gens)
+
+    rng = random.Random(463)
+    for g in (2, 3):
+        torus = rand_unit_torus(rng, g)
+        chars = tuple(
+            NACharacter(tuple(rand_unit_mono(rng) for _ in range(g))) for _ in range(32)
+        )
+        rep = NASemisimpleRep(chars)
+        monkeypatch.setattr(QLattice, "reduce_all", counting_reduce_all)
+        monkeypatch.setattr(Sublattice, "from_generators", staticmethod(counting_from_generators))
+        calls.update(reduce_all=0)
+        ok, via_na, _ = verify_commuting_square(rep, torus)
+        reduced = calls["reduce_all"]
+        calls.update(from_generators=0)
+        bundle = bundle_from_rep(trop_rep(rep), torus.trop())
+        monkeypatch.undo()
+        assert ok and len(via_na) == 32 and len(bundle.summands) == 32
+        assert reduced == 2
+        assert calls["from_generators"] == 0
 
 
 def test_verify_commuting_square_twist_invariant(reference_torus):
