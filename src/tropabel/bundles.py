@@ -60,7 +60,11 @@ class TropLineBundle:
             raise AmbientMismatch("covector must give one value per basis vector")
         if not is_r_symmetric(self.ns, self.torus.v):
             raise InvalidClass("V^T H is not symmetric")
-        if not (self.ns @ self.lattice.mat).is_integral():
+        # ns @ basis is integral exactly when ns.num @ basis = 0 mod ns.den
+        den = self.ns.den
+        if den != 1 and any(
+            x % den for gen in self.lattice.generators() for x in _num_image(self.ns, gen)
+        ):
             raise InvalidClass("class matrix is not integral on the cover lattice")
 
     @classmethod
@@ -85,9 +89,14 @@ class TropLineBundle:
         return (self.lattice.basis, self.ns, self.l)
 
     def l_value(self, x: Sequence[int | Fraction]) -> Fraction:
-        """The Q-linear extension of the covector, at lattice coordinates x."""
+        """The Q-linear extension of the covector, at lattice coordinates x: the
+        covector's numerators over their least common denominator m, dotted
+        with the coordinates of x in the lattice, over m."""
+        m = math.lcm(*(a.denominator for a in self.l))
         coords = self.lattice.coordinates(x)
-        return sum((a * b for a, b in zip(self.l, coords)), Fraction(0))
+        return Fraction(
+            sum(a.numerator * (m // a.denominator) * c for a, c in zip(self.l, coords)), m
+        )
 
 
 @dataclass(frozen=True)
@@ -129,20 +138,40 @@ def as_bundle(summands: TropLineBundle | Iterable[TropLineBundle]) -> TropVector
 
 def cover_torus(torus: TropTorus, sub: Sublattice) -> TropTorus:
     """The torus of the cover: period positions are those of sub's basis."""
+    if sub.ambient_rank != torus.g:
+        raise AmbientMismatch("cover lattice does not match the torus rank")
     return TropTorus(torus.v @ sub.mat)
 
 
-def _char_value(torus: TropTorus, x: Sequence[int | Fraction], m: Sequence[Fraction]) -> Fraction:
-    """<x, m>: the character m evaluated at lattice coordinates x."""
-    pos = torus.v.mul_vec(x)
-    return sum((a * b for a, b in zip(pos, m)), Fraction(0))
+def _num_image(a: Mat, x: Sequence[int]) -> list[int]:
+    """a.num @ x for an integer vector x: a @ x times a.den."""
+    return [sum(p * q for p, q in zip(row, x)) for row in a.num]
+
+
+def _twisted(
+    values: Sequence[Fraction], positions: Sequence[Sequence[int]], m: Sequence[int], den: int
+) -> tuple[Fraction, ...]:
+    """values[i] - <positions[i], m> / den, one Fraction each.
+
+    With positions[i] = V.num @ b_i for the lattice coordinates b_i of the
+    summand's basis and m = H.num @ y, this is the covector twisted by the
+    translation over y: l(b_i) - <V b_i, H y> for den = V.den * H.den (times
+    the denominator of y when y is rational).
+    """
+    return tuple(
+        Fraction(
+            a.numerator * den - sum(x * y for x, y in zip(p, m)) * a.denominator,
+            a.denominator * den,
+        )
+        for a, p in zip(values, positions)
+    )
 
 
 def _coset_reps(lat: Sublattice) -> list[tuple[int, ...]]:
     """Canonical representatives of Z^g / lat: the Hermite diagonal box, a
     complete residue system, reduced into lat's basis box."""
     box = itertools.product(*(range(row[i]) for i, row in enumerate(lat.basis)))
-    return sorted(lat.reduce(p) for p in box)
+    return sorted(lat.reduce_all(box))
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +207,10 @@ def tensor(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
             ns = s1.ns + s2.ns
             basis = inter.generators()
             base_l = [s1.l_value(b) + s2.l_value(b) for b in basis]
+            positions = [_num_image(torus.v, b) for b in basis]
+            den = torus.v.den * s2.ns.den
             for delta in _coset_reps(total):
-                m = s2.ns.mul_vec(delta)
-                l = tuple(
-                    v - _char_value(torus, b, m) for v, b in zip(base_l, basis)
-                )
+                l = _twisted(base_l, positions, _num_image(s2.ns, delta), den)
                 out.append(TropLineBundle._from_valid(torus, inter, ns, l))
     return TropVectorBundle(torus, tuple(out))
 
@@ -203,11 +231,11 @@ def pullback(e: TropVectorBundle, sub: Sublattice) -> TropVectorBundle:
         new_lat = Sublattice.from_generators([sub.coordinates(b) for b in inter.generators()])
         amb_cols = list(zip(*(sub.mat @ new_lat.mat).num))
         new_ns = s.ns @ sub.mat
+        base_l = [s.l_value(c) for c in amb_cols]
+        positions = [_num_image(torus.v, c) for c in amb_cols]
+        den = torus.v.den * s.ns.den
         for delta in _coset_reps(total):
-            m = s.ns.mul_vec(delta)
-            l = tuple(
-                s.l_value(c) - _char_value(torus, c, m) for c in amb_cols
-            )
+            l = _twisted(base_l, positions, _num_image(s.ns, delta), den)
             out.append(TropLineBundle._from_valid(target, new_lat, new_ns, l))
     return TropVectorBundle(target, tuple(out))
 
@@ -235,14 +263,14 @@ def pushforward(
 def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVectorBundle:
     """Translate by the point with N_Q-coordinates x: l goes to l - <., H(x)>."""
     torus = e.torus
-    lam_coords = torus.v.solve(x)
+    lam = torus.v.solve(x)
+    q = math.lcm(*(c.denominator for c in lam))
+    lam_num = [c.numerator * (q // c.denominator) for c in lam]
     out = []
     for s in e.summands:
-        m = s.ns.mul_vec(lam_coords)
-        l = tuple(
-            v - _char_value(torus, b, m)
-            for v, b in zip(s.l, s.lattice.generators())
-        )
+        positions = [_num_image(torus.v, b) for b in s.lattice.generators()]
+        den = torus.v.den * s.ns.den * q
+        l = _twisted(s.l, positions, _num_image(s.ns, lam_num), den)
         out.append(TropLineBundle._from_valid(torus, s.lattice, s.ns, l))
     return TropVectorBundle(torus, tuple(out))
 

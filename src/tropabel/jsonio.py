@@ -2,17 +2,20 @@
 
 Rationals travel as strings "p/q" (plain "p" when integral) so that no float
 ever enters the pipeline; integer lattice bases travel as JSON integers.
-Every encoder here has a decoder that round-trips losslessly.
+A wire matrix decodes straight to integer rows over one denominator, with no
+``Fraction`` per entry.  Every encoder here has a decoder that round-trips
+losslessly.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .bundles import ModuliPoint, TropLineBundle, TropVectorBundle
-from .errors import TropabelError
+from .errors import DimensionMismatch, TropabelError
 from .lattices import Sublattice
 from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial
@@ -39,10 +42,11 @@ def rational_to_json(x: Fraction) -> str:
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
-def rational_from_json(s: Any) -> Fraction:
-    """A JSON integer (not a boolean) or a string "n" / "p/q", parsed once."""
+def _rational_pair(s: Any) -> tuple[int, int]:
+    """(p, q), q > 0, not necessarily in lowest terms, of a JSON integer (not a
+    boolean) or a string "n" / "p/q"."""
     if type(s) is int:
-        return Fraction(s)
+        return s, 1
     match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
     if match is None:
         raise ScenarioError(f"expected an integer or a rational string 'p/q', got {s!r}")
@@ -50,7 +54,12 @@ def rational_from_json(s: Any) -> Fraction:
     den = int(den) if den is not None else 1
     if den == 0:
         raise ScenarioError(f"rational {s!r} has a zero denominator")
-    return Fraction(int(num), den)
+    return int(num), den
+
+
+def rational_from_json(s: Any) -> Fraction:
+    """A JSON integer (not a boolean) or a string "n" / "p/q", parsed once."""
+    return Fraction(*_rational_pair(s))
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list[str]:
@@ -68,7 +77,16 @@ def matrix_to_json(m: Mat) -> list[list[str]]:
 
 
 def matrix_from_json(data: Any) -> Mat:
-    return Mat(vector_from_json(row) for row in _json_list(data, "matrix rows"))
+    """The integer rows over the lcm of the wire denominators; ``Mat._from_int``
+    cancels their common factor, which leaves the least denominator."""
+    rows = [
+        [_rational_pair(x) for x in _json_list(row, "rationals")]
+        for row in _json_list(data, "matrix rows")
+    ]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionMismatch("ragged rows")
+    den = math.lcm(*(q for row in rows for _, q in row))
+    return Mat._from_int([[p * (den // q) for p, q in row] for row in rows], den)
 
 
 def lattice_to_json(lat: Sublattice) -> list[list[int]]:

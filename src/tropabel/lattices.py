@@ -2,12 +2,13 @@
 
 Sublattice bases are kept in the canonical column Hermite form from
 ``linalg``, so two Sublattice values are equal exactly when they describe the
-same subgroup of Z^g.  The basis is lower-triangular, so coordinates,
-membership and box representatives all come from one integer forward
-substitution (``_forward_solve``), never from Gaussian elimination.  A
-``QLattice`` is a Sublattice scaled by 1/den; it reduces a batch of rational
-vectors into its coordinate box in integers, with one adjugate of the Hermite
-basis and a floor division per coordinate.  Quotients by finite-index
+same subgroup of Z^g; a basis already in that form is recognised and kept.
+The basis is lower-triangular, so coordinates and membership come from one
+integer forward substitution (``_forward_solve``), never from Gaussian
+elimination.  Box representatives come from one integer pass over a batch of
+vectors: one adjugate of the Hermite basis and a floor division per
+coordinate.  A ``QLattice`` is a Sublattice scaled by 1/den and reduces
+through the same pass.  Quotients by finite-index
 sublattices come back as ``FiniteAbelianGroup`` values carrying invariant
 factors, generator lifts and the projection map, which is everything the
 pairing machinery downstream needs.  ``enumerate_subgroups`` lists the
@@ -50,6 +51,17 @@ def _is_integral(x: Sequence[int | Fraction]) -> bool:
     return all(c.denominator == 1 for c in x)
 
 
+def _is_hermite(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether a nonempty square integer basis is already in canonical Hermite
+    form: lower-triangular, positive diagonal, and the entries left of the
+    diagonal in [0, diagonal).  The form is unique, so ``hnf`` would return
+    such a basis unchanged."""
+    return bool(rows) and all(
+        row[i] > 0 and all(0 <= x < row[i] for x in row[:i]) and not any(row[i + 1 :])
+        for i, row in enumerate(rows)
+    )
+
+
 class Sublattice:
     """Finite-index sublattice of Z^g, stored by its Hermite basis.
 
@@ -61,7 +73,9 @@ class Sublattice:
         g = len(basis_rows)
         if any(len(row) != g for row in basis_rows):
             raise DimensionMismatch("a lattice basis must be square")
-        rows, _ = hnf([[int(x) for x in row] for row in basis_rows])
+        rows = [[int(x) for x in row] for row in basis_rows]
+        if not _is_hermite(rows):
+            rows, _ = hnf(rows)
         self.ambient_rank = g
         self.basis = tuple(tuple(row) for row in rows)
 
@@ -133,8 +147,38 @@ class Sublattice:
 
     def reduce(self, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
         """The representative of v whose coordinates lie in [0,1)^g."""
-        k = [math.floor(c) for c in self.coordinates(v)]
-        return tuple(x - sum(b * c for b, c in zip(row, k)) for x, row in zip(v, self.basis))
+        return self.reduce_all([v])[0]
+
+    def reduce_all(
+        self, vectors: Iterable[Sequence[int | Fraction]]
+    ) -> list[tuple[int | Fraction, ...]]:
+        """The representative of each vector whose coordinates lie in [0,1)^g;
+        ints for an integer vector, Fractions otherwise."""
+        return [
+            tuple(r) if m == 1 else tuple(Fraction(x, m) for x in r)
+            for r, m in self._reduce_num(vectors, 1)
+        ]
+
+    def _reduce_num(
+        self, vectors: Iterable[Sequence[int | Fraction]], scale: int
+    ) -> Iterable[tuple[list[int], int]]:
+        """(r, m) per vector v, with r / m the representative of scale * v whose
+        coordinates lie in [0,1)^g, in one integer pass.
+
+        With B the Hermite basis, a common denominator m of v and
+        W = m * scale * v, the coordinates of scale * v are adj(B) W / (det(B) m),
+        so their floor is k = (adj(B) W) // (det(B) m) and r = W - m B k.
+        adj(B) comes from one elimination for the batch.
+        """
+        basis = self.basis
+        g = len(basis)
+        d, adj = self.mat._eliminate([[int(i == j) for j in range(g)] for i in range(g)])
+        for v in vectors:
+            m = math.lcm(*(x.denominator for x in v))
+            w = [x.numerator * (m // x.denominator) * scale for x in v]
+            dm = d * m
+            k = [sum(a * x for a, x in zip(row, w)) // dm for row in adj]
+            yield [x - m * sum(b * c for b, c in zip(row, k)) for x, row in zip(w, basis)], m
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -342,28 +386,12 @@ class QLattice:
 
     def reduce_all(self, vectors: Iterable[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
         """The representative of each vector whose coordinates lie in [0,1)^g,
-        in one integer pass.
-
-        With B the Hermite basis of den * L, a common denominator M of v and
-        W = M * den * v, the coordinates of v are adj(B) W / (det(B) M), so
-        their floor is k = (adj(B) W) // (det(B) M) and the representative is
-        (W - M B k) / (M den).  adj(B) comes from one elimination for the batch.
-        """
-        basis, den = self.lattice.basis, self.den
-        g = len(basis)
-        d, adj = self.lattice.mat._eliminate([[int(i == j) for j in range(g)] for i in range(g)])
-        out = []
-        for v in vectors:
-            m = math.lcm(*(x.denominator for x in v))
-            w = [x.numerator * (m // x.denominator) * den for x in v]
-            dm = d * m
-            k = [sum(a * x for a, x in zip(row, w)) // dm for row in adj]
-            md = m * den
-            out.append(tuple(
-                Fraction(x - m * sum(b * c for b, c in zip(row, k)), md)
-                for x, row in zip(w, basis)
-            ))
-        return out
+        in one integer pass: den * v reduced modulo den * L, divided by den."""
+        den = self.den
+        return [
+            tuple(Fraction(x, m * den) for x in r)
+            for r, m in self.lattice._reduce_num(vectors, den)
+        ]
 
     def index_over(self, sub: "QLattice") -> Fraction:
         """[self : sub] for sub contained in self."""

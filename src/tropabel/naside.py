@@ -90,10 +90,7 @@ class NALineBundle:
         g = torus.g
         if self.lattice.ambient_rank != g or len(self.r_basis) != g:
             raise AmbientMismatch("bundle data does not match the torus rank")
-        if not (self.ns.matrix @ self.lattice.mat).is_integral():
-            raise InvalidClass("class is not integral on the cover lattice")
-        if not self.ns.is_gm_symmetric_on(self.lattice):
-            raise InvalidClass("class is not symmetric on the cover lattice")
+        _check_cover(self.ns, self.lattice)
 
     @classmethod
     def _from_valid(
@@ -106,6 +103,14 @@ class NALineBundle:
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "r_basis", r_basis)
         return self
+
+
+def _check_cover(ns: NSClass, lattice: Sublattice) -> None:
+    """The class must be integral and multiplicatively symmetric on the cover."""
+    if not (ns.matrix @ lattice.mat).is_integral():
+        raise InvalidClass("class is not integral on the cover lattice")
+    if not ns.is_gm_symmetric_on(lattice):
+        raise InvalidClass("class is not symmetric on the cover lattice")
 
 
 def _extend_from_basis(
@@ -144,11 +149,14 @@ def extend_r(b: NALineBundle, lam: Sequence[int]) -> ValuedMonomial:
 
 
 def restrict_na(b: NALineBundle, sub: Sublattice) -> NALineBundle:
-    """The same factor on a finer cover: r evaluated on the sublattice basis."""
+    """The same factor on a finer cover: r evaluated on the sublattice basis.
+    A class integral and symmetric on the cover is so on sub."""
+    if sub.ambient_rank != b.lattice.ambient_rank:
+        raise AmbientMismatch("restriction target does not match the torus rank")
     if not b.lattice.contains_lattice(sub):
         raise NotContained("restriction target is not contained in the cover lattice")
     values = tuple(extend_r(b, v) for v in sub.generators())
-    return NALineBundle(b.ns, sub, values)
+    return NALineBundle._from_valid(b.ns, sub, values)
 
 
 def represent_on(b: NALineBundle, target: Sublattice) -> NALineBundle:
@@ -157,8 +165,11 @@ def represent_on(b: NALineBundle, target: Sublattice) -> NALineBundle:
 
     Works through a basis of the target adapted to the intersection and takes
     exact roots of the restricted values; raises ValueError when a required
-    root does not exist in the monomial model.
+    root does not exist in the monomial model.  Of the constructor's checks
+    only the class on the new cover is not implied by b.
     """
+    if target.ambient_rank != b.lattice.ambient_rank:
+        raise AmbientMismatch("target lattice does not match the torus rank")
     u, d, adapted = _smith_adapted(target, b.lattice & target)
     values = []
     for k, w in zip(d, adapted):
@@ -171,7 +182,8 @@ def represent_on(b: NALineBundle, target: Sublattice) -> NALineBundle:
         _extend_from_basis(b.ns, adapted, values, [row[j] for row in u])
         for j in range(target.ambient_rank)
     )
-    return NALineBundle(b.ns, target, r_basis)
+    _check_cover(b.ns, target)
+    return NALineBundle._from_valid(b.ns, target, r_basis)
 
 
 def tropicalize_line_bundle(b: NALineBundle) -> TropLineBundle:
@@ -217,7 +229,7 @@ def translate_na(b: NALineBundle, x: MultiplicativePoint) -> NALineBundle:
         image = b.ns.matrix.mul_vec(v)
         m = tuple(int(c) for c in image)
         values.append(r * eval_character(x, m))
-    return NALineBundle(b.ns, b.lattice, tuple(values))
+    return NALineBundle._from_valid(b.ns, b.lattice, tuple(values))
 
 
 def bundle_times_character(b: NALineBundle, chi: NACharacter) -> NALineBundle:
@@ -225,7 +237,7 @@ def bundle_times_character(b: NALineBundle, chi: NACharacter) -> NALineBundle:
     values = tuple(
         r * chi.value(v) for r, v in zip(b.r_basis, b.lattice.generators())
     )
-    return NALineBundle(b.ns, b.lattice, values)
+    return NALineBundle._from_valid(b.ns, b.lattice, values)
 
 
 # ---------------------------------------------------------------------------

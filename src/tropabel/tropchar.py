@@ -295,26 +295,21 @@ def rep_from_bundle(e: TropVectorBundle) -> TropRepresentation:
     if not e.summands:
         raise SizeMismatch("cannot build a representation from an empty bundle")
     g = e.torus.g
-    blocks = []  # per summand: (coset reps, index lookup, summand)
+    total = e.rank
+    perms = [[0] * total for _ in range(g)]
+    ds: list[list[Fraction]] = [[Fraction(0)] * total for _ in range(g)]
+    off = 0
     for s in e.summands:
         reps = _coset_reps(s.lattice)
-        blocks.append((reps, {c: k for k, c in enumerate(reps)}, s))
-    offsets = []
-    total = 0
-    for reps, _, _ in blocks:
-        offsets.append(total)
-        total += len(reps)
-    images = []
-    for j in range(g):
-        perm = [0] * total
-        d: list[Fraction] = [Fraction(0)] * total
-        for (reps, lookup, s), off in zip(blocks, offsets):
-            for k, c in enumerate(reps):
-                shifted = tuple(x + (1 if i == j else 0) for i, x in enumerate(c))
-                target = s.lattice.reduce(shifted)
-                k2 = lookup[target]
-                perm[off + k] = off + k2
-                closing = tuple(a - b for a, b in zip(shifted, target))
-                d[off + k2] = s.l_value(closing)
-        images.append(TropGLElement._from_valid(tuple(perm), tuple(d)))
-    return TropRepresentation(tuple(images))
+        lookup = {c: k for k, c in enumerate(reps)}
+        # every rep shifted by every unit vector, reduced in one batch
+        shifted = [c[:j] + (c[j] + 1,) + c[j + 1 :] for j in range(g) for c in reps]
+        for n, (v, target) in enumerate(zip(shifted, s.lattice.reduce_all(shifted))):
+            j, k = divmod(n, len(reps))
+            k2 = lookup[target]
+            perms[j][off + k] = off + k2
+            ds[j][off + k2] = s.l_value(tuple(a - b for a, b in zip(v, target)))
+        off += len(reps)
+    return TropRepresentation(
+        tuple(TropGLElement._from_valid(tuple(p), tuple(d)) for p, d in zip(perms, ds))
+    )

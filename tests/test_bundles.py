@@ -1,4 +1,5 @@
 import functools
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -523,3 +524,142 @@ def test_bundle_operations_equal_public_construction():
             assert all(type(x) is Fraction for x in r.l)
             rebuilt = TropLineBundle(r.torus, r.lattice, r.ns, r.l)
             assert r == rebuilt and hash(r) == hash(rebuilt)
+
+
+# ---------------------------------------------------------------------------
+# Integer forms against the Fraction formulas they replace
+# ---------------------------------------------------------------------------
+
+
+def test_integrality_check_matches_rational_product():
+    # the constructor tests ns.num @ basis = 0 mod ns.den; InvalidClass must
+    # be raised exactly when the rational product ns @ basis is not integral
+    rng = random.Random(463)
+    outcomes = set()
+    for _ in range(100):
+        g = rng.randint(1, 4)
+        torus = rand_torus(rng, g)
+        ns = rand_r_symmetric(rng, torus.v, max_den=3)
+        lattice = rand_sublattice(rng, g, 4)
+        if rng.random() < 0.4:
+            lattice = integrality_lattice(ns) & lattice
+        integral = (ns @ lattice.mat).is_integral()
+        outcomes.add(integral)
+        l = [rand_fraction(rng) for _ in range(g)]
+        if integral:
+            assert line_bundle(torus, lattice, ns, l).ns == ns
+        else:
+            with pytest.raises(InvalidClass):
+                line_bundle(torus, lattice, ns, l)
+    assert outcomes == {True, False}
+
+
+def ref_l_value(s, x):
+    """The covector at lattice coordinates x, as a Fraction dot product."""
+    return sum((a * b for a, b in zip(s.l, s.lattice.coordinates(x))), F(0))
+
+
+def ref_char_value(torus, x, m):
+    """<x, m>: the character m at lattice coordinates x, in Fractions."""
+    return sum((a * b for a, b in zip(torus.v.mul_vec(x), m)), F(0))
+
+
+def ref_coset_reps(lat):
+    """The Hermite box reduced by the general rational solver."""
+    box = itertools.product(*(range(row[i]) for i, row in enumerate(lat.basis)))
+    return sorted(tuple(int(x) for x in reduce_mod_lattice(p, lat.mat)) for p in box)
+
+
+def ref_tensor(e1, e2):
+    torus, out = e1.torus, []
+    for s1 in e1.summands:
+        for s2 in e2.summands:
+            inter = s1.lattice & s2.lattice
+            basis = inter.generators()
+            base = [ref_l_value(s1, b) + ref_l_value(s2, b) for b in basis]
+            for delta in ref_coset_reps(s1.lattice + s2.lattice):
+                m = s2.ns.mul_vec(delta)
+                l = [v - ref_char_value(torus, b, m) for v, b in zip(base, basis)]
+                out.append(TropLineBundle(torus, inter, s1.ns + s2.ns, l))
+    return TropVectorBundle(torus, tuple(out))
+
+
+def ref_pullback(e, sub):
+    torus, out = e.torus, []
+    target = TropTorus(torus.v @ sub.mat)
+    for s in e.summands:
+        inter = s.lattice & sub
+        new_lat = Sublattice.from_generators([sub.coordinates(b) for b in inter.generators()])
+        cols = [sub.mat.mul_vec(c) for c in new_lat.generators()]
+        for delta in ref_coset_reps(s.lattice + sub):
+            m = s.ns.mul_vec(delta)
+            l = [ref_l_value(s, c) - ref_char_value(torus, c, m) for c in cols]
+            out.append(TropLineBundle(target, new_lat, s.ns @ sub.mat, l))
+    return TropVectorBundle(target, tuple(out))
+
+
+def ref_pushforward(e, sub, parent):
+    out = []
+    for s in e.summands:
+        lat = Sublattice.from_generators([sub.mat.mul_vec(c) for c in s.lattice.generators()])
+        l = [ref_l_value(s, sub.mat.solve(col)) for col in lat.generators()]
+        out.append(TropLineBundle(parent, lat, s.ns @ sub.mat.inv(), l))
+    return TropVectorBundle(parent, tuple(out))
+
+
+def ref_translate(e, x):
+    torus, out = e.torus, []
+    lam = torus.v.solve(x)
+    for s in e.summands:
+        m = s.ns.mul_vec(lam)
+        l = [v - ref_char_value(torus, b, m) for v, b in zip(s.l, s.lattice.generators())]
+        out.append(TropLineBundle(torus, s.lattice, s.ns, l))
+    return TropVectorBundle(torus, tuple(out))
+
+
+def test_bundle_operations_match_fraction_reference():
+    # random tori with rational periods, nonzero rational classes on covers
+    # where they are integral
+    rng = random.Random(467)
+
+    def rand_summand(torus):
+        while True:
+            ns = rand_r_symmetric(rng, torus.v, max_den=2)
+            if ns != Mat.zeros(torus.g, torus.g):
+                break
+        lattice = integrality_lattice(ns) & rand_sublattice(rng, torus.g, 2)
+        return line_bundle(torus, lattice, ns, [rand_fraction(rng) for _ in range(torus.g)])
+
+    for g in (1, 2, 2, 3, 3, 4):
+        while True:
+            v = rand_matrix(rng, g, max_den=3)
+            if v.det() != 0 and v != Mat.identity(g):
+                break
+        torus = TropTorus(v)
+        e1 = as_bundle([rand_summand(torus) for _ in range(2)])
+        e2 = as_bundle(rand_summand(torus))
+        sub = rand_sublattice(rng, g, 2)
+        on_cover = as_bundle(rand_summand(cover_torus(torus, sub)))
+        x = [rand_fraction(rng) for _ in range(g)]
+        s = e1.summands[0]
+        cover = s.lattice & rand_sublattice(rng, g, 2)
+        assert tensor(e1, e2) == ref_tensor(e1, e2)
+        assert pullback(e1, sub) == ref_pullback(e1, sub)
+        assert pushforward(on_cover, sub, torus) == ref_pushforward(on_cover, sub, torus)
+        assert translate(e1, x) == ref_translate(e1, x)
+        expected = [ref_l_value(s, b) for b in cover.generators()]
+        assert restrict_line_bundle(s, cover) == TropLineBundle(torus, cover, s.ns, expected)
+        for b in cover.generators():
+            q = [F(c, rng.randint(1, 4)) for c in b]
+            assert s.l_value(q) == ref_l_value(s, q)
+
+
+@pytest.mark.parametrize("sub", [Sublattice([[2]]), Sublattice([[1, 0, 0], [0, 2, 0], [0, 0, 1]])])
+def test_cover_of_another_rank_is_rejected(sub):
+    with pytest.raises(AmbientMismatch):
+        cover_torus(EYE2, sub)
+    e = as_bundle(line_bundle(EYE2, Sublattice.full(2), Mat.identity(2), (0, 0)))
+    with pytest.raises(AmbientMismatch):
+        pullback(e, sub)
+    with pytest.raises(AmbientMismatch):
+        pushforward(e, sub, EYE2)

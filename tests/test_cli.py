@@ -3,6 +3,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from tropabel import cli, jsonio
 from tropabel.bundles import as_bundle, line_bundle
 from tropabel.cli import main
+from tropabel.errors import TropabelError
 from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
 from tropabel.monomials import ValuedMonomial
@@ -457,6 +459,20 @@ def test_moduli_point_gamma_of_another_rank_is_validation_error(capsys, tmp_path
     assert json.loads(err)["kind"] == "AmbientMismatch"
 
 
+@pytest.mark.parametrize("sub", [[[2]], [[1, 0, 0], [0, 1, 0], [0, 0, 2]]])
+@pytest.mark.parametrize(
+    "scenario, op", [("bundle_ops.json", "pullback"), ("pushforward_demo.json", "pushforward")]
+)
+def test_cover_of_another_rank_is_validation_error(capsys, tmp_path, scenario, op, sub):
+    def edit(data):
+        data["parameters"]["sub"] = sub
+
+    code, out, err = run_edited(capsys, tmp_path, scenario, edit, "bundle", op)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "AmbientMismatch"
+
+
 def _set_summands(data, value):
     data["bundles"]["E1"]["summands"] = value
 
@@ -616,6 +632,65 @@ def test_rational_and_matrix_round_trip():
     assert jsonio.matrix_from_json(jsonio.matrix_to_json(m)) == m
     with pytest.raises(jsonio.ScenarioError):
         jsonio.rational_from_json(0.5)
+
+
+def _wire_rational(rng):
+    """A random rational in one of its wire spellings, often unreduced."""
+    p, q, k = rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 4, 6]), rng.randint(1, 3)
+    spelling = rng.randrange(4)
+    if q == 1 and spelling == 0:
+        return p
+    if q == 1 and spelling == 1:
+        return str(p)
+    if p >= 0 and spelling == 2:
+        return f"+{k * p}/{k * q}"
+    return f"{k * p}/{k * q}"
+
+
+def test_matrix_from_json_equals_rational_decoding():
+    # a wire matrix decodes straight to integer rows over one denominator;
+    # it is the Mat of the per-entry Fraction decoding
+    rng = random.Random(619)
+    cases = [
+        [["2/4", "+5/10"], ["-3", 7]],
+        [["6/3", "-4/2"], [0, "+9"]],
+        [[0, "0/5"], ["-0", "0"]],
+        [[1, 2], [3, -4]],
+        [["-3"]],
+        [],
+    ]
+    for _ in range(200):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        cases.append([[_wire_rational(rng) for _ in range(m)] for _ in range(n)])
+    dens = set()
+    for rows in cases:
+        got = jsonio.matrix_from_json(rows)
+        expected = Mat([jsonio.vector_from_json(row) for row in rows])
+        assert (got.num, got.den) == (expected.num, expected.den)
+        assert got == expected and hash(got) == hash(expected)
+        dens.add(got.den)
+    assert len(dens) >= 5
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["1/0", "1"]],
+        [["1", "2"], [True, "3"]],
+        [[0.5, 1]],
+        [["1", "2"], ["3"]],
+        [["1", "2"], "3"],
+        "1/2",
+    ],
+    ids=["zero-denominator", "boolean", "float", "ragged", "row-not-a-list", "not-a-list"],
+)
+def test_matrix_from_json_errors_match_rational_decoding(rows):
+    with pytest.raises(TropabelError) as got:
+        jsonio.matrix_from_json(rows)
+    with pytest.raises(TropabelError) as expected:
+        Mat([jsonio.vector_from_json(row) for row in jsonio._json_list(rows, "matrix rows")])
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("text", ["1.5", "1e3", "-2.0", "1/2.5", " 1/2", "", "0x10", True, False])

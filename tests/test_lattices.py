@@ -20,7 +20,8 @@ from tropabel.lattices import (
     quotient,
     reduce_mod_lattice,
 )
-from tropabel.linalg import Mat
+from tropabel import lattices
+from tropabel.linalg import Mat, hnf
 
 from conftest import rand_sublattice, sublattices_of_index_at_most
 
@@ -40,6 +41,62 @@ def test_sublattice_canonical_basis():
     assert a == b == c
     assert a.basis == ((1, 0), (1, 2))
     assert a.index == 2
+
+
+def _near_hermite(rng, rows):
+    """A copy of a Hermite basis broken in one way the canonical check must catch."""
+    g = len(rows)
+    rows = [list(row) for row in rows]
+    kind = rng.choice(
+        ["diagonal", "negative-below", "above", "negative-diagonal"] if g > 1
+        else ["negative-diagonal"]
+    )
+    if kind in ("diagonal", "negative-below"):
+        i = rng.randrange(1, g)
+        rows[i][rng.randrange(i)] = rows[i][i] if kind == "diagonal" else -rng.randint(1, 3)
+    elif kind == "above":
+        i = rng.randrange(g - 1)
+        rows[i][rng.randrange(i + 1, g)] = rng.choice([-2, -1, 1, 2])
+    else:
+        i = rng.randrange(g)
+        rows[i][i] = -rows[i][i]
+    return kind, rows
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_sublattice_recognises_hermite_bases(g, monkeypatch):
+    # a canonical basis is kept as is and anything else goes through hnf;
+    # both give the one Hermite form of the lattice
+    calls = []
+
+    def counting_hnf(rows):
+        calls.append(rows)
+        return hnf(rows)
+
+    monkeypatch.setattr(lattices, "hnf", counting_hnf)
+    rng = random.Random(331 + g)
+    kinds = set()
+    for _ in range(60):
+        canonical = [list(row) for row in rand_sublattice(rng, g, max_diag=4).basis]
+        calls.clear()
+        assert Sublattice(canonical) == Sublattice._from_hermite(hnf(canonical)[0])
+        assert Sublattice(canonical).basis == tuple(map(tuple, canonical))
+        assert not calls
+        kind, near = _near_hermite(rng, canonical)
+        kinds.add(kind)
+        try:
+            expected = Sublattice._from_hermite(hnf(near)[0])
+        except RankDeficient:
+            with pytest.raises(RankDeficient):
+                Sublattice(near)
+            continue
+        calls.clear()
+        assert Sublattice(near) == expected
+        assert calls == [near]
+    assert len(kinds) == (4 if g > 1 else 1)
+    for bad in ([[0] * g for _ in range(g)], []):
+        with pytest.raises(RankDeficient):
+            Sublattice(bad)
 
 
 def test_sublattice_rejects_degenerate():
@@ -249,6 +306,25 @@ def test_reduce_mod_lattice_properties():
                 assert lat.reduce(x) == reduce_mod_lattice(x, lat.mat)
                 assert lat.coordinates(x) == lat.mat.solve(x)
             assert lat.contains(w) == all(c.denominator == 1 for c in lat.mat.solve(w))
+
+
+def test_sublattice_reduce_matches_reduction_reference():
+    # the adjugate floor of reduce_all against the general rational solver
+    rng = random.Random(347)
+    negative_fractional = 0
+    for g in range(1, 5):
+        for _ in range(25):
+            lat = rand_sublattice(rng, g, max_diag=4)
+            ints = [tuple(rng.randint(-12, 12) for _ in range(g)) for _ in range(4)]
+            rats = [tuple(F(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(g))
+                    for _ in range(4)]
+            reduced = lat.reduce_all(ints + rats)
+            for v, r in zip(ints + rats, reduced):
+                assert r == reduce_mod_lattice(v, lat.mat) == lat.reduce(v)
+                coords = lat.coordinates(v)
+                negative_fractional += any(c < 0 and c.denominator != 1 for c in coords)
+            assert all(type(x) is int for r in reduced[:4] for x in r)
+    assert negative_fractional >= 50
 
 
 def test_qlattice_basics():

@@ -484,3 +484,39 @@ def test_internal_trop_bundles_equal_public_construction():
     asymmetric = Mat([[0, 1], [0, 0]])
     with pytest.raises(InvalidClass):
         TropLineBundle(TropTorus(Mat.identity(2)), Sublattice.full(2), asymmetric, (0, 0))
+
+
+def test_na_operations_equal_public_construction(reference_torus):
+    # restrict_na, represent_on, translate_na and bundle_times_character
+    # build their results without re-running the public checks
+    rng = random.Random(281)
+    bundles = reference_na_bundles()
+    while len(bundles) < 21:
+        ns, lat = rand_symmetric_instance(rng, rng.randint(1, 3))
+        bundles.append(rand_na_bundle(rng, ns, lat))
+    moved = 0
+    for b in bundles:
+        g = b.ns.torus.g
+        sub = Sublattice((b.lattice.mat @ rand_sublattice(rng, g, 2).mat).int_rows())
+        x = MultiplicativePoint(tuple(rand_unit_mono(rng) for _ in range(g)))
+        chi = NACharacter(tuple(rand_unit_mono(rng) for _ in range(g)))
+        results = [restrict_na(b, sub), translate_na(b, x), bundle_times_character(b, chi)]
+        for other in b.ns.admissible_lattices() if g == 2 else ():
+            try:
+                results.append(represent_on(b, other))
+            except ValueError:
+                continue  # no exact root in the monomial model
+            moved += 1
+        for r in results:
+            assert r == NALineBundle(r.ns, r.lattice, r.r_basis)
+    assert moved >= 3
+    # the public checks still run on a new cover
+    ns = reference_class(reference_torus)
+    b = NALineBundle(ns, Sublattice([[2, 0], [0, 1]]), (ONE, ONE))
+    with pytest.raises(InvalidClass):
+        represent_on(b, Sublattice.full(2))
+    for wrong in (Sublattice([[2]]), Sublattice([[2, 0, 0], [0, 1, 0], [0, 0, 1]])):
+        with pytest.raises(AmbientMismatch):
+            restrict_na(b, wrong)
+        with pytest.raises(AmbientMismatch):
+            represent_on(b, wrong)
