@@ -2,9 +2,9 @@
 
 Usage: tropabel <command> [op] --scenario FILE [--seed N] [--bound N] [--out FILE]
 
-Commands: ns-analyze; bundle {sum,tensor,pullback,pushforward,translate,slope,
-equiv,moduli-point}; rep {decompose,canonical,eta,stratum}; na {trop-line,
-trop-simple,trop-rep,verify-square}.  Identical (scenario, seed) pairs produce
+The commands (ns-analyze, bundle, rep, na), their help texts and op names are
+the one table ``COMMANDS``; the parser is built from it, and one ``cmd_*``
+function per command implements its ops.  Identical (scenario, seed) pairs produce
 byte-identical output; exit codes are 0 success, 2 validation, 3 resource
 bound exceeded, 4 internal inconsistency or any other fault of the program.
 """
@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from . import bundles, jsonio, naside, tropchar
 from .errors import TooLarge, TropabelError
@@ -68,11 +68,12 @@ class Scenario:
             raise jsonio.ScenarioError("this command needs a multiplicative torus")
         return self.torus
 
-    def named(self, section: str, kind: str) -> dict[str, Any]:
+    def named(self, section: str, kind: str, decode: Callable[[Any], Any]) -> dict[str, Any]:
+        """The objects of a named section, each decoded in file order."""
         table = self._raw.get(section, {})
         if not isinstance(table, dict):
             raise jsonio.ScenarioError(f"'{section}' must be an object of named {kind}s")
-        return table
+        return {name: decode(raw) for name, raw in table.items()}
 
     def operands(self, count: int, available: dict[str, Any], section: str) -> list[Any]:
         names = self.parameters.get("operands")
@@ -147,18 +148,25 @@ def cmd_ns_analyze(scenario: Scenario, bound: int) -> dict[str, Any]:
     return report
 
 
+def _with_torus(obj: Any, to_json: Callable[[Any], dict[str, Any]]) -> dict[str, Any]:
+    """``to_json(obj)`` plus the torus that ``obj`` lives on."""
+    out = to_json(obj)
+    out["torus"] = jsonio.torus_to_json(obj.torus)
+    return out
+
+
 def cmd_bundle(scenario: Scenario, op: str) -> dict[str, Any]:
     torus = scenario.trop_torus
     params = scenario.parameters
 
-    def parse_table(t: TropTorus) -> dict[str, bundles.TropVectorBundle]:
-        raw = scenario.named("bundles", "bundle")
-        return {k: jsonio.bundle_from_json(v, t) for k, v in raw.items()}
+    def need(key: str, decode: Callable[[Any], Any]) -> Any:
+        if key not in params:
+            raise jsonio.ScenarioError(f"{op} needs parameters.{key}")
+        return decode(params[key])
 
-    def with_torus(e: bundles.TropVectorBundle) -> dict[str, Any]:
-        out = jsonio.bundle_to_json(e)
-        out["torus"] = jsonio.torus_to_json(e.torus)
-        return out
+    def operands(count: int, on: TropTorus = torus) -> list[bundles.TropVectorBundle]:
+        table = scenario.named("bundles", "bundle", lambda raw: jsonio.bundle_from_json(raw, on))
+        return scenario.operands(count, table, "bundles")
 
     def single_summand(e: bundles.TropVectorBundle) -> bundles.TropLineBundle:
         if len(e.summands) != 1:
@@ -166,35 +174,23 @@ def cmd_bundle(scenario: Scenario, op: str) -> dict[str, Any]:
         return e.summands[0]
 
     if op in ("sum", "tensor"):
-        table = parse_table(torus)
-        e1, e2 = scenario.operands(2, table, "bundles")
+        e1, e2 = operands(2)
         result = bundles.direct_sum(e1, e2) if op == "sum" else bundles.tensor(e1, e2)
-        return with_torus(result)
+        return _with_torus(result, jsonio.bundle_to_json)
     if op == "pullback":
-        if "sub" not in params:
-            raise jsonio.ScenarioError("pullback needs parameters.sub")
-        sub = jsonio.lattice_from_json(params["sub"])
-        table = parse_table(torus)
-        (e,) = scenario.operands(1, table, "bundles")
-        return with_torus(bundles.pullback(e, sub))
+        sub = need("sub", jsonio.lattice_from_json)
+        (e,) = operands(1)
+        return _with_torus(bundles.pullback(e, sub), jsonio.bundle_to_json)
     if op == "pushforward":
-        if "sub" not in params:
-            raise jsonio.ScenarioError("pushforward needs parameters.sub")
-        sub = jsonio.lattice_from_json(params["sub"])
-        cover = bundles.cover_torus(torus, sub)
-        table = parse_table(cover)
-        (e,) = scenario.operands(1, table, "bundles")
-        return with_torus(bundles.pushforward(e, sub, torus))
+        sub = need("sub", jsonio.lattice_from_json)
+        (e,) = operands(1, bundles.cover_torus(torus, sub))
+        return _with_torus(bundles.pushforward(e, sub, torus), jsonio.bundle_to_json)
     if op == "translate":
-        if "x" not in params:
-            raise jsonio.ScenarioError("translate needs parameters.x")
-        x = jsonio.vector_from_json(params["x"])
-        table = parse_table(torus)
-        (e,) = scenario.operands(1, table, "bundles")
-        return with_torus(bundles.translate(e, x))
+        x = need("x", jsonio.vector_from_json)
+        (e,) = operands(1)
+        return _with_torus(bundles.translate(e, x), jsonio.bundle_to_json)
     if op == "slope":
-        table = parse_table(torus)
-        (e,) = scenario.operands(1, table, "bundles")
+        (e,) = operands(1)
         return {
             "slope": jsonio.matrix_to_json(bundles.slope(e)),
             "rank": e.rank,
@@ -202,16 +198,14 @@ def cmd_bundle(scenario: Scenario, op: str) -> dict[str, Any]:
             "semi_homogeneous": bundles.is_semi_homogeneous(e),
         }
     if op == "equiv":
-        table = parse_table(torus)
-        e1, e2 = scenario.operands(2, table, "bundles")
+        e1, e2 = operands(2)
         s1, s2 = single_summand(e1), single_summand(e2)
         cover = (
             jsonio.lattice_from_json(params["cover"]) if "cover" in params else None
         )
         return {"equivalent": bundles.equivalent(s1, s2, cover)}
     if op == "moduli-point":
-        table = parse_table(torus)
-        (e,) = scenario.operands(1, table, "bundles")
+        (e,) = operands(1)
         s = single_summand(e)
         gamma = (
             jsonio.lattice_from_json(params["gamma"])
@@ -224,8 +218,7 @@ def cmd_bundle(scenario: Scenario, op: str) -> dict[str, Any]:
 
 
 def cmd_rep(scenario: Scenario, op: str) -> dict[str, Any]:
-    raw = scenario.named("representations", "representation")
-    table = {k: jsonio.rep_from_json(v) for k, v in raw.items()}
+    table = scenario.named("representations", "representation", jsonio.rep_from_json)
     (rep,) = scenario.operands(1, table, "representations")
     if op == "decompose":
         pieces = tropchar.decompose_rep(rep)
@@ -249,9 +242,7 @@ def cmd_rep(scenario: Scenario, op: str) -> dict[str, Any]:
         }
     if op == "eta":
         e = tropchar.bundle_from_rep(rep, scenario.trop_torus)
-        out = jsonio.bundle_to_json(e)
-        out["torus"] = jsonio.torus_to_json(e.torus)
-        return out
+        return _with_torus(e, jsonio.bundle_to_json)
     if op == "stratum":
         lats = tropchar.stratum(rep)
         return {"lattices": [jsonio.lattice_to_json(lat) for lat in lats]}
@@ -278,22 +269,18 @@ def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]
     params = scenario.parameters
 
     def na_bundles() -> dict[str, naside.NALineBundle]:
-        raw = scenario.named("na_bundles", "line bundle")
-        return {
-            k: jsonio.na_bundle_from_json(v, torus, scenario.ns_class)
-            for k, v in raw.items()
-        }
+        return scenario.named(
+            "na_bundles",
+            "line bundle",
+            lambda raw: jsonio.na_bundle_from_json(raw, torus, scenario.ns_class),
+        )
 
     def na_reps() -> dict[str, naside.NASemisimpleRep]:
-        raw = scenario.named("na_reps", "semisimple representation")
-        return {k: jsonio.na_rep_from_json(v) for k, v in raw.items()}
+        return scenario.named("na_reps", "semisimple representation", jsonio.na_rep_from_json)
 
     if op == "trop-line":
         (b,) = scenario.operands(1, na_bundles(), "na_bundles")
-        s = naside.tropicalize_line_bundle(b)
-        out = jsonio.summand_to_json(s)
-        out["torus"] = jsonio.torus_to_json(s.torus)
-        return out
+        return _with_torus(naside.tropicalize_line_bundle(b), jsonio.summand_to_json)
     if op == "trop-simple":
         (b,) = scenario.operands(1, na_bundles(), "na_bundles")
         point = naside.tropicalize_simple(b, bound)
@@ -302,9 +289,9 @@ def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]
         (rep,) = scenario.operands(1, na_reps(), "na_reps")
         return jsonio.rep_to_json(naside.trop_rep(rep))
     if op == "verify-square":
-        raw = scenario.named("na_reps", "semisimple representation")
-        if raw:
-            reps = [jsonio.na_rep_from_json(v) for _, v in sorted(raw.items())]
+        table = na_reps()
+        if table:
+            reps = [table[name] for name in sorted(table)]
         else:
             rng = random.Random(seed)
             count = params.get("count", 5)
@@ -331,46 +318,35 @@ def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]
 # ---------------------------------------------------------------------------
 
 
+# command -> (help text, op names); a command without ops takes no op argument
+COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "ns-analyze": ("full pairing/lattice report of a class", ()),
+    "bundle": (
+        "tropical bundle operations",
+        ("sum", "tensor", "pullback", "pushforward", "translate", "slope", "equiv", "moduli-point"),
+    ),
+    "rep": ("tropical representation operations", ("decompose", "canonical", "eta", "stratum")),
+    "na": (
+        "non-Archimedean side operations",
+        ("trop-line", "trop-simple", "trop-rep", "verify-square"),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropabel",
         description="Exact calculus of semi-homogeneous bundles on abelian tori.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (help_text, ops) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if ops:
+            p.add_argument("op", choices=ops)
         p.add_argument("--scenario", required=True, help="JSON scenario file")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized ops")
         p.add_argument("--bound", type=int, default=None, help="enumeration bound")
         p.add_argument("--out", default=None, help="write the report to this file")
-
-    common(sub.add_parser("ns-analyze", help="full pairing/lattice report of a class"))
-
-    p_bundle = sub.add_parser("bundle", help="tropical bundle operations")
-    p_bundle.add_argument(
-        "op",
-        choices=[
-            "sum",
-            "tensor",
-            "pullback",
-            "pushforward",
-            "translate",
-            "slope",
-            "equiv",
-            "moduli-point",
-        ],
-    )
-    common(p_bundle)
-
-    p_rep = sub.add_parser("rep", help="tropical representation operations")
-    p_rep.add_argument("op", choices=["decompose", "canonical", "eta", "stratum"])
-    common(p_rep)
-
-    p_na = sub.add_parser("na", help="non-Archimedean side operations")
-    p_na.add_argument(
-        "op", choices=["trop-line", "trop-simple", "trop-rep", "verify-square"]
-    )
-    common(p_na)
     return parser
 
 
@@ -385,9 +361,7 @@ def run(args: argparse.Namespace) -> dict[str, Any]:
         return cmd_bundle(scenario, args.op)
     if args.command == "rep":
         return cmd_rep(scenario, args.op)
-    if args.command == "na":
-        return cmd_na(scenario, args.op, seed, bound)
-    raise jsonio.ScenarioError(f"unknown command {args.command!r}")
+    return cmd_na(scenario, args.op, seed, bound)
 
 
 def main(argv: list[str] | None = None) -> int:

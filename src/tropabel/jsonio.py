@@ -10,7 +10,6 @@ losslessly.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -21,6 +20,7 @@ from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial
 from .naside import NACharacter, NALineBundle, NASemisimpleRep
 from .nspairings import NATorus, NSClass, TropTorus
+from .rationals import RATIONAL
 from .tropchar import TropGLElement, TropRepresentation
 
 
@@ -39,15 +39,12 @@ def rational_to_json(x: Fraction) -> str:
     return str(x)
 
 
-_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
-
-
 def _rational_pair(s: Any) -> tuple[int, int]:
     """(p, q), q > 0, not necessarily in lowest terms, of a JSON integer (not a
     boolean) or a string "n" / "p/q"."""
     if type(s) is int:
         return s, 1
-    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    match = RATIONAL.fullmatch(s) if isinstance(s, str) else None
     if match is None:
         raise ScenarioError(f"expected an integer or a rational string 'p/q', got {s!r}")
     num, den = match.groups()
@@ -220,14 +217,6 @@ def character_to_json(c: NACharacter) -> list[dict[str, str]]:
 
 def character_from_json(data: Any) -> NACharacter:
     return NACharacter(tuple(mono_from_json(v) for v in _json_list(data, "monomials")))
-
-
-def na_bundle_to_json(b: NALineBundle) -> dict[str, Any]:
-    return {
-        "lattice": lattice_to_json(b.lattice),
-        "H": matrix_to_json(b.ns.matrix),
-        "r": [mono_to_json(v) for v in b.r_basis],
-    }
 
 
 def na_bundle_from_json(data: Any, torus: NATorus, default_ns: Mat | None) -> NALineBundle:

@@ -51,6 +51,15 @@ def _is_integral(x: Sequence[int | Fraction]) -> bool:
     return all(c.denominator == 1 for c in x)
 
 
+def _int_entry(x: int | Fraction) -> int:
+    """x as an int: x must be an int (not a bool) or an integral Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise NotContained(f"lattice entries must be integers, got {x!r}")
+
+
 def _is_hermite(rows: Sequence[Sequence[int]]) -> bool:
     """Whether a nonempty square integer basis is already in canonical Hermite
     form: lower-triangular, positive diagonal, and the entries left of the
@@ -73,7 +82,7 @@ class Sublattice:
         g = len(basis_rows)
         if any(len(row) != g for row in basis_rows):
             raise DimensionMismatch("a lattice basis must be square")
-        rows = [[int(x) for x in row] for row in basis_rows]
+        rows = [[_int_entry(x) for x in row] for row in basis_rows]
         if not _is_hermite(rows):
             rows, _ = hnf(rows)
         self.ambient_rank = g
@@ -90,10 +99,8 @@ class Sublattice:
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence[int]]) -> "Sublattice":
         """Lattice spanned by the given vectors (must have full rank)."""
-        if not all(_is_integral(v) for v in gens):
-            raise NotContained("generators must be integer vectors")
         g = len(gens[0])
-        h, _ = column_hnf([[int(v[i]) for v in gens] for i in range(g)])
+        h, _ = column_hnf([[_int_entry(v[i]) for v in gens] for i in range(g)])
         nonzero = [j for j in range(len(gens)) if any(h[i][j] for i in range(g))]
         if len(nonzero) != g:
             raise SingularLattice("generators do not span a full-rank lattice")

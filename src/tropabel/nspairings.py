@@ -110,8 +110,21 @@ Torus = Union[TropTorus, NATorus]
 
 
 def is_r_symmetric(h: Mat, v: Mat) -> bool:
-    """Whether the real pairing V^T @ H is a symmetric matrix."""
-    return (v.T @ h).is_symmetric()
+    """Whether the real pairing V^T @ H is a symmetric matrix.
+
+    V^T H is (V.num)^T H.num over the common factor V.den * H.den, so this
+    compares the integer dot products of columns of V.num and H.num.
+    """
+    if v.n != h.n:
+        raise DimensionMismatch(f"cannot multiply {v.m}x{v.n} by {h.n}x{h.m}")
+    if v.m != h.m:
+        return False
+    vc, hc = list(zip(*v.num)), list(zip(*h.num))
+    return all(
+        sum(a * b for a, b in zip(vc[i], hc[j])) == sum(a * b for a, b in zip(vc[j], hc[i]))
+        for i in range(v.m)
+        for j in range(i)
+    )
 
 
 def integrality_lattice(h: Mat) -> Sublattice:
@@ -254,12 +267,6 @@ class NSClass:
     def defect_group(self) -> FiniteAbelianGroup:
         """integrality / symmetry, the finite group carrying the torsion pairing."""
         return quotient(self.integrality, self.symmetry)
-
-    def torsion_pairing_on_defect(
-        self, e1: Sequence[int], e2: Sequence[int]
-    ) -> ValuedMonomial:
-        q = self.defect_group
-        return self.torsion_pairing(q.lift(e1), q.lift(e2))
 
     def admissible_lattices(
         self, bound: int = SUBGROUP_ENUMERATION_BOUND

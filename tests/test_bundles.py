@@ -95,6 +95,17 @@ def test_summand_validation():
         line_bundle(EYE2, Sublattice.full(1), Mat.identity(2), (0, 0))
 
 
+def test_summand_covector_reads_n_and_p_over_q_only():
+    ok = line_bundle(LINE, Sublattice.full(1), Mat([[0]]), ["-6/4"])
+    assert ok.l == (F(-3, 2),)
+    for text in ("1.5", "1e3", " 1/2 ", "1_000"):
+        with pytest.raises(ValueError):
+            line_bundle(LINE, Sublattice.full(1), Mat([[0]]), [text])
+    for value in (True, 0.5):
+        with pytest.raises(TypeError):
+            line_bundle(LINE, Sublattice.full(1), Mat([[0]]), [value])
+
+
 def test_bundle_canonical_order():
     s1 = line_bundle(EYE2, Sublattice.full(2), Mat.identity(2), (1, 0))
     s2 = line_bundle(EYE2, Sublattice.full(2), Mat.identity(2), (0, 1))

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import contextlib
 import copy
@@ -333,6 +334,23 @@ def test_missing_parameter(capsys, tmp_path):
     assert "sub" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "op, scenario, key",
+    [
+        ("pushforward", "pushforward_demo.json", "sub"),
+        ("translate", "bundle_ops.json", "x"),
+    ],
+)
+def test_missing_parameter_is_named(capsys, tmp_path, op, scenario, key):
+    data = json.load(open(scen(scenario), encoding="utf-8"))
+    del data["parameters"][key]
+    trimmed = tmp_path / "trimmed.json"
+    trimmed.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "bundle", op, "--scenario", str(trimmed))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"{op} needs parameters.{key}", "kind": "ScenarioError"}
+
+
 def test_bound_exceeded_exit_code(capsys):
     code, _, err = run_cli(
         capsys,
@@ -545,6 +563,52 @@ def test_malformed_fields_are_validation_errors(capsys, tmp_path, scenario, edit
     assert code == 2, err
     assert out == ""
     assert json.loads(err)["kind"] == "ScenarioError"
+
+
+def test_parser_is_built_from_the_command_table():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli.COMMANDS)
+    for command, (help_text, ops) in cli.COMMANDS.items():
+        (listed,) = [a for a in sub._choices_actions if a.dest == command]
+        assert listed.help == help_text
+        op_args = [a for a in sub.choices[command]._actions if a.dest == "op"]
+        assert [tuple(a.choices) for a in op_args] == ([ops] if ops else [])
+    # no op ships without a byte-determinism case
+    pairs = {(command, op) for command, (_, ops) in cli.COMMANDS.items() for op in ops or [None]}
+    assert pairs == {(command, op) for command, op, _ in CLI_MATRIX}
+
+
+def test_unknown_op_is_scenario_error():
+    bundle = cli.load_scenario(scen("bundle_ops.json"))
+    with pytest.raises(jsonio.ScenarioError, match="unknown bundle op 'nope'"):
+        cli.cmd_bundle(bundle, "nope")
+    with pytest.raises(jsonio.ScenarioError, match="unknown rep op 'nope'"):
+        cli.cmd_rep(cli.load_scenario(scen("rep_demo.json")), "nope")
+    with pytest.raises(jsonio.ScenarioError, match="unknown na op 'nope'"):
+        cli.cmd_na(cli.load_scenario(scen("na_square.json")), "nope", 0, 10)
+
+
+def test_named_sections_decode_in_file_order(capsys, tmp_path):
+    data = json.load(open(scen("na_square.json"), encoding="utf-8"))
+    data["na_reps"] = {"b": {"characters": 1}, "a": {"x": 2}}
+    data["parameters"]["operands"] = ["a"]
+    path = tmp_path / "two_bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for op in ("trop-rep", "verify-square"):
+        code, _, err = run_cli(capsys, "na", op, "--scenario", str(path))
+        assert code == 2
+        assert json.loads(err)["error"] == "expected a list of characters, got 1"
+
+
+def test_verify_square_takes_named_reps_in_name_order(capsys, tmp_path):
+    data = json.load(open(scen("na_square.json"), encoding="utf-8"))
+    two = data["na_reps"]["S"]
+    one = {"characters": two["characters"][:1]}
+    data["na_reps"] = {"T": one, "S": two}
+    path = tmp_path / "two_reps.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = run_json(capsys, "na", "verify-square", "--scenario", str(path))
+    assert [len(case["via_na"]) for case in out["cases"]] == [2, 1]
 
 
 def test_unexpected_exception_maps_to_exit_4(capsys, monkeypatch):

@@ -108,6 +108,24 @@ def test_sublattice_rejects_degenerate():
         Sublattice.from_generators([(1, 0)])
 
 
+@pytest.mark.parametrize("bad", [Fraction(5, 2), 2.5, "3", True])
+def test_lattice_entries_must_be_integers(bad):
+    with pytest.raises(NotContained):
+        Sublattice([[bad, 0], [0, 1]])
+    with pytest.raises(NotContained):
+        Sublattice.from_generators([(bad, 0), (0, 1)])
+
+
+def test_integral_fraction_entries_are_integers():
+    two = Fraction(4, 2)
+    assert Sublattice([[two, 0], [1, 3]]) == Sublattice([[2, 0], [1, 3]])
+    assert Sublattice([[two, 0], [1, 3]]).basis == ((2, 0), (1, 3))
+    assert type(Sublattice([[two, 0], [0, 1]]).basis[0][0]) is int
+    assert Sublattice.from_generators([(two, 1), (0, 3)]) == Sublattice.from_generators(
+        [(2, 1), (0, 3)]
+    )
+
+
 def test_membership_and_coordinates():
     lat = Sublattice([[2, 0], [1, 3]])
     for gen in lat.generators():

@@ -9,6 +9,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from tropabel.errors import DimensionMismatch, RankDeficient, SingularLattice
 from tropabel.jsonio import matrix_to_json
 from tropabel.linalg import Mat, congruence_lattice, hnf, kernel_columns, snf
+from tropabel.rationals import rat
 
 F = Fraction
 
@@ -166,6 +167,30 @@ def test_mat_canonical_form():
     assert (Mat([[F(1, 2)]]) + Mat([[F(-1, 2)]])).den == 1
     with pytest.raises(TypeError):
         Mat([[0.5]])
+
+
+def test_rat_reads_n_and_p_over_q():
+    assert rat("3") == 3 and rat("-3") == -3 and rat("+6/4") == F(3, 2) and rat("-0/5") == 0
+    assert rat(7) == 7 and rat(F(2, 4)) == F(1, 2)
+    assert Mat([["+6/4", "-3"]]) == Mat([[F(3, 2), -3]])
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", " 1/2 ", "1_000", "0x10", "1/2.5", "1/-2", ""])
+def test_rat_rejects_other_strings(text):
+    with pytest.raises(ValueError):
+        rat(text)
+    with pytest.raises(ValueError):
+        Mat([[text]])
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5])
+def test_rat_rejects_floats_and_booleans(value):
+    with pytest.raises(TypeError, match="floats and booleans are not allowed"):
+        rat(value)
+    with pytest.raises(TypeError):
+        Mat([[value]])
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,29 @@ def test_r_symmetry_check():
     assert not is_r_symmetric(Mat([[0, 1], [0, 0]]), Mat.identity(2))
 
 
+def test_r_symmetry_matches_rational_product():
+    rng = random.Random(2312)
+
+    def rand_mat(g):
+        return Mat([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(g)]
+                    for _ in range(g)])
+
+    seen = set()
+    for g in range(1, 5):
+        for k in range(40):
+            v, h = rand_mat(g), rand_mat(g)
+            if k % 2 and v.det() != 0:
+                # H = V^-T S with S symmetric makes V^T H = S symmetric
+                s = rand_mat(g)
+                h = v.T.inv() @ (s + s.T)
+            expected = (v.T @ h).is_symmetric()
+            assert is_r_symmetric(h, v) == expected
+            seen.add((g > 1, expected))
+    assert seen == {(False, True), (True, True), (True, False)}
+    with pytest.raises(DimensionMismatch):
+        is_r_symmetric(Mat.identity(2), Mat.identity(3))
+
+
 def test_class_requires_r_symmetry(reference_torus):
     with pytest.raises(InvalidClass):
         NSClass(reference_torus, Mat([[0, 1], [0, 0]]))
