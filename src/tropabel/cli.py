@@ -144,7 +144,7 @@ def cmd_ns_analyze(scenario: Scenario, bound: int) -> dict[str, Any]:
         ]
         admissible = cls.admissible_lattices(bound)
         report["admissible_lattices"] = [jsonio.lattice_to_json(l) for l in admissible]
-        report["class_rank"] = admissible[0].index
+        report["class_rank"] = cls.class_rank()
     return report
 
 
@@ -283,7 +283,7 @@ def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]
         return _with_torus(naside.tropicalize_line_bundle(b), jsonio.summand_to_json)
     if op == "trop-simple":
         (b,) = scenario.operands(1, na_bundles(), "na_bundles")
-        point = naside.tropicalize_simple(b, bound)
+        point = naside.tropicalize_simple(b)
         return jsonio.moduli_point_to_json(point)
     if op == "trop-rep":
         (rep,) = scenario.operands(1, na_reps(), "na_reps")

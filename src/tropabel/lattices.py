@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotContained, SingularLattice, TooLarge
-from .linalg import IntRows, Mat, column_hnf, hnf, kernel_columns, snf
+from .linalg import IntRows, Mat, _common_length, column_hnf, hnf, kernel_columns, snf
 from .rationals import rat
 
 SUBGROUP_ENUMERATION_BOUND = 10_000
@@ -98,8 +98,8 @@ class Sublattice:
 
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence[int]]) -> "Sublattice":
-        """Lattice spanned by the given vectors (must have full rank)."""
-        g = len(gens[0])
+        """Lattice spanned by the given vectors (nonempty, of one length, full rank)."""
+        g = _common_length(gens, "generators")
         h, _ = column_hnf([[_int_entry(v[i]) for v in gens] for i in range(g)])
         nonzero = [j for j in range(len(gens)) if any(h[i][j] for i in range(g))]
         if len(nonzero) != g:

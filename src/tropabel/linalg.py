@@ -34,6 +34,14 @@ from .rationals import rat
 IntRows = list[list[int]]
 
 
+def _common_length(rows: Sequence[Sequence], what: str) -> int:
+    """The one length of nonempty rows, in O(len(rows)); DimensionMismatch otherwise."""
+    m = len(rows[0]) if rows else 0
+    if not m or any(len(row) != m for row in rows):
+        raise DimensionMismatch(f"{what} must be nonempty and of one length")
+    return m
+
+
 class Mat:
     """Immutable rational matrix ``num / den`` in lowest terms: gcd(den, num) = 1."""
 
@@ -91,7 +99,7 @@ class Mat:
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int | str | Fraction]]) -> "Mat":
-        n = len(cols[0])
+        n = _common_length(cols, "columns")
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
     # -- structure -----------------------------------------------------------
@@ -299,11 +307,11 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows, IntRows]:
     """Smith form: returns (U, D, W) with U @ A @ W = D.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ...; U and W are
-    unimodular.
+    unimodular.  Raises DimensionMismatch for empty or ragged rows.
     """
+    m = _common_length(rows, "rows")
     a = [list(r) for r in rows]
     n = len(a)
-    m = len(a[0]) if a else 0
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     w = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 

@@ -23,7 +23,7 @@ from .errors import (
     NotInLattice,
     SizeMismatch,
 )
-from .lattices import SUBGROUP_ENUMERATION_BOUND, Sublattice, _smith_adapted
+from .lattices import Sublattice, _smith_adapted
 from .linalg import Mat
 from .monomials import ONE, MultiplicativePoint, ValuedMonomial, eval_character
 from .nspairings import NATorus, NSClass
@@ -107,7 +107,7 @@ class NALineBundle:
 
 def _check_cover(ns: NSClass, lattice: Sublattice) -> None:
     """The class must be integral and multiplicatively symmetric on the cover."""
-    if not (ns.matrix @ lattice.mat).is_integral():
+    if not ns.integrality.contains_lattice(lattice):
         raise InvalidClass("class is not integral on the cover lattice")
     if not ns.is_gm_symmetric_on(lattice):
         raise InvalidClass("class is not symmetric on the cover lattice")
@@ -204,18 +204,18 @@ def tropicalize_line_bundle(b: NALineBundle) -> TropLineBundle:
     return TropLineBundle._from_valid(torus, b.lattice, b.ns.matrix, tuple(l))
 
 
-def tropicalize_simple(
-    b: NALineBundle, bound: int = SUBGROUP_ENUMERATION_BOUND
-) -> ModuliPoint:
+def tropicalize_simple(b: NALineBundle) -> ModuliPoint:
     """Moduli coordinate of the simple bundle presented by b.
 
+    b's cover is integral and isotropic for the class (``NALineBundle``), so it
+    is admissible iff it holds the symmetry lattice and has index class_rank().
     Restricts to the symmetry lattice of the class, tropicalizes, and reduces
     into the canonical coordinates; the output does not depend on which
     admissible cover was used to present the bundle.
     """
-    if b.lattice not in b.ns.admissible_lattices(bound):
-        raise NotAdmissible("cover lattice is not admissible for the class")
     gamma = b.ns.symmetry
+    if not (gamma <= b.lattice and b.lattice.index == b.ns.class_rank()):
+        raise NotAdmissible("cover lattice is not admissible for the class")
     s = tropicalize_line_bundle(restrict_na(b, gamma))
     return moduli_point(s, gamma, b.ns.matrix)
 

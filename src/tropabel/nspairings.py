@@ -273,17 +273,15 @@ class NSClass:
     ) -> list[Sublattice]:
         """Sublattices between symmetry and integrality whose defect image is a
         Lagrangian subgroup (isotropic of order sqrt|D|: the pairing is
-        nondegenerate on D); all have one common index in Z^g."""
+        nondegenerate on D); each has index ``class_rank()`` in Z^g."""
         q = self.defect_group
-        half = math.isqrt(q.order)
-        if half * half != q.order:
-            raise InternalInconsistency("defect group order is not a perfect square")
+        n = self.class_rank()
         # the pairing is bilinear: tabulate it on the generator lifts once
         form, den = self._phase_form(q.generator_lifts)
         k = len(form)
         base_gens = self.symmetry.generators()
         lattices = []
-        for basis in enumerate_subgroups(q, half, bound):
+        for basis in enumerate_subgroups(q, n // self.integrality.index, bound):
             cols = [[basis[i][j] for i in range(k)] for j in range(k)]
             if all(
                 sum(u[a] * form[a][b] * v[b] for a in range(k) for b in range(k)) % den == 0
@@ -292,17 +290,18 @@ class NSClass:
             ):
                 lifts = [q.lift(c) for c in cols]
                 lattices.append(Sublattice.from_generators(base_gens + lifts))
-        indices = {lat.index for lat in lattices}
-        if len(indices) != 1:
-            raise InternalInconsistency("admissible lattices have unequal indices")
-        n = indices.pop()
-        if n * n != q.order * self.integrality.index**2:
-            raise InternalInconsistency("admissible index violates the defect-order identity")
+        if not lattices or any(lat.index != n for lat in lattices):
+            raise InternalInconsistency("admissible lattices violate the defect-order identity")
         return sorted(lattices, key=lambda lat: lat.basis)
 
-    def class_rank(self, bound: int = SUBGROUP_ENUMERATION_BOUND) -> int:
-        """The common index in Z^g of the admissible sublattices."""
-        return self.admissible_lattices(bound)[0].index
+    def class_rank(self) -> int:
+        """The common index in Z^g of the admissible sublattices, with no enumeration:
+        a Lagrangian has index sqrt|D| in D, so a cover has sqrt|D| * [Z^g : integrality]."""
+        order = self.defect_group.order
+        half = math.isqrt(order)
+        if half * half != order:
+            raise InternalInconsistency("defect group order is not a perfect square")
+        return half * self.integrality.index
 
     # -- the extended pairing -------------------------------------------------
 

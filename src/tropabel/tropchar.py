@@ -10,7 +10,7 @@ orbit stabilizer.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -162,10 +162,16 @@ class TropRepresentation:
 
 
 def check_commuting(rep: TropRepresentation) -> bool:
-    imgs = rep.images
-    for i in range(len(imgs)):
-        for j in range(i + 1, len(imgs)):
-            if compose(imgs[i], imgs[j]) != compose(imgs[j], imgs[i]):
+    """Whether the images commute, without composing them: ab = ba iff the permutations commute
+    and a.d[i] - a.d[b^-1(i)] = b.d[i] - b.d[a^-1(i)] (see compose), over one denominator."""
+    den = math.lcm(*(x.denominator for a in rep.images for x in a.d))
+    parts = [(a.perm, [x.numerator * (den // x.denominator) for x in a.d], a.inv_perm)
+             for a in rep.images]
+    for k, (pa, da, ia) in enumerate(parts):
+        for pb, db, ib in parts[k + 1 :]:
+            if any(pa[y] != pb[x] for x, y in zip(pa, pb)):
+                return False
+            if any(da[i] - da[ib[i]] != db[i] - db[ia[i]] for i in range(len(pa))):
                 return False
     return True
 
@@ -180,64 +186,49 @@ class OrbitSummand:
     l: tuple[Fraction, ...]
 
 
-def _require_commuting(rep: TropRepresentation) -> None:
-    if not check_commuting(rep):
-        raise NotCommuting("generator images do not commute")
-
-
 def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
     """Split into induced pieces over the orbits of the permutation action.
 
     For each orbit with base point p (its smallest index), the stabilizer
-    lattice is generated by the Schreier vectors v_q + e_i - v_(sigma_i q) of
-    a breadth-first spanning tree, and the covector value at a stabilizer
-    element is the translation component at p of its image.
-
-    That component is read by walking the base point, not by multiplying out
-    the image: (A x)_p = d_p + x at sigma^-1(p), so the translation of
-    A_1^(b_1) ... A_g^(b_g) at p is the sum of the d-entries met while p is
-    moved b_1 times by sigma_1^-1, then b_2 times by sigma_2^-1, and so on.
-    Hermite generators have no negative coordinates, so the walk only steps
-    forward, and it must end at p.
+    {b : sigma^b p = p} is built in Hermite form from the last column to the
+    first.  Column j has diagonal d_j, the first return of sigma_j^-1 from p
+    into the orbit already labelled (by Hermite-box coordinates), and below it
+    the label of the return point; the orbit then grows as sigma_j^t, t < d_j.
+    The covector value at a stabilizer element is the translation component
+    at p of its image, read by walking the base point: (A x)_p = d_p + x at
+    sigma^-1(p), so the translation of A_1^(b_1) ... A_g^(b_g) at p is the
+    sum of the d-entries met while p is moved b_1 times by sigma_1^-1, then
+    b_2 times by sigma_2^-1, and so on.  Hermite generators have no negative
+    coordinates, so the walk only steps forward, and it must end at p.
     """
-    _require_commuting(rep)
-    g, r = rep.g, rep.r
+    if not check_commuting(rep):
+        raise NotCommuting("generator images do not commute")
+    g = rep.g
     perms = [a.perm for a in rep.images]
     inv_perms = [a.inv_perm for a in rep.images]
-    seen = [False] * r
-    full = Sublattice.full(g)
+    seen: set[int] = set()
     out = []
-    for p in range(r):
-        if seen[p]:
+    for p in range(rep.r):
+        if p in seen:
             continue
-        paths: dict[int, tuple[int, ...]] = {p: (0,) * g}
-        queue = deque([p])
-        seen[p] = True
-        while queue:
-            q = queue.popleft()
-            for i in range(g):
-                q2 = perms[i][q]
-                if q2 not in paths:
-                    v = list(paths[q])
-                    v[i] += 1
-                    paths[q2] = tuple(v)
-                    seen[q2] = True
-                    queue.append(q2)
-        orbit = tuple(sorted(paths))
-        if len(orbit) == 1:
-            # a fixed point's Schreier generators are e_1 ... e_g
-            lat = full
-        else:
-            gens = []
-            for q in orbit:
-                for i in range(g):
-                    v = list(paths[q])
-                    v[i] += 1
-                    w = paths[perms[i][q]]
-                    gens.append(tuple(a - b for a, b in zip(v, w)))
-            lat = Sublattice.from_generators(gens)
+        labels: dict[int, tuple[int, ...]] = {p: ()}
+        cols = []
+        for j in range(g - 1, -1, -1):
+            perm, inv = perms[j], inv_perms[j]
+            q, d = inv[p], 1
+            while q not in labels:
+                q, d = inv[q], d + 1
+            cols.insert(0, (0,) * j + (d,) + labels[q])
+            grown = {}
+            for q, c in labels.items():
+                for t in range(d):
+                    grown[q] = (t,) + c
+                    q = perm[q]
+            labels = grown
+        seen.update(labels)
+        lat = Sublattice._from_hermite([[col[i] for col in cols] for i in range(g)])
         l = []
-        for b in lat.generators():
+        for b in cols:
             pos, acc = p, Fraction(0)
             for img, inv, e in zip(rep.images, inv_perms, b):
                 for _ in range(e):
@@ -246,7 +237,7 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
             if pos != p:
                 raise NotCommuting("stabilizer element does not fix the base point")
             l.append(acc)
-        out.append(OrbitSummand(orbit, lat, tuple(l)))
+        out.append(OrbitSummand(tuple(sorted(labels)), lat, tuple(l)))
     return tuple(out)
 
 

@@ -2,6 +2,7 @@ import argparse
 import builtins
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import random
@@ -29,7 +30,8 @@ from conftest import mono
 from test_acceptance import CLI_MATRIX
 
 F = Fraction
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def scen(name: str) -> str:
@@ -183,6 +185,14 @@ def test_na_trop_simple(capsys):
         "coords": ["2/3", "0"],
         "gamma": [[2, 0], [0, 2]],
     }
+
+
+def test_na_trop_simple_ignores_the_bound(capsys):
+    # admissibility is read from the cover's index, so no enumeration is bounded
+    argv = ("na", "trop-simple", "--scenario", scen("reference_example.json"))
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--bound", "1") == plain
 
 
 def test_na_trop_rep(capsys):
@@ -349,6 +359,26 @@ def test_missing_parameter_is_named(capsys, tmp_path, op, scenario, key):
     code, out, err = run_cli(capsys, "bundle", op, "--scenario", str(trimmed))
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": f"{op} needs parameters.{key}", "kind": "ScenarioError"}
+
+
+def test_shipped_scenarios_match_the_recorded_digests(capsys, monkeypatch):
+    # the byte-identical oracle of the benchmark, run in-process; it only reads
+    # the digest file
+    with open(ROOT / "bench" / "cli_digests.json", encoding="utf-8") as fh:
+        digests = {tuple(d["argv"]): d for d in json.load(fh)}
+    cases = [
+        ([command] + ([op] if op else []), scenario, [])
+        for command, op, scenario in CLI_MATRIX
+    ] + [(["ns-analyze"], "reference_example.json", ["--bound", "1"])]
+    monkeypatch.chdir(ROOT)
+    for head, scenario, extra in cases:
+        argv = head + ["--scenario", f"scenarios/{scenario}"] + extra
+        record = digests[tuple(argv)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == record["exit"], argv
+        assert hashlib.sha256(out.encode()).hexdigest() == record["stdout_sha256"], argv
+        if record.get("stderr_kind") is not None:
+            assert json.loads(err)["kind"] == record["stderr_kind"], argv
 
 
 def test_bound_exceeded_exit_code(capsys):

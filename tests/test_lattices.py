@@ -108,6 +108,17 @@ def test_sublattice_rejects_degenerate():
         Sublattice.from_generators([(1, 0)])
 
 
+@pytest.mark.parametrize(
+    "gens", [[], [()], [(1, 0), (0, 1, 7)], [(1, 0, 5), (0, 1)], [(1, 0), (0,)]]
+)
+def test_generators_must_be_nonempty_and_of_one_length(gens):
+    # [(1, 0), (0, 1, 7)] used to drop the 7 and return Z^2
+    with pytest.raises(DimensionMismatch):
+        Sublattice.from_generators(gens)
+    with pytest.raises(DimensionMismatch):
+        QLattice.from_generators([tuple(F(x, 2) for x in v) for v in gens])
+
+
 @pytest.mark.parametrize("bad", [Fraction(5, 2), 2.5, "3", True])
 def test_lattice_entries_must_be_integers(bad):
     with pytest.raises(NotContained):

@@ -272,6 +272,12 @@ def test_snf_fixed_examples():
     assert [d[0][0], d[1][1]] == [2, 0]
 
 
+@pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [3]], [[1], [2, 3]]])
+def test_snf_rejects_empty_and_ragged_rows(rows):
+    with pytest.raises(DimensionMismatch):
+        snf(rows)
+
+
 def test_snf_random_against_sympy():
     rng = random.Random(17)
     for _ in range(40):

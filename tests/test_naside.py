@@ -15,7 +15,7 @@ from tropabel.errors import (
     NotInLattice,
     SizeMismatch,
 )
-from tropabel.lattices import QLattice, Sublattice
+from tropabel.lattices import QLattice, Sublattice, enumerate_subgroups
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from tropabel.naside import (
@@ -38,6 +38,8 @@ from tropabel.naside import (
 from tropabel.nspairings import NATorus, NSClass, TropTorus
 from tropabel.tropchar import TropGLElement, bundle_from_rep
 
+from test_acceptance import bounded_defect_instances
+from test_nspairings import _cyclic_square_class, _unit_class
 from conftest import (
     MINUS_ONE,
     ONE,
@@ -238,6 +240,66 @@ def test_tropicalize_simple_presentation_independent(reference_torus):
             moved = represent_on(base, other)
             assert moved.lattice == other
             assert tropicalize_simple(moved) == p0
+
+
+def isotropic_covers(ns):
+    """Every cover between the symmetry and integrality lattices on which the
+    class is multiplicatively symmetric: one per isotropic defect subgroup."""
+    q = ns.defect_group
+    base = ns.symmetry.generators()
+    k = len(q.invariant_factors)
+    covers = []
+    for order in (d for d in range(1, q.order + 1) if q.order % d == 0):
+        for basis in enumerate_subgroups(q, order, bound=10**6):
+            lifts = [q.lift([row[j] for row in basis]) for j in range(k)]
+            lat = Sublattice.from_generators(base + lifts)
+            if ns.is_gm_symmetric_on(lat):
+                covers.append(lat)
+    return covers
+
+
+def admits(b):
+    try:
+        tropicalize_simple(b)
+    except NotAdmissible:
+        return False
+    return True
+
+
+def test_admissibility_from_the_index_matches_enumeration():
+    classes = list(bounded_defect_instances()) + [
+        _unit_class(4, phases)
+        for phases in (
+            {(0, 1): F(1, 2), (2, 3): F(1, 2)},
+            {(0, 1): F(1, 3), (2, 3): F(1, 3)},
+            {(0, 1): F(1, 4), (2, 3): F(1, 2)},
+        )
+    ]
+    checked = rejected = 0
+    for ns in classes:
+        admissible = set(ns.admissible_lattices())
+        g = ns.torus.g
+        for lat in isotropic_covers(ns):
+            # the finer cover 2L is isotropic too, but of the wrong index
+            for cover in (lat, lat.scaled(2)):
+                b = NALineBundle(ns, cover, (ONE,) * g)
+                assert admits(b) == (cover in admissible)
+                checked += 1
+                rejected += cover not in admissible
+    assert checked > 1000 and rejected > 500
+
+
+def test_tropicalize_simple_needs_no_enumeration():
+    # (Z/101)^2 has order 10,201, beyond any default enumeration bound
+    ns = _cyclic_square_class(101)
+    assert ns.class_rank() == 101
+    b = NALineBundle(ns, Sublattice([[1, 0], [0, 101]]), (ONE, mono(phase=F(1, 3))))
+    point = tropicalize_simple(b)
+    assert point.gamma == ns.symmetry == Sublattice([[101, 0], [0, 101]])
+    for other in ([[101, 0], [0, 1]], [[101, 0], [7, 1]]):
+        assert tropicalize_simple(represent_on(b, Sublattice(other))) == point
+    with pytest.raises(NotAdmissible):
+        tropicalize_simple(NALineBundle(ns, ns.symmetry, (ONE, ONE)))
 
 
 def test_represent_on_round_trip(reference_torus):

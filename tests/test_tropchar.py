@@ -7,6 +7,7 @@ import pytest
 
 from tropabel.bundles import as_bundle, is_homogeneous, line_bundle
 from tropabel.errors import NotCommuting, NotInvertible, SizeMismatch
+from tropabel import lattices, linalg
 from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
 from tropabel.nspairings import TropTorus
@@ -346,6 +347,69 @@ def test_decompose_composes_only_for_the_commuting_check(monkeypatch):
         monkeypatch.undo()
         assert sum(len(s.orbit) for s in pieces) == 32
         assert calls <= g * (g - 1)
+
+
+# ---------------------------------------------------------------------------
+# Orbit stabilizers in Hermite form against Schreier generators
+# ---------------------------------------------------------------------------
+
+
+def schreier_stabilizers(rep):
+    """(orbit, stabilizer) per orbit, in base-point order: the Schreier vectors
+    v_q + e_i - v_(sigma_i q) of a breadth-first spanning tree, put in Hermite
+    form by from_generators."""
+    perms = [a.perm for a in rep.images]
+    seen, out = set(), []
+    for p in range(rep.r):
+        if p in seen:
+            continue
+        paths, queue = {p: (0,) * rep.g}, [p]
+        for q in queue:
+            for i, perm in enumerate(perms):
+                if perm[q] not in paths:
+                    paths[perm[q]] = tuple(x + (k == i) for k, x in enumerate(paths[q]))
+                    queue.append(perm[q])
+        gens = [
+            tuple(x + (k == i) - y for k, (x, y) in enumerate(zip(paths[q], paths[perm[q]])))
+            for q in paths
+            for i, perm in enumerate(perms)
+        ]
+        seen.update(paths)
+        out.append((tuple(sorted(paths)), Sublattice.from_generators(gens)))
+    return out
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_stabilizers_match_schreier_reference(g):
+    rng = random.Random(241 + g)
+    multi = 0
+    for _ in range(40):
+        r = rng.randint(1, 12)
+        if rng.random() < 0.5:
+            rep = rand_bundle_rep(rng, r, g)
+        else:
+            rep = conjugate(rand_commuting_rep(rng, r, g), rand_element(rng, r))
+        pieces = decompose_rep(rep)
+        assert [(s.orbit, s.lattice) for s in pieces] == schreier_stabilizers(rep)
+        multi += len(pieces) > 1
+    assert multi >= 10
+
+
+def test_decompose_runs_no_hermite_reduction(monkeypatch):
+    # the stabilizer basis is built in Hermite form, never reduced into it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decompose_rep reduced a basis")
+
+    rng = random.Random(251)
+    reps = [rand_bundle_rep(rng, rng.randint(1, 16), g) for g in (1, 2, 3, 4) for _ in range(5)]
+    expected = [decompose_rep(rep) for rep in reps]
+    monkeypatch.setattr(Sublattice, "from_generators", forbidden)
+    monkeypatch.setattr(Sublattice, "__init__", forbidden)
+    for module in (lattices, linalg):
+        for name in ("hnf", "column_hnf", "row_hnf"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert [decompose_rep(rep) for rep in reps] == expected
 
 
 def test_internal_elements_equal_public_construction():
