@@ -7,6 +7,8 @@ two-sided picture — a multiplicative torus over a valued monomial field and
 its real tropicalization — and the maps between them.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bundles import (
     ModuliPoint,
     TropLineBundle,
@@ -87,76 +89,9 @@ from .tropchar import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FiniteAbelianGroup",
-    "Mat",
-    "ModuliPoint",
-    "MultiplicativePoint",
-    "NACharacter",
-    "NALineBundle",
-    "NASemisimpleRep",
-    "NATorus",
-    "NSClass",
-    "OrbitSummand",
-    "QLattice",
-    "Sublattice",
-    "TropGLElement",
-    "TropLineBundle",
-    "TropRepresentation",
-    "TropTorus",
-    "TropVectorBundle",
-    "TropabelError",
-    "ValuedMonomial",
-    "as_bundle",
-    "bundle_from_rep",
-    "bundle_times_character",
-    "bundles_from_rep",
-    "canonical_form",
-    "characters_equal_mod_m",
-    "check_commuting",
-    "compose",
-    "conjugate",
-    "cover_torus",
-    "decompose_rep",
-    "direct_sum",
-    "dual_integrality_lattice",
-    "enumerate_subgroups",
-    "equivalent",
-    "eval_character",
-    "extend_r",
-    "extended_character_lattice",
-    "from_matrix",
-    "gamma_compatible",
-    "hnf",
-    "identity",
-    "integrality_lattice",
-    "inverse",
-    "is_homogeneous",
-    "is_r_symmetric",
-    "is_semi_homogeneous",
-    "iso_pushforward",
-    "line_bundle",
-    "moduli_point",
-    "power",
-    "pullback",
-    "pushforward",
-    "quotient",
-    "reduce_mod_lattice",
-    "rep_from_bundle",
-    "represent_on",
-    "restrict_line_bundle",
-    "restrict_na",
-    "slope",
-    "snf",
-    "stratum",
-    "sym_point",
-    "tensor",
-    "to_matrix",
-    "translate",
-    "translate_na",
-    "trop_rep",
-    "tropicalize_line_bundle",
-    "tropicalize_simple",
-    "unit_character",
-    "verify_commuting_square",
-]
+# every public name the imports above bring in, and nothing else
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

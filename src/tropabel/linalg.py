@@ -292,12 +292,13 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:
     """Canonical column Hermite form of a full-column-rank integer matrix.
 
     Returns (H, U) with H = A @ U. Raises RankDeficient when the columns are
-    dependent, since then no canonical full set of generators exists.
+    dependent, since then no canonical full set of generators exists, and
+    DimensionMismatch for ragged rows.
     """
     if not rows or not rows[0]:
         raise RankDeficient("empty matrix")
+    k = _common_length(rows, "rows")
     h, u = column_hnf(rows)
-    k = len(rows[0])
     if any(all(h[i][j] == 0 for i in range(len(h))) for j in range(k)):
         raise RankDeficient("columns are linearly dependent")
     return h, u

@@ -279,7 +279,7 @@ class NSClass:
         # the pairing is bilinear: tabulate it on the generator lifts once
         form, den = self._phase_form(q.generator_lifts)
         k = len(form)
-        base_gens = self.symmetry.generators()
+        g = self.torus.g
         lattices = []
         for basis in enumerate_subgroups(q, n // self.integrality.index, bound):
             cols = [[basis[i][j] for i in range(k)] for j in range(k)]
@@ -288,8 +288,10 @@ class NSClass:
                 for i, u in enumerate(cols)
                 for v in cols[i + 1 :]
             ):
-                lifts = [q.lift(c) for c in cols]
-                lattices.append(Sublattice.from_generators(base_gens + lifts))
+                # symmetry = span(trivial columns, d_i * generator lifts) and the
+                # subgroup holds each d_i e_i, so these g vectors span the cover
+                gens = list(q._trivial) + [q.lift(c) for c in cols]
+                lattices.append(Sublattice([[v[i] for v in gens] for i in range(g)]))
         if not lattices or any(lat.index != n for lat in lattices):
             raise InternalInconsistency("admissible lattices violate the defect-order identity")
         return sorted(lattices, key=lambda lat: lat.basis)

@@ -15,12 +15,15 @@ RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def rat(x: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or "n" / "p/q" string to an exact rational.
+    """Coerce an int, Fraction, or "n" / "p/q" string to an exact rational;
+    a Fraction is returned as it is.
 
     Floats and booleans are rejected on purpose: they have no place in an
     exact pipeline.  Any other string raises ``ValueError``; "p/0" raises
     ``ZeroDivisionError``.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, str):
         match = RATIONAL.fullmatch(x)
         if match is None:

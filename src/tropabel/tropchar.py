@@ -97,9 +97,6 @@ def power(a: TropGLElement, n: int) -> TropGLElement:
     return out
 
 
-INFINITE = None  # min-plus additive identity in matrix form
-
-
 def from_matrix(rows: Sequence[Sequence[Fraction | int | str | None]]) -> TropGLElement:
     """Parse a min-plus matrix with one finite entry per row and column.
 

@@ -119,6 +119,41 @@ def test_generators_must_be_nonempty_and_of_one_length(gens):
         QLattice.from_generators([tuple(F(x, 2) for x in v) for v in gens])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        # each used to drop the extra entry: True, (1, 2), (1, 1), True
+        lambda: Sublattice([[2, 0], [0, 2]]).contains((2, 2, 1)),
+        lambda: Sublattice([[2, 0], [0, 2]]).coordinates((2, 4, 7)),
+        lambda: Sublattice([[2, 0], [0, 2]]).reduce((3, 5, 9)),
+        lambda: QLattice.standard(2).contains((1, 1, 5)),
+        lambda: QLattice.standard(2).reduce((F(1, 2), 0, 0)),
+        # used to escape as IndexError
+        lambda: Sublattice.full(2).contains((1,)),
+        lambda: Sublattice.full(2).reduce_all([(1, 0), (1,)]),
+        # used to answer True and the trivial group
+        lambda: Sublattice.full(1).contains_lattice(Sublattice([[2, 0], [0, 2]])),
+        lambda: quotient(Sublattice.full(1), Sublattice.full(2)),
+        lambda: quotient(Sublattice.full(2), Sublattice([[2, 0], [0, 2]])).project((1, 0, 1)),
+    ],
+    ids=[
+        "contains-longer",
+        "coordinates-longer",
+        "reduce-longer",
+        "qlattice-contains-longer",
+        "qlattice-reduce-longer",
+        "contains-shorter",
+        "reduce_all-shorter",
+        "contains_lattice-higher-rank",
+        "quotient-higher-rank",
+        "project-longer",
+    ],
+)
+def test_vectors_and_lattices_of_another_rank_are_rejected(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
 @pytest.mark.parametrize("bad", [Fraction(5, 2), 2.5, "3", True])
 def test_lattice_entries_must_be_integers(bad):
     with pytest.raises(NotContained):
@@ -285,6 +320,25 @@ def test_subgroup_bases_contain_diagonal():
             assert lat.basis == basis
             assert lat.contains_lattice(diagonal)
             assert q.order // lat.index == order
+
+
+@pytest.mark.parametrize("order", [0, -1, -4])
+def test_no_subgroup_has_order_below_one(order):
+    # order 0 used to escape as ZeroDivisionError
+    q = quotient(Sublattice.full(2), Sublattice([[2, 0], [0, 2]]))
+    assert enumerate_subgroups(q, order) == []
+
+
+def test_quotient_lifts_and_trivial_columns_span_the_ambient():
+    rng = random.Random(41)
+    for _ in range(20):
+        g = rng.randint(1, 4)
+        sub = rand_sublattice(rng, g, 3)
+        amb = sub + rand_sublattice(rng, g, 2)
+        q = quotient(amb, sub)
+        assert len(q._trivial) + len(q.generator_lifts) == g
+        assert Sublattice.from_generators(list(q._trivial) + list(q.generator_lifts)) == amb
+        assert all(sub.contains(v) for v in q._trivial)
 
 
 def test_enumerate_subgroups_too_large():

@@ -177,6 +177,12 @@ def test_rat_reads_n_and_p_over_q():
         rat("1/0")
 
 
+def test_rat_keeps_a_fraction():
+    x = F(6, 4)
+    assert rat(x) is x
+    assert rat(F(3)) == 3 and type(rat(7)) is Fraction
+
+
 @pytest.mark.parametrize("text", ["1.5", "1e3", " 1/2 ", "1_000", "0x10", "1/2.5", "1/-2", ""])
 def test_rat_rejects_other_strings(text):
     with pytest.raises(ValueError):
@@ -270,6 +276,22 @@ def test_snf_fixed_examples():
     assert [d[0][0], d[1][1]] == [1, 6]
     _, d, _ = snf([[2, 4], [4, 8]])
     assert [d[0][0], d[1][1]] == [2, 0]
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([], RankDeficient),
+        ([[]], RankDeficient),
+        # [[1, 2], [3]] used to escape as IndexError
+        ([[1, 2], [3]], DimensionMismatch),
+        ([[1], [2, 3]], DimensionMismatch),
+        ([[1, 0], [0, 1, 5]], DimensionMismatch),
+    ],
+)
+def test_hnf_rejects_empty_and_ragged_rows(rows, error):
+    with pytest.raises(error):
+        hnf(rows)
 
 
 @pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [3]], [[1], [2, 3]]])

@@ -11,7 +11,7 @@ from tropabel.errors import (
     NotInSmallLattice,
     TooLarge,
 )
-from tropabel.lattices import QLattice, Sublattice
+from tropabel.lattices import QLattice, Sublattice, enumerate_subgroups
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from tropabel.nspairings import (
@@ -523,6 +523,31 @@ def test_admissible_index_identity():
         if ns.defect_group.order > 1:
             found_nontrivial += 1
     assert found_nontrivial > 0
+
+
+def test_admissible_covers_match_the_generator_reference():
+    # reference: each cover spanned by the symmetry generators plus the subgroup's lifts
+    rng = random.Random(5)
+    checked = 0
+    for g in (2, 2, 3, 3, 3):
+        t = rand_unit_torus(rng, g)
+        ns = NSClass(t, rand_integral_symmetric(rng, t.v))
+        q = ns.defect_group
+        if q.order > 144:
+            continue
+        form, den = ns._phase_form(q.generator_lifts)
+        k = len(form)
+        reference = []
+        for basis in enumerate_subgroups(q, ns.class_rank() // ns.integrality.index):
+            cols = [[basis[i][j] for i in range(k)] for j in range(k)]
+            pairs = [sum(u[a] * form[a][b] * v[b] for a in range(k) for b in range(k))
+                     for u in cols for v in cols]
+            if all(p % den == 0 for p in pairs):
+                gens = ns.symmetry.generators() + [q.lift(c) for c in cols]
+                reference.append(Sublattice.from_generators(gens))
+        assert ns.admissible_lattices() == sorted(reference, key=lambda lat: lat.basis)
+        checked += 1
+    assert checked >= 3
 
 
 def _cyclic_square_class(n: int) -> NSClass:
