@@ -112,13 +112,16 @@ def mono_to_json(m: ValuedMonomial) -> dict[str, str]:
 
 
 def mono_from_json(data: Any) -> ValuedMonomial:
+    """mag, phase and texp, each parsed once; a magnitude that is not positive
+    raises ValueError, as the ``ValuedMonomial`` constructor does."""
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a monomial object, got {data!r}")
-    return ValuedMonomial(
-        rational_from_json(data.get("mag", "1")),
-        rational_from_json(data.get("phase", "0")),
-        rational_from_json(data.get("texp", "0")),
-    )
+    mag = rational_from_json(data.get("mag", 1))
+    phase = rational_from_json(data.get("phase", 0))
+    texp = rational_from_json(data.get("texp", 0))
+    if mag <= 0:
+        raise ValueError(f"magnitude must be positive, got {mag}")
+    return ValuedMonomial._from_valid(mag, phase, texp)
 
 
 def point_to_json(p: MultiplicativePoint) -> list[dict[str, str]]:

@@ -12,15 +12,18 @@ through the same pass.  Quotients by finite-index
 sublattices come back as ``FiniteAbelianGroup`` values carrying invariant
 factors, generator lifts and the projection map, which is everything the
 pairing machinery downstream needs.  ``enumerate_subgroups`` lists the
-subgroups of such a group that have a given order; admissible covers
-correspond to the Lagrangian (isotropic of order sqrt|D|) subgroups of a
-defect group D.
+subgroups of such a group that have a given order, by a walk over Hermite
+bases that checks each new column in integers and abandons a failing branch;
+given an alternating form it keeps only the isotropic subgroups, so the
+admissible covers, which correspond to the Lagrangian (isotropic of order
+sqrt|D|) subgroups of a defect group D, come out of the walk directly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -196,6 +199,8 @@ class Sublattice:
     def intersect(self, other: "Sublattice") -> "Sublattice":
         """Intersection, computed from the integer kernel of [A | -B]."""
         g = self.ambient_rank
+        if other.ambient_rank != g:
+            raise DimensionMismatch(f"cannot intersect ranks {g} and {other.ambient_rank}")
         wide = [list(self.basis[i]) + [-x for x in other.basis[i]] for i in range(g)]
         gens = []
         for col in kernel_columns(wide):
@@ -249,6 +254,8 @@ class FiniteAbelianGroup:
 
     def lift(self, e: Sequence[int]) -> tuple[int, ...]:
         """An ambient representative of the element with coordinates e."""
+        if len(e) != len(self.generator_lifts):
+            raise DimensionMismatch(f"expected an element of length {len(self.generator_lifts)}")
         g = self._ambient.ambient_rank
         return tuple(sum(c * gen[i] for c, gen in zip(e, self.generator_lifts)) for i in range(g))
 
@@ -295,19 +302,42 @@ def _divisors(n: int) -> list[int]:
     return [a for a in range(1, n + 1) if n % a == 0]
 
 
+def _in_span(v: list[int], cols: Sequence[Sequence[int]], start: int) -> bool:
+    """Whether v, read from row ``start`` on, lies in the span of the
+    lower-triangular columns cols[start:]: divmod forward substitution, which
+    consumes v."""
+    for i in range(start, len(v)):
+        q, m = divmod(v[i], cols[i][i])
+        if m:
+            return False
+        if q:
+            for t in range(i + 1, len(v)):
+                v[t] -= q * cols[i][t]
+    return True
+
+
 def enumerate_subgroups(
-    group: FiniteAbelianGroup, order: int, bound: int = SUBGROUP_ENUMERATION_BOUND
+    group: FiniteAbelianGroup,
+    order: int,
+    bound: int = SUBGROUP_ENUMERATION_BOUND,
+    form: tuple[Sequence[Sequence[int]], int] | None = None,
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """All subgroups of the given order, each as a sorted Hermite basis.
+    """All subgroups of the given order, each as a sorted Hermite basis;
+    with ``form = (F, den)``, an alternating integer form on the group's Smith
+    coordinates, only the subgroups isotropic for u^T F v mod den.
 
     In the group's Smith coordinates, with invariant factors d, a subgroup is
     M / diag(d) Z^k for a lattice diag(d) Z^k <= M <= Z^k of index
     |G| / order.  M is returned as its lower-triangular Hermite basis
     (``basis[i][j]`` is the i-th coordinate of the j-th column, entries left
     of the diagonal reduced into range(basis[i][i])); its columns generate
-    the subgroup.  Raises TooLarge when the group order, or the number of
-    candidate bases (the sum over admissible diagonals of prod_i diag_i^i),
-    exceeds ``bound``.
+    the subgroup.  The basis is built from its last column to its first, and
+    each new column j is checked at once against the columns after it, in
+    integers: d_j e_j must lie in their span (divmod forward substitution), and
+    under ``form`` the column must pair to 0 with each of them.  A branch that
+    fails is abandoned, so the walk visits at most the candidate count below.
+    Raises TooLarge when the group order, or the number of candidate bases
+    (the sum over admissible diagonals of prod_i diag_i^i), exceeds ``bound``.
     """
     if group.order > bound:
         raise TooLarge(f"group of order {group.order} exceeds enumeration bound {bound}")
@@ -320,17 +350,33 @@ def enumerate_subgroups(
     candidates = sum(math.prod(x**i for i, x in enumerate(diag)) for diag in diags)
     if candidates > bound:
         raise TooLarge(f"{candidates} candidate subgroups exceed enumeration bound {bound}")
-    spans = [tuple(x if i == j else 0 for i in range(k)) for j, x in enumerate(d)]
-    found = []
+    found: list[tuple[tuple[int, ...], ...]] = []
+    cols: list[tuple[int, ...]] = [()] * k
+    images: list[list[int]] = [[]] * k  # F cols[i], under form = (F, den)
+
+    def place(diag: tuple[int, ...], j: int) -> None:
+        """Each column j that extends cols[j + 1:] (Hermite diagonal diag), then
+        the columns before it; a complete basis goes to found as its rows."""
+        if j < 0:
+            found.append(tuple(zip(*cols)))
+            return
+        x = d[j] // diag[j]
+        for below in itertools.product(*(range(diag[i]) for i in range(j + 1, k))):
+            col = (0,) * j + (diag[j],) + below
+            # d_j e_j = x * col - x * below lies in the span of cols[j:] exactly
+            # when x * below, rows j + 1.. of x * col, lies in that of cols[j + 1:]
+            if not _in_span([x * c for c in col], cols, j + 1):
+                continue
+            if form is not None:
+                f, den = form
+                if any(sum(map(operator.mul, col, images[i])) % den for i in range(j + 1, k)):
+                    continue
+                images[j] = [sum(map(operator.mul, row, col)) for row in f]
+            cols[j] = col
+            place(diag, j - 1)
+
     for diag in diags:
-        for below in itertools.product(*(range(diag[i]) for i in range(k) for _ in range(i))):
-            # row i holds its i entries left of the diagonal, then diag[i], then zeros
-            basis = tuple(
-                below[i * (i - 1) // 2 : i * (i + 1) // 2] + (diag[i],) + (0,) * (k - 1 - i)
-                for i in range(k)
-            )
-            if all(_is_integral(_forward_solve(basis, col)) for col in spans):
-                found.append(basis)
+        place(diag, k - 1)
     return sorted(found)
 
 
@@ -410,4 +456,6 @@ class QLattice:
 
     def index_over(self, sub: "QLattice") -> Fraction:
         """[self : sub] for sub contained in self."""
+        if sub.lattice.ambient_rank != self.lattice.ambient_rank:
+            raise DimensionMismatch("lattices of different ranks have no index")
         return sub.covolume / self.covolume

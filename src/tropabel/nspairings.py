@@ -222,8 +222,12 @@ class NSClass:
 
         The phase of gm(a, b) is a^T P H b, so torsion_pairing(a, b) has phase
         a^T Omega b mod 1: magnitudes and valuations cancel for every class
-        that passes the constructor.  Checked once against the reference
-        torsion_pairing on each pair of integrality generators.
+        that passes the constructor.  Checked once, on each pair (a, b) of
+        integrality generators, against torsion_pairing(a, b) read straight
+        from the monomial components x_rk (coordinate k of generator r), in
+        exact rationals: with the net exponents e_rk = a_r (Hb)_k - b_r (Ha)_k
+        it is prod x_rk^e_rk, of magnitude prod mag_rk^e_rk, valuation
+        sum e_rk texp_rk and phase sum e_rk phase_rk.
         """
         t = self._multiplicative_torus()
         ph = Mat([[c.phase for c in gen.coords] for gen in t.generators]) @ self.matrix
@@ -231,12 +235,20 @@ class NSClass:
         omega = [[ph.num[i][j] - ph.num[j][i] for j in range(g)] for i in range(g)]
         gens = self.integrality.generators()
         form = _form_mod(omega, ph.den, gens)
-        for i in range(len(gens)):
+        h = self.matrix
+        # H b, integral for b in the integrality lattice
+        images = [[sum(x * y for x, y in zip(row, b)) // h.den for row in h.num] for b in gens]
+        coords = [c for gen in t.generators for c in gen.coords]
+        for i, (a, ha) in enumerate(zip(gens, images)):
             for j in range(i + 1, len(gens)):
-                value = self.torsion_pairing(gens[i], gens[j])
-                if value.is_torsion() is None:
+                b, hb = gens[j], images[j]
+                exps = [a[r] * hb[k] - b[r] * ha[k] for r in range(g) for k in range(g)]
+                terms = [(e, c) for e, c in zip(exps, coords) if e]
+                magnitude = math.prod(c.magnitude**e for e, c in terms if c.magnitude != 1)
+                if magnitude != 1 or sum(e * c.t_exponent for e, c in terms):
                     raise InternalInconsistency("torsion pairing left the torsion subgroup")
-                if value.phase != Fraction(form[i][j], ph.den):
+                phase = sum(e * c.phase for e, c in terms) - Fraction(form[i][j], ph.den)
+                if phase.denominator != 1:
                     raise InternalInconsistency("torsion pairing disagrees with its phase matrix")
         return omega, ph.den
 
@@ -276,22 +288,16 @@ class NSClass:
         nondegenerate on D); each has index ``class_rank()`` in Z^g."""
         q = self.defect_group
         n = self.class_rank()
-        # the pairing is bilinear: tabulate it on the generator lifts once
-        form, den = self._phase_form(q.generator_lifts)
-        k = len(form)
+        # the pairing is bilinear: tabulate it on the generator lifts once, and
+        # the walk keeps only the subgroups isotropic for it
+        form = self._phase_form(q.generator_lifts)
         g = self.torus.g
         lattices = []
-        for basis in enumerate_subgroups(q, n // self.integrality.index, bound):
-            cols = [[basis[i][j] for i in range(k)] for j in range(k)]
-            if all(
-                sum(u[a] * form[a][b] * v[b] for a in range(k) for b in range(k)) % den == 0
-                for i, u in enumerate(cols)
-                for v in cols[i + 1 :]
-            ):
-                # symmetry = span(trivial columns, d_i * generator lifts) and the
-                # subgroup holds each d_i e_i, so these g vectors span the cover
-                gens = list(q._trivial) + [q.lift(c) for c in cols]
-                lattices.append(Sublattice([[v[i] for v in gens] for i in range(g)]))
+        for basis in enumerate_subgroups(q, n // self.integrality.index, bound, form):
+            # symmetry = span(trivial columns, d_i * generator lifts) and the
+            # subgroup holds each d_i e_i, so these g vectors span the cover
+            gens = list(q._trivial) + [q.lift(c) for c in zip(*basis)]
+            lattices.append(Sublattice([[v[i] for v in gens] for i in range(g)]))
         if not lattices or any(lat.index != n for lat in lattices):
             raise InternalInconsistency("admissible lattices violate the defect-order identity")
         return sorted(lattices, key=lambda lat: lat.basis)

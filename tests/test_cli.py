@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropabel import cli, jsonio
+from tropabel import cli, jsonio, nspairings
 from tropabel.bundles import as_bundle, line_bundle
 from tropabel.cli import main
 from tropabel.errors import TropabelError
@@ -667,8 +667,8 @@ def _unit_torus_scenario(g: int, phases: dict) -> dict:
 
 
 def test_ns_analyze_tabulates_the_pairing_once(monkeypatch):
-    # the phase table and the isotropy tests read the phase matrix; the
-    # reference pairing runs only in its once-per-class self-check
+    # the phase table, the isotropy tests and the once-per-class self-check
+    # read the phase matrix and the monomial components: no pairing is built
     calls = 0
     real = NSClass.torsion_pairing
 
@@ -683,7 +683,7 @@ def test_ns_analyze_tabulates_the_pairing_once(monkeypatch):
     monkeypatch.undo()
     assert report["defect_invariants"] == [3, 3, 3, 3]
     assert len(report["admissible_lattices"]) == 40
-    assert 0 < calls <= 4 * 3 // 2
+    assert calls == 0
     ns = NSClass(cli.Scenario(data).torus, Mat.identity(4))
     lifts = report["defect_generators"]
     assert report["torsion_pairing_phases"] == [
@@ -691,14 +691,36 @@ def test_ns_analyze_tabulates_the_pairing_once(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("twist", [mono(phase=F(1, 2)), mono(texp=1)])
-def test_disagreeing_reference_pairing_exits_4(capsys, monkeypatch, twist):
-    real = NSClass.torsion_pairing
-    monkeypatch.setattr(NSClass, "torsion_pairing", lambda self, a, b: real(self, a, b) * twist)
-    code, out, err = run_cli(capsys, "ns-analyze", "--scenario", scen("reference_example.json"))
+@pytest.mark.parametrize(
+    "twist",
+    [
+        # the Omega side: every entry of the phase table off by 1/den
+        ("disagrees with its phase matrix", None),
+        # a class the constructor would refuse, let past it: V^T H is not symmetric
+        ("left the torsion subgroup", [["1", "1"], ["0", "1"]]),
+    ],
+)
+def test_disagreeing_reference_pairing_exits_4(capsys, monkeypatch, tmp_path, twist):
+    message, ns_class = twist
+    data = json.loads(Path(scen("reference_example.json")).read_text())
+    if ns_class is None:
+        real = nspairings._form_mod
+        monkeypatch.setattr(
+            nspairings,
+            "_form_mod",
+            lambda omega, den, gens: [[(x + 1) % den for x in r] for r in real(omega, den, gens)],
+        )
+    else:
+        data["ns_class"] = ns_class
+        monkeypatch.setattr(NSClass, "__post_init__", lambda self: None)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "ns-analyze", "--scenario", str(path))
     assert code == 4
     assert out == ""
-    assert json.loads(err)["kind"] == "InternalInconsistency"
+    record = json.loads(err)
+    assert record["kind"] == "InternalInconsistency"
+    assert message in record["error"]
 
 
 def test_verify_square_work_is_bounded(capsys):
@@ -798,6 +820,29 @@ def test_mono_and_torus_round_trip():
     assert jsonio.mono_from_json(jsonio.mono_to_json(x)) == x
     trop = TropTorus(Mat([[1, 0], [1, 2]]))
     assert jsonio.torus_from_json(jsonio.torus_to_json(trop)) == trop
+
+
+@pytest.mark.parametrize(
+    "field, value, kind, message",
+    [
+        ("mag", "0", "ValueError", "magnitude must be positive, got 0"),
+        ("mag", "-2/4", "ValueError", "magnitude must be positive, got -1/2"),
+        ("mag", True, "ScenarioError", "got True"),
+        ("phase", 1.5, "ScenarioError", "got 1.5"),
+        ("texp", "1/0", "ScenarioError", "zero denominator"),
+        ("mag", "x", "ScenarioError", "got 'x'"),
+    ],
+)
+def test_malformed_monomials_exit_2(capsys, tmp_path, field, value, kind, message):
+    data = json.loads(Path(scen("reference_example.json")).read_text())
+    data["na_bundles"]["B1"]["r"][0][field] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "na", "trop-line", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    record = json.loads(err)
+    assert record["kind"] == kind
+    assert message in record["error"]
 
 
 def test_na_torus_round_trip(reference_torus):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -135,6 +136,14 @@ def test_generators_must_be_nonempty_and_of_one_length(gens):
         lambda: Sublattice.full(1).contains_lattice(Sublattice([[2, 0], [0, 2]])),
         lambda: quotient(Sublattice.full(1), Sublattice.full(2)),
         lambda: quotient(Sublattice.full(2), Sublattice([[2, 0], [0, 2]])).project((1, 0, 1)),
+        # used to answer Sublattice([[2]]), and to escape as IndexError
+        lambda: Sublattice.full(1) & Sublattice([[2, 0], [0, 2]]),
+        lambda: Sublattice([[2, 0], [0, 2]]) & Sublattice.full(1),
+        # used to truncate to (1, 1), and to answer 1
+        lambda: quotient(Sublattice.full(2), Sublattice([[2, 0], [0, 2]])).lift((1, 1, 1)),
+        lambda: quotient(Sublattice.full(2), Sublattice([[2, 0], [0, 2]])).lift((1,)),
+        lambda: QLattice.standard(1).index_over(QLattice.standard(2)),
+        lambda: QLattice.standard(2).index_over(QLattice.standard(1)),
     ],
     ids=[
         "contains-longer",
@@ -147,6 +156,12 @@ def test_generators_must_be_nonempty_and_of_one_length(gens):
         "contains_lattice-higher-rank",
         "quotient-higher-rank",
         "project-longer",
+        "intersect-higher-rank",
+        "intersect-lower-rank",
+        "lift-longer",
+        "lift-shorter",
+        "index_over-higher-rank",
+        "index_over-lower-rank",
     ],
 )
 def test_vectors_and_lattices_of_another_rank_are_rejected(call):
@@ -339,6 +354,123 @@ def test_quotient_lifts_and_trivial_columns_span_the_ambient():
         assert len(q._trivial) + len(q.generator_lifts) == g
         assert Sublattice.from_generators(list(q._trivial) + list(q.generator_lifts)) == amb
         assert all(sub.contains(v) for v in q._trivial)
+
+
+def _join(d: tuple[int, ...], s: frozenset, x: tuple[int, ...]) -> frozenset:
+    """The subgroup generated by the subgroup s and x in the sum of the Z/d_i:
+    the union of the cosets s + m x until m x falls back into s."""
+    joined, y = set(s), x
+    while y not in s:
+        joined.update(tuple((a + b) % n for a, b, n in zip(z, y, d)) for z in s)
+        y = tuple((a + b) % n for a, b, n in zip(y, x, d))
+    return frozenset(joined)
+
+
+def _closure_subgroups(d: tuple[int, ...]) -> set[frozenset]:
+    """Every subgroup of the sum of the Z/d_i as a set of elements, by closure:
+    from the trivial subgroup, join one element at a time until nothing new
+    appears (each subgroup is reached, joining its generators one by one)."""
+    elements = list(itertools.product(*(range(n) for n in d)))
+    seen = {frozenset([tuple(0 for _ in d)])}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for s in frontier:
+            done = set(s)  # <s, x> depends only on the coset x + s
+            for x in elements:
+                if x in done:
+                    continue
+                done.update(tuple((a + b) % n for a, b, n in zip(x, z, d)) for z in s)
+                joined = _join(d, s, x)
+                if joined not in seen:
+                    seen.add(joined)
+                    new.append(joined)
+        frontier = new
+    return seen
+
+
+def _invariant_factor_tuples(max_order: int, max_rank: int) -> list[tuple[int, ...]]:
+    """Every (d_1, ..., d_k), 1 < d_1 | d_2 | ..., k <= max_rank, of product <= max_order."""
+    out, stack = [], [()]
+    while stack:
+        d = stack.pop()
+        out.append(d)
+        if len(d) < max_rank:
+            order = math.prod(d)
+            step = d[-1] if d else 2
+            stack += [d + (n,) for n in range(step, max_order // order + 1, step) if n > 1]
+    return sorted(out)
+
+
+def _diagonal_group(d: tuple[int, ...]) -> FiniteAbelianGroup:
+    """Z^k / diag(d) Z^k, whose invariant factors are d (Z / Z when d is empty)."""
+    diag = list(d) or [1]
+    k = len(diag)
+    sub = Sublattice([[diag[i] * (i == j) for j in range(k)] for i in range(k)])
+    return quotient(Sublattice.full(k), sub)
+
+
+def test_enumerate_subgroups_matches_closure_oracle():
+    # every group of order <= 64 with at most four invariant factors, every order
+    groups = _invariant_factor_tuples(64, 4)
+    assert (2, 2, 2, 8) in groups and (2, 2, 4, 4) in groups and (64,) in groups
+    for d in groups:
+        q = _diagonal_group(d)
+        assert q.invariant_factors == d
+        subgroups = _closure_subgroups(d)
+        if len(d) == 1:
+            assert len(subgroups) == len([n for n in range(1, d[0] + 1) if d[0] % n == 0])
+        assert len(subgroups) == {(3, 3): 6, (2, 2, 2, 2): 67}.get(d, len(subgroups))
+        by_order: dict[int, set[frozenset]] = {}
+        for sub in subgroups:
+            by_order.setdefault(len(sub), set()).add(sub)
+        for order in range(1, q.order + 1):
+            if q.order % order:
+                continue
+            walked = []
+            for basis in enumerate_subgroups(q, order, bound=10**6):
+                sub = frozenset([tuple(0 for _ in d)])
+                for col in zip(*basis):
+                    sub = _join(d, sub, tuple(c % n for c, n in zip(col, d)))
+                walked.append(sub)
+            assert len(set(walked)) == len(walked)
+            assert set(walked) == by_order[order], (d, order)
+
+
+def test_isotropic_walk_matches_filtering_afterwards():
+    # the pruned walk under a form keeps exactly the isotropic subgroups of the
+    # unfiltered walk, at every order
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        d = tuple(sorted(rng.choice((2, 3, 4, 6)) for _ in range(k)))
+        d = tuple(math.lcm(*d[: i + 1]) for i in range(k))  # d_1 | d_2 | ...
+        if math.prod(d) > 600:
+            continue
+        q = _diagonal_group(d)
+        den = rng.choice((2, 3, 4, 6, 12))
+        form = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                form[i][j] = rng.randrange(den)
+                form[j][i] = -form[i][j] % den
+        for order in range(1, q.order + 1):
+            if q.order % order:
+                continue
+            expected = [
+                basis
+                for basis in enumerate_subgroups(q, order, bound=10**6)
+                if all(
+                    sum(u[a] * form[a][b] * v[b] for a in range(k) for b in range(k)) % den == 0
+                    for u in zip(*basis)
+                    for v in zip(*basis)
+                )
+            ]
+            got = enumerate_subgroups(q, order, bound=10**6, form=(form, den))
+            assert got == expected
+            outcomes.add(len(got) < len(enumerate_subgroups(q, order, bound=10**6)))
+    assert outcomes == {True, False}
 
 
 def test_enumerate_subgroups_too_large():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropabel import nspairings
 from tropabel.errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -474,15 +475,25 @@ def test_is_gm_symmetric_on_matches_reference_loop():
 
 
 def test_omega_self_check_catches_a_disagreeing_reference(monkeypatch):
-    real = NSClass.torsion_pairing
-    for twist in (MINUS_ONE, T_UNIF):
-        monkeypatch.setattr(
-            NSClass, "torsion_pairing", lambda self, a, b: real(self, a, b) * twist
-        )
-        ns = NSClass(_magnitude_torus(2), Mat.identity(2))
-        with pytest.raises(InternalInconsistency):
-            ns.symmetry
-        monkeypatch.undo()
+    # the Omega side: every entry of the phase table off by 1/den
+    real = nspairings._form_mod
+    monkeypatch.setattr(
+        nspairings,
+        "_form_mod",
+        lambda omega, den, gens: [[(x + 1) % den for x in r] for r in real(omega, den, gens)],
+    )
+    with pytest.raises(InternalInconsistency, match="disagrees with its phase matrix"):
+        NSClass(_magnitude_torus(2), Mat.identity(2)).symmetry
+    monkeypatch.undo()
+    # classes the constructor would refuse, let past it: magnitudes that do
+    # not cancel (4 against 2), then valuations that do not (V^T H asymmetric)
+    monkeypatch.setattr(NSClass, "__post_init__", lambda self: None)
+    for torus, h in (
+        (_magnitude_torus(2), Mat([[1, 0], [0, 2]])),
+        (_magnitude_torus(1), Mat([[1, 1], [0, 1]])),
+    ):
+        with pytest.raises(InternalInconsistency, match="left the torsion subgroup"):
+            NSClass(torus, h).symmetry
 
 
 def test_admissible_trivial_cases(reference_torus):
@@ -610,6 +621,37 @@ def test_admissible_counts_rank_four(phases, invariants, count):
     ns = _unit_class(4, phases)
     assert ns.defect_group.invariant_factors == invariants
     _assert_admissible_covers(ns, count)
+
+
+def _paired_phases(g: int, n: int) -> dict:
+    """Phase 1/n between coordinates 2i and 2i + 1: defect group (Z/n)^g."""
+    return {(2 * i, 2 * i + 1): F(1, n) for i in range(g // 2)}
+
+
+@pytest.mark.parametrize(
+    "g, n, count",
+    [
+        # prod_{i=1..k} (p^i + 1) Lagrangians in (Z/p)^2k
+        (6, 2, 3 * 5 * 9),
+        (6, 3, 4 * 10 * 28),
+        # multiplicative over primes: 15 * 40 and 15 * 156
+        (4, 6, 600),
+        (4, 10, 2340),
+    ],
+)
+def test_admissible_counts_large_bound(g, n, count):
+    ns = _unit_class(g, _paired_phases(g, n))
+    assert ns.defect_group.invariant_factors == (n,) * g
+    lats = ns.admissible_lattices(bound=10**7)
+    assert len(lats) == len(set(lats)) == count
+    assert all(ns.symmetry <= lat <= ns.integrality for lat in lats)
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_admissible_counts_unit_square(n):
+    ns = _unit_class(2, _paired_phases(2, n))
+    assert ns.defect_group.invariant_factors == (n, n)
+    assert len(ns.admissible_lattices(bound=10**7)) == _sigma(n)
 
 
 def test_admissible_counts_default_bound():
