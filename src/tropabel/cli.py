@@ -28,7 +28,6 @@ from .nspairings import (
     TropTorus,
     dual_integrality_lattice,
     extended_character_lattice,
-    is_r_symmetric,
 )
 
 
@@ -116,11 +115,11 @@ def cmd_ns_analyze(scenario: Scenario, bound: int) -> dict[str, Any]:
     if scenario.ns_class is None:
         raise jsonio.ScenarioError("ns-analyze needs an 'ns_class' matrix")
     torus = scenario.torus
-    cls = NSClass(torus, scenario.ns_class)
+    cls = NSClass(torus, scenario.ns_class)  # refuses a class whose V^T H is not symmetric
     report: dict[str, Any] = {
         "g": torus.g,
         "ns_class": jsonio.matrix_to_json(cls.matrix),
-        "r_symmetric": is_r_symmetric(cls.matrix, torus.v),
+        "r_symmetric": True,
         "integrality_lattice": jsonio.lattice_to_json(cls.integrality),
         "integrality_index": cls.integrality.index,
     }
@@ -131,7 +130,9 @@ def cmd_ns_analyze(scenario: Scenario, bound: int) -> dict[str, Any]:
     report["dual_integrality_lattice"] = jsonio.lattice_to_json(n_large)
     report["dual_integrality_index"] = n_large.index
     if isinstance(torus, NATorus):
-        report["gm_symmetric"] = cls.is_gm_symmetric_on(cls.integrality)
+        # the pairing is symmetric on the integrality lattice exactly when that is
+        # the symmetry lattice
+        report["gm_symmetric"] = cls.symmetry == cls.integrality
         report["symmetry_lattice"] = jsonio.lattice_to_json(cls.symmetry)
         report["symmetry_index"] = cls.symmetry.index
         defect = cls.defect_group

@@ -16,7 +16,9 @@ subgroups of such a group that have a given order, by a walk over Hermite
 bases that checks each new column in integers and abandons a failing branch;
 given an alternating form it keeps only the isotropic subgroups, so the
 admissible covers, which correspond to the Lagrangian (isotropic of order
-sqrt|D|) subgroups of a defect group D, come out of the walk directly.
+sqrt|D|) subgroups of a defect group D, come out of the walk directly.  The
+walk charges its work to one budget of steps as it goes and raises
+``TooLarge`` when the budget runs out.
 """
 
 from __future__ import annotations
@@ -299,7 +301,9 @@ def quotient(ambient: Sublattice, sub: Sublattice) -> FiniteAbelianGroup:
 
 
 def _divisors(n: int) -> list[int]:
-    return [a for a in range(1, n + 1) if n % a == 0]
+    """The divisors of n in increasing order, by trial division up to isqrt(n)."""
+    low = [a for a in range(1, math.isqrt(n) + 1) if n % a == 0]
+    return low + [n // a for a in reversed(low) if a * a != n]
 
 
 def _in_span(v: list[int], cols: Sequence[Sequence[int]], start: int) -> bool:
@@ -331,52 +335,64 @@ def enumerate_subgroups(
     |G| / order.  M is returned as its lower-triangular Hermite basis
     (``basis[i][j]`` is the i-th coordinate of the j-th column, entries left
     of the diagonal reduced into range(basis[i][i])); its columns generate
-    the subgroup.  The basis is built from its last column to its first, and
-    each new column j is checked at once against the columns after it, in
-    integers: d_j e_j must lie in their span (divmod forward substitution), and
-    under ``form`` the column must pair to 0 with each of them.  A branch that
-    fails is abandoned, so the walk visits at most the candidate count below.
-    Raises TooLarge when the group order, or the number of candidate bases
-    (the sum over admissible diagonals of prod_i diag_i^i), exceeds ``bound``.
+    the subgroup.  The basis is built from its last column to its first;
+    column j takes a diagonal entry c | d_j only when the index left to reach,
+    divided by c, divides d_0 ... d_{j-1}, that is when the columns before it
+    can still reach it.  Each new column is checked at once against the
+    columns after it, in integers: d_j e_j must lie in their span (divmod
+    forward substitution), and under ``form`` the column must pair to 0 with
+    each of them.  A branch that fails is abandoned.  The work is charged to
+    one budget of ``bound`` steps as it is done (isqrt(d_j) to list the
+    divisors of d_j, one per candidate column tried); TooLarge is raised when
+    the budget runs out.
     """
-    if group.order > bound:
-        raise TooLarge(f"group of order {group.order} exceeds enumeration bound {bound}")
     d = group.invariant_factors
     k = len(d)
     if order < 1 or group.order % order:
         return []
-    index = group.order // order
-    diags = [t for t in itertools.product(*map(_divisors, d)) if math.prod(t) == index]
-    candidates = sum(math.prod(x**i for i, x in enumerate(diag)) for diag in diags)
-    if candidates > bound:
-        raise TooLarge(f"{candidates} candidate subgroups exceed enumeration bound {bound}")
+    left = bound
+
+    def spend(steps: int) -> None:
+        nonlocal left
+        left -= steps
+        if left < 0:
+            raise TooLarge(f"subgroup enumeration exceeds its bound of {bound} steps")
+
+    spend(sum(map(math.isqrt, d)))
+    divisors = [_divisors(x) for x in d]
+    # reach[j] = d_0 ... d_{j-1}: the indices that columns 0..j-1 can reach are its divisors
+    reach = list(itertools.accumulate(d, operator.mul, initial=1))
     found: list[tuple[tuple[int, ...], ...]] = []
     cols: list[tuple[int, ...]] = [()] * k
     images: list[list[int]] = [[]] * k  # F cols[i], under form = (F, den)
 
-    def place(diag: tuple[int, ...], j: int) -> None:
-        """Each column j that extends cols[j + 1:] (Hermite diagonal diag), then
-        the columns before it; a complete basis goes to found as its rows."""
+    def place(j: int, index: int) -> None:
+        """Each column j that extends cols[j + 1:] toward the remaining index,
+        then the columns before it; a complete basis goes to found as its rows."""
         if j < 0:
             found.append(tuple(zip(*cols)))
             return
-        x = d[j] // diag[j]
-        for below in itertools.product(*(range(diag[i]) for i in range(j + 1, k))):
-            col = (0,) * j + (diag[j],) + below
-            # d_j e_j = x * col - x * below lies in the span of cols[j:] exactly
-            # when x * below, rows j + 1.. of x * col, lies in that of cols[j + 1:]
-            if not _in_span([x * c for c in col], cols, j + 1):
+        diag = [cols[i][i] for i in range(j + 1, k)]
+        for c in divisors[j]:
+            if index % c or reach[j] % (index // c):
                 continue
-            if form is not None:
-                f, den = form
-                if any(sum(map(operator.mul, col, images[i])) % den for i in range(j + 1, k)):
+            spend(math.prod(diag))
+            x = d[j] // c
+            for below in itertools.product(*map(range, diag)):
+                col = (0,) * j + (c,) + below
+                # d_j e_j = x * col - x * below lies in the span of cols[j:] exactly
+                # when x * below, rows j + 1.. of x * col, lies in that of cols[j + 1:]
+                if not _in_span([x * e for e in col], cols, j + 1):
                     continue
-                images[j] = [sum(map(operator.mul, row, col)) for row in f]
-            cols[j] = col
-            place(diag, j - 1)
+                if form is not None:
+                    f, den = form
+                    if any(sum(map(operator.mul, col, images[i])) % den for i in range(j + 1, k)):
+                        continue
+                    images[j] = [sum(map(operator.mul, row, col)) for row in f]
+                cols[j] = col
+                place(j - 1, index // c)
 
-    for diag in diags:
-        place(diag, k - 1)
+    place(k - 1, group.order // order)
     return sorted(found)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TropabelError
 from .rationals import frac_mod_1, rat
 
 
@@ -152,6 +152,8 @@ class MultiplicativePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
+        if not all(isinstance(c, ValuedMonomial) for c in self.coords):
+            raise TropabelError("point coordinates must be ValuedMonomial values")
 
     @property
     def g(self) -> int:

@@ -22,6 +22,7 @@ from .errors import (
     NotContained,
     NotInLattice,
     SizeMismatch,
+    TropabelError,
 )
 from .lattices import Sublattice, _smith_adapted
 from .linalg import Mat
@@ -40,6 +41,11 @@ class NACharacter:
     stored by its values on the lattice basis."""
 
     values: tuple[ValuedMonomial, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
+        if not all(isinstance(v, ValuedMonomial) for v in self.values):
+            raise TropabelError("character values must be ValuedMonomial values")
 
     @property
     def g(self) -> int:

@@ -285,7 +285,9 @@ class NSClass:
     ) -> list[Sublattice]:
         """Sublattices between symmetry and integrality whose defect image is a
         Lagrangian subgroup (isotropic of order sqrt|D|: the pairing is
-        nondegenerate on D); each has index ``class_rank()`` in Z^g."""
+        nondegenerate on D); each has index ``class_rank()`` in Z^g.  ``bound``
+        is the step budget of the walk in ``enumerate_subgroups``, which raises
+        TooLarge when it runs out."""
         q = self.defect_group
         n = self.class_rank()
         # the pairing is bilinear: tabulate it on the generator lifts once, and
@@ -304,8 +306,9 @@ class NSClass:
 
     def class_rank(self) -> int:
         """The common index in Z^g of the admissible sublattices, with no enumeration:
-        a Lagrangian has index sqrt|D| in D, so a cover has sqrt|D| * [Z^g : integrality]."""
-        order = self.defect_group.order
+        a Lagrangian has index sqrt|D| in D, so a cover has sqrt|D| * [Z^g : integrality].
+        |D| = [integrality : symmetry] is read from the two indices in Z^g."""
+        order = self.symmetry.index // self.integrality.index
         half = math.isqrt(order)
         if half * half != order:
             raise InternalInconsistency("defect group order is not a perfect square")

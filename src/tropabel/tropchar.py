@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bundles import TropLineBundle, TropVectorBundle, _coset_reps
-from .errors import NotCommuting, NotInvertible, SizeMismatch
+from .errors import NotCommuting, NotInvertible, SizeMismatch, TropabelError
 from .lattices import Sublattice
 from .linalg import Mat
 from .nspairings import TropTorus
@@ -89,6 +89,8 @@ def inverse(a: TropGLElement) -> TropGLElement:
 
 
 def power(a: TropGLElement, n: int) -> TropGLElement:
+    if type(n) is not int:
+        raise TropabelError(f"power needs an int exponent, got {n!r}")
     if n < 0:
         return power(inverse(a), -n)
     out = identity(a.r)

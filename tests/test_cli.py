@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropabel import cli, jsonio, nspairings
+from tropabel import cli, jsonio, lattices, nspairings
 from tropabel.bundles import as_bundle, line_bundle
 from tropabel.cli import main
 from tropabel.errors import TropabelError
@@ -689,6 +689,44 @@ def test_ns_analyze_tabulates_the_pairing_once(monkeypatch):
     assert report["torsion_pairing_phases"] == [
         [jsonio.rational_to_json(ns.torsion_pairing(a, b).phase) for b in lifts] for a in lifts
     ]
+
+
+def test_ns_analyze_six_to_the_fourth_within_the_default_bound(capsys, tmp_path):
+    path = tmp_path / "six_to_the_fourth.json"
+    path.write_text(json.dumps(_unit_torus_scenario(4, {(0, 1): "1/6", (2, 3): "1/6"})))
+    report = run_json(capsys, "ns-analyze", "--scenario", str(path))
+    assert report["defect_invariants"] == [6, 6, 6, 6]
+    assert len(report["admissible_lattices"]) == 600
+    assert report["class_rank"] == 36
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [{}, {(0, 1): "1/2"}, {(0, 1): "1/3", (1, 0): "1/3"}, {(0, 1): "1/4", (2, 3): "1/2"}],
+)
+def test_ns_analyze_reads_the_symmetry_facts_from_the_class(capsys, tmp_path, phases):
+    data = _unit_torus_scenario(4, phases)
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(data))
+    report = run_json(capsys, "ns-analyze", "--scenario", str(path))
+    ns = NSClass(cli.Scenario(data).torus, Mat.identity(4))
+    assert report["r_symmetric"] is nspairings.is_r_symmetric(ns.matrix, ns.torus.v) is True
+    assert report["gm_symmetric"] is ns.is_gm_symmetric_on(ns.integrality)
+
+
+def test_na_trop_simple_builds_no_smith_form(capsys, monkeypatch):
+    # the class rank is read from the integrality and symmetry indices
+    calls = 0
+    real = lattices.snf
+
+    def counting(rows):
+        nonlocal calls
+        calls += 1
+        return real(rows)
+
+    monkeypatch.setattr(lattices, "snf", counting)
+    run_json(capsys, "na", "trop-simple", "--scenario", scen("reference_example.json"))
+    assert calls == 0
 
 
 @pytest.mark.parametrize(

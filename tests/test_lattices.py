@@ -480,12 +480,38 @@ def test_enumerate_subgroups_too_large():
 
 
 def test_enumerate_subgroups_bounds_candidates():
-    # (Z/10)^4 has order 10,000, inside the default bound, but its subgroups of
-    # order 100 have 282,100 candidate Hermite bases
+    # (Z/10)^4 has order 10,000, but the walk over its subgroups of order 100
+    # tries more columns than the default budget of steps pays for
     q = quotient(Sublattice.full(4), Sublattice([[10 * (i == j) for j in range(4)] for i in range(4)]))
     assert q.order <= SUBGROUP_ENUMERATION_BOUND
-    with pytest.raises(TooLarge, match="282100 candidate"):
+    with pytest.raises(TooLarge, match="exceeds its bound of 10000 steps"):
         enumerate_subgroups(q, 100)
+
+
+def test_enumerate_subgroups_counts_its_steps():
+    # (Z/100)^2, order 100: listing divisors costs isqrt(100) = 10 steps per
+    # factor; the last column tries one candidate per divisor c of 100 (9), and
+    # the first column, of diagonal 100 / c, c candidates each (sigma(100) = 217)
+    q = _diagonal_group((100, 100))
+    assert len(enumerate_subgroups(q, 100, bound=20 + 9 + 217)) == 217
+    with pytest.raises(TooLarge):
+        enumerate_subgroups(q, 100, bound=20 + 9 + 217 - 1)
+    # the trivial group costs nothing, and a negative budget is spent already
+    trivial = _diagonal_group(())
+    assert enumerate_subgroups(trivial, 1, bound=0) == [()]
+    with pytest.raises(TooLarge):
+        enumerate_subgroups(trivial, 1, bound=-1)
+
+
+@pytest.mark.parametrize(
+    "d, order",
+    [((720720,) * 8, 720720**4), ((2,) * 13, 2**6)],
+    ids=["720720^8", "2^13"],
+)
+def test_enumerate_subgroups_refuses_large_walks_at_the_default_bound(d, order):
+    # 720720 has 240 divisors, so 240^8 Hermite diagonals: the budget must stop the walk early
+    with pytest.raises(TooLarge):
+        enumerate_subgroups(_diagonal_group(d), order)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from tropabel.errors import DimensionMismatch
+from tropabel.errors import DimensionMismatch, TropabelError
 from tropabel.monomials import (
     MultiplicativePoint,
     ValuedMonomial,
     eval_character,
 )
+from tropabel.nspairings import NATorus
 
 from conftest import MINUS_ONE, ONE, T_UNIF, mono, rand_mono
 
@@ -158,6 +159,14 @@ def test_eval_character_example():
     assert eval_character(p, (0, 0)) == ONE
     with pytest.raises(DimensionMismatch):
         eval_character(p, (1, 0, 0))
+
+
+@pytest.mark.parametrize("coords", [(1, 2), (ONE, F(1)), ("1", ONE), (None,)])
+def test_point_coordinates_must_be_monomials(coords):
+    with pytest.raises(TropabelError):
+        MultiplicativePoint(coords)
+    with pytest.raises(TropabelError):
+        NATorus((MultiplicativePoint((T_UNIF, ONE)), MultiplicativePoint(coords)))
 
 
 def test_group_operations_equal_public_construction():

@@ -14,6 +14,7 @@ from tropabel.errors import (
     NotContained,
     NotInLattice,
     SizeMismatch,
+    TropabelError,
 )
 from tropabel.lattices import QLattice, Sublattice, enumerate_subgroups
 from tropabel.linalg import Mat
@@ -88,6 +89,12 @@ def test_character_value_is_multiplicative():
     assert chi.value((-1, 1)) == chi.value((-1, 0)) * chi.value((0, 1))
     with pytest.raises(SizeMismatch):
         chi.value((1,))
+
+
+@pytest.mark.parametrize("values", [(1, 2), (ONE, F(1, 2)), (ONE, "1")])
+def test_character_values_must_be_monomials(values):
+    with pytest.raises(TropabelError):
+        NACharacter(values)
 
 
 def test_unit_character(reference_torus):

@@ -660,6 +660,37 @@ def test_admissible_counts_default_bound():
     _assert_admissible_covers(ns, 217)
 
 
+# at the default bound the walk's step budget, not the group order, decides
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: _unit_class(4, _paired_phases(4, 6)), 600),
+        (lambda: _unit_class(6, _paired_phases(6, 2)), 135),
+        (lambda: _cyclic_square_class(210), _sigma(210)),
+    ],
+    ids=["6^4", "2^6", "210^2"],
+)
+def test_admissible_counts_within_default_bound(make, count):
+    ns = make()
+    lats = ns.admissible_lattices()
+    assert len(lats) == len(set(lats)) == count
+    assert all(ns.symmetry <= lat <= ns.integrality for lat in lats)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _unit_class(4, _paired_phases(4, 10)),
+        lambda: _unit_class(6, _paired_phases(6, 3)),
+        lambda: _cyclic_square_class(1_000_003),
+    ],
+    ids=["10^4", "3^6", "1000003^2"],
+)
+def test_admissible_default_bound_refuses(make):
+    with pytest.raises(TooLarge):
+        make().admissible_lattices()
+
+
 # ---------------------------------------------------------------------------
 # Extended pairing
 # ---------------------------------------------------------------------------

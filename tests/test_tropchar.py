@@ -6,7 +6,7 @@ import tropabel.tropchar as tropchar
 import pytest
 
 from tropabel.bundles import as_bundle, is_homogeneous, line_bundle
-from tropabel.errors import NotCommuting, NotInvertible, SizeMismatch
+from tropabel.errors import NotCommuting, NotInvertible, SizeMismatch, TropabelError
 from tropabel import lattices, linalg
 from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
@@ -110,6 +110,12 @@ def test_element_validation():
         TropGLElement((0, 0), (F(0), F(0)))
     with pytest.raises(SizeMismatch):
         TropGLElement((0, 1), (F(0),))
+
+
+@pytest.mark.parametrize("n", [1.5, F(2), "2", True, None])
+def test_power_needs_an_int_exponent(n):
+    with pytest.raises(TropabelError):
+        power(TropGLElement((1, 0), (F(3), F(5))), n)
 
 
 def test_action_example():
