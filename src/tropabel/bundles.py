@@ -63,7 +63,7 @@ class TropLineBundle:
         # ns @ basis is integral exactly when ns.num @ basis = 0 mod ns.den
         den = self.ns.den
         if den != 1 and any(
-            x % den for gen in self.lattice.generators() for x in _num_image(self.ns, gen)
+            x % den for gen in self.lattice.generators() for x in self.ns.num_image(gen)
         ):
             raise InvalidClass("class matrix is not integral on the cover lattice")
 
@@ -143,11 +143,6 @@ def cover_torus(torus: TropTorus, sub: Sublattice) -> TropTorus:
     return TropTorus(torus.v @ sub.mat)
 
 
-def _num_image(a: Mat, x: Sequence[int]) -> list[int]:
-    """a.num @ x for an integer vector x: a @ x times a.den."""
-    return [sum(p * q for p, q in zip(row, x)) for row in a.num]
-
-
 def _twisted(
     values: Sequence[Fraction], positions: Sequence[Sequence[int]], m: Sequence[int], den: int
 ) -> tuple[Fraction, ...]:
@@ -207,10 +202,10 @@ def tensor(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
             ns = s1.ns + s2.ns
             basis = inter.generators()
             base_l = [s1.l_value(b) + s2.l_value(b) for b in basis]
-            positions = [_num_image(torus.v, b) for b in basis]
+            positions = [torus.v.num_image(b) for b in basis]
             den = torus.v.den * s2.ns.den
             for delta in _coset_reps(total):
-                l = _twisted(base_l, positions, _num_image(s2.ns, delta), den)
+                l = _twisted(base_l, positions, s2.ns.num_image(delta), den)
                 out.append(TropLineBundle._from_valid(torus, inter, ns, l))
     return TropVectorBundle(torus, tuple(out))
 
@@ -232,10 +227,10 @@ def pullback(e: TropVectorBundle, sub: Sublattice) -> TropVectorBundle:
         amb_cols = list(zip(*(sub.mat @ new_lat.mat).num))
         new_ns = s.ns @ sub.mat
         base_l = [s.l_value(c) for c in amb_cols]
-        positions = [_num_image(torus.v, c) for c in amb_cols]
+        positions = [torus.v.num_image(c) for c in amb_cols]
         den = torus.v.den * s.ns.den
         for delta in _coset_reps(total):
-            l = _twisted(base_l, positions, _num_image(s.ns, delta), den)
+            l = _twisted(base_l, positions, s.ns.num_image(delta), den)
             out.append(TropLineBundle._from_valid(target, new_lat, new_ns, l))
     return TropVectorBundle(target, tuple(out))
 
@@ -268,9 +263,9 @@ def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVec
     lam_num = [c.numerator * (q // c.denominator) for c in lam]
     out = []
     for s in e.summands:
-        positions = [_num_image(torus.v, b) for b in s.lattice.generators()]
+        positions = [torus.v.num_image(b) for b in s.lattice.generators()]
         den = torus.v.den * s.ns.den * q
-        l = _twisted(s.l, positions, _num_image(s.ns, lam_num), den)
+        l = _twisted(s.l, positions, s.ns.num_image(lam_num), den)
         out.append(TropLineBundle._from_valid(torus, s.lattice, s.ns, l))
     return TropVectorBundle(torus, tuple(out))
 

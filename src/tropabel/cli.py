@@ -74,7 +74,13 @@ class Scenario:
             raise jsonio.ScenarioError(f"'{section}' must be an object of named {kind}s")
         return {name: decode(raw) for name, raw in table.items()}
 
-    def operands(self, count: int, available: dict[str, Any], section: str) -> list[Any]:
+    def operands(
+        self, count: int, section: str, kind: str, decode: Callable[[Any], Any]
+    ) -> list[Any]:
+        """The first ``count`` objects that parameters.operands names in the
+        section (without names, a section of ``count`` objects in name order);
+        the whole section is decoded, by ``named``."""
+        available = self.named(section, kind, decode)
         names = self.parameters.get("operands")
         if isinstance(names, str):
             names = [names]
@@ -139,7 +145,7 @@ def cmd_ns_analyze(scenario: Scenario, bound: int) -> dict[str, Any]:
         report["defect_invariants"] = [d for d in defect.invariant_factors]
         lifts = [list(l) for l in defect.generator_lifts]
         report["defect_generators"] = lifts
-        form, den = cls._phase_form(defect.generator_lifts)
+        form, den = cls.defect_phases
         report["torsion_pairing_phases"] = [
             [jsonio.rational_to_json(Fraction(x, den)) for x in row] for row in form
         ]
@@ -166,8 +172,9 @@ def cmd_bundle(scenario: Scenario, op: str) -> dict[str, Any]:
         return decode(params[key])
 
     def operands(count: int, on: TropTorus = torus) -> list[bundles.TropVectorBundle]:
-        table = scenario.named("bundles", "bundle", lambda raw: jsonio.bundle_from_json(raw, on))
-        return scenario.operands(count, table, "bundles")
+        return scenario.operands(
+            count, "bundles", "bundle", lambda raw: jsonio.bundle_from_json(raw, on)
+        )
 
     def single_summand(e: bundles.TropVectorBundle) -> bundles.TropLineBundle:
         if len(e.summands) != 1:
@@ -219,8 +226,7 @@ def cmd_bundle(scenario: Scenario, op: str) -> dict[str, Any]:
 
 
 def cmd_rep(scenario: Scenario, op: str) -> dict[str, Any]:
-    table = scenario.named("representations", "representation", jsonio.rep_from_json)
-    (rep,) = scenario.operands(1, table, "representations")
+    (rep,) = scenario.operands(1, "representations", "representation", jsonio.rep_from_json)
     if op == "decompose":
         pieces = tropchar.decompose_rep(rep)
         return {
@@ -269,28 +275,22 @@ def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]
     torus = scenario.na_torus
     params = scenario.parameters
 
-    def na_bundles() -> dict[str, naside.NALineBundle]:
-        return scenario.named(
+    rep_section = ("na_reps", "semisimple representation", jsonio.na_rep_from_json)
+    if op in ("trop-line", "trop-simple"):
+        (b,) = scenario.operands(
+            1,
             "na_bundles",
             "line bundle",
             lambda raw: jsonio.na_bundle_from_json(raw, torus, scenario.ns_class),
         )
-
-    def na_reps() -> dict[str, naside.NASemisimpleRep]:
-        return scenario.named("na_reps", "semisimple representation", jsonio.na_rep_from_json)
-
-    if op == "trop-line":
-        (b,) = scenario.operands(1, na_bundles(), "na_bundles")
-        return _with_torus(naside.tropicalize_line_bundle(b), jsonio.summand_to_json)
-    if op == "trop-simple":
-        (b,) = scenario.operands(1, na_bundles(), "na_bundles")
-        point = naside.tropicalize_simple(b)
-        return jsonio.moduli_point_to_json(point)
+        if op == "trop-line":
+            return _with_torus(naside.tropicalize_line_bundle(b), jsonio.summand_to_json)
+        return jsonio.moduli_point_to_json(naside.tropicalize_simple(b))
     if op == "trop-rep":
-        (rep,) = scenario.operands(1, na_reps(), "na_reps")
+        (rep,) = scenario.operands(1, *rep_section)
         return jsonio.rep_to_json(naside.trop_rep(rep))
     if op == "verify-square":
-        table = na_reps()
+        table = scenario.named(*rep_section)
         if table:
             reps = [table[name] for name in sorted(table)]
         else:

@@ -15,6 +15,23 @@ class TropabelError(Exception):
     exit_code = 2
 
 
+# -- scalars -----------------------------------------------------------------
+# Each also derives from the built-in exception that Python raises for the
+# same fault, so callers that catch the built-in keep working.
+
+class NotExact(TropabelError, TypeError):
+    """A float, a boolean or another type where an exact rational (or an
+    integer exponent) is required."""
+
+
+class MalformedScalar(TropabelError, ValueError):
+    """A rational string outside the grammar, or a magnitude that is not positive."""
+
+
+class ZeroDenominator(TropabelError, ZeroDivisionError):
+    """A rational string "p/0"."""
+
+
 # -- exact-lattice -----------------------------------------------------------
 
 class RankDeficient(TropabelError):

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotContained, SingularLattice, TooLarge
 from .linalg import IntRows, Mat, _common_length, column_hnf, hnf, kernel_columns, snf
-from .rationals import rat
+from .rationals import as_int, rat
 
 SUBGROUP_ENUMERATION_BOUND = 10_000
 
@@ -54,15 +54,6 @@ def _forward_solve(basis: Sequence[Sequence[int]], v: Sequence) -> tuple[int | F
 
 def _is_integral(x: Sequence[int | Fraction]) -> bool:
     return all(c.denominator == 1 for c in x)
-
-
-def _int_entry(x: int | Fraction) -> int:
-    """x as an int: x must be an int (not a bool) or an integral Fraction."""
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    raise NotContained(f"lattice entries must be integers, got {x!r}")
 
 
 def _is_hermite(rows: Sequence[Sequence[int]]) -> bool:
@@ -87,7 +78,7 @@ class Sublattice:
         g = len(basis_rows)
         if any(len(row) != g for row in basis_rows):
             raise DimensionMismatch("a lattice basis must be square")
-        rows = [[_int_entry(x) for x in row] for row in basis_rows]
+        rows = [[as_int(x, NotContained) for x in row] for row in basis_rows]
         if not _is_hermite(rows):
             rows, _ = hnf(rows)
         self.ambient_rank = g
@@ -105,7 +96,7 @@ class Sublattice:
     def from_generators(cls, gens: Sequence[Sequence[int]]) -> "Sublattice":
         """Lattice spanned by the given vectors (nonempty, of one length, full rank)."""
         g = _common_length(gens, "generators")
-        h, _ = column_hnf([[_int_entry(v[i]) for v in gens] for i in range(g)])
+        h, _ = column_hnf([[as_int(v[i], NotContained) for v in gens] for i in range(g)])
         nonzero = [j for j in range(len(gens)) if any(h[i][j] for i in range(g))]
         if len(nonzero) != g:
             raise SingularLattice("generators do not span a full-rank lattice")

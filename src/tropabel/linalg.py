@@ -165,11 +165,15 @@ class Mat:
             self.den * other.den,
         )
 
-    def mul_vec(self, v: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
+    def num_image(self, v: Sequence[int | Fraction]) -> list[int | Fraction]:
+        """num @ v, the image of v times den: integers for an integer v."""
         if len(v) != self.m:
             raise DimensionMismatch(f"vector length {len(v)} != {self.m}")
+        return [sum(a * b for a, b in zip(row, v)) for row in self.num]
+
+    def mul_vec(self, v: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
         den = self.den
-        return tuple(Fraction(sum(a * b for a, b in zip(row, v)), den) for row in self.num)
+        return tuple(Fraction(x, den) for x in self.num_image(v))
 
     def _same_shape(self, other: "Mat") -> None:
         if (self.n, self.m) != (other.n, other.m):

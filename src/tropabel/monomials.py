@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, TropabelError
-from .rationals import frac_mod_1, rat
+from .errors import DimensionMismatch, MalformedScalar, NotExact, NotInLattice, TropabelError
+from .rationals import as_int, frac_mod_1, rat
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class ValuedMonomial:
         object.__setattr__(self, "phase", frac_mod_1(rat(self.phase)))
         object.__setattr__(self, "t_exponent", rat(self.t_exponent))
         if self.magnitude <= 0:
-            raise ValueError(f"magnitude must be positive, got {self.magnitude}")
+            raise MalformedScalar(f"magnitude must be positive, got {self.magnitude}")
 
     @classmethod
     def _from_valid(
@@ -80,8 +80,8 @@ class ValuedMonomial:
         return self * other.inv()
 
     def __pow__(self, n: int) -> "ValuedMonomial":
-        if not isinstance(n, int):
-            raise TypeError("integer exponent required; use root_pow for rationals")
+        if type(n) is not int:
+            raise NotExact(f"integer exponent required, got {n!r}; use root_pow for rationals")
         return ValuedMonomial._from_valid(self.magnitude**n, n * self.phase, n * self.t_exponent)
 
     def root_pow(self, e: Fraction) -> "ValuedMonomial":
@@ -172,11 +172,16 @@ class MultiplicativePoint:
 
 
 def eval_character(p: MultiplicativePoint, m: Sequence[int]) -> ValuedMonomial:
-    """The character with exponent vector m, evaluated at p: prod p_i^{m_i}."""
+    """The character with exponent vector m, evaluated at p: prod p_i^{m_i}.
+
+    This is the one monomial product of the package.  Each m_i must be an int
+    or an integral Fraction; anything else raises ``NotInLattice``.
+    """
     if len(m) != p.g:
         raise DimensionMismatch(f"character length {len(m)} != point length {p.g}")
     out = ONE
     for c, e in zip(p.coords, m):
+        e = as_int(e, NotInLattice)
         if e:
-            out = out * c ** int(e)
+            out = out * c**e
     return out

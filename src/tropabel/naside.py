@@ -26,8 +26,9 @@ from .errors import (
 )
 from .lattices import Sublattice, _smith_adapted
 from .linalg import Mat
-from .monomials import ONE, MultiplicativePoint, ValuedMonomial, eval_character
+from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from .nspairings import NATorus, NSClass
+from .rationals import as_int
 from .tropchar import TropGLElement, TropRepresentation, bundle_from_rep
 
 
@@ -54,10 +55,7 @@ class NACharacter:
     def value(self, a: Sequence[int]) -> ValuedMonomial:
         if len(a) != self.g:
             raise SizeMismatch("coordinate length differs from the character rank")
-        out = ONE
-        for v, e in zip(self.values, a):
-            out = out * v ** int(e)
-        return out
+        return eval_character(MultiplicativePoint(self.values), a)
 
     def __mul__(self, other: "NACharacter") -> "NACharacter":
         if self.g != other.g:
@@ -71,9 +69,7 @@ class NACharacter:
 
 def unit_character(torus: NATorus, m: Sequence[int]) -> NACharacter:
     """The character lambda -> <lambda, m> of an integral character m."""
-    return NACharacter(
-        tuple(eval_character(gen, tuple(int(x) for x in m)) for gen in torus.generators)
-    )
+    return NACharacter(tuple(eval_character(gen, m) for gen in torus.generators))
 
 
 @dataclass(frozen=True)
@@ -130,14 +126,12 @@ def _extend_from_basis(
     r(sum a_j b_j) = prod r_j^(a_j) * prod_(i<j) [b_i,b_j]^(a_i a_j)
                      * prod_j [b_j,b_j]^(a_j (a_j - 1)/2).
     """
-    out = ONE
-    for v, a in zip(values, coeffs):
-        out = out * v ** int(a)
+    out = eval_character(MultiplicativePoint(values), coeffs)
     n = len(basis)
     for i in range(n):
-        a_i = int(coeffs[i])
+        a_i = coeffs[i]
         for j in range(i + 1, n):
-            e = a_i * int(coeffs[j])
+            e = a_i * coeffs[j]
             if e:
                 out = out * ns.gm_pairing(basis[i], basis[j]) ** e
         e = a_i * (a_i - 1) // 2
@@ -148,8 +142,8 @@ def _extend_from_basis(
 
 def extend_r(b: NALineBundle, lam: Sequence[int]) -> ValuedMonomial:
     """The value of r at an arbitrary element of the cover lattice."""
-    coeffs = b.lattice.coordinates(tuple(int(x) for x in lam))
-    if any(c.denominator != 1 for c in coeffs):
+    coeffs = b.lattice.coordinates([as_int(x, NotInLattice) for x in lam])
+    if any(type(c) is not int for c in coeffs):
         raise NotInLattice("element is not in the cover lattice")
     return _extend_from_basis(b.ns, b.lattice.generators(), b.r_basis, coeffs)
 
@@ -204,7 +198,7 @@ def tropicalize_line_bundle(b: NALineBundle) -> TropLineBundle:
     gram = b.ns.gram
     l = []
     for r, v in zip(b.r_basis, b.lattice.generators()):
-        form = sum(x * sum(a * y for a, y in zip(row, v)) for x, row in zip(v, gram.num))
+        form = sum(x * y for x, y in zip(v, gram.num_image(v)))
         l.append(r.valuation() - Fraction(form, 2 * gram.den))
     # b's class is real-symmetric (NSClass) and integral on its lattice
     return TropLineBundle._from_valid(torus, b.lattice, b.ns.matrix, tuple(l))
@@ -230,11 +224,11 @@ def translate_na(b: NALineBundle, x: MultiplicativePoint) -> NALineBundle:
     """Translate by a multiplicative point: r picks up <x, class(.)>."""
     if x.g != b.ns.torus.g:
         raise AmbientMismatch("point rank differs from the torus rank")
+    h = b.ns.matrix
     values = []
     for v, r in zip(b.lattice.generators(), b.r_basis):
-        image = b.ns.matrix.mul_vec(v)
-        m = tuple(int(c) for c in image)
-        values.append(r * eval_character(x, m))
+        # H v is integral: the class is integral on the cover
+        values.append(r * eval_character(x, [c // h.den for c in h.num_image(v)]))
     return NALineBundle._from_valid(b.ns, b.lattice, tuple(values))
 
 
@@ -318,10 +312,7 @@ def characters_equal_mod_m(c1: NACharacter, c2: NACharacter, torus: NATorus) -> 
     m = torus.v.T.solve(vals)
     if any(x.denominator != 1 for x in m):
         return False
-    m_int = tuple(int(x) for x in m)
-    return all(
-        eval_character(gen, m_int) == r for gen, r in zip(torus.generators, ratios)
-    )
+    return all(eval_character(gen, m) == r for gen, r in zip(torus.generators, ratios))
 
 
 def verify_commuting_square(

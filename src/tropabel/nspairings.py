@@ -36,7 +36,7 @@ from .lattices import (
     quotient,
 )
 from .linalg import Mat, congruence_lattice
-from .monomials import ONE, MultiplicativePoint, ValuedMonomial, eval_character
+from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,10 @@ class NATorus:
         return TropTorus(self.v)
 
     def embed(self, a: Sequence[int]) -> MultiplicativePoint:
-        """The period-lattice point with integer coordinates a."""
-        out = MultiplicativePoint((ONE,) * self.g)
-        for gen, e in zip(self.generators, a):
-            if e:
-                out = out * gen ** int(e)
-        return out
+        """The period-lattice point with integer coordinates a: coordinate k is
+        the character a evaluated at the k-th coordinates of the generators."""
+        cols = zip(*(gen.coords for gen in self.generators))
+        return MultiplicativePoint(tuple(eval_character(MultiplicativePoint(c), a) for c in cols))
 
 
 Torus = Union[TropTorus, NATorus]
@@ -145,10 +143,11 @@ def extended_character_lattice(h: Mat) -> QLattice:
 
 
 def _h_image(h: Mat, b: Sequence[int | Fraction]) -> list[int]:
-    img = h.mul_vec(b)
-    if any(x.denominator != 1 for x in img):
-        raise NotInLargeLattice(f"h-image {img} is not integral")
-    return [int(x) for x in img]
+    """h @ b, which must be integral."""
+    img = h.num_image(b)
+    if any(x % h.den for x in img):
+        raise NotInLargeLattice(f"h-image of {tuple(b)} is not integral")
+    return [x // h.den for x in img]
 
 
 @dataclass(frozen=True)
@@ -235,9 +234,7 @@ class NSClass:
         omega = [[ph.num[i][j] - ph.num[j][i] for j in range(g)] for i in range(g)]
         gens = self.integrality.generators()
         form = _form_mod(omega, ph.den, gens)
-        h = self.matrix
-        # H b, integral for b in the integrality lattice
-        images = [[sum(x * y for x, y in zip(row, b)) // h.den for row in h.num] for b in gens]
+        images = [_h_image(self.matrix, b) for b in gens]
         coords = [c for gen in t.generators for c in gen.coords]
         for i, (a, ha) in enumerate(zip(gens, images)):
             for j in range(i + 1, len(gens)):
@@ -280,6 +277,13 @@ class NSClass:
         """integrality / symmetry, the finite group carrying the torsion pairing."""
         return quotient(self.integrality, self.symmetry)
 
+    @cached_property
+    def defect_phases(self) -> tuple[list[list[int]], int]:
+        """(F, den) with F[i][j] / den the phase of the torsion pairing of the
+        defect group's generator lifts i and j: the pairing is bilinear, so
+        this one table holds it on the whole group."""
+        return self._phase_form(self.defect_group.generator_lifts)
+
     def admissible_lattices(
         self, bound: int = SUBGROUP_ENUMERATION_BOUND
     ) -> list[Sublattice]:
@@ -290,11 +294,10 @@ class NSClass:
         TooLarge when it runs out."""
         q = self.defect_group
         n = self.class_rank()
-        # the pairing is bilinear: tabulate it on the generator lifts once, and
-        # the walk keeps only the subgroups isotropic for it
-        form = self._phase_form(q.generator_lifts)
         g = self.torus.g
         lattices = []
+        # the walk keeps only the subgroups isotropic for the pairing
+        form = self.defect_phases
         for basis in enumerate_subgroups(q, n // self.integrality.index, bound, form):
             # symmetry = span(trivial columns, d_i * generator lifts) and the
             # subgroup holds each d_i e_i, so these g vectors span the cover
@@ -327,7 +330,7 @@ class NSClass:
         if not self.symmetry.contains(gamma):
             raise NotInSmallLattice(f"{tuple(gamma)} is not in the symmetry lattice")
         t = self._multiplicative_torus()
-        part = eval_character(t.embed(gamma), [int(x) for x in m0])
+        part = eval_character(t.embed(gamma), m0)
         return part * self.gm_pairing(lam, gamma)
 
 

@@ -16,11 +16,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bundles import TropLineBundle, TropVectorBundle, _coset_reps
-from .errors import NotCommuting, NotInvertible, SizeMismatch, TropabelError
+from .errors import NotCommuting, NotInLattice, NotInvertible, SizeMismatch, TropabelError
 from .lattices import Sublattice
 from .linalg import Mat
 from .nspairings import TropTorus
-from .rationals import rat
+from .rationals import as_int, rat
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ class TropRepresentation:
             raise SizeMismatch("coordinate length differs from the number of generators")
         out = identity(self.r)
         for img, e in zip(self.images, a):
-            out = compose(out, power(img, int(e)))
+            out = compose(out, power(img, as_int(e, NotInLattice)))
         return out
 
 
@@ -249,9 +249,9 @@ def canonical_form(
 
 
 def stratum(rep: TropRepresentation) -> tuple[Sublattice, ...]:
-    """The multiset of orbit stabilizer lattices, canonically ordered."""
-    lats = [s.lattice for s in decompose_rep(rep)]
-    return tuple(sorted(lats, key=lambda lat: lat.basis))
+    """The multiset of orbit stabilizer lattices, canonically ordered: the
+    lattices of the canonical form."""
+    return tuple(lat for lat, _ in canonical_form(rep))
 
 
 def bundle_from_rep(rep: TropRepresentation, torus: TropTorus) -> TropVectorBundle:

@@ -394,6 +394,24 @@ def test_bound_exceeded_exit_code(capsys):
     assert json.loads(err)["kind"] == "TooLarge"
 
 
+def test_scenario_bound_parameter_is_read_and_overridden(capsys, tmp_path):
+    # a valid parameters.bound limits the walk, and --bound takes precedence over it
+    edit = _set_at(("parameters", "bound"), 1)
+    code, out, err = run_edited(capsys, tmp_path, "reference_example.json", edit, "ns-analyze")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["kind"] == "TooLarge"
+    code, out, err = run_edited(
+        capsys, tmp_path, "reference_example.json", edit, "ns-analyze", "--bound", "10000"
+    )
+    assert code == 0, err
+    with open(ROOT / "bench" / "cli_digests.json", encoding="utf-8") as fh:
+        (record,) = [
+            d for d in json.load(fh)
+            if d["argv"] == ["ns-analyze", "--scenario", "scenarios/reference_example.json"]
+        ]
+    assert hashlib.sha256(out.encode()).hexdigest() == record["stdout_sha256"]
+
+
 def run_edited(capsys, tmp_path, scenario, edit, *argv):
     """Run the CLI on a copy of a shipped scenario changed by ``edit``."""
     data = json.load(open(scen(scenario), encoding="utf-8"))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tropabel.errors import DimensionMismatch, TropabelError
+from tropabel.linalg import Mat
 from tropabel.monomials import (
     MultiplicativePoint,
     ValuedMonomial,
@@ -115,6 +116,26 @@ def test_root_pow_irrational_magnitude():
         mono(2, 0, 0).root_pow(F(1, 2))
     with pytest.raises(ValueError):
         mono(3, 0, 0).root_pow(F(1, 3))
+
+
+@pytest.mark.parametrize(
+    "call, builtin",
+    [
+        (lambda: ValuedMonomial(0, 0, 0), ValueError),
+        (lambda: ValuedMonomial(1.5, 0, 0), TypeError),
+        (lambda: Mat([[1.5]]), TypeError),
+        (lambda: ValuedMonomial(1, "1/0", 0), ZeroDivisionError),
+        (lambda: ValuedMonomial(1, None, 0), TypeError),
+        (lambda: MultiplicativePoint((ONE, T_UNIF)) ** 1.5, TypeError),
+        (lambda: T_UNIF**True, TypeError),
+    ],
+    ids=["zero-magnitude", "float", "float-matrix", "1/0", "none", "float-power", "bool-power"],
+)
+def test_scalar_errors_are_library_errors(call, builtin):
+    # the library's own error, which is also the built-in raised for the same fault
+    with pytest.raises(TropabelError) as info:
+        call()
+    assert isinstance(info.value, builtin)
 
 
 def test_float_rejected():

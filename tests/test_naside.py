@@ -37,7 +37,7 @@ from tropabel.naside import (
     verify_commuting_square,
 )
 from tropabel.nspairings import NATorus, NSClass, TropTorus
-from tropabel.tropchar import TropGLElement, bundle_from_rep
+from tropabel.tropchar import TropGLElement, TropRepresentation, bundle_from_rep
 
 from test_acceptance import bounded_defect_instances
 from test_nspairings import _cyclic_square_class, _unit_class
@@ -95,6 +95,42 @@ def test_character_value_is_multiplicative():
 def test_character_values_must_be_monomials(values):
     with pytest.raises(TropabelError):
         NACharacter(values)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda t, ns, b: eval_character(t.generators[0], (F(1, 2), 0)), id="eval"),
+        pytest.param(lambda t, ns, b: eval_character(t.generators[0], (1.9, 0)), id="eval-float"),
+        pytest.param(lambda t, ns, b: NACharacter((T_UNIF, ONE)).value((F(1, 2), 1)), id="value"),
+        pytest.param(lambda t, ns, b: unit_character(t, (F(1, 2), 0)), id="unit_character"),
+        pytest.param(lambda t, ns, b: t.embed((F(1, 2), 0)), id="embed"),
+        pytest.param(lambda t, ns, b: ns.gm_pairing((F(1, 2), 0), (1, 0)), id="gm_pairing"),
+        pytest.param(
+            lambda t, ns, b: ns.extended_pairing(
+                ns.symmetry.generators()[0], (F(1, 2), 0), (0, 0)
+            ),
+            id="extended_pairing",
+        ),
+        pytest.param(lambda t, ns, b: extend_r(b, (F(1, 2), 0)), id="extend_r"),
+        pytest.param(
+            lambda t, ns, b: TropRepresentation((TropGLElement((0,), (1,)),)).value((F(3, 2),)),
+            id="TropRepresentation.value",
+        ),
+    ],
+)
+def test_non_integral_exponents_are_refused(reference_torus, call):
+    # a non-integral exponent or lattice coordinate is refused, never truncated
+    ns = reference_class(reference_torus)
+    b = NALineBundle(ns, Sublattice([[2, 0], [0, 1]]), (ONE, ONE))
+    with pytest.raises(NotInLattice):
+        call(reference_torus, ns, b)
+
+
+def test_integral_fraction_exponents_are_integers(reference_torus):
+    p = reference_torus.generators[1]
+    assert eval_character(p, (F(2), F(-1))) == eval_character(p, (2, -1))
+    assert reference_torus.embed((F(4, 2), 0)) == reference_torus.embed((2, 0))
 
 
 def test_unit_character(reference_torus):
