@@ -17,10 +17,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._frozen import Frozen
 from .errors import (
     AmbientMismatch,
     EmptyBundle,
@@ -37,8 +37,7 @@ from .nspairings import TropTorus, extended_character_lattice, is_r_symmetric
 from .rationals import rat
 
 
-@dataclass(frozen=True)
-class TropLineBundle:
+class TropLineBundle(Frozen):
     """One indecomposable summand: the pushforward of (ns, l) from a cover.
 
     ``l`` holds the covector's values on the Hermite basis of ``lattice``;
@@ -99,8 +98,7 @@ class TropLineBundle:
         )
 
 
-@dataclass(frozen=True)
-class TropVectorBundle:
+class TropVectorBundle(Frozen):
     """Multiset of summands in canonical order."""
 
     torus: TropTorus
@@ -352,8 +350,7 @@ def gamma_compatible(e: TropVectorBundle, gamma: Sublattice) -> bool:
     return all(s.lattice.contains_lattice(gamma) for s in e.summands)
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(Frozen):
     """Canonical coordinate of a compatible summand class.
 
     coords is the box representative of the restricted covector modulo the

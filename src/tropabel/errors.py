@@ -32,6 +32,11 @@ class ZeroDenominator(TropabelError, ZeroDivisionError):
     """A rational string "p/0"."""
 
 
+class IrrationalRoot(TropabelError, ValueError):
+    """A rational power of a monomial whose magnitude has no rational root,
+    so the result is not in the monomial model."""
+
+
 # -- exact-lattice -----------------------------------------------------------
 
 class RankDeficient(TropabelError):

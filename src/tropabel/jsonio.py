@@ -113,7 +113,8 @@ def mono_to_json(m: ValuedMonomial) -> dict[str, str]:
 
 def mono_from_json(data: Any) -> ValuedMonomial:
     """mag, phase and texp, each parsed once; a magnitude that is not positive
-    raises ValueError, as the ``ValuedMonomial`` constructor does."""
+    raises a bare ValueError, whose CLI error kind is ``ValueError`` (the
+    ``ValuedMonomial`` constructor raises ``MalformedScalar``, a subclass)."""
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a monomial object, got {data!r}")
     mag = rational_from_json(data.get("mag", 1))

@@ -26,11 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from ._frozen import Frozen
 from .errors import DimensionMismatch, NotContained, SingularLattice, TooLarge
 from .linalg import IntRows, Mat, _common_length, column_hnf, hnf, kernel_columns, snf
 from .rationals import as_int, rat
@@ -214,8 +214,7 @@ class Sublattice:
         return Sublattice.from_generators([tuple(c * x for x in gen) for gen in self.generators()])
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Frozen):
     """Quotient of a lattice by a finite-index sublattice.
 
     invariant_factors: the d_i > 1 with d_1 | d_2 | ...; the group is
@@ -227,10 +226,10 @@ class FiniteAbelianGroup:
 
     invariant_factors: tuple[int, ...]
     generator_lifts: tuple[tuple[int, ...], ...]
-    _ambient: Sublattice = field(repr=False)
-    _u: tuple[tuple[int, ...], ...] = field(repr=False)
-    _moduli: tuple[int, ...] = field(repr=False)
-    _trivial: tuple[tuple[int, ...], ...] = field(repr=False)
+    _ambient: Sublattice
+    _u: tuple[tuple[int, ...], ...]
+    _moduli: tuple[int, ...]
+    _trivial: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:

@@ -10,16 +10,22 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, MalformedScalar, NotExact, NotInLattice, TropabelError
+from ._frozen import Frozen
+from .errors import (
+    DimensionMismatch,
+    IrrationalRoot,
+    MalformedScalar,
+    NotExact,
+    NotInLattice,
+    TropabelError,
+)
 from .rationals import as_int, frac_mod_1, rat
 
 
-@dataclass(frozen=True)
-class ValuedMonomial:
+class ValuedMonomial(Frozen):
     """q * e^(2 pi i phase) * t^t_exponent, with q = magnitude > 0."""
 
     magnitude: Fraction
@@ -88,12 +94,13 @@ class ValuedMonomial:
         """x^e for rational e, defined only when the result stays monomial.
 
         Phase and valuation are divisible, but a fractional power of the
-        magnitude must itself be rational; otherwise a ValueError is raised.
+        magnitude must itself be rational; otherwise ``IrrationalRoot`` (a
+        ``ValueError``) is raised.
         """
         e = rat(e)
         mag = _rational_pow(self.magnitude, e)
         if mag is None:
-            raise ValueError(f"{self.magnitude}^{e} is not rational")
+            raise IrrationalRoot(f"{self.magnitude}^{e} is not rational")
         return ValuedMonomial(mag, e * self.phase, e * self.t_exponent)
 
     # -- structure of elements -----------------------------------------------
@@ -144,8 +151,7 @@ def _int_root(a: int, k: int) -> int | None:
 ONE = ValuedMonomial.one()
 
 
-@dataclass(frozen=True)
-class MultiplicativePoint:
+class MultiplicativePoint(Frozen):
     """A point of (K*)^g in the monomial model."""
 
     coords: tuple[ValuedMonomial, ...]

@@ -10,10 +10,10 @@ representations tropicalize entrywise by valuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._frozen import Frozen
 from .bundles import ModuliPoint, TropLineBundle, moduli_point, moduli_points
 from .errors import (
     AmbientMismatch,
@@ -36,8 +36,7 @@ def _mono_key(m: ValuedMonomial):
     return (m.magnitude, m.phase, m.t_exponent)
 
 
-@dataclass(frozen=True)
-class NACharacter:
+class NACharacter(Frozen):
     """A homomorphism from the period lattice to the monomial units,
     stored by its values on the lattice basis."""
 
@@ -72,8 +71,7 @@ def unit_character(torus: NATorus, m: Sequence[int]) -> NACharacter:
     return NACharacter(tuple(eval_character(gen, m) for gen in torus.generators))
 
 
-@dataclass(frozen=True)
-class NALineBundle:
+class NALineBundle(Frozen):
     """Factor of automorphy (class, r) on a cover lattice.
 
     ``r_basis`` holds the values of r on the Hermite basis of ``lattice``;
@@ -164,9 +162,10 @@ def represent_on(b: NALineBundle, target: Sublattice) -> NALineBundle:
     intersection (hence the same bundle class).
 
     Works through a basis of the target adapted to the intersection and takes
-    exact roots of the restricted values; raises ValueError when a required
-    root does not exist in the monomial model.  Of the constructor's checks
-    only the class on the new cover is not implied by b.
+    exact roots of the restricted values; raises ``IrrationalRoot`` (a
+    ``ValueError``) when a required root does not exist in the monomial
+    model.  Of the constructor's checks only the class on the new cover is
+    not implied by b.
     """
     if target.ambient_rank != b.lattice.ambient_rank:
         raise AmbientMismatch("target lattice does not match the torus rank")
@@ -245,8 +244,7 @@ def bundle_times_character(b: NALineBundle, chi: NACharacter) -> NALineBundle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NASemisimpleRep:
+class NASemisimpleRep(Frozen):
     """A multiset of rank-one representations, kept canonically sorted."""
 
     characters: tuple[NACharacter, ...]

@@ -14,11 +14,11 @@ sitting between the two, and the dual-side lattices with their index identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
+from ._frozen import Frozen
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -39,8 +39,7 @@ from .linalg import Mat, congruence_lattice
 from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
 
 
-@dataclass(frozen=True)
-class TropTorus:
+class TropTorus(Frozen):
     """Real torus N_R/Lambda; column j of v = position of generator j in N_Q."""
 
     v: Mat
@@ -62,8 +61,7 @@ class TropTorus:
         return self.v.mul_vec(a)
 
 
-@dataclass(frozen=True)
-class NATorus:
+class NATorus(Frozen):
     """Multiplicative torus (K*)^g / Lambda with monomial period generators."""
 
     generators: tuple[MultiplicativePoint, ...]
@@ -150,8 +148,7 @@ def _h_image(h: Mat, b: Sequence[int | Fraction]) -> list[int]:
     return [x // h.den for x in img]
 
 
-@dataclass(frozen=True)
-class NSClass:
+class NSClass(Frozen):
     """A polarization-type class H over a fixed torus.
 
     Over a multiplicative torus the constructor additionally requires that

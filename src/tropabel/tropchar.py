@@ -11,20 +11,26 @@ orbit stabilizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._frozen import Frozen
 from .bundles import TropLineBundle, TropVectorBundle, _coset_reps
-from .errors import NotCommuting, NotInLattice, NotInvertible, SizeMismatch, TropabelError
+from .errors import (
+    NotCommuting,
+    NotExact,
+    NotInLattice,
+    NotInvertible,
+    SizeMismatch,
+    TropabelError,
+)
 from .lattices import Sublattice
 from .linalg import Mat
 from .nspairings import TropTorus
 from .rationals import as_int, rat
 
 
-@dataclass(frozen=True)
-class TropGLElement:
+class TropGLElement(Frozen):
     """A permutation with a translation: acts by (Ax)_i = d_i + x at sigma^-1(i).
 
     perm is stored 0-indexed with perm[i] = sigma(i).
@@ -34,11 +40,17 @@ class TropGLElement:
     d: tuple[Fraction, ...]
 
     def __post_init__(self):
-        r = len(self.perm)
-        if sorted(self.perm) != list(range(r)):
+        perm = tuple(self.perm)
+        # entries other than ints are read through as_int: a float or a
+        # boolean would pass the sort
+        if not set(map(type, perm)) <= {int}:
+            perm = tuple(as_int(x, NotExact) for x in perm)
+        r = len(perm)
+        if sorted(perm) != list(range(r)):
             raise NotInvertible("perm is not a permutation")
         if len(self.d) != r:
             raise SizeMismatch("translation vector length differs from perm size")
+        object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "d", tuple(rat(x) for x in self.d))
 
     @classmethod
@@ -129,8 +141,7 @@ def to_matrix(a: TropGLElement) -> list[list[Fraction | None]]:
     return rows
 
 
-@dataclass(frozen=True)
-class TropRepresentation:
+class TropRepresentation(Frozen):
     """Images of the g period-lattice basis vectors in GL_r of the min-plus semifield."""
 
     images: tuple[TropGLElement, ...]
@@ -175,8 +186,7 @@ def check_commuting(rep: TropRepresentation) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrbitSummand:
+class OrbitSummand(Frozen):
     """One indecomposable piece: an orbit, its stabilizer lattice, and the
     rational character of the stabilizer read off at the orbit's base point."""
 

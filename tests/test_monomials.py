@@ -112,8 +112,9 @@ def test_root_pow_integer_exponent_matches_pow():
 
 
 def test_root_pow_irrational_magnitude():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         mono(2, 0, 0).root_pow(F(1, 2))
+    assert isinstance(info.value, TropabelError)
     with pytest.raises(ValueError):
         mono(3, 0, 0).root_pow(F(1, 3))
 

@@ -6,7 +6,7 @@ import tropabel.tropchar as tropchar
 import pytest
 
 from tropabel.bundles import as_bundle, is_homogeneous, line_bundle
-from tropabel.errors import NotCommuting, NotInvertible, SizeMismatch, TropabelError
+from tropabel.errors import NotCommuting, NotExact, NotInvertible, SizeMismatch, TropabelError
 from tropabel import lattices, linalg
 from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
@@ -110,6 +110,16 @@ def test_element_validation():
         TropGLElement((0, 0), (F(0), F(0)))
     with pytest.raises(SizeMismatch):
         TropGLElement((0, 1), (F(0),))
+    # integral Fractions are read as the ints they are
+    assert [type(i) for i in TropGLElement([F(1), 0], (0, 0)).perm] == [int, int]
+
+
+@pytest.mark.parametrize(
+    "perm", [(0.0, 1.0), (True, False), ("1", "0")], ids=["float", "bool", "str"]
+)
+def test_perm_entries_must_be_ints(perm):
+    with pytest.raises(NotExact):
+        TropGLElement(perm, (F(0), F(0)))
 
 
 @pytest.mark.parametrize("n", [1.5, F(2), "2", True, None])
