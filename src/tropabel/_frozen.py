@@ -14,11 +14,13 @@ immutable records.  A subclass of ``Frozen`` behaves as under
 - setting or deleting an attribute raises ``AttributeError``.
 
 A method the class defines itself is kept, as ``ValuedMonomial`` keeps its
-``__repr__``.  The others are closures made once per class in
-``__init_subclass__``, not generated source: defining a class runs no
-``exec``, and importing the package loads neither ``dataclasses`` nor
-``inspect`` (with ``ast``, ``dis`` and ``tokenize``), which every CLI call
-paid at start.
+``__repr__``, and as the values built by the thousand on hot paths (tori,
+line and vector bundles, moduli points, orbit summands, characters) keep an
+``__init__`` with named parameters, which Python binds faster than the
+generic one.  The others are closures made once per class in ``__init_subclass__``, not
+generated source: defining a class runs no ``exec``, and importing the
+package loads neither ``dataclasses`` nor ``inspect`` (with ``ast``, ``dis``
+and ``tokenize``), which every CLI call paid at start.
 """
 
 from __future__ import annotations
@@ -32,12 +34,10 @@ _setattr = object.__setattr__
 
 
 class Frozen:
-    _fields: tuple[str, ...] = ()
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__annotations__)
-        cls._fields = cls.__match_args__ = fields
+        cls.__match_args__ = fields
         n = len(fields)
         places = tuple(enumerate(fields))
         post_init = hasattr(cls, "__post_init__")
@@ -54,9 +54,11 @@ class Frozen:
                 self.__post_init__()
 
         def __eq__(self, other):
+            # a value equals itself without reading its fields, as under
+            # dataclass from Python 3.13
+            if self is other:
+                return True
             if other.__class__ is self.__class__:
-                if single:
-                    return (get(self),) == (get(other),)
                 return get(self) == get(other)
             return NotImplemented
 

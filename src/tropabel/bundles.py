@@ -50,6 +50,13 @@ class TropLineBundle(Frozen):
     ns: Mat
     l: tuple[Fraction, ...]
 
+    def __init__(self, torus: TropTorus, lattice: Sublattice, ns: Mat, l: Sequence[Fraction]):
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "l", l)
+        self.__post_init__()
+
     def __post_init__(self):
         object.__setattr__(self, "l", tuple(rat(x) for x in self.l))
         g = self.torus.g
@@ -104,12 +111,11 @@ class TropVectorBundle(Frozen):
     torus: TropTorus
     summands: tuple[TropLineBundle, ...]
 
-    def __post_init__(self):
-        if any(s.torus != self.torus for s in self.summands):
+    def __init__(self, torus: TropTorus, summands: Sequence[TropLineBundle]):
+        if any(s.torus != torus for s in summands):
             raise AmbientMismatch("summands live on a different torus")
-        object.__setattr__(
-            self, "summands", tuple(sorted(self.summands, key=lambda s: s.sort_key))
-        )
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "summands", tuple(sorted(summands, key=lambda s: s.sort_key)))
 
     @property
     def rank(self) -> int:
@@ -361,6 +367,12 @@ class ModuliPoint(Frozen):
     gamma: Sublattice
     ns: Mat
     coords: tuple[Fraction, ...]
+
+    def __init__(self, torus: TropTorus, gamma: Sublattice, ns: Mat, coords: tuple[Fraction, ...]):
+        object.__setattr__(self, "torus", torus)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "coords", coords)
 
 
 def moduli_point(s: TropLineBundle, gamma: Sublattice, ns: Mat) -> ModuliPoint:

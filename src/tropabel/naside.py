@@ -42,10 +42,11 @@ class NACharacter(Frozen):
 
     values: tuple[ValuedMonomial, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not all(isinstance(v, ValuedMonomial) for v in self.values):
+    def __init__(self, values: Sequence[ValuedMonomial]):
+        values = tuple(values)
+        if not all(isinstance(v, ValuedMonomial) for v in values):
             raise TropabelError("character values must be ValuedMonomial values")
+        object.__setattr__(self, "values", values)
 
     @property
     def g(self) -> int:

@@ -44,13 +44,14 @@ class TropTorus(Frozen):
 
     v: Mat
 
-    def __post_init__(self):
-        if self.v.n != self.v.m:
+    def __init__(self, v: Mat):
+        if v.n != v.m:
             raise DimensionMismatch("period matrix must be square")
-        if self.v.n == 0:
+        if v.n == 0:
             raise DimensionMismatch("a torus needs at least one period generator")
-        if self.v.det() == 0:
+        if v.det() == 0:
             raise SingularLattice("period matrix must be nonsingular")
+        object.__setattr__(self, "v", v)
 
     @property
     def g(self) -> int:

@@ -40,11 +40,8 @@ class TropGLElement(Frozen):
     d: tuple[Fraction, ...]
 
     def __post_init__(self):
-        perm = tuple(self.perm)
-        # entries other than ints are read through as_int: a float or a
-        # boolean would pass the sort
-        if not set(map(type, perm)) <= {int}:
-            perm = tuple(as_int(x, NotExact) for x in perm)
+        # read through as_int: a float or a boolean entry would pass the sort
+        perm = tuple(as_int(x, NotExact) for x in self.perm)
         r = len(perm)
         if sorted(perm) != list(range(r)):
             raise NotInvertible("perm is not a permutation")
@@ -193,6 +190,11 @@ class OrbitSummand(Frozen):
     orbit: tuple[int, ...]
     lattice: Sublattice
     l: tuple[Fraction, ...]
+
+    def __init__(self, orbit: tuple[int, ...], lattice: Sublattice, l: tuple[Fraction, ...]):
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "l", l)
 
 
 def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:

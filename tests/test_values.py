@@ -137,7 +137,7 @@ def test_samples_cover_every_value_class():
 @pytest.mark.parametrize("x, fields, text", SAMPLES, ids=IDS)
 def test_value_class_behaves_as_a_frozen_dataclass(x, fields, text):
     values = tuple(getattr(x, f) for f in fields)
-    assert x._fields == fields
+    assert type(x).__match_args__ == fields
     assert hash(x) == hash(values)
     assert repr(x) == text
     # rebuilt from its fields by keyword, a value is equal and hashes alike
