@@ -31,7 +31,7 @@ from .errors import (
     NotContained,
     SlopeMismatch,
 )
-from .lattices import QLattice, Sublattice
+from .lattices import QLattice, Sublattice, _sum_and_intersection
 from .linalg import Mat
 from .nspairings import TropTorus, extended_character_lattice, is_r_symmetric
 from .rationals import rat
@@ -201,8 +201,7 @@ def tensor(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
     out = []
     for s1 in e1.summands:
         for s2 in e2.summands:
-            inter = s1.lattice & s2.lattice
-            total = s1.lattice + s2.lattice
+            total, inter = _sum_and_intersection(s1.lattice, s2.lattice)
             ns = s1.ns + s2.ns
             basis = inter.generators()
             base_l = [s1.l_value(b) + s2.l_value(b) for b in basis]
@@ -225,8 +224,7 @@ def pullback(e: TropVectorBundle, sub: Sublattice) -> TropVectorBundle:
     target = cover_torus(torus, sub)
     out = []
     for s in e.summands:
-        inter = s.lattice & sub
-        total = s.lattice + sub
+        total, inter = _sum_and_intersection(s.lattice, sub)
         new_lat = Sublattice.from_generators([sub.coordinates(b) for b in inter.generators()])
         amb_cols = list(zip(*(sub.mat @ new_lat.mat).num))
         new_ns = s.ns @ sub.mat

@@ -4,21 +4,20 @@ Sublattice bases are kept in the canonical column Hermite form from
 ``linalg``, so two Sublattice values are equal exactly when they describe the
 same subgroup of Z^g; a basis already in that form is recognised and kept.
 The basis is lower-triangular, so coordinates and membership come from one
-integer forward substitution (``_forward_solve``), never from Gaussian
-elimination.  Box representatives come from one integer pass over a batch of
-vectors: one adjugate of the Hermite basis and a floor division per
-coordinate.  A ``QLattice`` is a Sublattice scaled by 1/den and reduces
-through the same pass.  Quotients by finite-index
-sublattices come back as ``FiniteAbelianGroup`` values carrying invariant
-factors, generator lifts and the projection map, which is everything the
-pairing machinery downstream needs.  ``enumerate_subgroups`` lists the
-subgroups of such a group that have a given order, by a walk over Hermite
-bases that checks each new column in integers and abandons a failing branch;
-given an alternating form it keeps only the isotropic subgroups, so the
-admissible covers, which correspond to the Lagrangian (isotropic of order
-sqrt|D|) subgroups of a defect group D, come out of the walk directly.  The
-walk charges its work to one budget of steps as it goes and raises
-``TooLarge`` when the budget runs out.
+integer forward substitution (``_forward_solve``).  Sum and intersection are
+the diagonal blocks of one Hermite form.  Box representatives come from one
+integer pass over a batch of vectors: one adjugate of the Hermite basis and a
+floor division per coordinate.  A ``QLattice`` is a Sublattice scaled by 1/den
+and reduces through the same pass.  Quotients by finite-index sublattices come
+back as ``FiniteAbelianGroup`` values carrying invariant factors, generator
+lifts and the projection map, which is everything the pairing machinery
+downstream needs.  ``enumerate_subgroups`` lists the subgroups of such a group
+that have a given order, by a walk over Hermite bases that checks each new
+column in integers and abandons a failing branch; given an alternating form it
+keeps only the isotropic subgroups, so the admissible covers, which correspond
+to the Lagrangian (isotropic of order sqrt|D|) subgroups of a defect group D,
+come out of the walk directly.  The walk charges its work to one budget of
+steps as it goes and raises ``TooLarge`` when the budget runs out.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Iterable, Sequence
 
 from ._frozen import Frozen
 from .errors import DimensionMismatch, NotContained, SingularLattice, TooLarge
-from .linalg import IntRows, Mat, _common_length, column_hnf, hnf, kernel_columns, snf
+from .linalg import IntRows, Mat, _common_length, column_hnf, hnf, snf
 from .rationals import as_int, rat
 
 SUBGROUP_ENUMERATION_BOUND = 10_000
@@ -96,12 +95,14 @@ class Sublattice:
     def from_generators(cls, gens: Sequence[Sequence[int]]) -> "Sublattice":
         """Lattice spanned by the given vectors (nonempty, of one length, full rank)."""
         g = _common_length(gens, "generators")
-        h, _ = column_hnf([[as_int(v[i], NotContained) for v in gens] for i in range(g)])
-        nonzero = [j for j in range(len(gens)) if any(h[i][j] for i in range(g))]
-        if len(nonzero) != g:
+        rows = [[as_int(v[i], NotContained) for v in gens] for i in range(g)]
+        if len(gens) == g and _is_hermite(rows):
+            return cls._from_hermite(rows)
+        h = column_hnf(rows)
+        # at full rank the first g columns, pivots on the diagonal, are the basis
+        if len(gens) < g or not all(h[i][i] for i in range(g)):
             raise SingularLattice("generators do not span a full-rank lattice")
-        # the nonzero columns of a column Hermite form are the canonical basis
-        return cls._from_hermite([[h[i][j] for j in nonzero] for i in range(g)])
+        return cls._from_hermite([row[:g] for row in h])
 
     @classmethod
     def full(cls, g: int) -> "Sublattice":
@@ -190,16 +191,8 @@ class Sublattice:
     # -- arithmetic -----------------------------------------------------------
 
     def intersect(self, other: "Sublattice") -> "Sublattice":
-        """Intersection, computed from the integer kernel of [A | -B]."""
-        g = self.ambient_rank
-        if other.ambient_rank != g:
-            raise DimensionMismatch(f"cannot intersect ranks {g} and {other.ambient_rank}")
-        wide = [list(self.basis[i]) + [-x for x in other.basis[i]] for i in range(g)]
-        gens = []
-        for col in kernel_columns(wide):
-            x = col[:g]
-            gens.append(tuple(sum(self.basis[i][j] * x[j] for j in range(g)) for i in range(g)))
-        return Sublattice.from_generators(gens)
+        """Intersection, a block of one Hermite pass: ``_sum_and_intersection``."""
+        return _sum_and_intersection(self, other)[1]
 
     def sum(self, other: "Sublattice") -> "Sublattice":
         return Sublattice.from_generators(self.generators() + other.generators())
@@ -212,6 +205,19 @@ class Sublattice:
 
     def scaled(self, c: int) -> "Sublattice":
         return Sublattice.from_generators([tuple(c * x for x in gen) for gen in self.generators()])
+
+
+def _sum_and_intersection(a: Sublattice, b: Sublattice) -> tuple[Sublattice, Sublattice]:
+    """(L1 + L2, L1 ∩ L2): the upper-left and lower-right blocks of the column
+    Hermite form of [[A, B], [A, 0]] (Zassenhaus), whose columns span the
+    (A x + B y, A x); the columns zero on top (A x = -B y, in L2) hold L1 ∩ L2."""
+    g = a.ambient_rank
+    if b.ambient_rank != g:
+        raise DimensionMismatch(f"cannot intersect ranks {g} and {b.ambient_rank}")
+    zero = (0,) * g
+    h = column_hnf([x + y for x, y in zip(a.basis, b.basis)] + [x + zero for x in a.basis])
+    upper, lower = [row[:g] for row in h[:g]], [row[g:] for row in h[g:]]
+    return Sublattice._from_hermite(upper), Sublattice._from_hermite(lower)
 
 
 class FiniteAbelianGroup(Frozen):

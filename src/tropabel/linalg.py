@@ -14,8 +14,9 @@ Two layers live here:
 
   * integer normal forms — column Hermite form in one fixed convention
     (lower-triangular, positive diagonal, off-diagonal row entries reduced into
-    [0, diagonal)), Smith form with transformation matrices, and integer
-    kernel / congruence-solution lattices built on top of them.
+    [0, diagonal)) from one pass that builds no transform, and Smith form with
+    transformation matrices.  A transform, a kernel or a congruence lattice is
+    read as a block of the Hermite form of a block matrix.
 
 The Hermite convention is load-bearing: canonical bases make structural
 equality of lattices coincide with mathematical equality everywhere else in
@@ -91,7 +92,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls._from_int([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_int(_identity(n))
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "Mat":
@@ -241,18 +242,19 @@ def _transpose(rows: Sequence[Sequence[int]]) -> IntRows:
     return [list(col) for col in zip(*rows)] if rows else []
 
 
-def row_hnf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:
-    """Row Hermite form: returns (H, U) with U @ A = H, U unimodular.
+def _identity(n: int) -> IntRows:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def row_hnf(rows: Sequence[Sequence[int]]) -> IntRows:
+    """Row Hermite form H = U @ A for some unimodular U, which is not built.
 
     H is in row-echelon form; each pivot is positive and the entries above a
     pivot are reduced into [0, pivot). Zero rows sink to the bottom.
     """
     a = [list(r) for r in rows]
-    n = len(a)
-    m = len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(m):
+    n, r = len(a), 0
+    for c in range(len(a[0]) if a else 0):
         if r == n:
             break
         piv = next((i for i in range(r, n) if a[i][c] != 0), None)
@@ -260,52 +262,46 @@ def row_hnf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            u[r], u[piv] = u[piv], u[r]
         for i in range(r + 1, n):
             # euclid on (a[r][c], a[i][c]) by alternating reduce-and-swap
             while a[i][c] != 0:
                 q = a[r][c] // a[i][c]
-                a[r] = [x - q * y for x, y in zip(a[r], a[i])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[i])]
-                a[r], a[i] = a[i], a[r]
-                u[r], u[i] = u[i], u[r]
+                a[r], a[i] = a[i], [x - q * y for x, y in zip(a[r], a[i])]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = a[i][c] // a[r][c]
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
-    return a, u
+    return a
 
 
-def column_hnf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:
-    """Column Hermite form: returns (H, U) with A @ U = H, U unimodular.
+def column_hnf(rows: Sequence[Sequence[int]]) -> IntRows:
+    """Column Hermite form H = A @ U for some unimodular U, which is not built.
 
     For square nonsingular A this is lower-triangular with positive diagonal
     and row entries left of the diagonal reduced into [0, diagonal); in
     general the nonzero columns come first and zero columns sink to the right.
     """
-    ht, ut = row_hnf(_transpose(rows))
-    return _transpose(ht), _transpose(ut)
+    return _transpose(row_hnf(_transpose(rows)))
 
 
 def hnf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:
     """Canonical column Hermite form of a full-column-rank integer matrix.
 
-    Returns (H, U) with H = A @ U. Raises RankDeficient when the columns are
-    dependent, since then no canonical full set of generators exists, and
-    DimensionMismatch for ragged rows.
+    Returns (H, U) with H = A @ U, U unimodular: the column form of A stacked
+    on I is [A U; U], its top rows taking all the pivots. Raises RankDeficient
+    when the columns are dependent, since then no canonical full set of
+    generators exists, and DimensionMismatch for ragged rows.
     """
     if not rows or not rows[0]:
         raise RankDeficient("empty matrix")
-    k = _common_length(rows, "rows")
-    h, u = column_hnf(rows)
-    if any(all(h[i][j] == 0 for i in range(len(h))) for j in range(k)):
+    k, n = _common_length(rows, "rows"), len(rows)
+    h = column_hnf([*rows, *_identity(k)])
+    if any(all(h[i][j] == 0 for i in range(n)) for j in range(k)):
         raise RankDeficient("columns are linearly dependent")
-    return h, u
+    return h[:n], h[n:]
 
 
 def snf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows, IntRows]:
@@ -317,8 +313,7 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows, IntRows]:
     m = _common_length(rows, "rows")
     a = [list(r) for r in rows]
     n = len(a)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    w = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    u, w = _identity(n), _identity(m)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -381,25 +376,23 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows, IntRows]:
 
 
 def kernel_columns(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {x : A @ x = 0}, as column vectors."""
-    h, u = column_hnf(rows)
-    n = len(rows)
-    k = len(rows[0]) if rows else 0
+    """Basis of the integer kernel {x : A @ x = 0}, as column vectors: the
+    columns of U under the zero columns of A U in [A U; U], A stacked on I."""
+    n, k = len(rows), len(rows[0]) if rows else 0
+    h = column_hnf([*rows, *_identity(k)])
     rank = sum(1 for j in range(k) if any(h[i][j] != 0 for i in range(n)))
-    return [[u[i][j] for i in range(k)] for j in range(rank, k)]
+    return [[h[n + i][j] for i in range(k)] for j in range(rank, k)]
 
 
 def congruence_lattice(rows: Sequence[Sequence[int]], modulus: int) -> IntRows:
-    """Canonical basis of {x in Z^m : A @ x = 0 (mod modulus)}.
-
-    The lattice always has full rank m (it contains modulus * Z^m); the result
-    is the m x m column-Hermite basis.
-    """
-    n = len(rows)
-    m = len(rows[0])
-    wide = [list(rows[i]) + [-modulus if j == i else 0 for j in range(n)] for i in range(n)]
-    cols = [col[:m] for col in kernel_columns(wide)]
-    if len(cols) != m:
+    """Canonical basis of {x in Z^m : A @ x = 0 (mod modulus)}, modulus >= 1, a
+    full-rank lattice (it holds modulus * Z^m).  For A n x m, the columns of
+    [[A, modulus I], [I, 0]] span the (A x + modulus y, x); the first n columns
+    of its column Hermite form take the pivots of the top rows, and the
+    lower-right m x m block is the Hermite basis of the x."""
+    n, m = len(rows), len(rows[0])
+    top = [list(row) + [modulus * (i == j) for j in range(n)] for i, row in enumerate(rows)]
+    h = column_hnf(top + [e + [0] * n for e in _identity(m)])
+    if not all(h[n + i][n + i] for i in range(m)):
         raise RankDeficient("congruence solution lattice is rank deficient")
-    h, _ = hnf(_transpose(cols))
-    return h
+    return [row[n:] for row in h[n:]]

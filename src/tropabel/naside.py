@@ -85,6 +85,7 @@ class NALineBundle(Frozen):
     r_basis: tuple[ValuedMonomial, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "r_basis", tuple(self.r_basis))
         torus = self.ns.torus
         if not isinstance(torus, NATorus):
             raise InvalidClass("the class must live on a multiplicative torus")

@@ -126,7 +126,7 @@ def is_r_symmetric(h: Mat, v: Mat) -> bool:
 
 def integrality_lattice(h: Mat) -> Sublattice:
     """Sublattice of lattice vectors whose image under h is integral."""
-    return Sublattice(congruence_lattice(h.num, h.den))
+    return Sublattice._from_hermite(congruence_lattice(h.num, h.den))
 
 
 def dual_integrality_lattice(h: Mat) -> Sublattice:
@@ -292,7 +292,6 @@ class NSClass(Frozen):
         TooLarge when it runs out."""
         q = self.defect_group
         n = self.class_rank()
-        g = self.torus.g
         lattices = []
         # the walk keeps only the subgroups isotropic for the pairing
         form = self.defect_phases
@@ -300,7 +299,7 @@ class NSClass(Frozen):
             # symmetry = span(trivial columns, d_i * generator lifts) and the
             # subgroup holds each d_i e_i, so these g vectors span the cover
             gens = list(q._trivial) + [q.lift(c) for c in zip(*basis)]
-            lattices.append(Sublattice([[v[i] for v in gens] for i in range(g)]))
+            lattices.append(Sublattice.from_generators(gens))
         if not lattices or any(lat.index != n for lat in lattices):
             raise InternalInconsistency("admissible lattices violate the defect-order identity")
         return sorted(lattices, key=lambda lat: lat.basis)

@@ -144,6 +144,7 @@ class TropRepresentation(Frozen):
     images: tuple[TropGLElement, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))
         if not self.images:
             raise SizeMismatch("a representation needs at least one generator image")
         r = self.images[0].r

@@ -176,6 +176,33 @@ def test_equality_holds_only_within_a_class():
             assert (a == b) is (i == j)
 
 
+def test_sequence_fields_given_as_lists_are_kept_as_tuples():
+    # a list argument is copied into a tuple: the value hashes, equals the
+    # tuple-built one, and the caller's list can no longer change it
+    one = ValuedMonomial.one()
+    m = ValuedMonomial(F(2), F(1, 3), F(-1, 2))
+    t = ValuedMonomial.uniformizer(1)
+    gl = TropGLElement((1, 0), (F(1, 2), 0))
+    na = NATorus([MultiplicativePoint((t, one)), MultiplicativePoint((one, t))])
+    ns = NSClass(na, Mat([[1, 0], [0, 1]]))
+    cases = [
+        (TropRepresentation, lambda seq: (seq,), [gl, gl], "images"),
+        (NALineBundle, lambda seq: (ns, Sublattice.full(2), seq), [m, one], "r_basis"),
+        (NACharacter, lambda seq: (seq,), [m, one], "values"),
+        (NATorus, lambda seq: (seq,), list(na.generators), "generators"),
+    ]
+    for cls, args, items, field in cases:
+        given = list(items)
+        x = cls(*args(given))
+        expected = cls(*args(tuple(items)))
+        assert type(getattr(x, field)) is tuple
+        assert x == expected and hash(x) == hash(expected)
+        given.append(items[0])
+        assert getattr(x, field) == tuple(items) and x == expected
+        with pytest.raises(AttributeError):
+            getattr(x, field).append(items[0])
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     script = (
         "import sys; before = set(sys.modules); import tropabel.cli; "
