@@ -93,7 +93,8 @@ class Sublattice:
 
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence[int]]) -> "Sublattice":
-        """Lattice spanned by the given vectors (nonempty, of one length, full rank)."""
+        """Lattice spanned by the given vectors (nonempty, of one length, full rank).
+        Most covers and pullback lattices arrive as a Hermite basis, kept as is."""
         g = _common_length(gens, "generators")
         rows = [[as_int(v[i], NotContained) for v in gens] for i in range(g)]
         if len(gens) == g and _is_hermite(rows):
