@@ -25,7 +25,8 @@ class NotExact(TropabelError, TypeError):
 
 
 class MalformedScalar(TropabelError, ValueError):
-    """A rational string outside the grammar, or a magnitude that is not positive."""
+    """A rational string outside the grammar, or a magnitude or a modulus that
+    is not positive."""
 
 
 class ZeroDenominator(TropabelError, ZeroDivisionError):

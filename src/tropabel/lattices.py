@@ -30,8 +30,15 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._frozen import Frozen
-from .errors import DimensionMismatch, NotContained, SingularLattice, TooLarge
-from .linalg import IntRows, Mat, _common_length, column_hnf, hnf, snf
+from .errors import (
+    DimensionMismatch,
+    MalformedScalar,
+    NotContained,
+    RankDeficient,
+    SingularLattice,
+    TooLarge,
+)
+from .linalg import IntRows, Mat, _common_length, column_hnf, snf
 from .rationals import as_int, rat
 
 SUBGROUP_ENUMERATION_BOUND = 10_000
@@ -58,12 +65,28 @@ def _is_integral(x: Sequence[int | Fraction]) -> bool:
 def _is_hermite(rows: Sequence[Sequence[int]]) -> bool:
     """Whether a nonempty square integer basis is already in canonical Hermite
     form: lower-triangular, positive diagonal, and the entries left of the
-    diagonal in [0, diagonal).  The form is unique, so ``hnf`` would return
-    such a basis unchanged."""
+    diagonal in [0, diagonal).  The form is unique, so ``column_hnf`` would
+    return such a basis unchanged."""
     return bool(rows) and all(
         row[i] > 0 and all(0 <= x < row[i] for x in row[:i]) and not any(row[i + 1 :])
         for i, row in enumerate(rows)
     )
+
+
+def _hermite_basis(rows: Iterable[Iterable], error: type[Exception]) -> IntRows:
+    """The Hermite basis of the column span of a g x n matrix read by ``as_int``:
+    the matrix itself when canonical, else the first g columns of one column_hnf;
+    ``error`` unless the columns span a full-rank lattice of Z^g."""
+    rows = [[as_int(x, NotContained) for x in row] for row in rows]
+    g, n = len(rows), len(rows[0]) if rows else 0
+    if n == g and _is_hermite(rows):
+        return rows
+    if 0 < g <= n:
+        h = column_hnf(rows)
+        # at full rank the first g columns, pivots on the diagonal, are the basis
+        if all(h[i][i] for i in range(g)):
+            return [row[:g] for row in h]
+    raise error("the columns do not span a full-rank lattice")
 
 
 class Sublattice:
@@ -77,11 +100,8 @@ class Sublattice:
         g = len(basis_rows)
         if any(len(row) != g for row in basis_rows):
             raise DimensionMismatch("a lattice basis must be square")
-        rows = [[as_int(x, NotContained) for x in row] for row in basis_rows]
-        if not _is_hermite(rows):
-            rows, _ = hnf(rows)
         self.ambient_rank = g
-        self.basis = tuple(tuple(row) for row in rows)
+        self.basis = tuple(map(tuple, _hermite_basis(basis_rows, RankDeficient)))
 
     @classmethod
     def _from_hermite(cls, rows: Sequence[Sequence[int]]) -> "Sublattice":
@@ -95,15 +115,8 @@ class Sublattice:
     def from_generators(cls, gens: Sequence[Sequence[int]]) -> "Sublattice":
         """Lattice spanned by the given vectors (nonempty, of one length, full rank).
         Most covers and pullback lattices arrive as a Hermite basis, kept as is."""
-        g = _common_length(gens, "generators")
-        rows = [[as_int(v[i], NotContained) for v in gens] for i in range(g)]
-        if len(gens) == g and _is_hermite(rows):
-            return cls._from_hermite(rows)
-        h = column_hnf(rows)
-        # at full rank the first g columns, pivots on the diagonal, are the basis
-        if len(gens) < g or not all(h[i][i] for i in range(g)):
-            raise SingularLattice("generators do not span a full-rank lattice")
-        return cls._from_hermite([row[:g] for row in h])
+        _common_length(gens, "generators")
+        return cls._from_hermite(_hermite_basis(zip(*gens), SingularLattice))
 
     @classmethod
     def full(cls, g: int) -> "Sublattice":
@@ -264,15 +277,15 @@ class FiniteAbelianGroup(Frozen):
 
 def _smith_adapted(ambient: Sublattice, sub: Sublattice) -> tuple[IntRows, list[int], list]:
     """(U, d, A): the Smith form U C W = diag(d) of sub's coordinates C in ambient's
-    basis B, and the basis A = B U^-1 of ambient, whose multiples d_j A_j span sub."""
+    basis B, and the basis A = B U^-1 of ambient, whose multiples d_j A_j span sub:
+    A diag(d) = B U^-1 U C W = S W for sub's basis S = B C, so A_j = (S W)_j / d_j."""
     g = ambient.ambient_rank
     cols = [ambient.coordinates(gen) for gen in sub.generators()]
     if not all(_is_integral(col) for col in cols):
         raise NotContained("the second lattice is not inside the first")
-    u, d, _ = snf([[int(col[i]) for col in cols] for i in range(g)])
-    _, u_inv = hnf(u)  # U is unimodular: its Hermite form is I, reached by U^-1
+    u, d, w = snf(list(zip(*cols)))
     adapted = [
-        tuple(sum(b * u_inv[k][j] for k, b in enumerate(row)) for row in ambient.basis)
+        tuple(sum(s * w[k][j] for k, s in enumerate(row)) // d[j][j] for row in sub.basis)
         for j in range(g)
     ]
     return u, [d[i][i] for i in range(g)], adapted
@@ -341,10 +354,17 @@ def enumerate_subgroups(
     each of them.  A branch that fails is abandoned.  The work is charged to
     one budget of ``bound`` steps as it is done (isqrt(d_j) to list the
     divisors of d_j, one per candidate column tried); TooLarge is raised when
-    the budget runs out.
+    the budget runs out.  A form whose F is not k x k raises DimensionMismatch,
+    and one whose den is not positive MalformedScalar.
     """
     d = group.invariant_factors
     k = len(d)
+    if form is not None:
+        f, den = form
+        if len(f) != k or any(len(row) != k for row in f):
+            raise DimensionMismatch(f"the form must be {k} x {k} on a group of rank {k}")
+        if den < 1:
+            raise MalformedScalar(f"the form's modulus must be positive, got {den}")
     if order < 1 or group.order % order:
         return []
     left = bound
@@ -382,7 +402,6 @@ def enumerate_subgroups(
                 if not _in_span([x * e for e in col], cols, j + 1):
                     continue
                 if form is not None:
-                    f, den = form
                     if any(sum(map(operator.mul, col, images[i])) % den for i in range(j + 1, k)):
                         continue
                     images[j] = [sum(map(operator.mul, row, col)) for row in f]

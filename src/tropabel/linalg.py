@@ -15,8 +15,9 @@ Two layers live here:
   * integer normal forms — column Hermite form in one fixed convention
     (lower-triangular, positive diagonal, off-diagonal row entries reduced into
     [0, diagonal)) from one pass that builds no transform, and Smith form with
-    transformation matrices.  A transform, a kernel or a congruence lattice is
-    read as a block of the Hermite form of a block matrix.
+    transformation matrices.  ``hnf``'s transform and a congruence lattice are
+    read as a block of the Hermite form of a block matrix; no other module
+    builds a Hermite transform.
 
 The Hermite convention is load-bearing: canonical bases make structural
 equality of lattices coincide with mathematical equality everywhere else in
@@ -29,8 +30,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, RankDeficient, SingularLattice
-from .rationals import rat
+from .errors import DimensionMismatch, NotExact, RankDeficient, SingularLattice
+from .rationals import as_int, rat
 
 IntRows = list[list[int]]
 
@@ -293,12 +294,13 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:
     Returns (H, U) with H = A @ U, U unimodular: the column form of A stacked
     on I is [A U; U], its top rows taking all the pivots. Raises RankDeficient
     when the columns are dependent, since then no canonical full set of
-    generators exists, and DimensionMismatch for ragged rows.
+    generators exists, DimensionMismatch for ragged rows and NotExact for an
+    entry that is not an integer (an integral Fraction is read as one).
     """
     if not rows or not rows[0]:
         raise RankDeficient("empty matrix")
     k, n = _common_length(rows, "rows"), len(rows)
-    h = column_hnf([*rows, *_identity(k)])
+    h = column_hnf([*([as_int(x, NotExact) for x in row] for row in rows), *_identity(k)])
     if any(all(h[i][j] == 0 for i in range(n)) for j in range(k)):
         raise RankDeficient("columns are linearly dependent")
     return h[:n], h[n:]
@@ -308,10 +310,11 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows, IntRows]:
     """Smith form: returns (U, D, W) with U @ A @ W = D.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ...; U and W are
-    unimodular.  Raises DimensionMismatch for empty or ragged rows.
+    unimodular.  Raises DimensionMismatch for empty or ragged rows and NotExact
+    for an entry that is not an integer (an integral Fraction is read as one).
     """
     m = _common_length(rows, "rows")
-    a = [list(r) for r in rows]
+    a = [[as_int(x, NotExact) for x in r] for r in rows]
     n = len(a)
     u, w = _identity(n), _identity(m)
 
@@ -375,24 +378,18 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows, IntRows]:
     return u, a, w
 
 
-def kernel_columns(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {x : A @ x = 0}, as column vectors: the
-    columns of U under the zero columns of A U in [A U; U], A stacked on I."""
-    n, k = len(rows), len(rows[0]) if rows else 0
-    h = column_hnf([*rows, *_identity(k)])
-    rank = sum(1 for j in range(k) if any(h[i][j] != 0 for i in range(n)))
-    return [[h[n + i][j] for i in range(k)] for j in range(rank, k)]
-
-
-def congruence_lattice(rows: Sequence[Sequence[int]], modulus: int) -> IntRows:
-    """Canonical basis of {x in Z^m : A @ x = 0 (mod modulus)}, modulus >= 1, a
-    full-rank lattice (it holds modulus * Z^m).  For A n x m, the columns of
-    [[A, modulus I], [I, 0]] span the (A x + modulus y, x); the first n columns
-    of its column Hermite form take the pivots of the top rows, and the
-    lower-right m x m block is the Hermite basis of the x."""
-    n, m = len(rows), len(rows[0])
+def congruence_lattice(
+    rows: Sequence[Sequence[int]], modulus: int, basis: Sequence[Sequence[int]] | None = None
+) -> IntRows:
+    """Canonical basis of {B x : A @ x = 0 (mod modulus)}, modulus >= 1, B a
+    nonsingular m x m basis (I by default), a full-rank lattice (it holds
+    modulus * B Z^m).  For A n x m (DimensionMismatch if empty or ragged), the
+    columns of [[A, modulus I], [B, 0]] span the (A x + modulus y, B x); the first
+    n columns of its column Hermite form take the pivots of the top rows, and the
+    lower-right m x m block is the Hermite basis of the B x."""
+    n, m = len(rows), _common_length(rows, "rows")
     top = [list(row) + [modulus * (i == j) for j in range(n)] for i, row in enumerate(rows)]
-    h = column_hnf(top + [e + [0] * n for e in _identity(m)])
+    h = column_hnf(top + [list(row) + [0] * n for row in basis or _identity(m)])
     if not all(h[n + i][n + i] for i in range(m)):
         raise RankDeficient("congruence solution lattice is rank deficient")
     return [row[n:] for row in h[n:]]

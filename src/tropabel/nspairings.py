@@ -262,13 +262,12 @@ class NSClass(Frozen):
 
     @cached_property
     def symmetry(self) -> Sublattice:
-        """Vectors pairing symmetrically with the whole integrality lattice:
-        the x in it with G^T Omega G x = 0 mod 1 in integrality coordinates,
-        Omega = PH - (PH)^T the phase matrix of the torsion pairing."""
+        """Vectors pairing symmetrically with the whole integrality lattice G Z^g:
+        the G x with G^T Omega G x = 0 mod 1, Omega = PH - (PH)^T the phase
+        matrix of the torsion pairing, read from one congruence block over G."""
         lam = self.integrality
         cond, den = self._phase_form(lam.generators())
-        coords = congruence_lattice(cond, den)
-        return Sublattice((lam.mat @ Mat._from_int(coords)).num)
+        return Sublattice._from_hermite(congruence_lattice(cond, den, lam.basis))
 
     @cached_property
     def defect_group(self) -> FiniteAbelianGroup:

@@ -7,6 +7,7 @@ import pytest
 
 from tropabel.errors import (
     DimensionMismatch,
+    MalformedScalar,
     NotContained,
     RankDeficient,
     SingularLattice,
@@ -22,7 +23,7 @@ from tropabel.lattices import (
     reduce_mod_lattice,
 )
 from tropabel import lattices
-from tropabel.linalg import Mat, hnf
+from tropabel.linalg import Mat, column_hnf, hnf
 
 from conftest import rand_sublattice, sublattices_of_index_at_most
 
@@ -66,15 +67,15 @@ def _near_hermite(rng, rows):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_sublattice_recognises_hermite_bases(g, monkeypatch):
-    # a canonical basis is kept as is and anything else goes through hnf;
-    # both give the one Hermite form of the lattice
+    # a canonical basis is kept as is and anything else goes through one
+    # column_hnf; both give the one Hermite form of the lattice
     calls = []
 
-    def counting_hnf(rows):
+    def counting_column_hnf(rows):
         calls.append(rows)
-        return hnf(rows)
+        return column_hnf(rows)
 
-    monkeypatch.setattr(lattices, "hnf", counting_hnf)
+    monkeypatch.setattr(lattices, "column_hnf", counting_column_hnf)
     rng = random.Random(331 + g)
     kinds = set()
     for _ in range(60):
@@ -354,6 +355,14 @@ def test_quotient_lifts_and_trivial_columns_span_the_ambient():
         assert len(q._trivial) + len(q.generator_lifts) == g
         assert Sublattice.from_generators(list(q._trivial) + list(q.generator_lifts)) == amb
         assert all(sub.contains(v) for v in q._trivial)
+        # the adapted basis A, read from Smith's W, satisfies A U = ambient's
+        # basis, and each d_j A_j lies in sub
+        u, d, adapted = lattices._smith_adapted(amb, sub)
+        assert [
+            tuple(sum(a[i] * u[j][k] for j, a in enumerate(adapted)) for k in range(g))
+            for i in range(g)
+        ] == list(amb.basis)
+        assert all(sub.contains(tuple(x * v for v in a)) for x, a in zip(d, adapted))
 
 
 def _join(d: tuple[int, ...], s: frozenset, x: tuple[int, ...]) -> frozenset:
@@ -471,6 +480,26 @@ def test_isotropic_walk_matches_filtering_afterwards():
             assert got == expected
             outcomes.add(len(got) < len(enumerate_subgroups(q, order, bound=10**6)))
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "form, error",
+    [
+        # each used to be read through a truncating zip and answer
+        (([[0, 1]], 2), DimensionMismatch),
+        (([[0, 1], [1, 0], [1, 1]], 2), DimensionMismatch),
+        (([[0, 1], [1]], 2), DimensionMismatch),
+        # used to escape as ZeroDivisionError
+        (([[0, 1], [1, 0]], 0), MalformedScalar),
+        (([[0, 1], [1, 0]], -2), MalformedScalar),
+    ],
+    ids=["1x2", "3x2", "ragged", "den-0", "den-negative"],
+)
+def test_enumerate_subgroups_checks_the_form(form, error):
+    q = _diagonal_group((2, 2))
+    with pytest.raises(error):
+        enumerate_subgroups(q, 2, form=form)
+    assert len(enumerate_subgroups(q, 2, form=([[0, 1], [1, 0]], 2))) == 3
 
 
 def test_enumerate_subgroups_too_large():

@@ -6,9 +6,9 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from tropabel.errors import DimensionMismatch, RankDeficient, SingularLattice
+from tropabel.errors import DimensionMismatch, NotExact, RankDeficient, SingularLattice
 from tropabel.jsonio import matrix_to_json
-from tropabel.linalg import Mat, congruence_lattice, hnf, kernel_columns, snf
+from tropabel.linalg import Mat, column_hnf, congruence_lattice, hnf, snf
 from tropabel.rationals import rat
 
 F = Fraction
@@ -300,6 +300,23 @@ def test_snf_rejects_empty_and_ragged_rows(rows):
         snf(rows)
 
 
+@pytest.mark.parametrize("entry", [0.5, 2.0, True, F(1, 2), "1", None])
+@pytest.mark.parametrize("normal_form", [hnf, snf])
+def test_normal_forms_reject_entries_that_are_not_integers(normal_form, entry):
+    # a Fraction used to pass through as an entry, a bool as a pivot, and a
+    # string escaped as a built-in TypeError
+    with pytest.raises(NotExact):
+        normal_form([[2, 1], [entry, 3]])
+
+
+def test_normal_forms_read_an_integral_fraction_as_an_int():
+    rows = [[F(2), 1], [F(-4, 2), 3]]
+    ints = [[2, 1], [-2, 3]]
+    assert hnf(rows) == hnf(ints)
+    assert snf(rows) == snf(ints)
+    assert all(type(x) is int for m in (*hnf(rows), *snf(rows)) for row in m for x in row)
+
+
 def test_snf_random_against_sympy():
     rng = random.Random(17)
     for _ in range(40):
@@ -325,22 +342,19 @@ def test_snf_random_against_sympy():
 # ---------------------------------------------------------------------------
 
 
-def test_kernel_columns_annihilate():
-    rng = random.Random(19)
+def test_kernel_rank_matches_sympy():
+    # the integer kernel of A is a block of one Hermite pass: the columns of U
+    # under the zero columns of A U in the column form [A U; U] of A stacked on I
+    rng = random.Random(29)
     for _ in range(30):
         n, m = rng.randint(1, 3), rng.randint(1, 4)
         a = rand_int_matrix(rng, n, m)
-        for col in kernel_columns(a):
-            assert all(sum(a[i][j] * col[j] for j in range(m)) == 0 for i in range(n))
-
-
-def test_kernel_rank_matches_sympy():
-    rng = random.Random(29)
-    for _ in range(20):
-        n, m = rng.randint(1, 3), rng.randint(1, 4)
-        a = rand_int_matrix(rng, n, m)
-        rank = sympy.Matrix(n, m, lambda i, j: a[i][j]).rank()
-        assert len(kernel_columns(a)) == m - rank
+        h = column_hnf([*a, *([int(i == j) for j in range(m)] for i in range(m))])
+        rank = sum(1 for j in range(m) if any(h[i][j] for i in range(n)))
+        assert rank == sympy.Matrix(n, m, lambda i, j: a[i][j]).rank()
+        for j in range(rank, m):
+            col = [h[n + i][j] for i in range(m)]
+            assert all(sum(a[i][t] * col[t] for t in range(m)) == 0 for i in range(n))
 
 
 def test_congruence_lattice_brute_force():
@@ -360,6 +374,25 @@ def test_congruence_lattice_brute_force():
                 sum(a[i][j] * v[j] for j in range(g)) % d == 0 for i in range(g)
             )
             assert satisfies == in_span
+
+
+def test_congruence_lattice_below_a_basis_is_its_image():
+    # [[A, d I], [B, 0]] gives the Hermite basis of B {x : A x = 0 mod d}
+    rng = random.Random(31)
+    for _ in range(40):
+        g, n = rng.randint(1, 4), rng.randint(1, 3)
+        d = rng.randint(1, 6)
+        a = rand_int_matrix(rng, n, g)
+        b = rand_int_matrix(rng, g, g)
+        if Mat(b).det() == 0:
+            continue
+        assert congruence_lattice(a, d, b) == hnf(mat_mul(b, congruence_lattice(a, d)))[0]
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [3]]])
+def test_congruence_lattice_rejects_empty_and_ragged_rows(rows):
+    with pytest.raises(DimensionMismatch):
+        congruence_lattice(rows, 2)
 
 
 def test_order_and_encoding_follow_the_fraction_entries():

@@ -91,6 +91,15 @@ def test_integrality_lattice_examples():
     assert integrality_lattice(Mat([[3, 1], [1, 2]])) == Sublattice.full(2)
 
 
+@pytest.mark.parametrize("rows", [[], [[]]])
+def test_integrality_lattice_of_an_empty_matrix_is_refused(rows):
+    # Mat([]) used to escape as IndexError
+    with pytest.raises(DimensionMismatch):
+        integrality_lattice(Mat(rows))
+    with pytest.raises(DimensionMismatch):
+        dual_integrality_lattice(Mat(rows))
+
+
 def test_integrality_lattice_brute_force():
     rng = random.Random(61)
     box = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
