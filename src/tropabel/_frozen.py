@@ -13,11 +13,18 @@ immutable records.  A subclass of ``Frozen`` behaves as under
   start with ``_``;
 - setting or deleting an attribute raises ``AttributeError``.
 
+Each class also gets one private unchecked constructor, ``cls._from_valid(*fields)``:
+it sets the fields in order, binds no keywords and runs no ``__post_init__``.
+Input is validated once, by the public constructor or a decoder at the
+boundary; an internal result that is valid by its construction is built
+through ``_from_valid``.
+
 A method the class defines itself is kept, as ``ValuedMonomial`` keeps its
-``__repr__``, and as the values built by the thousand on hot paths (tori,
-line and vector bundles, moduli points, orbit summands, characters) keep an
-``__init__`` with named parameters, which Python binds faster than the
-generic one.  The others are closures made once per class in ``__init_subclass__``, not
+``__repr__`` and a ``_from_valid`` that reduces the phase mod 1, and as five
+values built by the thousand on hot paths (tori, vector bundles, moduli
+points, orbit summands, characters) keep an ``__init__`` with named
+parameters, which Python binds faster than the generic one.  The others are
+closures made once per class in ``__init_subclass__``, not
 generated source: defining a class runs no ``exec``, and importing the
 package loads neither ``dataclasses`` nor ``inspect`` (with ``ast``, ``dis``
 and ``tokenize``), which every CLI call paid at start.
@@ -31,6 +38,7 @@ from operator import attrgetter
 # compact attribute storage, so reading a field stays as fast as after
 # dataclass's generated __init__
 _setattr = object.__setattr__
+_new = object.__new__
 
 
 class Frozen:
@@ -53,6 +61,12 @@ class Frozen:
             if post_init:
                 self.__post_init__()
 
+        def _from_valid(*args):
+            self = _new(cls)
+            for i, name in places:
+                _setattr(self, name, args[i])
+            return self
+
         def __eq__(self, other):
             # a value equals itself without reading its fields, as under
             # dataclass from Python 3.13
@@ -71,7 +85,7 @@ class Frozen:
             body = ", ".join(f"{f}={read(self)!r}" for f, read in shown)
             return f"{type(self).__qualname__}({body})"
 
-        for method in (__init__, __eq__, __hash__, __repr__):
+        for method in (__init__, staticmethod(_from_valid), __eq__, __hash__, __repr__):
             if method.__name__ not in cls.__dict__:
                 setattr(cls, method.__name__, method)
 

@@ -50,13 +50,6 @@ class TropLineBundle(Frozen):
     ns: Mat
     l: tuple[Fraction, ...]
 
-    def __init__(self, torus: TropTorus, lattice: Sublattice, ns: Mat, l: Sequence[Fraction]):
-        object.__setattr__(self, "torus", torus)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "l", l)
-        self.__post_init__()
-
     def __post_init__(self):
         object.__setattr__(self, "l", tuple(rat(x) for x in self.l))
         g = self.torus.g
@@ -72,19 +65,6 @@ class TropLineBundle(Frozen):
             x % den for gen in self.lattice.generators() for x in self.ns.num_image(gen)
         ):
             raise InvalidClass("class matrix is not integral on the cover lattice")
-
-    @classmethod
-    def _from_valid(
-        cls, torus: TropTorus, lattice: Sublattice, ns: Mat, l: tuple[Fraction, ...]
-    ) -> "TropLineBundle":
-        """A summand from data known to be valid, with g Fractions in l:
-        internal results skip the checks."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "torus", torus)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "l", l)
-        return self
 
     @property
     def rank(self) -> int:
@@ -141,10 +121,11 @@ def as_bundle(summands: TropLineBundle | Iterable[TropLineBundle]) -> TropVector
 
 
 def cover_torus(torus: TropTorus, sub: Sublattice) -> TropTorus:
-    """The torus of the cover: period positions are those of sub's basis."""
+    """The torus of the cover: period positions are those of sub's basis.
+    det(V S) = det(V) [Z^g : sub] is nonzero, so no determinant is taken."""
     if sub.ambient_rank != torus.g:
         raise AmbientMismatch("cover lattice does not match the torus rank")
-    return TropTorus(torus.v @ sub.mat)
+    return TropTorus._from_valid(torus.v @ sub.mat)
 
 
 def _twisted(

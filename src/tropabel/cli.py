@@ -112,6 +112,14 @@ def load_scenario(path: str) -> Scenario:
     return Scenario(data)
 
 
+def write_report(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise jsonio.ScenarioError(f"cannot write report: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -368,7 +376,9 @@ def run(args: argparse.Namespace) -> dict[str, Any]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = run(args)
+        text = json.dumps(run(args), sort_keys=True, indent=2) + "\n"
+        if args.out:
+            write_report(args.out, text)
     except Exception as exc:
         if isinstance(exc, TropabelError):
             code, record = exc.exit_code, {"kind": type(exc).__name__}
@@ -378,11 +388,7 @@ def main(argv: list[str] | None = None) -> int:
             code, record = 4, {"kind": type(exc).__name__, "command": args.command}
         print(json.dumps({"error": str(exc), **record}), file=sys.stderr)
         return code
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

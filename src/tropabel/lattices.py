@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     MalformedScalar,
     NotContained,
+    NotExact,
     RankDeficient,
     SingularLattice,
     TooLarge,
@@ -354,9 +355,11 @@ def enumerate_subgroups(
     each of them.  A branch that fails is abandoned.  The work is charged to
     one budget of ``bound`` steps as it is done (isqrt(d_j) to list the
     divisors of d_j, one per candidate column tried); TooLarge is raised when
-    the budget runs out.  A form whose F is not k x k raises DimensionMismatch,
-    and one whose den is not positive MalformedScalar.
+    the budget runs out.  An order or a bound that is not an integer raises
+    NotExact, a form whose F is not k x k DimensionMismatch, and one whose den
+    is not positive MalformedScalar.
     """
+    order, bound = as_int(order, NotExact), as_int(bound, NotExact)
     d = group.invariant_factors
     k = len(d)
     if form is not None:

@@ -101,7 +101,8 @@ class ValuedMonomial(Frozen):
         mag = _rational_pow(self.magnitude, e)
         if mag is None:
             raise IrrationalRoot(f"{self.magnitude}^{e} is not rational")
-        return ValuedMonomial(mag, e * self.phase, e * self.t_exponent)
+        # a rational root of a positive magnitude is positive
+        return ValuedMonomial._from_valid(mag, e * self.phase, e * self.t_exponent)
 
     # -- structure of elements -----------------------------------------------
 
@@ -168,10 +169,12 @@ class MultiplicativePoint(Frozen):
     def __mul__(self, other: "MultiplicativePoint") -> "MultiplicativePoint":
         if self.g != other.g:
             raise DimensionMismatch("points live in different tori")
-        return MultiplicativePoint(tuple(a * b for a, b in zip(self.coords, other.coords)))
+        return MultiplicativePoint._from_valid(
+            tuple(a * b for a, b in zip(self.coords, other.coords))
+        )
 
     def __pow__(self, n: int) -> "MultiplicativePoint":
-        return MultiplicativePoint(tuple(c**n for c in self.coords))
+        return MultiplicativePoint._from_valid(tuple(c**n for c in self.coords))
 
     def valuations(self) -> tuple[Fraction, ...]:
         return tuple(c.valuation() for c in self.coords)

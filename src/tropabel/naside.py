@@ -55,12 +55,12 @@ class NACharacter(Frozen):
     def value(self, a: Sequence[int]) -> ValuedMonomial:
         if len(a) != self.g:
             raise SizeMismatch("coordinate length differs from the character rank")
-        return eval_character(MultiplicativePoint(self.values), a)
+        return eval_character(MultiplicativePoint._from_valid(self.values), a)
 
     def __mul__(self, other: "NACharacter") -> "NACharacter":
         if self.g != other.g:
             raise SizeMismatch("characters have different ranks")
-        return NACharacter(tuple(a * b for a, b in zip(self.values, other.values)))
+        return NACharacter._from_valid(tuple(a * b for a, b in zip(self.values, other.values)))
 
     @property
     def sort_key(self):
@@ -69,7 +69,7 @@ class NACharacter(Frozen):
 
 def unit_character(torus: NATorus, m: Sequence[int]) -> NACharacter:
     """The character lambda -> <lambda, m> of an integral character m."""
-    return NACharacter(tuple(eval_character(gen, m) for gen in torus.generators))
+    return NACharacter._from_valid(tuple(eval_character(gen, m) for gen in torus.generators))
 
 
 class NALineBundle(Frozen):
@@ -94,18 +94,6 @@ class NALineBundle(Frozen):
             raise AmbientMismatch("bundle data does not match the torus rank")
         _check_cover(self.ns, self.lattice)
 
-    @classmethod
-    def _from_valid(
-        cls, ns: NSClass, lattice: Sublattice, r_basis: tuple[ValuedMonomial, ...]
-    ) -> "NALineBundle":
-        """A bundle on (ns, lattice) data already validated by the public
-        constructor, with g values in r_basis: internal results skip the checks."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "r_basis", r_basis)
-        return self
-
 
 def _check_cover(ns: NSClass, lattice: Sublattice) -> None:
     """The class must be integral and multiplicatively symmetric on the cover."""
@@ -126,7 +114,7 @@ def _extend_from_basis(
     r(sum a_j b_j) = prod r_j^(a_j) * prod_(i<j) [b_i,b_j]^(a_i a_j)
                      * prod_j [b_j,b_j]^(a_j (a_j - 1)/2).
     """
-    out = eval_character(MultiplicativePoint(values), coeffs)
+    out = eval_character(MultiplicativePoint._from_valid(values), coeffs)
     n = len(basis)
     for i in range(n):
         a_i = coeffs[i]
@@ -178,6 +166,7 @@ def represent_on(b: NALineBundle, target: Sublattice) -> NALineBundle:
         chi = extend_r(b, scaled)
         corr = b.ns.gm_pairing(w, w) ** (k * (k - 1) // 2)
         values.append((chi / corr).root_pow(Fraction(1, k)))
+    values = tuple(values)
     # U holds the Hermite basis of target in adapted coordinates
     r_basis = tuple(
         _extend_from_basis(b.ns, adapted, values, [row[j] for row in u])
@@ -275,17 +264,18 @@ class NASemisimpleRep(Frozen):
 def bundles_from_rep(rep: NASemisimpleRep, torus: NATorus) -> tuple[NALineBundle, ...]:
     """One degree-zero line bundle on the full lattice per character.
 
-    All of them share (zero class, full lattice): the first is validated, the
-    others reuse that check.
+    Of the checks of ``NALineBundle`` only the torus type can fail here: the
+    zero class is real- and multiplicatively symmetric and integral on the
+    full lattice, and every character has g values.  So the torus type is
+    checked, and the zero class and every bundle are built unchecked.
     """
     if torus.g != rep.g:
         raise AmbientMismatch("torus rank differs from the representation rank")
-    zero = NSClass(torus, Mat.zeros(torus.g, torus.g))
+    if not isinstance(torus, NATorus):
+        raise InvalidClass("the class must live on a multiplicative torus")
+    zero = NSClass._from_valid(torus, Mat.zeros(torus.g, torus.g))
     full = Sublattice.full(torus.g)
-    first, *rest = rep.characters
-    return (NALineBundle(zero, full, first.values),) + tuple(
-        NALineBundle._from_valid(zero, full, c.values) for c in rest
-    )
+    return tuple(NALineBundle._from_valid(zero, full, c.values) for c in rep.characters)
 
 
 def trop_rep(rep: NASemisimpleRep) -> TropRepresentation:

@@ -100,7 +100,9 @@ class NATorus(Frozen):
         """The period-lattice point with integer coordinates a: coordinate k is
         the character a evaluated at the k-th coordinates of the generators."""
         cols = zip(*(gen.coords for gen in self.generators))
-        return MultiplicativePoint(tuple(eval_character(MultiplicativePoint(c), a) for c in cols))
+        return MultiplicativePoint._from_valid(
+            tuple(eval_character(MultiplicativePoint._from_valid(c), a) for c in cols)
+        )
 
 
 Torus = Union[TropTorus, NATorus]

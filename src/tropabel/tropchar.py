@@ -50,15 +50,6 @@ class TropGLElement(Frozen):
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "d", tuple(rat(x) for x in self.d))
 
-    @classmethod
-    def _from_valid(cls, perm: tuple[int, ...], d: tuple[Fraction, ...]) -> "TropGLElement":
-        """An element from a permutation tuple and a same-length tuple of
-        Fractions known to be valid: internal results skip the checks."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "d", d)
-        return self
-
     @property
     def r(self) -> int:
         return len(self.perm)
@@ -98,13 +89,18 @@ def inverse(a: TropGLElement) -> TropGLElement:
 
 
 def power(a: TropGLElement, n: int) -> TropGLElement:
+    """a^n by repeated squaring: O(log n) compositions, exact by associativity."""
     if type(n) is not int:
         raise TropabelError(f"power needs an int exponent, got {n!r}")
     if n < 0:
         return power(inverse(a), -n)
     out = identity(a.r)
-    for _ in range(n):
-        out = compose(out, a)
+    while n:
+        if n & 1:
+            out = compose(out, a)
+        n >>= 1
+        if n:
+            a = compose(a, a)
     return out
 
 
@@ -282,7 +278,8 @@ def bundle_from_rep(rep: TropRepresentation, torus: TropTorus) -> TropVectorBund
 
 def conjugate(rep: TropRepresentation, a: TropGLElement) -> TropRepresentation:
     a_inv = inverse(a)
-    return TropRepresentation(
+    # as many images as rep's, each of rep's size (compose checks a's)
+    return TropRepresentation._from_valid(
         tuple(compose(compose(a, img), a_inv) for img in rep.images)
     )
 
@@ -313,6 +310,7 @@ def rep_from_bundle(e: TropVectorBundle) -> TropRepresentation:
             perms[j][off + k] = off + k2
             ds[j][off + k2] = s.l_value(tuple(a - b for a, b in zip(v, target)))
         off += len(reps)
-    return TropRepresentation(
+    # g >= 1 images, each of size e.rank
+    return TropRepresentation._from_valid(
         tuple(TropGLElement._from_valid(tuple(p), tuple(d)) for p, d in zip(perms, ds))
     )

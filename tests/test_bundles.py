@@ -220,6 +220,8 @@ def test_pullback_preserves_rank():
         e = as_bundle([rand_line_bundle(rng, torus) for _ in range(rng.randint(1, 2))])
         sub = rand_sublattice(rng, g)
         assert pullback(e, sub).rank == e.rank
+        # built unchecked, the cover torus equals the checked one
+        assert cover_torus(torus, sub) == TropTorus(torus.v @ sub.mat)
 
 
 def test_pushforward_rank_and_round_trip():

@@ -326,6 +326,21 @@ def test_missing_scenario_is_validation_error(capsys):
     assert json.loads(err)["kind"] == "ScenarioError"
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_validation_error(capsys, tmp_path, where):
+    # a report that cannot be written exits 2 with one error record, as an
+    # unreadable scenario does, and prints nothing on stdout
+    target = tmp_path / "no-such-dir" / "x.json" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(
+        capsys, "ns-analyze", "--scenario", scen("reference_example.json"), "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["kind"] == "ScenarioError"
+    assert record["error"].startswith("cannot write report: ")
+
+
 def test_malformed_scenario(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -9,6 +9,7 @@ from tropabel.errors import (
     DimensionMismatch,
     MalformedScalar,
     NotContained,
+    NotExact,
     RankDeficient,
     SingularLattice,
     TooLarge,
@@ -500,6 +501,17 @@ def test_enumerate_subgroups_checks_the_form(form, error):
     with pytest.raises(error):
         enumerate_subgroups(q, 2, form=form)
     assert len(enumerate_subgroups(q, 2, form=([[0, 1], [1, 0]], 2))) == 3
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("argument", ["order", "bound"])
+def test_enumerate_subgroups_reads_integers(argument, value):
+    # a float order used to count as 2, and a string one escaped as TypeError
+    q = _diagonal_group((2, 2))
+    kwargs = {"order": 2, "bound": 100, argument: value}
+    with pytest.raises(NotExact):
+        enumerate_subgroups(q, **kwargs)
+    assert len(enumerate_subgroups(q, order=2, bound=100)) == 3
 
 
 def test_enumerate_subgroups_too_large():

@@ -101,6 +101,10 @@ def test_root_pow_success():
     assert r == mono(2, F(1, 4), F(3, 2))
     assert r * r == x
     assert mono(F(8, 27), 0, 0).root_pow(F(2, 3)) == mono(F(4, 9), 0, 0)
+    # a negative root: the phase is reduced mod 1 as the constructor would
+    r = x.root_pow(F(-1, 2))
+    assert r == mono(F(1, 2), F(3, 4), F(-3, 2))
+    assert r == ValuedMonomial(r.magnitude, r.phase, r.t_exponent)
 
 
 def test_root_pow_integer_exponent_matches_pow():
@@ -156,6 +160,8 @@ def test_point_componentwise_product():
     q = MultiplicativePoint((mono(1, F(1, 2), -1), mono(3, F(1, 2), 2)))
     assert (p * q).coords == (mono(2, F(1, 2), 0), mono(9, 0, 2))
     assert (p**2).valuations() == (F(2), F(0))
+    for point in (p * q, p**2, p**-3):
+        assert point == MultiplicativePoint(point.coords)
     with pytest.raises(DimensionMismatch):
         p * MultiplicativePoint((ONE,))
 

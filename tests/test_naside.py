@@ -139,6 +139,9 @@ def test_unit_character(reference_torus):
     assert chi.values == (T_UNIF, MINUS_ONE)
     lam = (2, 3)
     assert chi.value(lam) == eval_character(reference_torus.embed(lam), (1, 0))
+    other = unit_character(reference_torus, (0, 1))
+    for c in (chi, chi * other):
+        assert c == NACharacter(c.values)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +557,10 @@ def test_internal_bundles_equal_public_construction(reference_torus):
     assert [b.r_basis for b in bundles] == [c.values for c in rep.characters]
     for b in bundles:
         assert b == NALineBundle(b.ns, b.lattice, b.r_basis)
+    assert bundles[0].ns == NSClass(reference_torus, Mat.zeros(2, 2))
+    # the one input that can be wrong: a torus that is not multiplicative
+    with pytest.raises(InvalidClass, match="the class must live on a multiplicative torus"):
+        bundles_from_rep(rep, reference_torus.trop())
     for img in trop_rep(rep).images:
         assert img == TropGLElement(img.perm, img.d)
     assert reference_torus.trop() is reference_torus.trop()

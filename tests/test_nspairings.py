@@ -65,6 +65,8 @@ def test_na_torus_embed(reference_torus):
     q = reference_torus.embed((2, -1))
     prod = p * q
     assert prod.coords == reference_torus.embed((3, 0)).coords
+    for point in (p, q, prod):
+        assert point == MultiplicativePoint(point.coords)
 
 
 def test_na_torus_rejects_degenerate_periods():

@@ -128,6 +128,17 @@ def test_power_needs_an_int_exponent(n):
         power(TropGLElement((1, 0), (F(3), F(5))), n)
 
 
+def test_power_of_a_huge_exponent_squares():
+    # a transposition squares to the identity, and each of its squares adds
+    # x + y to both translations: n = 10**18 takes about 120 compositions
+    x, y = F(1, 3), F(-5, 7)
+    a = TropGLElement((1, 0), (x, y))
+    n = 10**18
+    assert power(a, n) == TropGLElement((0, 1), (n // 2 * (x + y),) * 2)
+    assert power(a, n + 1) == compose(power(a, n), a)
+    assert power(a, -n) == inverse(power(a, n))
+
+
 def test_action_example():
     a = TropGLElement((1, 0), (F(3), F(5)))
     # (Ax)_i = d_i + x_(sigma^-1(i)): row 0 reads slot 1, row 1 reads slot 0
@@ -262,6 +273,7 @@ def test_canonical_form_conjugation_invariant():
         r = rng.randint(1, 4)
         rep = rand_commuting_rep(rng, r, 2)
         conj = conjugate(rep, rand_element(rng, r))
+        assert conj == TropRepresentation(conj.images)
         assert check_commuting(conj)
         assert canonical_form(conj) == canonical_form(rep)
         assert stratum(conj) == stratum(rep)
@@ -303,6 +315,7 @@ def test_rep_from_bundle_round_trip():
         l = (rand_fraction(rng), rand_fraction(rng))
         e = as_bundle(line_bundle(torus, lat, Mat.zeros(2, 2), l))
         rep = rep_from_bundle(e)
+        assert rep == TropRepresentation([TropGLElement(a.perm, a.d) for a in rep.images])
         assert check_commuting(rep)
         assert rep.r == lat.index
         assert canonical_form(rep) == ((lat, l),)

@@ -143,6 +143,9 @@ def test_value_class_behaves_as_a_frozen_dataclass(x, fields, text):
     # rebuilt from its fields by keyword, a value is equal and hashes alike
     clone = type(x)(**dict(zip(fields, values)))
     assert clone == x and hash(clone) == hash(x)
+    # and by position through the unchecked constructor
+    raw = type(x)._from_valid(*values)
+    assert type(raw) is type(x) and raw == x and hash(raw) == hash(x)
     for name in (fields[0], "other"):
         with pytest.raises(AttributeError):
             setattr(x, name, values[0])
@@ -163,6 +166,21 @@ def test_constructor_rejects_missing_and_extra_arguments(x, fields, text):
         cls(*values, other=values[0])
     with pytest.raises(TypeError):
         cls(values[0], **{fields[0]: values[0]})
+
+
+def test_from_valid_runs_no_post_init(monkeypatch):
+    line = SAMPLES[6][0]
+    fields = (line.torus, line.lattice, line.ns, line.l)
+
+    def refuse(self):
+        raise AssertionError("__post_init__ ran")
+
+    monkeypatch.setattr(TropLineBundle, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        TropLineBundle(*fields)
+    assert TropLineBundle._from_valid(*fields) == line
+    # ValuedMonomial keeps its own, which reduces the phase mod 1
+    assert ValuedMonomial._from_valid(F(2), F(4, 3), F(0)).phase == F(1, 3)
 
 
 def test_equality_holds_only_within_a_class():
