@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -34,7 +33,7 @@ from .errors import (
 from .lattices import QLattice, Sublattice, _sum_and_intersection
 from .linalg import Mat
 from .nspairings import TropTorus, extended_character_lattice, is_r_symmetric
-from .rationals import rat
+from .rationals import over_one_denominator, rat
 
 
 class TropLineBundle(Frozen):
@@ -78,11 +77,8 @@ class TropLineBundle(Frozen):
         """The Q-linear extension of the covector, at lattice coordinates x: the
         covector's numerators over their least common denominator m, dotted
         with the coordinates of x in the lattice, over m."""
-        m = math.lcm(*(a.denominator for a in self.l))
-        coords = self.lattice.coordinates(x)
-        return Fraction(
-            sum(a.numerator * (m // a.denominator) * c for a, c in zip(self.l, coords)), m
-        )
+        num, m = over_one_denominator(self.l)
+        return Fraction(sum(a * c for a, c in zip(num, self.lattice.coordinates(x))), m)
 
 
 class TropVectorBundle(Frozen):
@@ -242,8 +238,7 @@ def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVec
     """Translate by the point with N_Q-coordinates x: l goes to l - <., H(x)>."""
     torus = e.torus
     lam = torus.v.solve(x)
-    q = math.lcm(*(c.denominator for c in lam))
-    lam_num = [c.numerator * (q // c.denominator) for c in lam]
+    lam_num, q = over_one_denominator(lam)
     out = []
     for s in e.summands:
         positions = [torus.v.num_image(b) for b in s.lattice.generators()]
@@ -366,7 +361,8 @@ def moduli_points(
     Each summand must have class ns and a cover lattice containing gamma.
     gamma's basis is solved once in each distinct cover lattice, and every
     restricted covector is reduced modulo the one twist lattice in a single
-    integer pass.
+    integer pass: each restricted covector goes to the reducer as integer
+    numerators over one denominator, and its point is read back as Fractions.
     """
     if not summands:
         return []
@@ -386,11 +382,16 @@ def moduli_points(
             if not all(x.denominator == 1 for col in c for x in col):
                 raise NotCompatible("gamma is not contained in the summand's cover lattice")
             cols[s.lattice] = c
-        m = math.lcm(*(x.denominator for x in s.l))
-        l_num = [x.numerator * (m // x.denominator) for x in s.l]
-        restricted.append(tuple(Fraction(sum(a * x for a, x in zip(l_num, col)), m) for col in c))
-    coords = _twist_lattice(first.torus, gamma, ns).reduce_all(restricted)
-    return [ModuliPoint(s.torus, gamma, ns, x) for s, x in zip(summands, coords)]
+        l_num, m = over_one_denominator(s.l)
+        restricted.append(([sum(a * x for a, x in zip(l_num, col)) for col in c], m))
+    # v reduced modulo the QLattice L is den * v reduced modulo den * L, over den
+    twist = _twist_lattice(first.torus, gamma, ns)
+    den = twist.den
+    reduced = twist.lattice._reduce_num(([den * x for x in w], m) for w, m in restricted)
+    return [
+        ModuliPoint(s.torus, gamma, ns, tuple(Fraction(x, m * den) for x in r))
+        for s, (r, m) in zip(summands, reduced)
+    ]
 
 
 def sym_point(points: Sequence[ModuliPoint]) -> tuple[tuple[Fraction, ...], ...]:

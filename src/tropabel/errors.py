@@ -21,7 +21,8 @@ class TropabelError(Exception):
 
 class NotExact(TropabelError, TypeError):
     """A float, a boolean or another type where an exact rational (or an
-    integer exponent) is required."""
+    integer exponent) is required, or a value that is not a sequence (or not a
+    library value) where one is."""
 
 
 class MalformedScalar(TropabelError, ValueError):

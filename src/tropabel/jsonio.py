@@ -2,9 +2,11 @@
 
 Rationals travel as strings "p/q" (plain "p" when integral) so that no float
 ever enters the pipeline; integer lattice bases travel as JSON integers.
-A wire matrix decodes straight to integer rows over one denominator, with no
-``Fraction`` per entry.  Every encoder here has a decoder that round-trips
-losslessly.
+Every wire string is read by the memoised ``rationals.parse_rational``, so a
+string that repeats is parsed once, and its errors come out here as
+``ScenarioError`` with the same message.  A wire matrix decodes straight to
+integer rows over one denominator.  Every encoder here has a decoder that
+round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .bundles import ModuliPoint, TropLineBundle, TropVectorBundle
-from .errors import DimensionMismatch, TropabelError
+from .errors import DimensionMismatch, MalformedScalar, TropabelError, ZeroDenominator
 from .lattices import Sublattice
 from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial
 from .naside import NACharacter, NALineBundle, NASemisimpleRep
 from .nspairings import NATorus, NSClass, TropTorus
-from .rationals import RATIONAL
+from .rationals import parse_rational
 from .tropchar import TropGLElement, TropRepresentation
 
 
@@ -39,24 +41,25 @@ def rational_to_json(x: Fraction) -> str:
     return str(x)
 
 
+def rational_from_json(s: Any) -> Fraction:
+    """A JSON integer (not a boolean) or a string "n" / "p/q"; a string is
+    read by ``parse_rational``, whose errors are raised as ``ScenarioError``."""
+    if type(s) is int:
+        return Fraction(s)
+    if not isinstance(s, str):
+        raise ScenarioError(f"expected an integer or a rational string 'p/q', got {s!r}")
+    try:
+        return parse_rational(s)
+    except (MalformedScalar, ZeroDenominator) as exc:
+        raise ScenarioError(str(exc)) from None
+
+
 def _rational_pair(s: Any) -> tuple[int, int]:
-    """(p, q), q > 0, not necessarily in lowest terms, of a JSON integer (not a
-    boolean) or a string "n" / "p/q"."""
+    """(p, q), q > 0, in lowest terms, of a wire rational read by ``rational_from_json``."""
     if type(s) is int:
         return s, 1
-    match = RATIONAL.fullmatch(s) if isinstance(s, str) else None
-    if match is None:
-        raise ScenarioError(f"expected an integer or a rational string 'p/q', got {s!r}")
-    num, den = match.groups()
-    den = int(den) if den is not None else 1
-    if den == 0:
-        raise ScenarioError(f"rational {s!r} has a zero denominator")
-    return int(num), den
-
-
-def rational_from_json(s: Any) -> Fraction:
-    """A JSON integer (not a boolean) or a string "n" / "p/q", parsed once."""
-    return Fraction(*_rational_pair(s))
+    x = rational_from_json(s)
+    return x.numerator, x.denominator
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list[str]:

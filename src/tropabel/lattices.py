@@ -40,7 +40,7 @@ from .errors import (
     TooLarge,
 )
 from .linalg import IntRows, Mat, _common_length, column_hnf, snf
-from .rationals import as_int, rat
+from .rationals import as_int, over_one_denominator, rat
 
 SUBGROUP_ENUMERATION_BOUND = 10_000
 
@@ -177,31 +177,33 @@ class Sublattice:
         ints for an integer vector, Fractions otherwise."""
         return [
             tuple(r) if m == 1 else tuple(Fraction(x, m) for x in r)
-            for r, m in self._reduce_num(vectors, 1)
+            for r, m in self._reduce_num(map(over_one_denominator, vectors))
         ]
 
     def _reduce_num(
-        self, vectors: Iterable[Sequence[int | Fraction]], scale: int
-    ) -> Iterable[tuple[list[int], int]]:
-        """(r, m) per vector v, with r / m the representative of scale * v whose
-        coordinates lie in [0,1)^g, in one integer pass.
+        self, pairs: Iterable[tuple[Sequence[int], int]]
+    ) -> list[tuple[list[int], int]]:
+        """(r, m) per pair (w, m) of integer numerators w and a denominator m > 0,
+        with r / m the representative of w / m whose coordinates lie in [0,1)^g,
+        in one integer pass.  The one reducer: both ``reduce_all`` and
+        ``moduli_points`` convert their input once and call it.
 
-        With B the Hermite basis, a common denominator m of v and
-        W = m * scale * v, the coordinates of scale * v are adj(B) W / (det(B) m),
-        so their floor is k = (adj(B) W) // (det(B) m) and r = W - m B k.
-        adj(B) comes from one elimination for the batch.
+        With B the Hermite basis, the coordinates of w / m are
+        adj(B) w / (det(B) m), so their floor is k = (adj(B) w) // (det(B) m)
+        and r = w - m B k.  adj(B) comes from one elimination for the batch.
         """
         basis = self.basis
         g = len(basis)
         d, adj = self.mat._eliminate([[int(i == j) for j in range(g)] for i in range(g)])
-        for v in vectors:
-            if len(v) != g:
+        out = []
+        for w, m in pairs:
+            if len(w) != g:
                 raise DimensionMismatch(f"expected a vector of length {g}")
-            m = math.lcm(*(x.denominator for x in v))
-            w = [x.numerator * (m // x.denominator) * scale for x in v]
             dm = d * m
             k = [sum(a * x for a, x in zip(row, w)) // dm for row in adj]
-            yield [x - m * sum(b * c for b, c in zip(row, k)) for x, row in zip(w, basis)], m
+            r = [x - m * sum(b * c for b, c in zip(row, k)) for x, row in zip(w, basis)]
+            out.append((r, m))
+        return out
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -484,10 +486,8 @@ class QLattice:
         """The representative of each vector whose coordinates lie in [0,1)^g,
         in one integer pass: den * v reduced modulo den * L, divided by den."""
         den = self.den
-        return [
-            tuple(Fraction(x, m * den) for x in r)
-            for r, m in self.lattice._reduce_num(vectors, den)
-        ]
+        pairs = (([x * den for x in w], m) for w, m in map(over_one_denominator, vectors))
+        return [tuple(Fraction(x, m * den) for x in r) for r, m in self.lattice._reduce_num(pairs)]
 
     def index_over(self, sub: "QLattice") -> Fraction:
         """[self : sub] for sub contained in self."""

@@ -10,7 +10,6 @@ orbit stabilizer.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,7 +26,15 @@ from .errors import (
 from .lattices import Sublattice
 from .linalg import Mat
 from .nspairings import TropTorus
-from .rationals import as_int, rat
+from .rationals import as_int, over_one_denominator, rat
+
+
+def _as_tuple(x, what: str) -> tuple:
+    """x as a tuple; ``NotExact`` (a ``TypeError``) when x is not iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise NotExact(f"expected a sequence of {what}, got {x!r}") from None
 
 
 class TropGLElement(Frozen):
@@ -41,14 +48,15 @@ class TropGLElement(Frozen):
 
     def __post_init__(self):
         # read through as_int: a float or a boolean entry would pass the sort
-        perm = tuple(as_int(x, NotExact) for x in self.perm)
+        perm = tuple(as_int(x, NotExact) for x in _as_tuple(self.perm, "integers"))
+        d = _as_tuple(self.d, "rationals")
         r = len(perm)
         if sorted(perm) != list(range(r)):
             raise NotInvertible("perm is not a permutation")
-        if len(self.d) != r:
+        if len(d) != r:
             raise SizeMismatch("translation vector length differs from perm size")
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "d", tuple(rat(x) for x in self.d))
+        object.__setattr__(self, "d", tuple(rat(x) for x in d))
 
     @property
     def r(self) -> int:
@@ -109,6 +117,7 @@ def from_matrix(rows: Sequence[Sequence[Fraction | int | str | None]]) -> TropGL
 
     The finite entry in row i sits at column sigma^-1(i) and equals d_i.
     """
+    rows = [_as_tuple(row, "entries") for row in _as_tuple(rows, "matrix rows")]
     r = len(rows)
     if any(len(row) != r for row in rows):
         raise NotInvertible("matrix is not square")
@@ -140,9 +149,11 @@ class TropRepresentation(Frozen):
     images: tuple[TropGLElement, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", _as_tuple(self.images, "TropGLElements"))
         if not self.images:
             raise SizeMismatch("a representation needs at least one generator image")
+        if not all(isinstance(a, TropGLElement) for a in self.images):
+            raise NotExact(f"generator images must be TropGLElements, got {self.images!r}")
         r = self.images[0].r
         if any(a.r != r for a in self.images):
             raise SizeMismatch("generator images have different sizes")
@@ -165,12 +176,17 @@ class TropRepresentation(Frozen):
         return out
 
 
-def check_commuting(rep: TropRepresentation) -> bool:
-    """Whether the images commute, without composing them: ab = ba iff the permutations commute
-    and a.d[i] - a.d[b^-1(i)] = b.d[i] - b.d[a^-1(i)] (see compose), over one denominator."""
-    den = math.lcm(*(x.denominator for a in rep.images for x in a.d))
-    parts = [(a.perm, [x.numerator * (den // x.denominator) for x in a.d], a.inv_perm)
-             for a in rep.images]
+def _integer_translations(rep: TropRepresentation) -> tuple[list[list[int]], int]:
+    """(nums, den): the images' translations as integer numerators over one
+    denominator, nums[k][i] / den = rep.images[k].d[i]."""
+    flat, den = over_one_denominator([x for a in rep.images for x in a.d])
+    r = rep.r
+    return [flat[k * r : (k + 1) * r] for k in range(rep.g)], den
+
+
+def _commute(rep: TropRepresentation, nums: list[list[int]]) -> bool:
+    """``check_commuting`` on the integer translations of ``_integer_translations``."""
+    parts = [(a.perm, d, a.inv_perm) for a, d in zip(rep.images, nums)]
     for k, (pa, da, ia) in enumerate(parts):
         for pb, db, ib in parts[k + 1 :]:
             if any(pa[y] != pb[x] for x, y in zip(pa, pb)):
@@ -178,6 +194,12 @@ def check_commuting(rep: TropRepresentation) -> bool:
             if any(da[i] - da[ib[i]] != db[i] - db[ia[i]] for i in range(len(pa))):
                 return False
     return True
+
+
+def check_commuting(rep: TropRepresentation) -> bool:
+    """Whether the images commute, without composing them: ab = ba iff the permutations commute
+    and a.d[i] - a.d[b^-1(i)] = b.d[i] - b.d[a^-1(i)] (see compose), over one denominator."""
+    return _commute(rep, _integer_translations(rep)[0])
 
 
 class OrbitSummand(Frozen):
@@ -207,9 +229,12 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
     sigma^-1(p), so the translation of A_1^(b_1) ... A_g^(b_g) at p is the
     sum of the d-entries met while p is moved b_1 times by sigma_1^-1, then
     b_2 times by sigma_2^-1, and so on.  Hermite generators have no negative
-    coordinates, so the walk only steps forward, and it must end at p.
+    coordinates, so the walk only steps forward, and it must end at p.  The
+    sum is taken in the integer translations over one denominator, and each
+    covector entry becomes one Fraction.
     """
-    if not check_commuting(rep):
+    nums, den = _integer_translations(rep)
+    if not _commute(rep, nums):
         raise NotCommuting("generator images do not commute")
     g = rep.g
     perms = [a.perm for a in rep.images]
@@ -237,14 +262,14 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
         lat = Sublattice._from_hermite([[col[i] for col in cols] for i in range(g)])
         l = []
         for b in cols:
-            pos, acc = p, Fraction(0)
-            for img, inv, e in zip(rep.images, inv_perms, b):
+            pos, acc = p, 0
+            for d, inv, e in zip(nums, inv_perms, b):
                 for _ in range(e):
-                    acc += img.d[pos]
+                    acc += d[pos]
                     pos = inv[pos]
             if pos != p:
                 raise NotCommuting("stabilizer element does not fix the base point")
-            l.append(acc)
+            l.append(Fraction(acc, den))
         out.append(OrbitSummand(tuple(sorted(labels)), lat, tuple(l)))
     return tuple(out)
 

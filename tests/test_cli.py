@@ -446,6 +446,20 @@ def test_zero_denominator_is_validation_error(capsys, tmp_path):
     assert json.loads(err)["kind"] == "ScenarioError"
 
 
+@pytest.mark.parametrize(
+    "text", ["1" + "0" * 5000, "1/1" + "0" * 5000], ids=["numerator", "denominator"]
+)
+def test_rational_beyond_the_int_digit_limit_is_validation_error(capsys, tmp_path, text):
+    # a part of more than about 4,300 digits is not read as an int by Python
+    def edit(data):
+        data["ns_class"][0][0] = text
+
+    code, out, err = run_edited(capsys, tmp_path, "reference_example.json", edit, "ns-analyze")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "ScenarioError"
+
+
 @pytest.mark.parametrize("value", [True, False])
 def test_boolean_rational_is_validation_error(capsys, tmp_path, value):
     def edit(data):

@@ -4,12 +4,21 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from tropabel.errors import DimensionMismatch, NotExact, RankDeficient, SingularLattice
-from tropabel.jsonio import matrix_to_json
+from tropabel.errors import (
+    DimensionMismatch,
+    MalformedScalar,
+    NotExact,
+    RankDeficient,
+    SingularLattice,
+    ZeroDenominator,
+)
+from tropabel.jsonio import ScenarioError, matrix_to_json, rational_from_json
 from tropabel.linalg import Mat, column_hnf, congruence_lattice, hnf, snf
-from tropabel.rationals import rat
+from tropabel.rationals import RATIONAL, parse_rational, rat
 
 F = Fraction
 
@@ -197,6 +206,82 @@ def test_rat_rejects_floats_and_booleans(value):
         rat(value)
     with pytest.raises(TypeError):
         Mat([[value]])
+
+
+def _reference_parse(s):
+    """The rational grammar read without a memo: RATIONAL.fullmatch, then Fraction."""
+    match = RATIONAL.fullmatch(s)
+    if match is None:
+        raise MalformedScalar(f"expected an integer or a rational string 'p/q', got {s!r}")
+    num, den = match.groups()
+    den = int(den) if den is not None else 1
+    if den == 0:
+        raise ZeroDenominator(f"rational {s!r} has a zero denominator")
+    return Fraction(int(num), den)
+
+
+def _outcome(parse, s):
+    """The value parse(s), or the type and message of what it raised."""
+    try:
+        return parse(s)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# digits, signs, the slash, characters the grammar must refuse, and a non-ASCII
+# digit (ARABIC-INDIC DIGIT ONE), which the grammar's \d and int() both accept
+WIRE_ALPHABET = "0123456789+-/_.e \u0661"
+WIRE_DIGITS = st.text(alphabet="0123456789\u0661", min_size=1, max_size=4)
+WIRE_STRINGS = st.one_of(
+    st.text(alphabet=WIRE_ALPHABET, max_size=9),
+    st.text(alphabet=WIRE_ALPHABET, max_size=6).map(lambda p: p + "/0"),
+    # strings in the grammar, "[+-]n" and "[+-]p/q"
+    st.builds(
+        lambda sign, p, q: sign + p + (q and "/" + q),
+        st.sampled_from(["", "+", "-"]),
+        WIRE_DIGITS,
+        st.just("") | WIRE_DIGITS,
+    ),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(WIRE_STRINGS)
+def test_memoised_parser_matches_the_grammar(s):
+    expected = _outcome(_reference_parse, s)
+    parse_rational.cache_clear()
+    cold = _outcome(parse_rational, s)
+    size = parse_rational.cache_info().currsize
+    warm = _outcome(parse_rational, s)
+    assert cold == expected and warm == expected and _outcome(rat, s) == expected
+    if isinstance(expected, Fraction):
+        assert size == 1 and type(cold) is Fraction and warm is cold
+    else:
+        # a failed parse is never cached
+        assert size == 0 and parse_rational.cache_info().currsize == 0
+
+
+def test_memoised_parser_keeps_no_failure_on_a_warm_cache():
+    parse_rational.cache_clear()
+    for s in ("1/2", "-3", "+6/4", "\u0661/2"):
+        parse_rational(s)
+    size = parse_rational.cache_info().currsize
+    for s in ("1/0", "1.5", " 1", "", "1/-2"):
+        with pytest.raises((MalformedScalar, ZeroDenominator)):
+            parse_rational(s)
+    assert parse_rational.cache_info().currsize == size == 4
+    assert parse_rational("\u0661/2") == F(1, 2) and parse_rational("+6/4") == F(3, 2)
+
+
+@pytest.mark.parametrize(
+    "text", ["1" + "0" * 5000, "-" + "7" * 5000, "1/1" + "0" * 5000, "1" * 5000 + "/2"]
+)
+def test_rational_beyond_the_int_digit_limit_is_malformed(text):
+    # Python refuses to read an int of more than about 4,300 digits from a string
+    with pytest.raises(MalformedScalar, match="more digits than an int may be read from"):
+        rat(text)
+    with pytest.raises(ScenarioError, match="more digits than an int may be read from"):
+        rational_from_json(text)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from tropabel.errors import (
     SizeMismatch,
     TropabelError,
 )
-from tropabel.lattices import QLattice, Sublattice, enumerate_subgroups
+from tropabel.lattices import Sublattice, enumerate_subgroups
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from tropabel.naside import (
@@ -467,15 +467,15 @@ def test_verify_commuting_square_random():
 
 def test_commuting_square_reduces_once_per_side(monkeypatch):
     # all r points of a side share (full lattice, zero class): one batched
-    # reduction per side, and the diagonal representation's one-point orbits
-    # need no Hermite form
-    calls = {"reduce_all": 0, "from_generators": 0}
-    real_reduce_all = QLattice.reduce_all
+    # reduction per side, counted at the one integer reducer, and the diagonal
+    # representation's one-point orbits need no Hermite form
+    calls = {"_reduce_num": 0, "from_generators": 0}
+    real_reduce_num = Sublattice._reduce_num
     real_from_generators = Sublattice.from_generators
 
-    def counting_reduce_all(self, vectors):
-        calls["reduce_all"] += 1
-        return real_reduce_all(self, vectors)
+    def counting_reduce_num(self, pairs):
+        calls["_reduce_num"] += 1
+        return real_reduce_num(self, pairs)
 
     def counting_from_generators(gens):
         calls["from_generators"] += 1
@@ -488,11 +488,11 @@ def test_commuting_square_reduces_once_per_side(monkeypatch):
             NACharacter(tuple(rand_unit_mono(rng) for _ in range(g))) for _ in range(32)
         )
         rep = NASemisimpleRep(chars)
-        monkeypatch.setattr(QLattice, "reduce_all", counting_reduce_all)
+        monkeypatch.setattr(Sublattice, "_reduce_num", counting_reduce_num)
         monkeypatch.setattr(Sublattice, "from_generators", staticmethod(counting_from_generators))
-        calls.update(reduce_all=0)
+        calls.update(_reduce_num=0)
         ok, via_na, _ = verify_commuting_square(rep, torus)
-        reduced = calls["reduce_all"]
+        reduced = calls["_reduce_num"]
         calls.update(from_generators=0)
         bundle = bundle_from_rep(trop_rep(rep), torus.trop())
         monkeypatch.undo()

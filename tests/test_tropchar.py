@@ -4,6 +4,8 @@ from fractions import Fraction
 import tropabel.tropchar as tropchar
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropabel.bundles import as_bundle, is_homogeneous, line_bundle
 from tropabel.errors import NotCommuting, NotExact, NotInvertible, SizeMismatch, TropabelError
@@ -456,3 +458,41 @@ def test_internal_elements_equal_public_construction():
         TropGLElement((1, 1, 0), (0, 0, 0))
     with pytest.raises(SizeMismatch):
         TropGLElement((1, 0), (0, 0, 0))
+
+
+# ragged, empty, zero-rank, boolean, float and string inputs, nested to two
+# levels, with valid elements mixed in
+JUNK_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(allow_nan=False, width=16),
+    st.text(alphabet="01/-x", max_size=3),
+    st.sampled_from([identity(0), identity(1), identity(2)]),
+)
+JUNK = st.recursive(
+    JUNK_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner), max_leaves=6
+)
+CONSTRUCTOR_CALLS = st.one_of(
+    st.tuples(st.just(TropGLElement), st.tuples(JUNK, JUNK)),
+    st.tuples(st.just(TropRepresentation), st.tuples(JUNK)),
+    st.tuples(st.just(from_matrix), st.tuples(JUNK)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(CONSTRUCTOR_CALLS)
+# each of these raised a built-in TypeError or AttributeError before
+@example((TropGLElement, (5, ())))
+@example((TropGLElement, ((0, 1), 7)))
+@example((TropRepresentation, (5,)))
+@example((from_matrix, (5,)))
+@example((TropRepresentation, ((1, 2),)))
+def test_exported_constructors_raise_only_library_errors(call):
+    constructor, args = call
+    try:
+        value = constructor(*args)
+    except TropabelError:
+        return
+    expected = TropRepresentation if constructor is TropRepresentation else TropGLElement
+    assert type(value) is expected
