@@ -28,12 +28,13 @@ from .errors import (
     MixedClasses,
     NotCompatible,
     NotContained,
+    NotExact,
     SlopeMismatch,
 )
 from .lattices import QLattice, Sublattice, _sum_and_intersection
 from .linalg import Mat
 from .nspairings import TropTorus, extended_character_lattice, is_r_symmetric
-from .rationals import over_one_denominator, rat
+from .rationals import as_tuple, over_one_denominator, rat
 
 
 class TropLineBundle(Frozen):
@@ -87,10 +88,14 @@ class TropVectorBundle(Frozen):
     torus: TropTorus
     summands: tuple[TropLineBundle, ...]
 
-    def __init__(self, torus: TropTorus, summands: Sequence[TropLineBundle]):
-        if any(s.torus != torus for s in summands):
+    def __post_init__(self):
+        summands = as_tuple(self.summands, "TropLineBundles")
+        if not isinstance(self.torus, TropTorus) or not all(
+            isinstance(s, TropLineBundle) for s in summands
+        ):
+            raise NotExact("a vector bundle takes a TropTorus and TropLineBundle summands")
+        if any(s.torus != self.torus for s in summands):
             raise AmbientMismatch("summands live on a different torus")
-        object.__setattr__(self, "torus", torus)
         object.__setattr__(self, "summands", tuple(sorted(summands, key=lambda s: s.sort_key)))
 
     @property
@@ -342,12 +347,6 @@ class ModuliPoint(Frozen):
     ns: Mat
     coords: tuple[Fraction, ...]
 
-    def __init__(self, torus: TropTorus, gamma: Sublattice, ns: Mat, coords: tuple[Fraction, ...]):
-        object.__setattr__(self, "torus", torus)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "coords", coords)
-
 
 def moduli_point(s: TropLineBundle, gamma: Sublattice, ns: Mat) -> ModuliPoint:
     return moduli_points([s], gamma, ns)[0]
@@ -389,7 +388,7 @@ def moduli_points(
     den = twist.den
     reduced = twist.lattice._reduce_num(([den * x for x in w], m) for w, m in restricted)
     return [
-        ModuliPoint(s.torus, gamma, ns, tuple(Fraction(x, m * den) for x in r))
+        ModuliPoint._from_valid(s.torus, gamma, ns, tuple(Fraction(x, m * den) for x in r))
         for s, (r, m) in zip(summands, reduced)
     ]
 

@@ -107,8 +107,12 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise jsonio.ScenarioError(f"cannot read scenario: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise jsonio.ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # json.load reads an integer past the int conversion digit limit
+        raise jsonio.ScenarioError(
+            "scenario has a JSON integer with more digits than an int may be read from"
+        ) from exc
     return Scenario(data)
 
 

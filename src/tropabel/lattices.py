@@ -40,7 +40,7 @@ from .errors import (
     TooLarge,
 )
 from .linalg import IntRows, Mat, _common_length, column_hnf, snf
-from .rationals import as_int, over_one_denominator, rat
+from .rationals import as_int, as_tuple, over_one_denominator, rat
 
 SUBGROUP_ENUMERATION_BOUND = 10_000
 
@@ -90,27 +90,26 @@ def _hermite_basis(rows: Iterable[Iterable], error: type[Exception]) -> IntRows:
     raise error("the columns do not span a full-rank lattice")
 
 
-class Sublattice:
+class Sublattice(Frozen):
     """Finite-index sublattice of Z^g, stored by its Hermite basis.
 
     ``basis[i][j]`` is the i-th coordinate of the j-th basis vector; the basis
     matrix is lower-triangular with positive diagonal.
     """
 
-    def __init__(self, basis_rows: Sequence[Sequence[int]]):
-        g = len(basis_rows)
-        if any(len(row) != g for row in basis_rows):
+    basis: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        rows = [as_tuple(row, "integers") for row in as_tuple(self.basis, "basis rows")]
+        g = len(rows)
+        if any(len(row) != g for row in rows):
             raise DimensionMismatch("a lattice basis must be square")
-        self.ambient_rank = g
-        self.basis = tuple(map(tuple, _hermite_basis(basis_rows, RankDeficient)))
+        object.__setattr__(self, "basis", tuple(map(tuple, _hermite_basis(rows, RankDeficient))))
 
     @classmethod
     def _from_hermite(cls, rows: Sequence[Sequence[int]]) -> "Sublattice":
         """The lattice of a basis already in canonical Hermite form."""
-        self = cls.__new__(cls)
-        self.ambient_rank = len(rows)
-        self.basis = tuple(tuple(row) for row in rows)
-        return self
+        return cls._from_valid(tuple(map(tuple, rows)))
 
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence[int]]) -> "Sublattice":
@@ -125,14 +124,12 @@ class Sublattice:
 
     # -- structure -----------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sublattice) and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash(self.basis)
-
     def __repr__(self) -> str:
         return f"Sublattice({[list(r) for r in self.basis]})"
+
+    @property
+    def ambient_rank(self) -> int:
+        return len(self.basis)
 
     @cached_property
     def mat(self) -> Mat:
@@ -141,10 +138,10 @@ class Sublattice:
     @property
     def index(self) -> int:
         """Index in Z^g: the product of the Hermite diagonal."""
-        return math.prod(self.basis[i][i] for i in range(self.ambient_rank))
+        return math.prod(row[i] for i, row in enumerate(self.basis))
 
     def generators(self) -> list[tuple[int, ...]]:
-        return [tuple(row[j] for row in self.basis) for j in range(self.ambient_rank)]
+        return list(zip(*self.basis))
 
     def is_full(self) -> bool:
         return self.index == 1
@@ -153,7 +150,7 @@ class Sublattice:
 
     def coordinates(self, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
         """Coordinates of v in this basis (rational where v is off the lattice)."""
-        if len(v) != self.ambient_rank:
+        if len(v) != len(self.basis):
             raise DimensionMismatch(f"expected a vector of length {self.ambient_rank}")
         return _forward_solve(self.basis, v)
 
@@ -436,17 +433,20 @@ def reduce_mod_lattice(
     return tuple(a - b for a, b in zip(w, shift))
 
 
-class QLattice:
+class QLattice(Frozen):
     """Full-rank lattice L in Q^g, kept as the Sublattice den * L of Z^g, where
     den, the least common denominator of L's coordinates, is an invariant of L
     (the lowest-terms denominator of any basis of L)."""
 
-    __slots__ = ("lattice", "den")
+    den: int
+    lattice: Sublattice
 
     def __init__(self, basis: Mat):
         """The lattice spanned by the columns of ``basis``."""
-        self.den = basis.den
-        self.lattice = Sublattice.from_generators(list(zip(*basis.num)))
+        if not isinstance(basis, Mat):
+            raise NotExact(f"a QLattice is spanned by the columns of a Mat, got {basis!r}")
+        object.__setattr__(self, "den", basis.den)
+        object.__setattr__(self, "lattice", Sublattice.from_generators(list(zip(*basis.num))))
 
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence[Fraction]]) -> "QLattice":
@@ -455,14 +455,6 @@ class QLattice:
     @classmethod
     def standard(cls, g: int) -> "QLattice":
         return cls(Mat.identity(g))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QLattice):
-            return False
-        return (self.den, self.lattice) == (other.den, other.lattice)
-
-    def __hash__(self) -> int:
-        return hash((self.den, self.lattice))
 
     def __repr__(self) -> str:
         return f"QLattice({self.basis!r})"

@@ -28,7 +28,7 @@ from .lattices import Sublattice, _smith_adapted
 from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from .nspairings import NATorus, NSClass
-from .rationals import as_int
+from .rationals import as_int, as_tuple
 from .tropchar import TropGLElement, TropRepresentation, bundle_from_rep
 
 
@@ -42,8 +42,8 @@ class NACharacter(Frozen):
 
     values: tuple[ValuedMonomial, ...]
 
-    def __init__(self, values: Sequence[ValuedMonomial]):
-        values = tuple(values)
+    def __post_init__(self):
+        values = as_tuple(self.values, "ValuedMonomials")
         if not all(isinstance(v, ValuedMonomial) for v in values):
             raise TropabelError("character values must be ValuedMonomial values")
         object.__setattr__(self, "values", values)

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     InternalInconsistency,
     InvalidClass,
+    NotExact,
     NotInLargeLattice,
     NotInSmallLattice,
     SingularLattice,
@@ -44,14 +45,16 @@ class TropTorus(Frozen):
 
     v: Mat
 
-    def __init__(self, v: Mat):
+    def __post_init__(self):
+        v = self.v
+        if not isinstance(v, Mat):
+            raise NotExact(f"a period matrix is a Mat, got {v!r}")
         if v.n != v.m:
             raise DimensionMismatch("period matrix must be square")
         if v.n == 0:
             raise DimensionMismatch("a torus needs at least one period generator")
         if v.det() == 0:
             raise SingularLattice("period matrix must be nonsingular")
-        object.__setattr__(self, "v", v)
 
     @property
     def g(self) -> int:

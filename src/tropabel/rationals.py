@@ -2,7 +2,8 @@
 
 The whole library computes over Q, represented by ``fractions.Fraction``.
 These helpers coerce input to it and reject floats and booleans, so that
-none ever enters the pipeline, and read an integer without truncating it.
+none ever enters the pipeline, and read an integer without truncating it
+or a sequence without accepting a scalar.
 Strings in the one rational grammar are parsed by ``parse_rational``, which
 memoises its results: the wire repeats few distinct strings.  Integer work on
 a rational vector starts from ``over_one_denominator``.
@@ -84,6 +85,14 @@ def as_int(x: int | Fraction, error: type[TropabelError]) -> int:
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     raise error(f"expected an integer, got {x!r}")
+
+
+def as_tuple(x, what: str) -> tuple:
+    """x as a tuple; ``NotExact`` (a ``TypeError``) when x is not iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise NotExact(f"expected a sequence of {what}, got {x!r}") from None
 
 
 def over_one_denominator(v: Sequence[int | Fraction]) -> tuple[list[int], int]:

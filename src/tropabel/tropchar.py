@@ -26,15 +26,7 @@ from .errors import (
 from .lattices import Sublattice
 from .linalg import Mat
 from .nspairings import TropTorus
-from .rationals import as_int, over_one_denominator, rat
-
-
-def _as_tuple(x, what: str) -> tuple:
-    """x as a tuple; ``NotExact`` (a ``TypeError``) when x is not iterable."""
-    try:
-        return tuple(x)
-    except TypeError:
-        raise NotExact(f"expected a sequence of {what}, got {x!r}") from None
+from .rationals import as_int, as_tuple, over_one_denominator, rat
 
 
 class TropGLElement(Frozen):
@@ -48,8 +40,8 @@ class TropGLElement(Frozen):
 
     def __post_init__(self):
         # read through as_int: a float or a boolean entry would pass the sort
-        perm = tuple(as_int(x, NotExact) for x in _as_tuple(self.perm, "integers"))
-        d = _as_tuple(self.d, "rationals")
+        perm = tuple(as_int(x, NotExact) for x in as_tuple(self.perm, "integers"))
+        d = as_tuple(self.d, "rationals")
         r = len(perm)
         if sorted(perm) != list(range(r)):
             raise NotInvertible("perm is not a permutation")
@@ -117,7 +109,7 @@ def from_matrix(rows: Sequence[Sequence[Fraction | int | str | None]]) -> TropGL
 
     The finite entry in row i sits at column sigma^-1(i) and equals d_i.
     """
-    rows = [_as_tuple(row, "entries") for row in _as_tuple(rows, "matrix rows")]
+    rows = [as_tuple(row, "entries") for row in as_tuple(rows, "matrix rows")]
     r = len(rows)
     if any(len(row) != r for row in rows):
         raise NotInvertible("matrix is not square")
@@ -149,7 +141,7 @@ class TropRepresentation(Frozen):
     images: tuple[TropGLElement, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", _as_tuple(self.images, "TropGLElements"))
+        object.__setattr__(self, "images", as_tuple(self.images, "TropGLElements"))
         if not self.images:
             raise SizeMismatch("a representation needs at least one generator image")
         if not all(isinstance(a, TropGLElement) for a in self.images):
@@ -210,11 +202,6 @@ class OrbitSummand(Frozen):
     lattice: Sublattice
     l: tuple[Fraction, ...]
 
-    def __init__(self, orbit: tuple[int, ...], lattice: Sublattice, l: tuple[Fraction, ...]):
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "l", l)
-
 
 def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
     """Split into induced pieces over the orbits of the permutation action.
@@ -270,7 +257,7 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
             if pos != p:
                 raise NotCommuting("stabilizer element does not fix the base point")
             l.append(Fraction(acc, den))
-        out.append(OrbitSummand(tuple(sorted(labels)), lat, tuple(l)))
+        out.append(OrbitSummand._from_valid(tuple(sorted(labels)), lat, tuple(l)))
     return tuple(out)
 
 

@@ -343,10 +343,13 @@ def test_unwritable_out_is_validation_error(capsys, tmp_path, where):
 
 def test_malformed_scenario(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    code, _, err = run_cli(capsys, "ns-analyze", "--scenario", str(bad))
-    assert code == 2
-    assert "JSON" in json.loads(err)["error"]
+    # JSON text is UTF-8, so a Latin-1 byte is malformed JSON too
+    for text in (b"{not json", b'{"ns_class": "\xff"}'):
+        bad.write_bytes(text)
+        code, _, err = run_cli(capsys, "ns-analyze", "--scenario", str(bad))
+        assert code == 2
+        record = json.loads(err)
+        assert record["kind"] == "ScenarioError" and "JSON" in record["error"]
 
 
 def test_missing_parameter(capsys, tmp_path):
@@ -458,6 +461,20 @@ def test_rational_beyond_the_int_digit_limit_is_validation_error(capsys, tmp_pat
     assert code == 2
     assert out == ""
     assert json.loads(err)["kind"] == "ScenarioError"
+
+
+def test_json_integer_beyond_the_int_digit_limit_is_validation_error(capsys, tmp_path):
+    # json.load itself refuses the integer; the text is written directly, since
+    # json.dumps of such an int hits the same limit
+    text = open(scen("reference_example.json"), encoding="utf-8").read()
+    path = tmp_path / "long_int.json"
+    path.write_text(text.replace('"ns_class": [', '"ns_class": [' + "1" * 5001 + ", ", 1))
+    code, out, err = run_cli(capsys, "ns-analyze", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["kind"] == "ScenarioError"
+    assert "set_int_max_str_digits" not in record["error"]
 
 
 @pytest.mark.parametrize("value", [True, False])

@@ -1,6 +1,7 @@
 """The immutable value classes: fields, construction, equality, hash, repr and
-immutability as under ``@dataclass(frozen=True)``, and an import that loads
-neither ``dataclasses`` nor ``inspect``."""
+immutability as under ``@dataclass(frozen=True)``, constructors that raise only
+library errors, and an import that loads neither ``dataclasses`` nor
+``inspect``."""
 
 import os
 import subprocess
@@ -9,17 +10,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tropabel
 from tropabel import (
     Mat,
-    ModuliPoint,
     MultiplicativePoint,
     NACharacter,
     NALineBundle,
     NASemisimpleRep,
     NATorus,
     NSClass,
+    QLattice,
     Sublattice,
     TropGLElement,
     TropLineBundle,
@@ -30,8 +33,9 @@ from tropabel import (
     moduli_point,
     quotient,
 )
-from tropabel.lattices import FiniteAbelianGroup
-from tropabel.tropchar import OrbitSummand, decompose_rep
+from tropabel._frozen import Frozen
+from tropabel.errors import TropabelError
+from tropabel.tropchar import decompose_rep
 
 F = Fraction
 
@@ -120,6 +124,12 @@ def _samples():
             "OrbitSummand(orbit=(0, 1), lattice=Sublattice([[2, 0], [0, 1]]), "
             "l=(Fraction(1, 2), Fraction(0, 1)))",
         ),
+        (Sublattice([[2, 0], [7, 4]]), ("basis",), "Sublattice([[2, 0], [3, 4]])"),
+        (
+            QLattice(Mat([[F(1, 2), 0], [0, 3]])),
+            ("den", "lattice"),
+            "QLattice(Mat[1/2 0; 0 3])",
+        ),
     ]
 
 
@@ -128,10 +138,16 @@ IDS = [type(x).__name__ for x, _, _ in SAMPLES]
 
 
 def test_samples_cover_every_value_class():
-    classes = {type(x) for x, _, _ in SAMPLES}
-    assert len(classes) == len(SAMPLES) == 15
-    assert FiniteAbelianGroup in classes and OrbitSummand in classes
-    assert ModuliPoint in classes
+    classes = [type(x) for x, _, _ in SAMPLES]
+    assert len(set(classes)) == len(classes) and set(classes) == set(Frozen.__subclasses__())
+
+
+def _rebuilt(x, fields, values):
+    """x built again by its public constructor: from its fields by keyword, and
+    a QLattice, whose constructor takes a basis, from its basis."""
+    if type(x) is QLattice:
+        return QLattice(x.basis)
+    return type(x)(**dict(zip(fields, values)))
 
 
 @pytest.mark.parametrize("x, fields, text", SAMPLES, ids=IDS)
@@ -140,8 +156,8 @@ def test_value_class_behaves_as_a_frozen_dataclass(x, fields, text):
     assert type(x).__match_args__ == fields
     assert hash(x) == hash(values)
     assert repr(x) == text
-    # rebuilt from its fields by keyword, a value is equal and hashes alike
-    clone = type(x)(**dict(zip(fields, values)))
+    # rebuilt by its public constructor, a value is equal and hashes alike
+    clone = _rebuilt(x, fields, values)
     assert clone == x and hash(clone) == hash(x)
     # and by position through the unchecked constructor
     raw = type(x)._from_valid(*values)
@@ -219,6 +235,50 @@ def test_sequence_fields_given_as_lists_are_kept_as_tuples():
         assert getattr(x, field) == tuple(items) and x == expected
         with pytest.raises(AttributeError):
             getattr(x, field).append(items[0])
+
+
+# ragged, empty, boolean, float and string inputs, nested to two levels, with
+# valid matrices, lattices and summands mixed in
+JUNK_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(allow_nan=False, width=16),
+    st.text(alphabet="01/-x", max_size=3),
+    st.sampled_from([F(1, 2), Mat([[0]]), Mat([[1, 2]]), Mat([[1, 0], [0, 1]])]),
+    # a torus, a summand, a monomial and a lattice
+    st.sampled_from([SAMPLES[2][0], SAMPLES[6][0], ValuedMonomial.one(), Sublattice.full(1)]),
+)
+JUNK = st.recursive(
+    JUNK_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner), max_leaves=6
+)
+CONSTRUCTOR_CALLS = st.one_of(
+    st.tuples(st.sampled_from([Sublattice, QLattice, TropTorus, NACharacter]), st.tuples(JUNK)),
+    st.tuples(st.just(TropVectorBundle), st.tuples(JUNK, JUNK)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(CONSTRUCTOR_CALLS)
+# each of these raised a built-in TypeError or AttributeError before
+@example((Sublattice, (5,)))
+@example((Sublattice, ([5],)))
+@example((QLattice, (5,)))
+@example((TropTorus, (5,)))
+@example((TropVectorBundle, (5, 5)))
+@example((TropVectorBundle, (SAMPLES[2][0], [5])))
+@example((NACharacter, (5,)))
+# an empty bundle on a torus that is not one was built before
+@example((TropVectorBundle, (5, ())))
+def test_lattice_torus_bundle_and_character_constructors_raise_only_library_errors(call):
+    constructor, args = call
+    try:
+        value = constructor(*args)
+    except TropabelError:
+        return
+    assert type(value) is constructor
+    if constructor is TropVectorBundle:
+        assert type(value.torus) is TropTorus
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
