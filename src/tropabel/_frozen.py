@@ -1,8 +1,8 @@
 """The base of the package's immutable value classes.
 
-Monomials, tori, classes, lattices, bundles, characters and representations
-are small immutable records, and every one of them is a subclass of
-``Frozen``, which behaves as under ``@dataclass(frozen=True)``:
+Matrices, monomials, tori, classes, lattices, bundles, characters and
+representations are small immutable records, and every one of them is a
+subclass of ``Frozen``, which behaves as under ``@dataclass(frozen=True)``:
 
 - its fields are its own annotations, in order, and its ``__match_args__``;
 - ``__init__`` takes them by position or keyword, then calls ``__post_init__``
@@ -21,10 +21,8 @@ through ``_from_valid``.
 
 A method the class defines itself is kept, as ``ValuedMonomial`` keeps its
 ``__repr__`` and a ``_from_valid`` that reduces the phase mod 1, and as
-``QLattice`` keeps an ``__init__`` that takes a basis, which is not its
-fields.  The one value of the package outside ``Frozen`` is ``linalg.Mat``,
-the integer matrix kernel: a ``__slots__`` class whose constructor takes
-rows, not its fields ``(num, den)``.  The generated methods are closures made
+``QLattice`` and ``linalg.Mat`` keep an ``__init__`` whose argument is not
+their fields: a basis, and rows.  The generated methods are closures made
 once per class in ``__init_subclass__``, not generated source: defining a
 class runs no ``exec``, and importing the package loads neither
 ``dataclasses`` nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize``),

@@ -51,12 +51,8 @@ class TropLineBundle(Frozen):
     l: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "l", tuple(rat(x) for x in self.l))
-        g = self.torus.g
-        if self.lattice.ambient_rank != g or (self.ns.n, self.ns.m) != (g, g):
-            raise AmbientMismatch("summand data does not match the torus rank")
-        if len(self.l) != g:
-            raise AmbientMismatch("covector must give one value per basis vector")
+        l = _checked_values("summand", self.torus, self.lattice, self.ns, self.l)
+        object.__setattr__(self, "l", l)
         if not is_r_symmetric(self.ns, self.torus.v):
             raise InvalidClass("V^T H is not symmetric")
         # ns @ basis is integral exactly when ns.num @ basis = 0 mod ns.den
@@ -80,6 +76,25 @@ class TropLineBundle(Frozen):
         with the coordinates of x in the lattice, over m."""
         num, m = over_one_denominator(self.l)
         return Fraction(sum(a * c for a, c in zip(num, self.lattice.coordinates(x))), m)
+
+
+def _checked_values(
+    what: str, torus: TropTorus, lattice: Sublattice, ns: Mat, values: Sequence
+) -> tuple[Fraction, ...]:
+    """values as Fractions, one per basis vector of lattice, after checking the
+    types and ranks of the (torus, lattice, class, values) of a summand or a
+    moduli point."""
+    if not (
+        isinstance(torus, TropTorus) and isinstance(lattice, Sublattice) and isinstance(ns, Mat)
+    ):
+        raise NotExact(f"a {what} takes a TropTorus, a Sublattice and a Mat")
+    values = tuple(rat(x) for x in as_tuple(values, "rationals"))
+    g = torus.g
+    if lattice.ambient_rank != g or (ns.n, ns.m) != (g, g):
+        raise AmbientMismatch(f"{what} data does not match the torus rank")
+    if len(values) != g:
+        raise AmbientMismatch(f"a {what} takes one value per basis vector")
+    return values
 
 
 class TropVectorBundle(Frozen):
@@ -347,6 +362,10 @@ class ModuliPoint(Frozen):
     ns: Mat
     coords: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        coords = _checked_values("moduli point", self.torus, self.gamma, self.ns, self.coords)
+        object.__setattr__(self, "coords", coords)
+
 
 def moduli_point(s: TropLineBundle, gamma: Sublattice, ns: Mat) -> ModuliPoint:
     return moduli_points([s], gamma, ns)[0]
@@ -383,12 +402,9 @@ def moduli_points(
             cols[s.lattice] = c
         l_num, m = over_one_denominator(s.l)
         restricted.append(([sum(a * x for a, x in zip(l_num, col)) for col in c], m))
-    # v reduced modulo the QLattice L is den * v reduced modulo den * L, over den
-    twist = _twist_lattice(first.torus, gamma, ns)
-    den = twist.den
-    reduced = twist.lattice._reduce_num(([den * x for x in w], m) for w, m in restricted)
+    reduced = _twist_lattice(first.torus, gamma, ns)._reduce_num(restricted)
     return [
-        ModuliPoint._from_valid(s.torus, gamma, ns, tuple(Fraction(x, m * den) for x in r))
+        ModuliPoint._from_valid(s.torus, gamma, ns, tuple(Fraction(x, m) for x in r))
         for s, (r, m) in zip(summands, reduced)
     ]
 

@@ -46,11 +46,15 @@ class Scenario:
         self.parameters: dict[str, Any] = data.get("parameters", {})
         if not isinstance(self.parameters, dict):
             raise jsonio.ScenarioError("'parameters' must be an object")
-        for key in ("count", "r", "seed", "bound"):
+        # each integer parameter, its least value (None: any) and its description
+        for key, least, kind in (
+            ("count", 1, "a positive integer"),
+            ("r", 1, "a positive integer"),
+            ("seed", None, "an integer"),
+            ("bound", 0, "a nonnegative integer"),
+        ):
             value = self.parameters.get(key, 1)
-            positive = key in ("count", "r")
-            if type(value) is not int or positive and value < 1:
-                kind = "a positive integer" if positive else "an integer"
+            if type(value) is not int or least is not None and value < least:
                 raise jsonio.ScenarioError(f"parameters.{key} must be {kind}, got {value!r}")
         names = self.parameters.get("operands", "")
         if not isinstance(names, (str, list)) or not all(isinstance(n, str) for n in names):
@@ -364,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> dict[str, Any]:
+    if args.bound is not None and args.bound < 0:
+        raise jsonio.ScenarioError(f"--bound must be a nonnegative integer, got {args.bound}")
     scenario = load_scenario(args.scenario)
     params = scenario.parameters
     seed = args.seed if args.seed is not None else params.get("seed", 0)

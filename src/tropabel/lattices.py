@@ -182,8 +182,8 @@ class Sublattice(Frozen):
     ) -> list[tuple[list[int], int]]:
         """(r, m) per pair (w, m) of integer numerators w and a denominator m > 0,
         with r / m the representative of w / m whose coordinates lie in [0,1)^g,
-        in one integer pass.  The one reducer: both ``reduce_all`` and
-        ``moduli_points`` convert their input once and call it.
+        in one integer pass.  The one reducer: ``reduce_all`` and
+        ``QLattice._reduce_num`` convert their input once and call it.
 
         With B the Hermite basis, the coordinates of w / m are
         adj(B) w / (det(B) m), so their floor is k = (adj(B) w) // (det(B) m)
@@ -475,11 +475,22 @@ class QLattice(Frozen):
         return self.reduce_all([v])[0]
 
     def reduce_all(self, vectors: Iterable[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-        """The representative of each vector whose coordinates lie in [0,1)^g,
-        in one integer pass: den * v reduced modulo den * L, divided by den."""
+        """The representative of each vector whose coordinates lie in [0,1)^g."""
+        return [
+            tuple(Fraction(x, m) for x in r)
+            for r, m in self._reduce_num(map(over_one_denominator, vectors))
+        ]
+
+    def _reduce_num(
+        self, pairs: Iterable[tuple[Sequence[int], int]]
+    ) -> list[tuple[list[int], int]]:
+        """(r, m * den) per pair (w, m) of integer numerators w and a denominator
+        m > 0, with r / (m * den) the representative of w / m whose coordinates
+        lie in [0,1)^g, in one integer pass: v reduced modulo L is den * v
+        reduced modulo den * L, over den."""
         den = self.den
-        pairs = (([x * den for x in w], m) for w, m in map(over_one_denominator, vectors))
-        return [tuple(Fraction(x, m * den) for x in r) for r, m in self.lattice._reduce_num(pairs)]
+        reduced = self.lattice._reduce_num(([den * x for x in w], m) for w, m in pairs)
+        return [(r, m * den) for r, m in reduced]
 
     def index_over(self, sub: "QLattice") -> Fraction:
         """[self : sub] for sub contained in self."""

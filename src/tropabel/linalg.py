@@ -2,10 +2,10 @@
 
 Two layers live here:
 
-  * ``Mat`` — an immutable dense rational matrix stored as integer rows
-    ``num`` over one positive denominator ``den``, in lowest terms, so that
-    products, sums, transposes and integrality tests are integer work and two
-    equal matrices have equal ``(num, den)``.  ``Mat(rows)`` coerces ints,
+  * ``Mat`` — an immutable dense rational matrix, the ``Frozen`` value of
+    integer rows ``num`` over one positive denominator ``den`` in lowest terms,
+    so that products, sums, transposes and integrality tests are integer work
+    and two equal matrices have equal fields.  ``Mat(rows)`` coerces ints,
     ``"p/q"`` strings and ``Fraction``s; ``entries`` gives the ``Fraction``
     rows, and ``<`` orders matrices as those rows without building them.
     Determinant, solve and inverse come from one fraction-free Gauss-Jordan
@@ -30,8 +30,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._frozen import Frozen
 from .errors import DimensionMismatch, NotExact, RankDeficient, SingularLattice
-from .rationals import as_int, rat
+from .rationals import as_int, as_tuple, rat
 
 IntRows = list[list[int]]
 
@@ -44,21 +45,23 @@ def _common_length(rows: Sequence[Sequence], what: str) -> int:
     return m
 
 
-class Mat:
+class Mat(Frozen):
     """Immutable rational matrix ``num / den`` in lowest terms: gcd(den, num) = 1."""
 
-    __slots__ = ("num", "den")
+    num: tuple[tuple[int, ...], ...]
+    den: int
 
     def __init__(self, rows: Iterable[Iterable[int | str | Fraction]]):
-        entries = [[rat(x) for x in row] for row in rows]
+        entries = [[rat(x) for x in as_tuple(row, "rationals")] for row in as_tuple(rows, "rows")]
         if entries:
             m = len(entries[0])
             if any(len(row) != m for row in entries):
                 raise DimensionMismatch("ragged rows")
         # the lcm of lowest-terms denominators leaves no common factor
         den = math.lcm(*(x.denominator for row in entries for x in row))
-        self.num = tuple(tuple(x.numerator * den // x.denominator for x in row) for row in entries)
-        self.den = den
+        num = tuple(tuple(x.numerator * den // x.denominator for x in row) for row in entries)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def _from_int(cls, num: Iterable[Iterable[int]], den: int = 1) -> "Mat":
@@ -68,9 +71,7 @@ class Mat:
         if d != 1:
             num = tuple(tuple(x // d for x in row) for row in num)
             den //= d
-        self = cls.__new__(cls)
-        self.num, self.den = num, den
-        return self
+        return cls._from_valid(num, den)
 
     # -- shape and access ----------------------------------------------------
 
@@ -105,12 +106,6 @@ class Mat:
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
     # -- structure -----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mat) and self.den == other.den and self.num == other.num
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __lt__(self, other: "Mat") -> bool:
         """The order of the ``Fraction`` rows of ``entries``, lexicographic row by

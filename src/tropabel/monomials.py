@@ -22,7 +22,7 @@ from .errors import (
     NotInLattice,
     TropabelError,
 )
-from .rationals import as_int, frac_mod_1, rat
+from .rationals import as_int, as_tuple, frac_mod_1, rat
 
 
 class ValuedMonomial(Frozen):
@@ -158,9 +158,10 @@ class MultiplicativePoint(Frozen):
     coords: tuple[ValuedMonomial, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if not all(isinstance(c, ValuedMonomial) for c in self.coords):
+        coords = as_tuple(self.coords, "ValuedMonomials")
+        if not all(isinstance(c, ValuedMonomial) for c in coords):
             raise TropabelError("point coordinates must be ValuedMonomial values")
+        object.__setattr__(self, "coords", coords)
 
     @property
     def g(self) -> int:

@@ -20,6 +20,7 @@ from .errors import (
     InvalidClass,
     NotAdmissible,
     NotContained,
+    NotExact,
     NotInLattice,
     SizeMismatch,
     TropabelError,
@@ -85,7 +86,14 @@ class NALineBundle(Frozen):
     r_basis: tuple[ValuedMonomial, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "r_basis", tuple(self.r_basis))
+        r_basis = as_tuple(self.r_basis, "ValuedMonomials")
+        if not (
+            isinstance(self.ns, NSClass)
+            and isinstance(self.lattice, Sublattice)
+            and all(isinstance(v, ValuedMonomial) for v in r_basis)
+        ):
+            raise NotExact("a line bundle takes an NSClass, a Sublattice and ValuedMonomials")
+        object.__setattr__(self, "r_basis", r_basis)
         torus = self.ns.torus
         if not isinstance(torus, NATorus):
             raise InvalidClass("the class must live on a multiplicative torus")
@@ -241,16 +249,15 @@ class NASemisimpleRep(Frozen):
     characters: tuple[NACharacter, ...]
 
     def __post_init__(self):
-        if not self.characters:
+        characters = as_tuple(self.characters, "NACharacters")
+        if not characters:
             raise SizeMismatch("a representation needs at least one character")
-        g = self.characters[0].g
-        if any(c.g != g for c in self.characters):
+        if not all(isinstance(c, NACharacter) for c in characters):
+            raise NotExact(f"a representation takes NACharacters, got {characters!r}")
+        g = characters[0].g
+        if any(c.g != g for c in characters):
             raise SizeMismatch("characters have different ranks")
-        object.__setattr__(
-            self,
-            "characters",
-            tuple(sorted(self.characters, key=lambda c: c.sort_key)),
-        )
+        object.__setattr__(self, "characters", tuple(sorted(characters, key=lambda c: c.sort_key)))
 
     @property
     def r(self) -> int:

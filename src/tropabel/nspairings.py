@@ -38,6 +38,7 @@ from .lattices import (
 )
 from .linalg import Mat, congruence_lattice
 from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
+from .rationals import as_tuple
 
 
 class TropTorus(Frozen):
@@ -71,9 +72,12 @@ class NATorus(Frozen):
     generators: tuple[MultiplicativePoint, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        g = len(self.generators)
-        if any(p.g != g for p in self.generators):
+        generators = as_tuple(self.generators, "MultiplicativePoints")
+        if not all(isinstance(p, MultiplicativePoint) for p in generators):
+            raise NotExact(f"torus generators must be MultiplicativePoints, got {generators!r}")
+        object.__setattr__(self, "generators", generators)
+        g = len(generators)
+        if any(p.g != g for p in generators):
             raise DimensionMismatch("generator coordinates must have length g")
         # rank and nonsingularity are those of the valuation matrix
         self._trop
@@ -167,6 +171,8 @@ class NSClass(Frozen):
     matrix: Mat
 
     def __post_init__(self):
+        if not isinstance(self.torus, (TropTorus, NATorus)) or not isinstance(self.matrix, Mat):
+            raise NotExact("a class takes a TropTorus or an NATorus and a Mat")
         g = self.torus.g
         if (self.matrix.n, self.matrix.m) != (g, g):
             raise DimensionMismatch("class matrix must be g x g")

@@ -202,6 +202,16 @@ class OrbitSummand(Frozen):
     lattice: Sublattice
     l: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        orbit = tuple(as_int(i, NotExact) for i in as_tuple(self.orbit, "integers"))
+        if not isinstance(self.lattice, Sublattice):
+            raise NotExact(f"an orbit summand's lattice is a Sublattice, got {self.lattice!r}")
+        l = tuple(rat(x) for x in as_tuple(self.l, "rationals"))
+        if len(l) != self.lattice.ambient_rank:
+            raise SizeMismatch("an orbit summand takes one value per basis vector")
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "l", l)
+
 
 def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
     """Split into induced pieces over the orbits of the permutation action.

@@ -353,7 +353,7 @@ def test_malformed_scenario(capsys, tmp_path):
 
 
 def test_missing_parameter(capsys, tmp_path):
-    data = json.load(open(scen("bundle_ops.json"), encoding="utf-8"))
+    data = json.loads(Path(scen("bundle_ops.json")).read_text(encoding="utf-8"))
     del data["parameters"]["sub"]
     trimmed = tmp_path / "no_sub.json"
     trimmed.write_text(json.dumps(data), encoding="utf-8")
@@ -370,7 +370,7 @@ def test_missing_parameter(capsys, tmp_path):
     ],
 )
 def test_missing_parameter_is_named(capsys, tmp_path, op, scenario, key):
-    data = json.load(open(scen(scenario), encoding="utf-8"))
+    data = json.loads(Path(scen(scenario)).read_text(encoding="utf-8"))
     del data["parameters"][key]
     trimmed = tmp_path / "trimmed.json"
     trimmed.write_text(json.dumps(data), encoding="utf-8")
@@ -412,6 +412,29 @@ def test_bound_exceeded_exit_code(capsys):
     assert json.loads(err)["kind"] == "TooLarge"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ns-analyze", "--scenario", scen("reference_example.json")),
+        # named representations, so no bound was ever compared against
+        ("na", "verify-square", "--scenario", scen("na_square.json")),
+    ],
+    ids=["ns-analyze", "verify-square"],
+)
+def test_negative_bound_is_a_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--bound", "-1")
+    assert (code, out) == (2, ""), err
+    assert json.loads(err)["kind"] == "ScenarioError"
+
+
+def test_zero_bound_is_exceeded(capsys):
+    code, out, err = run_cli(
+        capsys, "ns-analyze", "--scenario", scen("reference_example.json"), "--bound", "0"
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err)["kind"] == "TooLarge"
+
+
 def test_scenario_bound_parameter_is_read_and_overridden(capsys, tmp_path):
     # a valid parameters.bound limits the walk, and --bound takes precedence over it
     edit = _set_at(("parameters", "bound"), 1)
@@ -432,7 +455,7 @@ def test_scenario_bound_parameter_is_read_and_overridden(capsys, tmp_path):
 
 def run_edited(capsys, tmp_path, scenario, edit, *argv):
     """Run the CLI on a copy of a shipped scenario changed by ``edit``."""
-    data = json.load(open(scen(scenario), encoding="utf-8"))
+    data = json.loads(Path(scen(scenario)).read_text(encoding="utf-8"))
     edit(data)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -466,7 +489,7 @@ def test_rational_beyond_the_int_digit_limit_is_validation_error(capsys, tmp_pat
 def test_json_integer_beyond_the_int_digit_limit_is_validation_error(capsys, tmp_path):
     # json.load itself refuses the integer; the text is written directly, since
     # json.dumps of such an int hits the same limit
-    text = open(scen("reference_example.json"), encoding="utf-8").read()
+    text = Path(scen("reference_example.json")).read_text(encoding="utf-8")
     path = tmp_path / "long_int.json"
     path.write_text(text.replace('"ns_class": [', '"ns_class": [' + "1" * 5001 + ", ", 1))
     code, out, err = run_cli(capsys, "ns-analyze", "--scenario", str(path))
@@ -627,12 +650,12 @@ LIST_FIELDS = [
     ("na_square.json", ("na_reps", "S", "characters"), ("na", "trop-rep")),
     ("reference_example.json", ("na_bundles", "B1", "r"), ("na", "trop-line")),
 ]
-# parameters: integers (not bool), count and r positive, operands names
+# parameters: integers (not bool), count and r positive, bound nonnegative, operands names
 BAD_PARAMETERS = [
     ("na_random.json", "count", [-2, 0, 2.7, True, None], ("na", "verify-square")),
     ("na_random.json", "r", [0, 1.9], ("na", "verify-square")),
     ("na_random.json", "seed", [None, 1.5, "7"], ("na", "verify-square")),
-    ("reference_example.json", "bound", [10.5, True], ("ns-analyze",)),
+    ("reference_example.json", "bound", [-1, 10.5, True], ("ns-analyze",)),
     ("bundle_ops.json", "operands", [5, [["E1"], "E2"], None], ("bundle", "sum")),
 ]
 
@@ -683,7 +706,7 @@ def test_unknown_op_is_scenario_error():
 
 
 def test_named_sections_decode_in_file_order(capsys, tmp_path):
-    data = json.load(open(scen("na_square.json"), encoding="utf-8"))
+    data = json.loads(Path(scen("na_square.json")).read_text(encoding="utf-8"))
     data["na_reps"] = {"b": {"characters": 1}, "a": {"x": 2}}
     data["parameters"]["operands"] = ["a"]
     path = tmp_path / "two_bad.json"
@@ -695,7 +718,7 @@ def test_named_sections_decode_in_file_order(capsys, tmp_path):
 
 
 def test_verify_square_takes_named_reps_in_name_order(capsys, tmp_path):
-    data = json.load(open(scen("na_square.json"), encoding="utf-8"))
+    data = json.loads(Path(scen("na_square.json")).read_text(encoding="utf-8"))
     two = data["na_reps"]["S"]
     one = {"characters": two["characters"][:1]}
     data["na_reps"] = {"T": one, "S": two}
@@ -1015,7 +1038,7 @@ def _replaced(tree, path, leaf):
 @given(st.data())
 def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, data):
     command, op, scenario = data.draw(st.sampled_from(CLI_MATRIX))
-    tree = json.load(open(scen(scenario), encoding="utf-8"))
+    tree = json.loads(Path(scen(scenario)).read_text(encoding="utf-8"))
     path = data.draw(st.sampled_from(list(_paths(tree))))
     leaf = data.draw(st.sampled_from(LEAVES))
     target = tmp_path_factory.mktemp("fuzz") / scenario

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 import tropabel
 from tropabel import (
     Mat,
+    ModuliPoint,
     MultiplicativePoint,
     NACharacter,
     NALineBundle,
     NASemisimpleRep,
     NATorus,
     NSClass,
+    OrbitSummand,
     QLattice,
     Sublattice,
     TropGLElement,
@@ -130,6 +132,7 @@ def _samples():
             ("den", "lattice"),
             "QLattice(Mat[1/2 0; 0 3])",
         ),
+        (Mat([[F(1, 2), 0], [0, 3]]), ("num", "den"), "Mat[1/2 0; 0 3]"),
     ]
 
 
@@ -143,10 +146,13 @@ def test_samples_cover_every_value_class():
 
 
 def _rebuilt(x, fields, values):
-    """x built again by its public constructor: from its fields by keyword, and
-    a QLattice, whose constructor takes a basis, from its basis."""
+    """x built again by its public constructor: from its fields by keyword, a
+    QLattice, whose constructor takes a basis, from its basis, and a Mat, whose
+    constructor takes rows, from its entries."""
     if type(x) is QLattice:
         return QLattice(x.basis)
+    if type(x) is Mat:
+        return Mat(x.entries)
     return type(x)(**dict(zip(fields, values)))
 
 
@@ -175,7 +181,8 @@ def test_constructor_rejects_missing_and_extra_arguments(x, fields, text):
     values = [getattr(x, f) for f in fields]
     cls = type(x)
     with pytest.raises(TypeError):
-        cls(*values[:-1])
+        # Mat(num) is a valid call: its constructor takes rows
+        cls(*values[:-1]) if cls is not Mat else cls()
     with pytest.raises(TypeError):
         cls(*values, values[0])
     with pytest.raises(TypeError):
@@ -238,7 +245,7 @@ def test_sequence_fields_given_as_lists_are_kept_as_tuples():
 
 
 # ragged, empty, boolean, float and string inputs, nested to two levels, with
-# valid matrices, lattices and summands mixed in
+# valid matrices, lattices, summands and multiplicative values mixed in
 JUNK_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -246,21 +253,45 @@ JUNK_LEAVES = st.one_of(
     st.floats(allow_nan=False, width=16),
     st.text(alphabet="01/-x", max_size=3),
     st.sampled_from([F(1, 2), Mat([[0]]), Mat([[1, 2]]), Mat([[1, 0], [0, 1]])]),
-    # a torus, a summand, a monomial and a lattice
-    st.sampled_from([SAMPLES[2][0], SAMPLES[6][0], ValuedMonomial.one(), Sublattice.full(1)]),
+    # a torus, a summand, a monomial and two lattices
+    st.sampled_from(
+        [SAMPLES[2][0], SAMPLES[6][0], ValuedMonomial.one(), Sublattice.full(1), Sublattice.full(2)]
+    ),
+    # a point, a multiplicative torus, a class on it and a character
+    st.sampled_from([SAMPLES[1][0], SAMPLES[3][0], SAMPLES[10][0].ns, SAMPLES[9][0]]),
 )
 JUNK = st.recursive(
     JUNK_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner), max_leaves=6
 )
+ONE_ARGUMENT = [
+    Mat,
+    Sublattice,
+    QLattice,
+    TropTorus,
+    NACharacter,
+    NATorus,
+    MultiplicativePoint,
+    NASemisimpleRep,
+]
 CONSTRUCTOR_CALLS = st.one_of(
-    st.tuples(st.sampled_from([Sublattice, QLattice, TropTorus, NACharacter]), st.tuples(JUNK)),
-    st.tuples(st.just(TropVectorBundle), st.tuples(JUNK, JUNK)),
+    st.tuples(st.sampled_from(ONE_ARGUMENT), st.tuples(JUNK)),
+    st.tuples(st.sampled_from([TropVectorBundle, NSClass]), st.tuples(JUNK, JUNK)),
+    st.tuples(st.sampled_from([NALineBundle, OrbitSummand]), st.tuples(JUNK, JUNK, JUNK)),
+    st.tuples(st.sampled_from([TropLineBundle, ModuliPoint]), st.tuples(JUNK, JUNK, JUNK, JUNK)),
 )
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(CONSTRUCTOR_CALLS)
 # each of these raised a built-in TypeError or AttributeError before
+@example((Mat, (5,)))
+@example((Mat, ([5],)))
+@example((NATorus, (5,)))
+@example((MultiplicativePoint, (5,)))
+@example((NASemisimpleRep, (5,)))
+@example((NALineBundle, (5, 5, 5)))
+@example((TropLineBundle, (5, 5, 5, 5)))
+@example((NSClass, (5, 5)))
 @example((Sublattice, (5,)))
 @example((Sublattice, ([5],)))
 @example((QLattice, (5,)))
@@ -268,8 +299,14 @@ CONSTRUCTOR_CALLS = st.one_of(
 @example((TropVectorBundle, (5, 5)))
 @example((TropVectorBundle, (SAMPLES[2][0], [5])))
 @example((NACharacter, (5,)))
-# an empty bundle on a torus that is not one was built before
+# an empty bundle on a torus that is not one was built before, and so were
+# these two values of junk
 @example((TropVectorBundle, (5, ())))
+@example((ModuliPoint, (5, 5, 5, 5)))
+@example((OrbitSummand, (5, 5, 5)))
+# valid calls
+@example((ModuliPoint, (SAMPLES[2][0], Sublattice.full(2), Mat([[1, 0], [0, 1]]), [0, "1/2"])))
+@example((OrbitSummand, ([0, 1], Sublattice.full(2), (1, F(1, 2)))))
 def test_lattice_torus_bundle_and_character_constructors_raise_only_library_errors(call):
     constructor, args = call
     try:
@@ -279,6 +316,14 @@ def test_lattice_torus_bundle_and_character_constructors_raise_only_library_erro
     assert type(value) is constructor
     if constructor is TropVectorBundle:
         assert type(value.torus) is TropTorus
+    if constructor is ModuliPoint:
+        assert type(value.torus) is TropTorus and type(value.gamma) is Sublattice
+        assert type(value.ns) is Mat and type(value.coords) is tuple
+        assert all(type(x) is F for x in value.coords)
+    if constructor is OrbitSummand:
+        assert type(value.orbit) is tuple and all(type(i) is int for i in value.orbit)
+        assert type(value.lattice) is Sublattice and type(value.l) is tuple
+        assert all(type(x) is F for x in value.l)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
