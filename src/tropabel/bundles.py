@@ -70,11 +70,17 @@ class TropLineBundle(Frozen):
     def sort_key(self):
         return (self.lattice.basis, self.ns, self.l)
 
+    @functools.cached_property
+    def _l_num(self) -> tuple[list[int], int]:
+        """The covector's integer numerators over their least common
+        denominator m, once per summand."""
+        return over_one_denominator(self.l)
+
     def l_value(self, x: Sequence[int | Fraction]) -> Fraction:
         """The Q-linear extension of the covector, at lattice coordinates x: the
-        covector's numerators over their least common denominator m, dotted
-        with the coordinates of x in the lattice, over m."""
-        num, m = over_one_denominator(self.l)
+        covector's numerators over m, dotted with the coordinates of x in the
+        lattice, over m."""
+        num, m = self._l_num
         return Fraction(sum(a * c for a, c in zip(num, self.lattice.coordinates(x))), m)
 
 
@@ -97,6 +103,11 @@ def _checked_values(
     return values
 
 
+def _canonical_order(summands: Iterable[TropLineBundle]) -> tuple[TropLineBundle, ...]:
+    """Summands in the canonical order of a vector bundle."""
+    return tuple(sorted(summands, key=lambda s: s.sort_key))
+
+
 class TropVectorBundle(Frozen):
     """Multiset of summands in canonical order."""
 
@@ -111,7 +122,13 @@ class TropVectorBundle(Frozen):
             raise NotExact("a vector bundle takes a TropTorus and TropLineBundle summands")
         if any(s.torus != self.torus for s in summands):
             raise AmbientMismatch("summands live on a different torus")
-        object.__setattr__(self, "summands", tuple(sorted(summands, key=lambda s: s.sort_key)))
+        object.__setattr__(self, "summands", _canonical_order(summands))
+
+    @classmethod
+    def _sorted(cls, torus: TropTorus, summands: Iterable[TropLineBundle]) -> "TropVectorBundle":
+        """The bundle of summands on torus that are valid by construction, put
+        in canonical order without the constructor's checks."""
+        return cls._from_valid(torus, _canonical_order(summands))
 
     @property
     def rank(self) -> int:
@@ -167,7 +184,7 @@ def _coset_reps(lat: Sublattice) -> list[tuple[int, ...]]:
     """Canonical representatives of Z^g / lat: the Hermite diagonal box, a
     complete residue system, reduced into lat's basis box."""
     box = itertools.product(*(range(row[i]) for i, row in enumerate(lat.basis)))
-    return sorted(lat.reduce_all(box))
+    return sorted(tuple(r) for r, _, _ in lat._reduce_num((v, 1) for v in box))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +199,7 @@ def _same_torus(e1, e2) -> None:
 
 def direct_sum(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
     _same_torus(e1, e2)
-    return TropVectorBundle(e1.torus, e1.summands + e2.summands)
+    return TropVectorBundle._sorted(e1.torus, e1.summands + e2.summands)
 
 
 def tensor(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
@@ -207,7 +224,7 @@ def tensor(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
             for delta in _coset_reps(total):
                 l = _twisted(base_l, positions, s2.ns.num_image(delta), den)
                 out.append(TropLineBundle._from_valid(torus, inter, ns, l))
-    return TropVectorBundle(torus, tuple(out))
+    return TropVectorBundle._sorted(torus, out)
 
 
 def pullback(e: TropVectorBundle, sub: Sublattice) -> TropVectorBundle:
@@ -231,7 +248,7 @@ def pullback(e: TropVectorBundle, sub: Sublattice) -> TropVectorBundle:
         for delta in _coset_reps(total):
             l = _twisted(base_l, positions, s.ns.num_image(delta), den)
             out.append(TropLineBundle._from_valid(target, new_lat, new_ns, l))
-    return TropVectorBundle(target, tuple(out))
+    return TropVectorBundle._sorted(target, out)
 
 
 def pushforward(
@@ -242,6 +259,8 @@ def pushforward(
     Pure relabeling through the composed cover: each summand's lattice is
     mapped into parent coordinates and its data re-expressed there.
     """
+    if not isinstance(parent, TropTorus):
+        raise NotExact(f"a bundle is pushed forward to a TropTorus, got {parent!r}")
     if e.torus != cover_torus(parent, sub):
         raise AmbientMismatch("bundle does not live on the stated cover of the parent")
     sub_inv = sub.mat.inv()
@@ -251,7 +270,7 @@ def pushforward(
         ns = s.ns @ sub_inv
         l = tuple(s.l_value(sub.coordinates(col)) for col in amb_lat.generators())
         out.append(TropLineBundle._from_valid(parent, amb_lat, ns, l))
-    return TropVectorBundle(parent, tuple(out))
+    return TropVectorBundle._sorted(parent, out)
 
 
 def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVectorBundle:
@@ -265,7 +284,7 @@ def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVec
         den = torus.v.den * s.ns.den * q
         l = _twisted(s.l, positions, s.ns.num_image(lam_num), den)
         out.append(TropLineBundle._from_valid(torus, s.lattice, s.ns, l))
-    return TropVectorBundle(torus, tuple(out))
+    return TropVectorBundle._sorted(torus, out)
 
 
 def slope(e: TropVectorBundle) -> Mat:
@@ -400,12 +419,12 @@ def moduli_points(
             if not all(x.denominator == 1 for col in c for x in col):
                 raise NotCompatible("gamma is not contained in the summand's cover lattice")
             cols[s.lattice] = c
-        l_num, m = over_one_denominator(s.l)
+        l_num, m = s._l_num
         restricted.append(([sum(a * x for a, x in zip(l_num, col)) for col in c], m))
     reduced = _twist_lattice(first.torus, gamma, ns)._reduce_num(restricted)
     return [
         ModuliPoint._from_valid(s.torus, gamma, ns, tuple(Fraction(x, m) for x in r))
-        for s, (r, m) in zip(summands, reduced)
+        for s, (r, m, _) in zip(summands, reduced)
     ]
 
 

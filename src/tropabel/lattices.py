@@ -6,8 +6,10 @@ same subgroup of Z^g; a basis already in that form is recognised and kept.
 The basis is lower-triangular, so coordinates and membership come from one
 integer forward substitution (``_forward_solve``).  Sum and intersection are
 the diagonal blocks of one Hermite form.  Box representatives come from one
-integer pass over a batch of vectors: one adjugate of the Hermite basis and a
-floor division per coordinate.  A ``QLattice`` is a Sublattice scaled by 1/den
+integer pass over a batch of vectors: the Hermite basis's adjugate, computed
+once per lattice by integer forward substitution, and a floor division per
+coordinate; the pass also hands back the coordinates of the lattice vector
+that moved each one.  A ``QLattice`` is a Sublattice scaled by 1/den
 and reduces through the same pass.  Quotients by finite-index sublattices come
 back as ``FiniteAbelianGroup`` values carrying invariant factors, generator
 lifts and the projection map, which is everything the pairing machinery
@@ -57,6 +59,15 @@ def _forward_solve(basis: Sequence[Sequence[int]], v: Sequence) -> tuple[int | F
         else:
             x.append(r / row[i])
     return tuple(x)
+
+
+def _ints(x) -> tuple[int, ...]:
+    """x as a tuple of ints, read by ``as_int``; ``NotExact`` otherwise."""
+    return tuple(as_int(c, NotExact) for c in as_tuple(x, "integers"))
+
+
+def _int_rows(x) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(_ints, as_tuple(x, "integer rows")))
 
 
 def _is_integral(x: Sequence[int | Fraction]) -> bool:
@@ -174,32 +185,51 @@ class Sublattice(Frozen):
         ints for an integer vector, Fractions otherwise."""
         return [
             tuple(r) if m == 1 else tuple(Fraction(x, m) for x in r)
-            for r, m in self._reduce_num(map(over_one_denominator, vectors))
+            for r, m, _ in self._reduce_num(map(over_one_denominator, vectors))
         ]
+
+    @cached_property
+    def _adjugate(self) -> tuple[int, IntRows]:
+        """(det B, adj B) of the Hermite basis B, once per lattice.  Column j of
+        adj B solves B x = det(B) e_j by integer forward substitution: B is
+        lower-triangular, so x_i = 0 for i < j, and every division is exact
+        because adj B is an integer matrix."""
+        basis = self.basis
+        g = len(basis)
+        d = self.index
+        adj = [[0] * g for _ in range(g)]
+        for j in range(g):
+            adj[j][j] = d // basis[j][j]
+            for i in range(j + 1, g):
+                row = basis[i]
+                adj[i][j] = -sum(row[t] * adj[t][j] for t in range(j, i)) // row[i]
+        return d, adj
 
     def _reduce_num(
         self, pairs: Iterable[tuple[Sequence[int], int]]
-    ) -> list[tuple[list[int], int]]:
-        """(r, m) per pair (w, m) of integer numerators w and a denominator m > 0,
-        with r / m the representative of w / m whose coordinates lie in [0,1)^g,
-        in one integer pass.  The one reducer: ``reduce_all`` and
-        ``QLattice._reduce_num`` convert their input once and call it.
+    ) -> list[tuple[list[int], int, list[int]]]:
+        """(r, m, k) per pair (w, m) of integer numerators w and a denominator
+        m > 0, with r / m the representative of w / m whose coordinates lie in
+        [0,1)^g and k the coordinates of w / m - r / m, the lattice vector that
+        takes one to the other, in one integer pass.  The one reducer:
+        ``reduce_all`` and ``QLattice._reduce_num`` convert their input once
+        and call it.
 
         With B the Hermite basis, the coordinates of w / m are
         adj(B) w / (det(B) m), so their floor is k = (adj(B) w) // (det(B) m)
-        and r = w - m B k.  adj(B) comes from one elimination for the batch.
+        and r = w - m B k.  adj(B) is the lattice's cached ``_adjugate``.
         """
         basis = self.basis
         g = len(basis)
-        d, adj = self.mat._eliminate([[int(i == j) for j in range(g)] for i in range(g)])
+        d, adj = self._adjugate
         out = []
         for w, m in pairs:
             if len(w) != g:
                 raise DimensionMismatch(f"expected a vector of length {g}")
             dm = d * m
-            k = [sum(a * x for a, x in zip(row, w)) // dm for row in adj]
-            r = [x - m * sum(b * c for b, c in zip(row, k)) for x, row in zip(w, basis)]
-            out.append((r, m))
+            k = [sum(map(operator.mul, row, w)) // dm for row in adj]
+            r = [x - m * sum(map(operator.mul, row, k)) for x, row in zip(w, basis)]
+            out.append((r, m, k))
         return out
 
     # -- arithmetic -----------------------------------------------------------
@@ -241,7 +271,8 @@ class FiniteAbelianGroup(Frozen):
     the direct sum of Z/d_i. generator_lifts are ambient integer vectors
     mapping to generators of the cyclic factors; with the private _trivial,
     the adapted basis vectors of the factors d_i = 1, they form a basis of
-    the ambient lattice.
+    the ambient lattice.  The constructor checks the types and shapes of the
+    six fields; ``quotient`` builds the group unchecked.
     """
 
     invariant_factors: tuple[int, ...]
@@ -250,6 +281,20 @@ class FiniteAbelianGroup(Frozen):
     _u: tuple[tuple[int, ...], ...]
     _moduli: tuple[int, ...]
     _trivial: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if not isinstance(self._ambient, Sublattice):
+            raise NotExact(f"a group's ambient lattice is a Sublattice, got {self._ambient!r}")
+        g = self._ambient.ambient_rank
+        factors, moduli = _ints(self.invariant_factors), _ints(self._moduli)
+        lifts, u, trivial = map(_int_rows, (self.generator_lifts, self._u, self._trivial))
+        if len(lifts) != len(factors) or len(moduli) != g or len(u) != g:
+            raise DimensionMismatch(f"a group on a rank-{g} lattice has g moduli and a g x g U")
+        if len(lifts) + len(trivial) != g or any(len(v) != g for v in lifts + trivial + u):
+            raise DimensionMismatch(f"the lifts and trivial vectors must form a basis of Z^{g}")
+        fields = (factors, lifts, self._ambient, u, moduli, trivial)
+        for name, value in zip(self.__match_args__, fields):
+            object.__setattr__(self, name, value)
 
     @property
     def order(self) -> int:
@@ -295,13 +340,13 @@ def quotient(ambient: Sublattice, sub: Sublattice) -> FiniteAbelianGroup:
     """The finite group ambient/sub, with generator lifts in Z^g coordinates."""
     u, diag, adapted = _smith_adapted(ambient, sub)
     kept = [i for i, x in enumerate(diag) if x > 1]
-    return FiniteAbelianGroup(
-        invariant_factors=tuple(diag[i] for i in kept),
-        generator_lifts=tuple(adapted[i] for i in kept),
-        _ambient=ambient,
-        _u=tuple(map(tuple, u)),
-        _moduli=tuple(diag),
-        _trivial=tuple(adapted[i] for i, x in enumerate(diag) if x == 1),
+    return FiniteAbelianGroup._from_valid(
+        tuple(diag[i] for i in kept),
+        tuple(adapted[i] for i in kept),
+        ambient,
+        tuple(map(tuple, u)),
+        tuple(diag),
+        tuple(adapted[i] for i, x in enumerate(diag) if x == 1),
     )
 
 
@@ -478,19 +523,20 @@ class QLattice(Frozen):
         """The representative of each vector whose coordinates lie in [0,1)^g."""
         return [
             tuple(Fraction(x, m) for x in r)
-            for r, m in self._reduce_num(map(over_one_denominator, vectors))
+            for r, m, _ in self._reduce_num(map(over_one_denominator, vectors))
         ]
 
     def _reduce_num(
         self, pairs: Iterable[tuple[Sequence[int], int]]
-    ) -> list[tuple[list[int], int]]:
-        """(r, m * den) per pair (w, m) of integer numerators w and a denominator
-        m > 0, with r / (m * den) the representative of w / m whose coordinates
-        lie in [0,1)^g, in one integer pass: v reduced modulo L is den * v
-        reduced modulo den * L, over den."""
+    ) -> list[tuple[list[int], int, list[int]]]:
+        """(r, m * den, k) per pair (w, m) of integer numerators w and a
+        denominator m > 0, with r / (m * den) the representative of w / m whose
+        coordinates lie in [0,1)^g and k the coordinates of their difference,
+        in one integer pass: v reduced modulo L is den * v reduced modulo
+        den * L, over den, and both bases have the same coordinates."""
         den = self.den
         reduced = self.lattice._reduce_num(([den * x for x in w], m) for w, m in pairs)
-        return [(r, m * den) for r, m in reduced]
+        return [(r, m * den, k) for r, m, k in reduced]
 
     def index_over(self, sub: "QLattice") -> Fraction:
         """[self : sub] for sub contained in self."""

@@ -10,6 +10,7 @@ representations tropicalize entrywise by valuation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -320,6 +321,8 @@ def verify_commuting_square(
 
     Both pipelines produce points for (full lattice, zero class) on the same
     real torus; returns the boolean together with both sorted point lists.
+    The lists are sorted by their coordinates as integer numerators over one
+    denominator common to all of them, the order of the coordinates.
     """
     g = torus.g
     zero = Mat.zeros(g, g)
@@ -329,6 +332,11 @@ def verify_commuting_square(
         [tropicalize_line_bundle(b) for b in bundles_from_rep(rep, torus)], full, zero
     )
     via_trop = moduli_points(bundle_from_rep(trop_rep(rep), torus.trop()).summands, full, zero)
-    via_na.sort(key=lambda p: p.coords)
-    via_trop.sort(key=lambda p: p.coords)
+    den = math.lcm(*{x.denominator for p in via_na + via_trop for x in p.coords})
+
+    def key(p: ModuliPoint) -> tuple[int, ...]:
+        return tuple(x.numerator * (den // x.denominator) for x in p.coords)
+
+    via_na.sort(key=key)
+    via_trop.sort(key=key)
     return via_na == via_trop, via_na, via_trop

@@ -288,6 +288,8 @@ def stratum(rep: TropRepresentation) -> tuple[Sublattice, ...]:
 def bundle_from_rep(rep: TropRepresentation, torus: TropTorus) -> TropVectorBundle:
     """The homogeneous bundle of a representation: one summand per orbit,
     pushed forward from the stabilizer cover with zero class."""
+    if not isinstance(torus, TropTorus):
+        raise NotExact(f"the bundle of a representation lives on a TropTorus, got {torus!r}")
     if torus.g != rep.g:
         raise SizeMismatch("torus rank differs from the number of generators")
     zero = Mat.zeros(torus.g, torus.g)
@@ -295,7 +297,7 @@ def bundle_from_rep(rep: TropRepresentation, torus: TropTorus) -> TropVectorBund
     summands = [
         TropLineBundle._from_valid(torus, s.lattice, zero, s.l) for s in decompose_rep(rep)
     ]
-    return TropVectorBundle(torus, tuple(summands))
+    return TropVectorBundle._sorted(torus, summands)
 
 
 def conjugate(rep: TropRepresentation, a: TropGLElement) -> TropRepresentation:
@@ -312,7 +314,10 @@ def rep_from_bundle(e: TropVectorBundle) -> TropRepresentation:
     Each summand contributes the block induced from its cover lattice: the
     permutation part shifts canonical coset representatives, and the
     translation part is the covector evaluated on the lattice element closing
-    each shift.  Inverse to bundle construction up to equivalence.
+    each shift.  The reducer hands back that element's lattice coordinates,
+    so each translation is one integer dot product with the covector's
+    numerators, over their denominator.  Inverse to bundle construction up to
+    equivalence.
     """
     if not e.summands:
         raise SizeMismatch("cannot build a representation from an empty bundle")
@@ -323,14 +328,15 @@ def rep_from_bundle(e: TropVectorBundle) -> TropRepresentation:
     off = 0
     for s in e.summands:
         reps = _coset_reps(s.lattice)
-        lookup = {c: k for k, c in enumerate(reps)}
+        lookup = {c: i for i, c in enumerate(reps)}
+        l_num, m = s._l_num
         # every rep shifted by every unit vector, reduced in one batch
-        shifted = [c[:j] + (c[j] + 1,) + c[j + 1 :] for j in range(g) for c in reps]
-        for n, (v, target) in enumerate(zip(shifted, s.lattice.reduce_all(shifted))):
-            j, k = divmod(n, len(reps))
-            k2 = lookup[target]
-            perms[j][off + k] = off + k2
-            ds[j][off + k2] = s.l_value(tuple(a - b for a, b in zip(v, target)))
+        shifted = [(c[:j] + (c[j] + 1,) + c[j + 1 :], 1) for j in range(g) for c in reps]
+        for n, (target, _, k) in enumerate(s.lattice._reduce_num(shifted)):
+            j, i = divmod(n, len(reps))
+            i2 = off + lookup[tuple(target)]
+            perms[j][off + i] = i2
+            ds[j][i2] = Fraction(sum(a * b for a, b in zip(l_num, k)), m)
         off += len(reps)
     # g >= 1 images, each of size e.rank
     return TropRepresentation._from_valid(

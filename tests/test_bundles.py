@@ -37,11 +37,13 @@ from tropabel.errors import (
     MixedClasses,
     NotCompatible,
     NotContained,
+    NotExact,
     SlopeMismatch,
 )
 from tropabel.lattices import QLattice, Sublattice, reduce_mod_lattice
 from tropabel.linalg import Mat
 from tropabel.nspairings import TropTorus, extended_character_lattice, integrality_lattice
+from tropabel.tropchar import TropRepresentation, bundle_from_rep, identity
 
 from conftest import (
     rand_fraction,
@@ -537,6 +539,35 @@ def test_bundle_operations_equal_public_construction():
             assert all(type(x) is Fraction for x in r.l)
             rebuilt = TropLineBundle(r.torus, r.lattice, r.ns, r.l)
             assert r == rebuilt and hash(r) == hash(rebuilt)
+        # the bundles are built sorted without the checks of TropVectorBundle
+        bundles = [
+            direct_sum(e1, e2),
+            tensor(e1, e2),
+            pullback(e1, sub),
+            pushforward(on_cover, sub, torus),
+            translate(e1, [rand_fraction(rng) for _ in range(g)]),
+        ]
+        for b in bundles:
+            assert type(b.summands) is tuple
+            rebuilt = TropVectorBundle(b.torus, b.summands[::-1])
+            assert b == rebuilt and hash(b) == hash(rebuilt)
+
+
+def test_unchecked_bundles_keep_the_torus_check(reference_torus):
+    # a multiplicative torus with the same valuation matrix is not a
+    # tropical torus: the bundles built unchecked refuse it as the
+    # constructor did
+    trop = reference_torus.trop()
+    sub = Sublattice([[2, 0], [0, 1]])
+    zero = Mat.zeros(2, 2)
+    on_cover = as_bundle(line_bundle(cover_torus(trop, sub), Sublattice.full(2), zero, (0, 0)))
+    assert pushforward(on_cover, sub, trop).torus == trop
+    with pytest.raises(NotExact):
+        pushforward(on_cover, sub, reference_torus)
+    rep = TropRepresentation((identity(1), identity(1)))
+    assert bundle_from_rep(rep, trop).torus == trop
+    with pytest.raises(NotExact):
+        bundle_from_rep(rep, reference_torus)
 
 
 # ---------------------------------------------------------------------------

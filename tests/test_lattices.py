@@ -1,9 +1,12 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropabel.errors import (
     DimensionMismatch,
@@ -607,6 +610,41 @@ def test_sublattice_reduce_matches_reduction_reference():
                 negative_fractional += any(c < 0 and c.denominator != 1 for c in coords)
             assert all(type(x) is int for r in reduced[:4] for x in r)
     assert negative_fractional >= 50
+
+
+@st.composite
+def hermite_bases(draw):
+    """A lower-triangular basis in canonical Hermite form of rank g <= 5, with
+    diagonal entries small or past 2**64."""
+    g = draw(st.integers(1, 5))
+    diag = [draw(st.integers(1, 9) | st.integers(2**64, 2**70)) for _ in range(g)]
+    return [
+        [draw(st.integers(0, diag[i] - 1)) if j < i else diag[i] * (i == j) for j in range(g)]
+        for i in range(g)
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(hermite_bases(), st.data())
+@example([[2**64 + 1, 0], [2**64, 2**65 + 3]], None)
+def test_cached_adjugate_matches_bareiss(rows, data):
+    # the forward-substitution adjugate against the fraction-free elimination
+    # of the basis matrix, and the lattice vector the reducer hands back
+    lat = Sublattice(rows)
+    assert lat.basis == tuple(map(tuple, rows))
+    g = len(rows)
+    det, adj = lat.mat._eliminate([[int(i == j) for j in range(g)] for i in range(g)])
+    assert lat._adjugate == (det, adj)
+    assert lat._adjugate is lat._adjugate
+    if data is None:
+        assert max(x for row in adj for x in row) > 2**64
+        return
+    m = data.draw(st.integers(1, 12))
+    w = data.draw(st.lists(st.integers(-(2**72), 2**72), min_size=g, max_size=g))
+    [(r, m_out, k)] = lat._reduce_num([(w, m)])
+    assert m_out == m
+    assert [x - y for x, y in zip(w, r)] == [m * sum(map(operator.mul, row, k)) for row in rows]
+    assert all(0 <= c < 1 for c in lat.coordinates([F(x, m) for x in r]))
 
 
 def test_qlattice_basics():

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropabel import jsonio
 from tropabel.bundles import TropLineBundle, as_bundle, moduli_point, translate
@@ -463,6 +465,20 @@ def test_verify_commuting_square_random():
         assert via_na == via_trop
         assert len(via_na) == len(chars)
         assert via_na == sorted(via_na, key=lambda p: p.coords)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32))
+def test_commuting_square_lists_are_sorted_by_coordinates(g, r, seed):
+    # the integer keys over one denominator order the points as their
+    # Fraction coordinates do
+    rng = random.Random(seed)
+    torus = rand_unit_torus(rng, g)
+    chars = tuple(NACharacter(tuple(rand_unit_mono(rng) for _ in range(g))) for _ in range(r))
+    ok, via_na, via_trop = verify_commuting_square(NASemisimpleRep(chars), torus)
+    assert via_na == sorted(via_na, key=lambda p: p.coords)
+    assert via_trop == sorted(via_trop, key=lambda p: p.coords)
+    assert ok is (via_na == via_trop)
 
 
 def test_commuting_square_reduces_once_per_side(monkeypatch):

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import tropabel.tropchar as tropchar
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tropabel.bundles import as_bundle, is_homogeneous, line_bundle
@@ -335,6 +336,77 @@ def test_rep_from_bundle_multiple_summands():
         (Sublattice([[2, 0], [0, 1]]), (F(1, 2), F(0))),
     )
     assert bundle_from_rep(rep, torus) == e
+
+
+def ref_rep_from_bundle(e):
+    """The images of rep_from_bundle as (perm, d) pairs, computed as it was
+    before the reducer handed back lattice coordinates: coset representatives
+    and their shifts through reduce_all, each translation through l_value on
+    the lattice vector that closes the shift."""
+    g, total = e.torus.g, e.rank
+    perms = [[0] * total for _ in range(g)]
+    ds = [[F(0)] * total for _ in range(g)]
+    off = 0
+    for s in e.summands:
+        box = itertools.product(*(range(row[i]) for i, row in enumerate(s.lattice.basis)))
+        reps = sorted(s.lattice.reduce_all(box))
+        lookup = {c: k for k, c in enumerate(reps)}
+        shifted = [c[:j] + (c[j] + 1,) + c[j + 1 :] for j in range(g) for c in reps]
+        for n, (v, target) in enumerate(zip(shifted, s.lattice.reduce_all(shifted))):
+            j, k = divmod(n, len(reps))
+            k2 = off + lookup[target]
+            perms[j][off + k] = k2
+            ds[j][k2] = s.l_value(tuple(a - b for a, b in zip(v, target)))
+        off += len(reps)
+    return [(tuple(p), tuple(d)) for p, d in zip(perms, ds)]
+
+
+RATIONALS = st.builds(F, st.integers(-7, 7), st.integers(1, 12))
+
+
+@st.composite
+def homogeneous_bundles(draw):
+    """One to three zero-class summands of index <= 32 on a rank-g torus,
+    g <= 4, with a rational valuation matrix other than the identity and
+    covectors with denominators up to 12."""
+    g = draw(st.integers(1, 4))
+    v = Mat(draw(st.lists(st.lists(RATIONALS, min_size=g, max_size=g), min_size=g, max_size=g)))
+    assume(v != Mat.identity(g) and v.det() != 0)
+    torus = TropTorus(v)
+    summands = []
+    for _ in range(draw(st.integers(1, 3))):
+        left, diag = 32, []
+        for _ in range(g):
+            diag.append(draw(st.integers(1, left)))
+            left //= diag[-1]
+        rows = [
+            [draw(st.integers(0, diag[i] - 1)) if j < i else diag[i] * (i == j) for j in range(g)]
+            for i in range(g)
+        ]
+        l = tuple(draw(RATIONALS) for _ in range(g))
+        summands.append(line_bundle(torus, Sublattice(rows), Mat.zeros(g, g), l))
+    return as_bundle(summands)
+
+
+INDEX_32 = as_bundle(
+    line_bundle(
+        TropTorus(Mat([[F(1, 2), 3], [F(-2, 3), F(5, 7)]])),
+        Sublattice([[4, 0], [3, 8]]),
+        Mat.zeros(2, 2),
+        (F(5, 12), F(-7, 11)),
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(homogeneous_bundles())
+@example(INDEX_32)
+def test_rep_from_bundle_matches_the_reduce_and_solve_reference(e):
+    # the translations from the reducer's lattice coordinates equal l_value on
+    # the closing lattice vectors, entry by entry and as Fractions
+    rep = rep_from_bundle(e)
+    assert [(a.perm, a.d) for a in rep.images] == ref_rep_from_bundle(e)
+    assert all(type(x) is F for a in rep.images for x in a.d)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import tropabel
 from tropabel import (
+    FiniteAbelianGroup,
     Mat,
     ModuliPoint,
     MultiplicativePoint,
@@ -278,6 +279,7 @@ CONSTRUCTOR_CALLS = st.one_of(
     st.tuples(st.sampled_from([TropVectorBundle, NSClass]), st.tuples(JUNK, JUNK)),
     st.tuples(st.sampled_from([NALineBundle, OrbitSummand]), st.tuples(JUNK, JUNK, JUNK)),
     st.tuples(st.sampled_from([TropLineBundle, ModuliPoint]), st.tuples(JUNK, JUNK, JUNK, JUNK)),
+    st.tuples(st.just(FiniteAbelianGroup), st.tuples(*[JUNK] * 6)),
 )
 
 
@@ -304,9 +306,13 @@ CONSTRUCTOR_CALLS = st.one_of(
 @example((TropVectorBundle, (5, ())))
 @example((ModuliPoint, (5, 5, 5, 5)))
 @example((OrbitSummand, (5, 5, 5)))
+@example((FiniteAbelianGroup, (5, 5, 5, 5, 5, 5)))
 # valid calls
 @example((ModuliPoint, (SAMPLES[2][0], Sublattice.full(2), Mat([[1, 0], [0, 1]]), [0, "1/2"])))
 @example((OrbitSummand, ([0, 1], Sublattice.full(2), (1, F(1, 2)))))
+@example(
+    (FiniteAbelianGroup, ([2], [[1, 0]], Sublattice.full(2), [[1, 0], [0, 1]], [2, 1], [[0, 1]]))
+)
 def test_lattice_torus_bundle_and_character_constructors_raise_only_library_errors(call):
     constructor, args = call
     try:
@@ -324,6 +330,13 @@ def test_lattice_torus_bundle_and_character_constructors_raise_only_library_erro
         assert type(value.orbit) is tuple and all(type(i) is int for i in value.orbit)
         assert type(value.lattice) is Sublattice and type(value.l) is tuple
         assert all(type(x) is F for x in value.l)
+    if constructor is FiniteAbelianGroup:
+        g = value._ambient.ambient_rank
+        assert type(value._ambient) is Sublattice and len(value._moduli) == g
+        vectors = value.generator_lifts + value._trivial + value._u
+        assert all(type(v) is tuple and len(v) == g for v in vectors)
+        assert all(type(x) is int for v in vectors for x in v)
+        assert len(value.invariant_factors) == len(value.generator_lifts)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
