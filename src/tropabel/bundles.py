@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._frozen import Frozen
 from .errors import (
     AmbientMismatch,
+    DimensionMismatch,
     EmptyBundle,
     InvalidClass,
     LatticeMismatch,
@@ -34,7 +36,7 @@ from .errors import (
 from .lattices import QLattice, Sublattice, _sum_and_intersection
 from .linalg import Mat
 from .nspairings import TropTorus, extended_character_lattice, is_r_symmetric
-from .rationals import as_tuple, over_one_denominator, rat
+from .rationals import as_tuple, exact_over_one_denominator, over_one_denominator, rat
 
 
 class TropLineBundle(Frozen):
@@ -76,12 +78,22 @@ class TropLineBundle(Frozen):
         denominator m, once per summand."""
         return over_one_denominator(self.l)
 
-    def l_value(self, x: Sequence[int | Fraction]) -> Fraction:
-        """The Q-linear extension of the covector, at lattice coordinates x: the
-        covector's numerators over m, dotted with the coordinates of x in the
-        lattice, over m."""
+    @functools.cached_property
+    def _l_ext(self) -> tuple[list[int], int]:
+        """The covector's Q-linear extension l B^-1 to Z^g, for the Hermite basis
+        B, once per summand: the integer row num adj(B) over m det(B)."""
         num, m = self._l_num
-        return Fraction(sum(a * c for a, c in zip(num, self.lattice.coordinates(x))), m)
+        d, adj = self.lattice._adjugate
+        return [sum(map(operator.mul, num, col)) for col in zip(*adj)], m * d
+
+    def l_value(self, x: Sequence[int | Fraction]) -> Fraction:
+        """The Q-linear extension of the covector at x, one dot product with
+        ``_l_ext``; an entry that is not an int or a Fraction raises NotExact."""
+        w, m = exact_over_one_denominator(x)
+        ext, den = self._l_ext
+        if len(w) != len(ext):
+            raise DimensionMismatch(f"expected a vector of length {len(ext)}")
+        return Fraction(sum(map(operator.mul, ext, w)), den * m)
 
 
 def _checked_values(
@@ -161,23 +173,20 @@ def cover_torus(torus: TropTorus, sub: Sublattice) -> TropTorus:
     return TropTorus._from_valid(torus.v @ sub.mat)
 
 
-def _twisted(
-    values: Sequence[Fraction], positions: Sequence[Sequence[int]], m: Sequence[int], den: int
-) -> tuple[Fraction, ...]:
-    """values[i] - <positions[i], m> / den, one Fraction each.
-
-    With positions[i] = V.num @ b_i for the lattice coordinates b_i of the
-    summand's basis and m = H.num @ y, this is the covector twisted by the
-    translation over y: l(b_i) - <V b_i, H y> for den = V.den * H.den (times
-    the denominator of y when y is rational).
-    """
-    return tuple(
-        Fraction(
-            a.numerator * den - sum(x * y for x, y in zip(p, m)) * a.denominator,
-            a.denominator * den,
+def _twists(
+    torus: TropTorus, ns: Mat, cols: Sequence, values: Sequence, shifts: Iterable, q: int = 1
+) -> Iterable[tuple[Fraction, ...]]:
+    """The covector values on the columns cols, twisted by the translation over
+    each shift y / q: values[i] - <V cols[i], H y / q>, one tuple per shift.
+    The pairing is integer work, (V.num cols[i]) . (H.num y) over V.den H.den q."""
+    positions = [torus.v.num_image(c) for c in cols]
+    den = torus.v.den * ns.den * q
+    for m in map(ns.num_image, shifts):
+        pairs = [sum(map(operator.mul, p, m)) for p in positions]
+        yield tuple(
+            Fraction(a.numerator * den - x * a.denominator, a.denominator * den)
+            for a, x in zip(values, pairs)
         )
-        for a, p in zip(values, positions)
-    )
 
 
 def _coset_reps(lat: Sublattice) -> list[tuple[int, ...]]:
@@ -219,10 +228,7 @@ def tensor(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
             ns = s1.ns + s2.ns
             basis = inter.generators()
             base_l = [s1.l_value(b) + s2.l_value(b) for b in basis]
-            positions = [torus.v.num_image(b) for b in basis]
-            den = torus.v.den * s2.ns.den
-            for delta in _coset_reps(total):
-                l = _twisted(base_l, positions, s2.ns.num_image(delta), den)
+            for l in _twists(torus, s2.ns, basis, base_l, _coset_reps(total)):
                 out.append(TropLineBundle._from_valid(torus, inter, ns, l))
     return TropVectorBundle._sorted(torus, out)
 
@@ -239,14 +245,11 @@ def pullback(e: TropVectorBundle, sub: Sublattice) -> TropVectorBundle:
     out = []
     for s in e.summands:
         total, inter = _sum_and_intersection(s.lattice, sub)
-        new_lat = Sublattice.from_generators([sub.coordinates(b) for b in inter.generators()])
+        new_lat = Sublattice.from_generators([sub._coordinates(b, 1) for b in inter.generators()])
         amb_cols = list(zip(*(sub.mat @ new_lat.mat).num))
         new_ns = s.ns @ sub.mat
         base_l = [s.l_value(c) for c in amb_cols]
-        positions = [torus.v.num_image(c) for c in amb_cols]
-        den = torus.v.den * s.ns.den
-        for delta in _coset_reps(total):
-            l = _twisted(base_l, positions, s.ns.num_image(delta), den)
+        for l in _twists(torus, s.ns, amb_cols, base_l, _coset_reps(total)):
             out.append(TropLineBundle._from_valid(target, new_lat, new_ns, l))
     return TropVectorBundle._sorted(target, out)
 
@@ -263,12 +266,12 @@ def pushforward(
         raise NotExact(f"a bundle is pushed forward to a TropTorus, got {parent!r}")
     if e.torus != cover_torus(parent, sub):
         raise AmbientMismatch("bundle does not live on the stated cover of the parent")
-    sub_inv = sub.mat.inv()
+    sub_inv = Mat._from_int(sub._adjugate[1], sub.index)
     out = []
     for s in e.summands:
         amb_lat = Sublattice((sub.mat @ s.lattice.mat).int_rows())
         ns = s.ns @ sub_inv
-        l = tuple(s.l_value(sub.coordinates(col)) for col in amb_lat.generators())
+        l = tuple(s.l_value(sub._coordinates(col, 1)) for col in amb_lat.generators())
         out.append(TropLineBundle._from_valid(parent, amb_lat, ns, l))
     return TropVectorBundle._sorted(parent, out)
 
@@ -276,13 +279,10 @@ def pushforward(
 def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVectorBundle:
     """Translate by the point with N_Q-coordinates x: l goes to l - <., H(x)>."""
     torus = e.torus
-    lam = torus.v.solve(x)
-    lam_num, q = over_one_denominator(lam)
+    lam_num, q = over_one_denominator(torus.v.solve(x))
     out = []
     for s in e.summands:
-        positions = [torus.v.num_image(b) for b in s.lattice.generators()]
-        den = torus.v.den * s.ns.den * q
-        l = _twisted(s.l, positions, s.ns.num_image(lam_num), den)
+        (l,) = _twists(torus, s.ns, s.lattice.generators(), s.l, [lam_num], q)
         out.append(TropLineBundle._from_valid(torus, s.lattice, s.ns, l))
     return TropVectorBundle._sorted(torus, out)
 
@@ -407,7 +407,7 @@ def moduli_points(
     if gamma.ambient_rank != first.torus.g:
         raise AmbientMismatch("gamma does not match the torus rank")
     gens = gamma.generators()
-    cols: dict[Sublattice, list[tuple[int, ...]]] = {}
+    cols: dict[Sublattice, list[tuple[int | Fraction, ...]]] = {}
     restricted = []
     for s in summands:
         _same_torus(s, first)
@@ -415,12 +415,11 @@ def moduli_points(
             raise SlopeMismatch("summand slope differs from the supplied class")
         c = cols.get(s.lattice)
         if c is None:
-            c = [s.lattice.coordinates(b) for b in gens]
-            if not all(x.denominator == 1 for col in c for x in col):
+            c = cols[s.lattice] = [s.lattice._coordinates(b, 1) for b in gens]
+            if not all(type(x) is int for col in c for x in col):
                 raise NotCompatible("gamma is not contained in the summand's cover lattice")
-            cols[s.lattice] = c
         l_num, m = s._l_num
-        restricted.append(([sum(a * x for a, x in zip(l_num, col)) for col in c], m))
+        restricted.append(([sum(map(operator.mul, l_num, col)) for col in c], m))
     reduced = _twist_lattice(first.torus, gamma, ns)._reduce_num(restricted)
     return [
         ModuliPoint._from_valid(s.torus, gamma, ns, tuple(Fraction(x, m) for x in r))

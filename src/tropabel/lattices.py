@@ -3,21 +3,21 @@
 Sublattice bases are kept in the canonical column Hermite form from
 ``linalg``, so two Sublattice values are equal exactly when they describe the
 same subgroup of Z^g; a basis already in that form is recognised and kept.
-The basis is lower-triangular, so coordinates and membership come from one
-integer forward substitution (``_forward_solve``).  Sum and intersection are
-the diagonal blocks of one Hermite form.  Box representatives come from one
-integer pass over a batch of vectors: the Hermite basis's adjugate, computed
-once per lattice by integer forward substitution, and a floor division per
-coordinate; the pass also hands back the coordinates of the lattice vector
-that moved each one.  A ``QLattice`` is a Sublattice scaled by 1/den
-and reduces through the same pass.  Quotients by finite-index sublattices come
-back as ``FiniteAbelianGroup`` values carrying invariant factors, generator
-lifts and the projection map, which is everything the pairing machinery
-downstream needs.  ``enumerate_subgroups`` lists the subgroups of such a group
-that have a given order, by a walk over Hermite bases that checks each new
-column in integers and abandons a failing branch; given an alternating form it
-keeps only the isotropic subgroups, so the admissible covers, which correspond
-to the Lagrangian (isotropic of order sqrt|D|) subgroups of a defect group D,
+Every question about the basis B is answered from its adjugate, computed once
+per lattice by integer forward substitution: the coordinates of w / m are
+adj(B) w / (det(B) m), membership is their integrality, and box
+representatives are their floors, one integer pass over a batch of vectors
+that also hands back the coordinates of the lattice vector that moved each.
+Sum and intersection are the diagonal blocks of one Hermite form.  A
+``QLattice`` is a Sublattice scaled by 1/den and reduces through the same
+pass.  Quotients by finite-index sublattices come back as
+``FiniteAbelianGroup`` values carrying invariant factors, generator lifts and
+the projection map, which is everything the pairing machinery downstream
+needs.  ``enumerate_subgroups`` lists the subgroups of such a group that have
+a given order, by a walk over Hermite bases that checks each new column in
+integers and abandons a failing branch; given an alternating form it keeps
+only the isotropic subgroups, so the admissible covers, which correspond to
+the Lagrangian (isotropic of order sqrt|D|) subgroups of a defect group D,
 come out of the walk directly.  The walk charges its work to one budget of
 steps as it goes and raises ``TooLarge`` when the budget runs out.
 """
@@ -42,23 +42,9 @@ from .errors import (
     TooLarge,
 )
 from .linalg import IntRows, Mat, _common_length, column_hnf, snf
-from .rationals import as_int, as_tuple, over_one_denominator, rat
+from .rationals import as_int, as_tuple, exact_over_one_denominator, rat
 
 SUBGROUP_ENUMERATION_BOUND = 10_000
-
-
-def _forward_solve(basis: Sequence[Sequence[int]], v: Sequence) -> tuple[int | Fraction, ...]:
-    """x with basis @ x = v for a lower-triangular integer basis, by forward substitution;
-    x_i is an int where the division is exact and a Fraction where it is not."""
-    x: list[int | Fraction] = []
-    for i, row in enumerate(basis):
-        r = v[i] - sum(row[j] * x[j] for j in range(i))
-        if type(r) is int:
-            q, m = divmod(r, row[i])
-            x.append(Fraction(r, row[i]) if m else q)
-        else:
-            x.append(r / row[i])
-    return tuple(x)
 
 
 def _ints(x) -> tuple[int, ...]:
@@ -68,10 +54,6 @@ def _ints(x) -> tuple[int, ...]:
 
 def _int_rows(x) -> tuple[tuple[int, ...], ...]:
     return tuple(map(_ints, as_tuple(x, "integer rows")))
-
-
-def _is_integral(x: Sequence[int | Fraction]) -> bool:
-    return all(c.denominator == 1 for c in x)
 
 
 def _is_hermite(rows: Sequence[Sequence[int]]) -> bool:
@@ -160,16 +142,25 @@ class Sublattice(Frozen):
     # -- membership and coordinates ------------------------------------------
 
     def coordinates(self, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
-        """Coordinates of v in this basis (rational where v is off the lattice)."""
-        if len(v) != len(self.basis):
-            raise DimensionMismatch(f"expected a vector of length {self.ambient_rank}")
-        return _forward_solve(self.basis, v)
+        """Coordinates adj(B) w / (det(B) m) of v = w / m, each an int where exact and
+        a Fraction elsewhere; NotExact for an entry not an int (nor a bool) or a Fraction."""
+        return self._coordinates(*exact_over_one_denominator(v))
+
+    def _coordinates(self, w: Sequence[int], m: int) -> tuple[int | Fraction, ...]:
+        """``coordinates`` of w / m for integer numerators w over m > 0, unchecked."""
+        g = len(self.basis)
+        if len(w) != g:
+            raise DimensionMismatch(f"expected a vector of length {g}")
+        d, adj = self._adjugate
+        dm = d * m
+        x = [sum(map(operator.mul, row, w)) for row in adj]
+        return tuple([y // dm if y % dm == 0 else Fraction(y, dm) for y in x])
 
     def contains(self, v: Sequence[int | Fraction]) -> bool:
-        return _is_integral(self.coordinates(v))
+        return all(type(c) is int for c in self.coordinates(v))
 
     def contains_lattice(self, other: "Sublattice") -> bool:
-        return all(self.contains(gen) for gen in other.generators())
+        return all(type(c) is int for b in other.generators() for c in self._coordinates(b, 1))
 
     def __le__(self, other: "Sublattice") -> bool:
         return other.contains_lattice(self)
@@ -185,24 +176,22 @@ class Sublattice(Frozen):
         ints for an integer vector, Fractions otherwise."""
         return [
             tuple(r) if m == 1 else tuple(Fraction(x, m) for x in r)
-            for r, m, _ in self._reduce_num(map(over_one_denominator, vectors))
+            for r, m, _ in self._reduce_num(map(exact_over_one_denominator, vectors))
         ]
 
     @cached_property
     def _adjugate(self) -> tuple[int, IntRows]:
-        """(det B, adj B) of the Hermite basis B, once per lattice.  Column j of
-        adj B solves B x = det(B) e_j by integer forward substitution: B is
-        lower-triangular, so x_i = 0 for i < j, and every division is exact
-        because adj B is an integer matrix."""
-        basis = self.basis
-        g = len(basis)
+        """(det B, adj B) of the Hermite basis B, once per lattice: the one solver
+        for B (coordinates, membership, reduction, a summand's ``_l_ext``, the
+        cover inverse of ``pushforward``).  As B adj B = det(B) I with B
+        lower-triangular, row i of adj B is (det(B) e_i - sum_(t<i) B[i][t]
+        adj[t]) / B[i][i]: integer forward substitution, every division exact."""
         d = self.index
-        adj = [[0] * g for _ in range(g)]
-        for j in range(g):
-            adj[j][j] = d // basis[j][j]
-            for i in range(j + 1, g):
-                row = basis[i]
-                adj[i][j] = -sum(row[t] * adj[t][j] for t in range(j, i)) // row[i]
+        adj: IntRows = []
+        for i, row in enumerate(self.basis):
+            x = [-sum(map(operator.mul, row, col)) // row[i] for col in zip(*adj)] or [0] * len(row)
+            x[i] = d // row[i]
+            adj.append(x)
         return d, adj
 
     def _reduce_num(
@@ -303,11 +292,11 @@ class FiniteAbelianGroup(Frozen):
     def project(self, v: Sequence[int | Fraction]) -> tuple[int, ...]:
         """Coordinates of the class of v, one entry per invariant factor:
         U times the integer coordinates of v in the ambient basis."""
-        x = self._ambient.coordinates(v)
-        if not _is_integral(x):
+        if not self._ambient.contains(v):
             raise NotContained("vector is not in the numerator lattice")
+        x = self._ambient.coordinates(v)
         rows = zip(self._u, self._moduli)
-        return tuple(sum(a * int(c) for a, c in zip(row, x)) % d for row, d in rows if d > 1)
+        return tuple(sum(map(operator.mul, row, x)) % d for row, d in rows if d > 1)
 
     def lift(self, e: Sequence[int]) -> tuple[int, ...]:
         """An ambient representative of the element with coordinates e."""
@@ -325,9 +314,9 @@ def _smith_adapted(ambient: Sublattice, sub: Sublattice) -> tuple[IntRows, list[
     basis B, and the basis A = B U^-1 of ambient, whose multiples d_j A_j span sub:
     A diag(d) = B U^-1 U C W = S W for sub's basis S = B C, so A_j = (S W)_j / d_j."""
     g = ambient.ambient_rank
-    cols = [ambient.coordinates(gen) for gen in sub.generators()]
-    if not all(_is_integral(col) for col in cols):
+    if not ambient.contains_lattice(sub):
         raise NotContained("the second lattice is not inside the first")
+    cols = [ambient._coordinates(gen, 1) for gen in sub.generators()]
     u, d, w = snf(list(zip(*cols)))
     adapted = [
         tuple(sum(s * w[k][j] for k, s in enumerate(row)) // d[j][j] for row in sub.basis)
@@ -513,7 +502,8 @@ class QLattice(Frozen):
         return Fraction(self.lattice.index, self.den**self.lattice.ambient_rank)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return self.lattice.contains([x * self.den for x in v])
+        w, m = exact_over_one_denominator(v)
+        return all(type(c) is int for c in self.lattice._coordinates([self.den * x for x in w], m))
 
     def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """The representative of v whose coordinates lie in [0,1)^g."""
@@ -523,7 +513,7 @@ class QLattice(Frozen):
         """The representative of each vector whose coordinates lie in [0,1)^g."""
         return [
             tuple(Fraction(x, m) for x in r)
-            for r, m, _ in self._reduce_num(map(over_one_denominator, vectors))
+            for r, m, _ in self._reduce_num(map(exact_over_one_denominator, vectors))
         ]
 
     def _reduce_num(

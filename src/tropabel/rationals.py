@@ -6,7 +6,7 @@ none ever enters the pipeline, and read an integer without truncating it
 or a sequence without accepting a scalar.
 Strings in the one rational grammar are parsed by ``parse_rational``, which
 memoises its results: the wire repeats few distinct strings.  Integer work on
-a rational vector starts from ``over_one_denominator``.
+a rational vector starts from ``over_one_denominator`` (checked at an entry point).
 """
 
 from __future__ import annotations
@@ -101,6 +101,16 @@ def over_one_denominator(v: Sequence[int | Fraction]) -> tuple[list[int], int]:
     if m == 1:
         return [x.numerator for x in v], 1
     return [x.numerator * (m // x.denominator) for x in v], m
+
+
+def exact_over_one_denominator(v) -> tuple[list[int], int]:
+    """``over_one_denominator`` of a vector of ints (not bools) and Fractions;
+    ``NotExact`` for any other entry, or for a v that is not a sequence."""
+    v = as_tuple(v, "rationals")
+    types = set(map(type, v))
+    if not types <= {int, Fraction}:
+        raise NotExact(f"expected a vector of ints and Fractions, got {v!r}")
+    return (list(v), 1) if types == {int} else over_one_denominator(v)
 
 
 def frac_mod_1(x: Fraction) -> Fraction:

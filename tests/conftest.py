@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from tropabel import Mat, MultiplicativePoint, NATorus, Sublattice, TropTorus, ValuedMonomial
 
@@ -122,3 +123,15 @@ def minplus_product(a, b):
                     best = val
             out[i][j] = best
     return out
+
+
+@st.composite
+def hermite_bases(draw):
+    """A lower-triangular basis in canonical Hermite form of rank g <= 5, with
+    diagonal entries small or past 2**64."""
+    g = draw(st.integers(1, 5))
+    diag = [draw(st.integers(1, 9) | st.integers(2**64, 2**70)) for _ in range(g)]
+    return [
+        [draw(st.integers(0, diag[i] - 1)) if j < i else diag[i] * (i == j) for j in range(g)]
+        for i in range(g)
+    ]

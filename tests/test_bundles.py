@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropabel.bundles import (
     ModuliPoint,
@@ -31,6 +33,7 @@ from tropabel.bundles import (
 )
 from tropabel.errors import (
     AmbientMismatch,
+    DimensionMismatch,
     EmptyBundle,
     InvalidClass,
     LatticeMismatch,
@@ -46,6 +49,7 @@ from tropabel.nspairings import TropTorus, extended_character_lattice, integrali
 from tropabel.tropchar import TropRepresentation, bundle_from_rep, identity
 
 from conftest import (
+    hermite_bases,
     rand_fraction,
     rand_integral_symmetric,
     rand_matrix,
@@ -696,6 +700,40 @@ def test_bundle_operations_match_fraction_reference():
         for b in cover.generators():
             q = [F(c, rng.randint(1, 4)) for c in b]
             assert s.l_value(q) == ref_l_value(s, q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(hermite_bases(), st.data())
+def test_l_value_matches_the_reference_on_hermite_bases(rows, data):
+    # the covector's cached extension l adj(B) / (m det B) against the
+    # Fraction dot product with the coordinates, at rational points, integer
+    # points and lattice points, and against Bareiss's coordinates
+    lat = Sublattice(rows)
+    g = len(rows)
+    big = st.integers(-(2**72), 2**72)
+    fractions = st.builds(F, big, st.integers(1, 12) | st.integers(2**64, 2**66))
+
+    def vector(entries):
+        return tuple(data.draw(st.lists(entries, min_size=g, max_size=g)))
+
+    s = TropLineBundle(TropTorus(Mat.identity(g)), lat, Mat.zeros(g, g), vector(fractions))
+    k = vector(big)
+    points = [vector(fractions), vector(big), tuple(sum(map(operator.mul, r, k)) for r in rows)]
+    for x in points:
+        value = s.l_value(x)
+        assert value == ref_l_value(s, x)
+        assert value == sum((a * c for a, c in zip(s.l, lat.mat.solve(x))), F(0))
+    for wrong in (points[0] + (1,), points[0][:-1]):
+        with pytest.raises(DimensionMismatch):
+            s.l_value(wrong)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "1/2"], ids=["float", "bool", "string"])
+def test_l_value_rejects_inexact_entries(bad):
+    # a float used to escape as a bare TypeError, and a bool was read as an int
+    s = line_bundle(EYE2, Sublattice([[2, 0], [1, 3]]), Mat.zeros(2, 2), (F(1, 2), F(1, 3)))
+    with pytest.raises(NotExact):
+        s.l_value((bad, 1))
 
 
 @pytest.mark.parametrize("sub", [Sublattice([[2]]), Sublattice([[1, 0, 0], [0, 2, 0], [0, 0, 1]])])

@@ -1015,7 +1015,9 @@ def test_na_rep_round_trip():
 # Fuzzed scenarios: one node of a shipped scenario replaced by a small leaf
 # ---------------------------------------------------------------------------
 
-LEAVES = [-1, 0, 1, 2, 3, 2.5, True, None, "x", "0/0", [], {}]
+LEAVES = [-1, 0, 1, 2, 3, 7, 100, 2.5, True, None, "x", "0/0", "1/2", "1/0", [], {}]
+# lattice-, matrix- and vector-shaped leaves reach the lattice and covector nodes
+LEAVES += [[[2, 0], [0, 2]], [[0, 0], [0, 0]], [0, 0]]
 
 
 def _paths(tree, path=()):

@@ -29,7 +29,7 @@ from tropabel.lattices import (
 from tropabel import lattices
 from tropabel.linalg import Mat, column_hnf, hnf
 
-from conftest import rand_sublattice, sublattices_of_index_at_most
+from conftest import hermite_bases, rand_sublattice, sublattices_of_index_at_most
 
 F = Fraction
 
@@ -612,18 +612,6 @@ def test_sublattice_reduce_matches_reduction_reference():
     assert negative_fractional >= 50
 
 
-@st.composite
-def hermite_bases(draw):
-    """A lower-triangular basis in canonical Hermite form of rank g <= 5, with
-    diagonal entries small or past 2**64."""
-    g = draw(st.integers(1, 5))
-    diag = [draw(st.integers(1, 9) | st.integers(2**64, 2**70)) for _ in range(g)]
-    return [
-        [draw(st.integers(0, diag[i] - 1)) if j < i else diag[i] * (i == j) for j in range(g)]
-        for i in range(g)
-    ]
-
-
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(hermite_bases(), st.data())
 @example([[2**64 + 1, 0], [2**64, 2**65 + 3]], None)
@@ -645,6 +633,63 @@ def test_cached_adjugate_matches_bareiss(rows, data):
     assert m_out == m
     assert [x - y for x, y in zip(w, r)] == [m * sum(map(operator.mul, row, k)) for row in rows]
     assert all(0 <= c < 1 for c in lat.coordinates([F(x, m) for x in r]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(hermite_bases(), st.data())
+@example([[2**64 + 1, 0], [2**64, 2**65 + 3]], None)
+def test_coordinates_and_membership_match_the_rational_solver(rows, data):
+    # the adjugate solver against Bareiss, on integer and rational vectors and
+    # on lattice vectors, whose coordinates come back as ints and only there
+    lat = Sublattice(rows)
+    g = len(rows)
+    big = st.integers(-(2**72), 2**72)
+    if data is None:
+        w, m, k = [2**70 + 1] * g, 2**66 + 1, [2**65 - 1, -(2**64)]
+    else:
+        w = data.draw(st.lists(big, min_size=g, max_size=g))
+        m = data.draw(st.integers(2, 12) | st.integers(2**64, 2**66))
+        k = data.draw(st.lists(big, min_size=g, max_size=g))
+    point = tuple(sum(map(operator.mul, row, k)) for row in rows)
+    for v in (tuple(w), tuple(F(x, m) for x in w), point):
+        coords, exact = lat.coordinates(v), lat.mat.solve(v)
+        assert coords == exact
+        assert [type(c) for c in coords] == [int if c.denominator == 1 else F for c in exact]
+        assert lat.contains(v) == all(c.denominator == 1 for c in exact)
+    assert lat.coordinates(point) == tuple(k) and lat.contains(point)
+    for v in (point, tuple(w)):
+        wider = Sublattice.from_generators([v, *lat.generators()])
+        assert lat.contains_lattice(wider) == lat.contains(v)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1/2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: Sublattice([[2, 0], [1, 3]]).coordinates((x, 0)),
+        lambda x: Sublattice([[2, 0], [1, 3]]).contains((x, 0)),
+        lambda x: Sublattice([[2, 0], [1, 3]]).reduce((x, 0)),
+        lambda x: Sublattice([[2, 0], [1, 3]]).reduce_all([(1, 0), (x, 0)]),
+        lambda x: QLattice.standard(2).contains((x, F(1, 2))),
+        lambda x: QLattice.standard(2).reduce((x, F(1, 2))),
+        lambda x: QLattice.standard(2).reduce_all([(F(1, 2), 0), (x, F(1, 2))]),
+    ],
+    ids=[
+        "coordinates",
+        "contains",
+        "reduce",
+        "reduce_all",
+        "qlattice-contains",
+        "qlattice-reduce",
+        "qlattice-reduce_all",
+    ],
+)
+def test_lattice_entry_points_reject_inexact_entries(call, bad):
+    # a float used to come back as float coordinates ((0.75, -0.25) for 1.5)
+    # and to escape contains and reduce as AttributeError; a bool was read as
+    # an int
+    with pytest.raises(NotExact):
+        call(bad)
 
 
 def test_qlattice_basics():
