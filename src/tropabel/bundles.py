@@ -279,7 +279,8 @@ def pushforward(
 def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVectorBundle:
     """Translate by the point with N_Q-coordinates x: l goes to l - <., H(x)>."""
     torus = e.torus
-    lam_num, q = over_one_denominator(torus.v.solve(x))
+    lam = torus.v.solve(x)
+    lam_num, q = over_one_denominator(lam)
     out = []
     for s in e.summands:
         (l,) = _twists(torus, s.ns, s.lattice.generators(), s.l, [lam_num], q)
@@ -415,11 +416,12 @@ def moduli_points(
             raise SlopeMismatch("summand slope differs from the supplied class")
         c = cols.get(s.lattice)
         if c is None:
-            c = cols[s.lattice] = [s.lattice._coordinates(b, 1) for b in gens]
+            c = [s.lattice._coordinates(b, 1) for b in gens]
             if not all(type(x) is int for col in c for x in col):
                 raise NotCompatible("gamma is not contained in the summand's cover lattice")
+            cols[s.lattice] = c
         l_num, m = s._l_num
-        restricted.append(([sum(map(operator.mul, l_num, col)) for col in c], m))
+        restricted.append(([sum(a * x for a, x in zip(l_num, col)) for col in c], m))
     reduced = _twist_lattice(first.torus, gamma, ns)._reduce_num(restricted)
     return [
         ModuliPoint._from_valid(s.torus, gamma, ns, tuple(Fraction(x, m) for x in r))

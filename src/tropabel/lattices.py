@@ -181,17 +181,19 @@ class Sublattice(Frozen):
 
     @cached_property
     def _adjugate(self) -> tuple[int, IntRows]:
-        """(det B, adj B) of the Hermite basis B, once per lattice: the one solver
-        for B (coordinates, membership, reduction, a summand's ``_l_ext``, the
-        cover inverse of ``pushforward``).  As B adj B = det(B) I with B
-        lower-triangular, row i of adj B is (det(B) e_i - sum_(t<i) B[i][t]
-        adj[t]) / B[i][i]: integer forward substitution, every division exact."""
+        """(det B, adj B) of the Hermite basis B, once per lattice; every solve
+        with B reads it.  Column j of adj B solves B x = det(B) e_j by integer
+        forward substitution: B is lower-triangular, so x_i = 0 for i < j, and
+        every division is exact because adj B is an integer matrix."""
+        basis = self.basis
+        g = len(basis)
         d = self.index
-        adj: IntRows = []
-        for i, row in enumerate(self.basis):
-            x = [-sum(map(operator.mul, row, col)) // row[i] for col in zip(*adj)] or [0] * len(row)
-            x[i] = d // row[i]
-            adj.append(x)
+        adj = [[0] * g for _ in range(g)]
+        for j in range(g):
+            adj[j][j] = d // basis[j][j]
+            for i in range(j + 1, g):
+                row = basis[i]
+                adj[i][j] = -sum(row[t] * adj[t][j] for t in range(j, i)) // row[i]
         return d, adj
 
     def _reduce_num(
@@ -292,11 +294,11 @@ class FiniteAbelianGroup(Frozen):
     def project(self, v: Sequence[int | Fraction]) -> tuple[int, ...]:
         """Coordinates of the class of v, one entry per invariant factor:
         U times the integer coordinates of v in the ambient basis."""
-        if not self._ambient.contains(v):
-            raise NotContained("vector is not in the numerator lattice")
         x = self._ambient.coordinates(v)
+        if any(type(c) is not int for c in x):
+            raise NotContained("vector is not in the numerator lattice")
         rows = zip(self._u, self._moduli)
-        return tuple(sum(map(operator.mul, row, x)) % d for row, d in rows if d > 1)
+        return tuple(sum(a * c for a, c in zip(row, x)) % d for row, d in rows if d > 1)
 
     def lift(self, e: Sequence[int]) -> tuple[int, ...]:
         """An ambient representative of the element with coordinates e."""
@@ -314,9 +316,9 @@ def _smith_adapted(ambient: Sublattice, sub: Sublattice) -> tuple[IntRows, list[
     basis B, and the basis A = B U^-1 of ambient, whose multiples d_j A_j span sub:
     A diag(d) = B U^-1 U C W = S W for sub's basis S = B C, so A_j = (S W)_j / d_j."""
     g = ambient.ambient_rank
-    if not ambient.contains_lattice(sub):
-        raise NotContained("the second lattice is not inside the first")
     cols = [ambient._coordinates(gen, 1) for gen in sub.generators()]
+    if any(type(c) is not int for col in cols for c in col):
+        raise NotContained("the second lattice is not inside the first")
     u, d, w = snf(list(zip(*cols)))
     adapted = [
         tuple(sum(s * w[k][j] for k, s in enumerate(row)) // d[j][j] for row in sub.basis)

@@ -107,10 +107,9 @@ def exact_over_one_denominator(v) -> tuple[list[int], int]:
     """``over_one_denominator`` of a vector of ints (not bools) and Fractions;
     ``NotExact`` for any other entry, or for a v that is not a sequence."""
     v = as_tuple(v, "rationals")
-    types = set(map(type, v))
-    if not types <= {int, Fraction}:
+    if not set(map(type, v)) <= {int, Fraction}:
         raise NotExact(f"expected a vector of ints and Fractions, got {v!r}")
-    return (list(v), 1) if types == {int} else over_one_denominator(v)
+    return over_one_denominator(v)
 
 
 def frac_mod_1(x: Fraction) -> Fraction:
