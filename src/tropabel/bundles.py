@@ -53,16 +53,9 @@ class TropLineBundle(Frozen):
     l: tuple[Fraction, ...]
 
     def __post_init__(self):
-        l = _checked_values("summand", self.torus, self.lattice, self.ns, self.l)
+        l = _exact_values("summand", self.torus, self.lattice, self.ns, self.l)
         object.__setattr__(self, "l", l)
-        if not is_r_symmetric(self.ns, self.torus.v):
-            raise InvalidClass("V^T H is not symmetric")
-        # ns @ basis is integral exactly when ns.num @ basis = 0 mod ns.den
-        den = self.ns.den
-        if den != 1 and any(
-            x % den for gen in self.lattice.generators() for x in self.ns.num_image(gen)
-        ):
-            raise InvalidClass("class matrix is not integral on the cover lattice")
+        _check_summand(self.torus, self.lattice, self.ns, l)
 
     @property
     def rank(self) -> int:
@@ -96,23 +89,40 @@ class TropLineBundle(Frozen):
         return Fraction(sum(map(operator.mul, ext, w)), den * m)
 
 
-def _checked_values(
+def _exact_values(
     what: str, torus: TropTorus, lattice: Sublattice, ns: Mat, values: Sequence
 ) -> tuple[Fraction, ...]:
-    """values as Fractions, one per basis vector of lattice, after checking the
-    types and ranks of the (torus, lattice, class, values) of a summand or a
-    moduli point."""
+    """values as Fractions, after checking the types of the (torus, lattice,
+    class, values) of a summand or a moduli point."""
     if not (
         isinstance(torus, TropTorus) and isinstance(lattice, Sublattice) and isinstance(ns, Mat)
     ):
         raise NotExact(f"a {what} takes a TropTorus, a Sublattice and a Mat")
-    values = tuple(rat(x) for x in as_tuple(values, "rationals"))
-    g = torus.g
+    return tuple(rat(x) for x in as_tuple(values, "rationals"))
+
+
+def _check_ranks(what: str, g: int, lattice: Sublattice, ns: Mat, values: Sequence) -> None:
+    """The lattice, the g x g class and one value per basis vector of a summand
+    or a moduli point must match the torus rank g."""
     if lattice.ambient_rank != g or (ns.n, ns.m) != (g, g):
         raise AmbientMismatch(f"{what} data does not match the torus rank")
     if len(values) != g:
         raise AmbientMismatch(f"a {what} takes one value per basis vector")
-    return values
+
+
+def _check_summand(
+    torus: TropTorus, lattice: Sublattice, ns: Mat, l: tuple[Fraction, ...]
+) -> None:
+    """The checks of a summand whose fields have their types: the ranks, the
+    real symmetry of V^T H, and the class integral on the cover.  The
+    constructor and the wire decoder both run them, once each."""
+    _check_ranks("summand", torus.g, lattice, ns, l)
+    if not is_r_symmetric(ns, torus.v):
+        raise InvalidClass("V^T H is not symmetric")
+    # ns @ basis is integral exactly when ns.num @ basis = 0 mod ns.den
+    den = ns.den
+    if den != 1 and any(x % den for gen in lattice.generators() for x in ns.num_image(gen)):
+        raise InvalidClass("class matrix is not integral on the cover lattice")
 
 
 def _canonical_order(summands: Iterable[TropLineBundle]) -> tuple[TropLineBundle, ...]:
@@ -383,8 +393,9 @@ class ModuliPoint(Frozen):
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = _checked_values("moduli point", self.torus, self.gamma, self.ns, self.coords)
+        coords = _exact_values("moduli point", self.torus, self.gamma, self.ns, self.coords)
         object.__setattr__(self, "coords", coords)
+        _check_ranks("moduli point", self.torus.g, self.gamma, self.ns, coords)
 
 
 def moduli_point(s: TropLineBundle, gamma: Sublattice, ns: Mat) -> ModuliPoint:

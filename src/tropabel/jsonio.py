@@ -7,6 +7,12 @@ string that repeats is parsed once, and its errors come out here as
 ``ScenarioError`` with the same message.  A wire matrix decodes straight to
 integer rows over one denominator.  Every encoder here has a decoder that
 round-trips losslessly.
+
+A decoder checks the JSON types and shapes, then runs the constructor's checks
+that decoded values can still fail (ranks against the torus, and the semantic
+check such as the symmetry of a class) through the private helper that the
+constructor calls too, and builds the value with ``_from_valid``; so each
+check runs once and raises the constructor's error.
 """
 
 from __future__ import annotations
@@ -15,15 +21,21 @@ import math
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .bundles import ModuliPoint, TropLineBundle, TropVectorBundle
-from .errors import DimensionMismatch, MalformedScalar, TropabelError, ZeroDenominator
-from .lattices import Sublattice
+from .bundles import ModuliPoint, TropLineBundle, TropVectorBundle, _check_summand
+from .errors import (
+    DimensionMismatch,
+    MalformedScalar,
+    RankDeficient,
+    TropabelError,
+    ZeroDenominator,
+)
+from .lattices import Sublattice, _hermite_basis
 from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial
-from .naside import NACharacter, NALineBundle, NASemisimpleRep
+from .naside import NACharacter, NALineBundle, NASemisimpleRep, _check_factor, _checked_characters
 from .nspairings import NATorus, NSClass, TropTorus
 from .rationals import parse_rational
-from .tropchar import TropGLElement, TropRepresentation
+from .tropchar import TropGLElement, TropRepresentation, _check_element, _check_images
 
 
 class ScenarioError(TropabelError):
@@ -103,7 +115,7 @@ def lattice_from_json(data: Any) -> Sublattice:
         )
     ):
         raise ScenarioError(f"expected a square integer lattice basis, got {data!r}")
-    return Sublattice(data)
+    return Sublattice._from_hermite(_hermite_basis(data, RankDeficient))
 
 
 def mono_to_json(m: ValuedMonomial) -> dict[str, str]:
@@ -133,7 +145,8 @@ def point_to_json(p: MultiplicativePoint) -> list[dict[str, str]]:
 
 
 def point_from_json(data: Any) -> MultiplicativePoint:
-    return MultiplicativePoint(tuple(mono_from_json(c) for c in _json_list(data, "monomials")))
+    coords = tuple(mono_from_json(c) for c in _json_list(data, "monomials"))
+    return MultiplicativePoint._from_valid(coords)
 
 
 def torus_to_json(t: TropTorus | NATorus) -> dict[str, Any]:
@@ -146,7 +159,8 @@ def torus_from_json(data: Any) -> TropTorus | NATorus:
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a torus object, got {data!r}")
     if "generators" in data:
-        return NATorus(tuple(point_from_json(p) for p in _json_list(data["generators"], "points")))
+        points = tuple(point_from_json(p) for p in _json_list(data["generators"], "points"))
+        return NATorus._from_valid(points)._checked()
     if "v" in data:
         return TropTorus(matrix_from_json(data["v"]))
     raise ScenarioError("torus needs either 'generators' or 'v'")
@@ -161,17 +175,17 @@ def summand_to_json(s: TropLineBundle) -> dict[str, Any]:
 
 
 def summand_from_json(data: Any, torus: TropTorus) -> TropLineBundle:
+    """The summand on torus, a TropTorus, of its wire object."""
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a summand object, got {data!r}")
     missing = [key for key in ("lattice", "H", "l") if key not in data]
     if missing:
         raise ScenarioError(f"summand is missing {', '.join(missing)}")
-    return TropLineBundle(
-        torus,
-        lattice_from_json(data["lattice"]),
-        matrix_from_json(data["H"]),
-        vector_from_json(data["l"]),
-    )
+    lattice = lattice_from_json(data["lattice"])
+    ns = matrix_from_json(data["H"])
+    l = vector_from_json(data["l"])
+    _check_summand(torus, lattice, ns, l)
+    return TropLineBundle._from_valid(torus, lattice, ns, l)
 
 
 def bundle_to_json(e: TropVectorBundle) -> dict[str, Any]:
@@ -182,7 +196,7 @@ def bundle_from_json(data: Any, torus: TropTorus) -> TropVectorBundle:
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a bundle object, got {data!r}")
     summands = _json_list(data.get("summands"), "summands")
-    return TropVectorBundle(torus, tuple(summand_from_json(s, torus) for s in summands))
+    return TropVectorBundle._sorted(torus, [summand_from_json(s, torus) for s in summands])
 
 
 def moduli_point_to_json(p: ModuliPoint) -> dict[str, Any]:
@@ -200,11 +214,13 @@ def gl_element_to_json(a: TropGLElement) -> dict[str, Any]:
 def gl_element_from_json(data: Any) -> TropGLElement:
     if not isinstance(data, dict) or "perm" not in data:
         raise ScenarioError(f"expected a tropical matrix object, got {data!r}")
-    if not isinstance(data["perm"], list) or not all(type(i) is int for i in data["perm"]):
-        raise ScenarioError(f"perm must be a list of integers, got {data['perm']!r}")
-    perm = tuple(i - 1 for i in data["perm"])
+    perm = data["perm"]
+    if not isinstance(perm, list) or not all(type(i) is int for i in perm):
+        raise ScenarioError(f"perm must be a list of integers, got {perm!r}")
+    perm = tuple(i - 1 for i in perm)
     d = vector_from_json(data.get("d", ["0"] * len(perm)))
-    return TropGLElement(perm, d)
+    _check_element(perm, d)
+    return TropGLElement._from_valid(perm, d)
 
 
 def rep_to_json(rep: TropRepresentation) -> dict[str, Any]:
@@ -214,8 +230,9 @@ def rep_to_json(rep: TropRepresentation) -> dict[str, Any]:
 def rep_from_json(data: Any) -> TropRepresentation:
     if not isinstance(data, dict) or "images" not in data:
         raise ScenarioError(f"expected a representation object, got {data!r}")
-    images = _json_list(data["images"], "tropical matrices")
-    return TropRepresentation(tuple(gl_element_from_json(a) for a in images))
+    images = tuple(gl_element_from_json(a) for a in _json_list(data["images"], "tropical matrices"))
+    _check_images(images)
+    return TropRepresentation._from_valid(images)
 
 
 def character_to_json(c: NACharacter) -> list[dict[str, str]]:
@@ -223,7 +240,7 @@ def character_to_json(c: NACharacter) -> list[dict[str, str]]:
 
 
 def character_from_json(data: Any) -> NACharacter:
-    return NACharacter(tuple(mono_from_json(v) for v in _json_list(data, "monomials")))
+    return NACharacter._from_valid(tuple(mono_from_json(v) for v in _json_list(data, "monomials")))
 
 
 def na_bundle_from_json(data: Any, torus: NATorus, default_ns: Mat | None) -> NALineBundle:
@@ -241,7 +258,9 @@ def na_bundle_from_json(data: Any, torus: NATorus, default_ns: Mat | None) -> NA
         else Sublattice.full(torus.g)
     )
     r = tuple(mono_from_json(v) for v in _json_list(data["r"], "monomials"))
-    return NALineBundle(NSClass(torus, h), lattice, r)
+    ns = NSClass(torus, h)
+    _check_factor(ns, lattice, r)
+    return NALineBundle._from_valid(ns, lattice, r)
 
 
 def na_rep_to_json(rep: NASemisimpleRep) -> dict[str, Any]:
@@ -251,5 +270,5 @@ def na_rep_to_json(rep: NASemisimpleRep) -> dict[str, Any]:
 def na_rep_from_json(data: Any) -> NASemisimpleRep:
     if not isinstance(data, dict) or "characters" not in data:
         raise ScenarioError(f"expected a semisimple representation, got {data!r}")
-    characters = _json_list(data["characters"], "characters")
-    return NASemisimpleRep(tuple(character_from_json(c) for c in characters))
+    characters = tuple(character_from_json(c) for c in _json_list(data["characters"], "characters"))
+    return NASemisimpleRep._from_valid(_checked_characters(characters))

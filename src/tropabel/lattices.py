@@ -67,11 +67,16 @@ def _is_hermite(rows: Sequence[Sequence[int]]) -> bool:
     )
 
 
-def _hermite_basis(rows: Iterable[Iterable], error: type[Exception]) -> IntRows:
-    """The Hermite basis of the column span of a g x n matrix read by ``as_int``:
-    the matrix itself when canonical, else the first g columns of one column_hnf;
+def _int_matrix(rows: Iterable[Iterable]) -> IntRows:
+    """The rows with every entry read by ``as_int``: ``NotContained`` for an entry
+    that is not an int (nor a bool) or an integral Fraction."""
+    return [[as_int(x, NotContained) for x in row] for row in rows]
+
+
+def _hermite_basis(rows: Sequence[Sequence[int]], error: type[Exception]) -> IntRows:
+    """The Hermite basis of the column span of a g x n integer matrix: the
+    matrix itself when canonical, else the first g columns of one column_hnf;
     ``error`` unless the columns span a full-rank lattice of Z^g."""
-    rows = [[as_int(x, NotContained) for x in row] for row in rows]
     g, n = len(rows), len(rows[0]) if rows else 0
     if n == g and _is_hermite(rows):
         return rows
@@ -97,7 +102,8 @@ class Sublattice(Frozen):
         g = len(rows)
         if any(len(row) != g for row in rows):
             raise DimensionMismatch("a lattice basis must be square")
-        object.__setattr__(self, "basis", tuple(map(tuple, _hermite_basis(rows, RankDeficient))))
+        basis = _hermite_basis(_int_matrix(rows), RankDeficient)
+        object.__setattr__(self, "basis", tuple(map(tuple, basis)))
 
     @classmethod
     def _from_hermite(cls, rows: Sequence[Sequence[int]]) -> "Sublattice":
@@ -109,7 +115,7 @@ class Sublattice(Frozen):
         """Lattice spanned by the given vectors (nonempty, of one length, full rank).
         Most covers and pullback lattices arrive as a Hermite basis, kept as is."""
         _common_length(gens, "generators")
-        return cls._from_hermite(_hermite_basis(zip(*gens), SingularLattice))
+        return cls._from_hermite(_hermite_basis(_int_matrix(zip(*gens)), SingularLattice))
 
     @classmethod
     def full(cls, g: int) -> "Sublattice":

@@ -65,8 +65,11 @@ class Mat(Frozen):
 
     @classmethod
     def _from_int(cls, num: Iterable[Iterable[int]], den: int = 1) -> "Mat":
-        """The matrix num / den for integer rows num and den > 0, reduced to lowest terms."""
+        """The matrix num / den for integer rows num and den > 0, reduced to lowest terms;
+        over den = 1 the rows are already in lowest terms, so no gcd is taken."""
         num = tuple(map(tuple, num))
+        if den == 1:
+            return cls._from_valid(num, 1)
         d = math.gcd(den, *(x for row in num for x in row))
         if d != 1:
             num = tuple(tuple(x // d for x in row) for row in num)

@@ -54,7 +54,8 @@ class TropTorus(Frozen):
             raise DimensionMismatch("period matrix must be square")
         if v.n == 0:
             raise DimensionMismatch("a torus needs at least one period generator")
-        if v.det() == 0:
+        # the Bareiss determinant of the integer numerator, zero exactly when det(v) is
+        if v._eliminate([()] * v.n)[0] == 0:
             raise SingularLattice("period matrix must be nonsingular")
 
     @property
@@ -76,11 +77,18 @@ class NATorus(Frozen):
         if not all(isinstance(p, MultiplicativePoint) for p in generators):
             raise NotExact(f"torus generators must be MultiplicativePoints, got {generators!r}")
         object.__setattr__(self, "generators", generators)
-        g = len(generators)
-        if any(p.g != g for p in generators):
+        self._checked()
+
+    def _checked(self) -> "NATorus":
+        """This torus, after the checks of its values: every generator has g
+        coordinates, and the valuation matrix is a ``TropTorus`` period matrix.
+        A decoder that builds the generators runs these checks alone."""
+        g = len(self.generators)
+        if any(p.g != g for p in self.generators):
             raise DimensionMismatch("generator coordinates must have length g")
         # rank and nonsingularity are those of the valuation matrix
         self._trop
+        return self
 
     @property
     def g(self) -> int:

@@ -42,11 +42,7 @@ class TropGLElement(Frozen):
         # read through as_int: a float or a boolean entry would pass the sort
         perm = tuple(as_int(x, NotExact) for x in as_tuple(self.perm, "integers"))
         d = as_tuple(self.d, "rationals")
-        r = len(perm)
-        if sorted(perm) != list(range(r)):
-            raise NotInvertible("perm is not a permutation")
-        if len(d) != r:
-            raise SizeMismatch("translation vector length differs from perm size")
+        _check_element(perm, d)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "d", tuple(rat(x) for x in d))
 
@@ -66,6 +62,16 @@ class TropGLElement(Frozen):
             raise SizeMismatch("vector length differs from element size")
         inv = self.inv_perm
         return tuple(self.d[i] + rat(x[inv[i]]) for i in range(self.r))
+
+
+def _check_element(perm: tuple[int, ...], d: tuple) -> None:
+    """perm must be a permutation of 0..r-1 and d hold r translations; the
+    constructor and the wire decoder both run this check, once each."""
+    r = len(perm)
+    if sorted(perm) != list(range(r)):
+        raise NotInvertible("perm is not a permutation")
+    if len(d) != r:
+        raise SizeMismatch("translation vector length differs from perm size")
 
 
 def identity(r: int) -> TropGLElement:
@@ -142,13 +148,10 @@ class TropRepresentation(Frozen):
 
     def __post_init__(self):
         object.__setattr__(self, "images", as_tuple(self.images, "TropGLElements"))
-        if not self.images:
-            raise SizeMismatch("a representation needs at least one generator image")
+        # over no images this passes, so it may precede the check for none
         if not all(isinstance(a, TropGLElement) for a in self.images):
             raise NotExact(f"generator images must be TropGLElements, got {self.images!r}")
-        r = self.images[0].r
-        if any(a.r != r for a in self.images):
-            raise SizeMismatch("generator images have different sizes")
+        _check_images(self.images)
 
     @property
     def r(self) -> int:
@@ -166,6 +169,16 @@ class TropRepresentation(Frozen):
         for img, e in zip(self.images, a):
             out = compose(out, power(img, as_int(e, NotInLattice)))
         return out
+
+
+def _check_images(images: tuple[TropGLElement, ...]) -> None:
+    """A representation has at least one image, all of one size; the
+    constructor and the wire decoder both run this check, once each."""
+    if not images:
+        raise SizeMismatch("a representation needs at least one generator image")
+    r = images[0].r
+    if any(a.r != r for a in images):
+        raise SizeMismatch("generator images have different sizes")
 
 
 def _integer_translations(rep: TropRepresentation) -> tuple[list[list[int]], int]:
