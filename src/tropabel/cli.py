@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from . import bundles, jsonio, naside, tropchar
-from .errors import TooLarge, TropabelError
+from .errors import AmbientMismatch, SizeMismatch, TooLarge, TropabelError
 from .lattices import SUBGROUP_ENUMERATION_BOUND
 from .monomials import ValuedMonomial
 from .nspairings import (
@@ -29,6 +29,15 @@ from .nspairings import (
     dual_integrality_lattice,
     extended_character_lattice,
 )
+
+
+# each integer parameter: its default, its least value (None: any) and its description
+INT_PARAMETERS: dict[str, tuple[int, int | None, str]] = {
+    "count": (5, 1, "a positive integer"),
+    "r": (2, 1, "a positive integer"),
+    "seed": (0, None, "an integer"),
+    "bound": (SUBGROUP_ENUMERATION_BOUND, 0, "a nonnegative integer"),
+}
 
 
 class Scenario:
@@ -46,16 +55,13 @@ class Scenario:
         self.parameters: dict[str, Any] = data.get("parameters", {})
         if not isinstance(self.parameters, dict):
             raise jsonio.ScenarioError("'parameters' must be an object")
-        # each integer parameter, its least value (None: any) and its description
-        for key, least, kind in (
-            ("count", 1, "a positive integer"),
-            ("r", 1, "a positive integer"),
-            ("seed", None, "an integer"),
-            ("bound", 0, "a nonnegative integer"),
-        ):
-            value = self.parameters.get(key, 1)
+        # the integer parameters, each as given or its default
+        self.integers: dict[str, int] = {}
+        for key, (default, least, kind) in INT_PARAMETERS.items():
+            value = self.parameters.get(key, default)
             if type(value) is not int or least is not None and value < least:
                 raise jsonio.ScenarioError(f"parameters.{key} must be {kind}, got {value!r}")
+            self.integers[key] = value
         names = self.parameters.get("operands", "")
         if not isinstance(names, (str, list)) or not all(isinstance(n, str) for n in names):
             raise jsonio.ScenarioError(f"parameters.operands must be names, got {names!r}")
@@ -243,6 +249,8 @@ def cmd_bundle(scenario: Scenario, op: str) -> dict[str, Any]:
 
 def cmd_rep(scenario: Scenario, op: str) -> dict[str, Any]:
     (rep,) = scenario.operands(1, "representations", "representation", jsonio.rep_from_json)
+    if rep.g != scenario.torus.g:
+        raise SizeMismatch("torus rank differs from the number of generators")
     if op == "decompose":
         pieces = tropchar.decompose_rep(rep)
         return {
@@ -289,7 +297,6 @@ def _random_na_rep(rng: random.Random, r: int, g: int) -> naside.NASemisimpleRep
 
 def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]:
     torus = scenario.na_torus
-    params = scenario.parameters
 
     rep_section = ("na_reps", "semisimple representation", jsonio.na_rep_from_json)
     if op in ("trop-line", "trop-simple"):
@@ -304,6 +311,8 @@ def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]
         return jsonio.moduli_point_to_json(naside.tropicalize_simple(b))
     if op == "trop-rep":
         (rep,) = scenario.operands(1, *rep_section)
+        if rep.g != torus.g:
+            raise AmbientMismatch("torus rank differs from the representation rank")
         return jsonio.rep_to_json(naside.trop_rep(rep))
     if op == "verify-square":
         table = scenario.named(*rep_section)
@@ -311,8 +320,7 @@ def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]
             reps = [table[name] for name in sorted(table)]
         else:
             rng = random.Random(seed)
-            count = params.get("count", 5)
-            r = params.get("r", 2)
+            count, r = scenario.integers["count"], scenario.integers["r"]
             if count * r > bound:
                 raise TooLarge(f"{count} representations of size {r} exceed the bound {bound}")
             reps = [_random_na_rep(rng, r, torus.g) for _ in range(count)]
@@ -371,9 +379,8 @@ def run(args: argparse.Namespace) -> dict[str, Any]:
     if args.bound is not None and args.bound < 0:
         raise jsonio.ScenarioError(f"--bound must be a nonnegative integer, got {args.bound}")
     scenario = load_scenario(args.scenario)
-    params = scenario.parameters
-    seed = args.seed if args.seed is not None else params.get("seed", 0)
-    bound = params.get("bound", SUBGROUP_ENUMERATION_BOUND) if args.bound is None else args.bound
+    seed = scenario.integers["seed"] if args.seed is None else args.seed
+    bound = scenario.integers["bound"] if args.bound is None else args.bound
     if args.command == "ns-analyze":
         return cmd_ns_analyze(scenario, bound)
     if args.command == "bundle":
@@ -392,8 +399,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         if isinstance(exc, TropabelError):
             code, record = exc.exit_code, {"kind": type(exc).__name__}
-        elif isinstance(exc, ValueError):
-            code, record = 2, {"kind": "ValueError"}
         else:  # a fault of the program, not of its input
             code, record = 4, {"kind": type(exc).__name__, "command": args.command}
         print(json.dumps({"error": str(exc), **record}), file=sys.stderr)

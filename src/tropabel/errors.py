@@ -1,11 +1,15 @@
 """Exception hierarchy.
 
-Every domain error raised by the library derives from TropabelError, so the
-CLI can map failures onto its exit-code contract in one place:
+Every domain error raised by the library derives from TropabelError, and the
+CLI has one failure rule: a TropabelError exits with its class's ``exit_code``
+and reports its class name as the kind,
 
-    2  validation / precondition violations
-    3  resource bound exceeded
-    4  internal inconsistency (a mathematical invariant failed)
+    2  validation / precondition violations (the default)
+    3  resource bound exceeded (TooLarge)
+    4  internal inconsistency, a mathematical invariant failed (InternalInconsistency)
+
+and any other exception, a built-in ValueError too, is a fault of the program:
+it exits 4 and reports its class name and the command.
 """
 
 

@@ -5,8 +5,10 @@ ever enters the pipeline; integer lattice bases travel as JSON integers.
 Every wire string is read by the memoised ``rationals.parse_rational``, so a
 string that repeats is parsed once, and its errors come out here as
 ``ScenarioError`` with the same message.  A wire matrix decodes straight to
-integer rows over one denominator.  Every encoder here has a decoder that
-round-trips losslessly.
+integer rows over one denominator.  Every encoder here but
+``moduli_point_to_json``, whose points are only reported, has a decoder that
+round-trips losslessly; ``na_bundle_from_json`` has no encoder, as no report
+prints a multiplicative line bundle.
 
 A decoder checks the JSON types and shapes, then runs the constructor's checks
 that decoded values can still fail (ranks against the torus, and the semantic
@@ -127,16 +129,14 @@ def mono_to_json(m: ValuedMonomial) -> dict[str, str]:
 
 
 def mono_from_json(data: Any) -> ValuedMonomial:
-    """mag, phase and texp, each parsed once; a magnitude that is not positive
-    raises a bare ValueError, whose CLI error kind is ``ValueError`` (the
-    ``ValuedMonomial`` constructor raises ``MalformedScalar``, a subclass)."""
+    """mag, phase and texp, each parsed once."""
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a monomial object, got {data!r}")
     mag = rational_from_json(data.get("mag", 1))
     phase = rational_from_json(data.get("phase", 0))
     texp = rational_from_json(data.get("texp", 0))
     if mag <= 0:
-        raise ValueError(f"magnitude must be positive, got {mag}")
+        raise MalformedScalar(f"magnitude must be positive, got {mag}")
     return ValuedMonomial._from_valid(mag, phase, texp)
 
 
@@ -156,14 +156,20 @@ def torus_to_json(t: TropTorus | NATorus) -> dict[str, Any]:
 
 
 def torus_from_json(data: Any) -> TropTorus | NATorus:
+    """The torus of 'generators' or 'v'; a 'g', which may be left out, must be its rank."""
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a torus object, got {data!r}")
     if "generators" in data:
         points = tuple(point_from_json(p) for p in _json_list(data["generators"], "points"))
-        return NATorus._from_valid(points)._checked()
-    if "v" in data:
-        return TropTorus(matrix_from_json(data["v"]))
-    raise ScenarioError("torus needs either 'generators' or 'v'")
+        torus = NATorus._from_valid(points)._checked()
+    elif "v" in data:
+        torus = TropTorus(matrix_from_json(data["v"]))
+    else:
+        raise ScenarioError("torus needs either 'generators' or 'v'")
+    g = data.get("g", torus.g)
+    if type(g) is not int or g != torus.g:
+        raise ScenarioError(f"torus.g must be the rank {torus.g} of the torus, got {g!r}")
+    return torus
 
 
 def summand_to_json(s: TropLineBundle) -> dict[str, Any]:

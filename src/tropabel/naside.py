@@ -115,7 +115,8 @@ def _check_cover(ns: NSClass, lattice: Sublattice) -> None:
     """The class must be integral and multiplicatively symmetric on the cover."""
     if not ns.integrality.contains_lattice(lattice):
         raise InvalidClass("class is not integral on the cover lattice")
-    if not ns.is_gm_symmetric_on(lattice):
+    form, _ = ns._phase_form(lattice.generators())
+    if any(any(row) for row in form):
         raise InvalidClass("class is not symmetric on the cover lattice")
 
 

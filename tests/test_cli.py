@@ -3,8 +3,10 @@ import builtins
 import contextlib
 import copy
 import hashlib
+import importlib.metadata
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -379,22 +381,55 @@ def test_missing_parameter_is_named(capsys, tmp_path, op, scenario, key):
     assert json.loads(err) == {"error": f"{op} needs parameters.{key}", "kind": "ScenarioError"}
 
 
-def test_shipped_scenarios_match_the_recorded_digests(capsys, monkeypatch):
-    # the byte-identical oracle of the benchmark, run in-process; it only reads
-    # the digest file
+def _installed() -> bool:
+    """Whether a tropabel distribution is installed, so its console script is."""
+    try:
+        importlib.metadata.distribution("tropabel")
+    except importlib.metadata.PackageNotFoundError:
+        return False
+    return True
+
+
+def _run_in_process(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    return code, out.encode(), err
+
+
+def _run_console_script(capsys, argv):
+    # without PYTHONPATH, the script imports the installed package
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(["tropabel", *argv], capture_output=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        _run_in_process,
+        pytest.param(
+            _run_console_script,
+            marks=pytest.mark.skipif(not _installed(), reason="tropabel is not installed"),
+        ),
+    ],
+    ids=["main", "console-script"],
+)
+def test_shipped_scenarios_match_the_recorded_digests(capsys, monkeypatch, runner):
+    # the byte-identical oracle of the benchmark, run through cli.main and
+    # through the entry point of [project.scripts]; it only reads the digest file
     with open(ROOT / "bench" / "cli_digests.json", encoding="utf-8") as fh:
         digests = {tuple(d["argv"]): d for d in json.load(fh)}
     cases = [
         ([command] + ([op] if op else []), scenario, [])
         for command, op, scenario in CLI_MATRIX
     ] + [(["ns-analyze"], "reference_example.json", ["--bound", "1"])]
+    assert len(cases) == len(digests)
     monkeypatch.chdir(ROOT)
     for head, scenario, extra in cases:
         argv = head + ["--scenario", f"scenarios/{scenario}"] + extra
         record = digests[tuple(argv)]
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = runner(capsys, argv)
         assert code == record["exit"], argv
-        assert hashlib.sha256(out.encode()).hexdigest() == record["stdout_sha256"], argv
+        assert hashlib.sha256(out).hexdigest() == record["stdout_sha256"], argv
         if record.get("stderr_kind") is not None:
             assert json.loads(err)["kind"] == record["stderr_kind"], argv
 
@@ -728,6 +763,58 @@ def test_verify_square_takes_named_reps_in_name_order(capsys, tmp_path):
     assert [len(case["via_na"]) for case in out["cases"]] == [2, 1]
 
 
+def test_verify_square_reads_the_parameter_defaults(capsys, tmp_path):
+    # without count, r and seed: five representations of size 2 from seed 0
+    def edit(data):
+        for key in ("count", "r", "seed"):
+            del data["parameters"][key]
+
+    def run(*extra):
+        return run_edited(capsys, tmp_path, "na_random.json", edit, "na", "verify-square", *extra)
+
+    code, out, err = run()
+    assert code == 0, err
+    assert [len(case["via_na"]) for case in json.loads(out)["cases"]] == [2] * 5
+    assert run("--seed", "0") == (0, out, "")
+    code, out, err = run("--bound", "9")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "5 representations of size 2 exceed the bound 9"
+
+
+@pytest.mark.parametrize(
+    "command, op, kind, message",
+    [
+        *[
+            ("rep", op, "SizeMismatch", "torus rank differs from the number of generators")
+            for op in ("decompose", "canonical", "eta", "stratum")
+        ],
+        *[
+            ("na", op, "AmbientMismatch", "torus rank differs from the representation rank")
+            for op in ("trop-rep", "verify-square")
+        ],
+    ],
+)
+def test_representation_of_another_rank_is_validation_error(
+    capsys, tmp_path, command, op, kind, message
+):
+    # one image, or characters of rank 1 or 0, against a torus of rank 2
+    def cut(keep):
+        def edit(data):
+            if command == "rep":
+                del data["representations"]["R"]["images"][keep:]
+            else:
+                for character in data["na_reps"]["S"]["characters"]:
+                    del character[keep:]
+
+        return edit
+
+    scenario, ranks = ("rep_demo.json", [1]) if command == "rep" else ("na_square.json", [1, 0])
+    for keep in ranks:
+        code, out, err = run_edited(capsys, tmp_path, scenario, cut(keep), command, op)
+        assert (code, out) == (2, ""), err
+        assert json.loads(err) == {"error": message, "kind": kind}
+
+
 def test_unexpected_exception_maps_to_exit_4(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
@@ -737,6 +824,18 @@ def test_unexpected_exception_maps_to_exit_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert json.loads(err) == {"error": "boom", "kind": "RuntimeError", "command": "rep"}
+
+
+def test_builtin_value_error_maps_to_exit_4(capsys, monkeypatch):
+    # only a library error's class sets an exit code: a built-in ValueError
+    # from a handler is a fault of the program, not bad input
+    def broken(scenario, op):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cmd_bundle", broken)
+    code, out, err = run_cli(capsys, "bundle", "slope", "--scenario", scen("bundle_ops.json"))
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "boom", "kind": "ValueError", "command": "bundle"}
 
 
 def _unit_torus_scenario(g: int, phases: dict) -> dict:
@@ -950,8 +1049,8 @@ def test_mono_and_torus_round_trip():
 @pytest.mark.parametrize(
     "field, value, kind, message",
     [
-        ("mag", "0", "ValueError", "magnitude must be positive, got 0"),
-        ("mag", "-2/4", "ValueError", "magnitude must be positive, got -1/2"),
+        ("mag", "0", "MalformedScalar", "magnitude must be positive, got 0"),
+        ("mag", "-2/4", "MalformedScalar", "magnitude must be positive, got -1/2"),
         ("mag", True, "ScenarioError", "got True"),
         ("phase", 1.5, "ScenarioError", "got 1.5"),
         ("texp", "1/0", "ScenarioError", "zero denominator"),
@@ -1055,6 +1154,6 @@ def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, data):
     assert out.getvalue() == ""
     record = json.loads(err.getvalue())
     kind = record["kind"]
-    # a built-in exception other than ValueError is a fault of the program
-    assert kind == "ValueError" or not isinstance(getattr(builtins, kind, None), type), record
+    # a built-in exception is a fault of the program
+    assert not isinstance(getattr(builtins, kind, None), type), record
     assert code != 4 or kind == "InternalInconsistency", record

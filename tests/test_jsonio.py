@@ -379,3 +379,54 @@ def test_decoders_run_each_check_once(monkeypatch):
     # the public constructor still runs its checks
     TropGLElement((0,), (F(0),))
     assert calls == Counter({"TropGLElement.__post_init__": 1})
+
+
+def test_na_line_bundle_decoder_tests_the_cover_once(monkeypatch, reference_torus):
+    # integrality on the cover is tested once; the symmetry test reads the
+    # phase form without testing it again
+    calls = 0
+    original = Sublattice.contains_lattice
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Sublattice, "contains_lattice", counted)
+    data = json.loads((SCENARIOS / "reference_example.json").read_text(encoding="utf-8"))
+    torus = jsonio.torus_from_json(data["torus"])
+    ns = jsonio.matrix_from_json(data["ns_class"])
+    jsonio.na_bundle_from_json(data["na_bundles"]["B1"], torus, ns)
+    assert calls == 1
+
+
+# ---------------------------------------------------------------------------
+# The wire rank of a torus
+# ---------------------------------------------------------------------------
+
+
+def _wire_torus(form, g):
+    """The torus of valuation matrix I in rank g, as 'v' or as 'generators'."""
+    if form == "v":
+        return {"v": [["1" if i == j else "0" for j in range(g)] for i in range(g)]}
+    return {"generators": [[{"texp": "1" if i == j else "0"} for i in range(g)] for j in range(g)]}
+
+
+@pytest.mark.parametrize("form", ["v", "generators"])
+@pytest.mark.parametrize("g", [1, 2])
+def test_torus_g_is_left_out_or_the_rank(form, g):
+    data = _wire_torus(form, g)
+    torus = jsonio.torus_from_json(data)
+    assert torus.g == g
+    assert jsonio.torus_from_json(dict(data, g=g)) == torus
+
+
+@pytest.mark.parametrize("form", ["v", "generators"])
+@pytest.mark.parametrize(
+    "g, wire_g",
+    [(2, 7), (2, 1), (2, "x"), (2, "2"), (2, 2.0), (2, None), (1, True)],
+)
+def test_torus_g_other_than_the_rank_is_refused(form, g, wire_g):
+    with pytest.raises(jsonio.ScenarioError) as info:
+        jsonio.torus_from_json(dict(_wire_torus(form, g), g=wire_g))
+    assert str(info.value) == f"torus.g must be the rank {g} of the torus, got {wire_g!r}"
