@@ -14,15 +14,14 @@ subclass of ``Frozen``, which behaves as under ``@dataclass(frozen=True)``:
 - setting or deleting an attribute raises ``AttributeError``.
 
 Each class also gets one private unchecked constructor, ``cls._from_valid(*fields)``:
-it sets the fields in order, binds no keywords and runs no ``__post_init__``.
-Input is validated once, by the public constructor or a decoder at the
-boundary; an internal result that is valid by its construction is built
-through ``_from_valid``.  A ``jsonio`` decoder checks the JSON types and
-shapes, then runs the checks of the public constructor that decoded values can
-still fail, such as ranks against the torus, the symmetry of a class or the
-rank of a basis, through the one private helper that the constructor also
-calls, and builds the value through ``_from_valid``: no check runs twice, and
-each raises the same error as from the constructor.
+it sets the fields in order, binds no keywords and runs no ``__post_init__``;
+an internal result that is valid by its construction is built through it.
+Input is validated once, at the boundary.  A value that ``jsonio`` decodes has
+one validation step, its method ``_checked()``: the checks of its typed fields
+(ranks against the torus, the symmetry of a class, the rank of a basis), then
+its canonical form where it has one, and it returns the value.  The public
+constructor coerces the types in ``__post_init__`` and calls ``_checked()``;
+the decoder checks the JSON shapes and returns ``Cls._from_valid(...)._checked()``.
 
 A method the class defines itself is kept, as ``ValuedMonomial`` keeps its
 ``__repr__`` and a ``_from_valid`` that reduces the phase mod 1, and as

@@ -55,7 +55,20 @@ class TropLineBundle(Frozen):
     def __post_init__(self):
         l = _exact_values("summand", self.torus, self.lattice, self.ns, self.l)
         object.__setattr__(self, "l", l)
-        _check_summand(self.torus, self.lattice, self.ns, l)
+        self._checked()
+
+    def _checked(self) -> "TropLineBundle":
+        """This summand, after the checks of its typed fields: the ranks, the
+        real symmetry of V^T H, and the class integral on the cover."""
+        torus, lattice, ns = self.torus, self.lattice, self.ns
+        _check_ranks("summand", torus.g, lattice, ns, self.l)
+        if not is_r_symmetric(ns, torus.v):
+            raise InvalidClass("V^T H is not symmetric")
+        # ns @ basis is integral exactly when ns.num @ basis = 0 mod ns.den
+        den = ns.den
+        if den != 1 and any(x % den for gen in lattice.generators() for x in ns.num_image(gen)):
+            raise InvalidClass("class matrix is not integral on the cover lattice")
+        return self
 
     @property
     def rank(self) -> int:
@@ -108,21 +121,6 @@ def _check_ranks(what: str, g: int, lattice: Sublattice, ns: Mat, values: Sequen
         raise AmbientMismatch(f"{what} data does not match the torus rank")
     if len(values) != g:
         raise AmbientMismatch(f"a {what} takes one value per basis vector")
-
-
-def _check_summand(
-    torus: TropTorus, lattice: Sublattice, ns: Mat, l: tuple[Fraction, ...]
-) -> None:
-    """The checks of a summand whose fields have their types: the ranks, the
-    real symmetry of V^T H, and the class integral on the cover.  The
-    constructor and the wire decoder both run them, once each."""
-    _check_ranks("summand", torus.g, lattice, ns, l)
-    if not is_r_symmetric(ns, torus.v):
-        raise InvalidClass("V^T H is not symmetric")
-    # ns @ basis is integral exactly when ns.num @ basis = 0 mod ns.den
-    den = ns.den
-    if den != 1 and any(x % den for gen in lattice.generators() for x in ns.num_image(gen)):
-        raise InvalidClass("class matrix is not integral on the cover lattice")
 
 
 def _canonical_order(summands: Iterable[TropLineBundle]) -> tuple[TropLineBundle, ...]:

@@ -40,6 +40,14 @@ INT_PARAMETERS: dict[str, tuple[int, int | None, str]] = {
 }
 
 
+def _int_parameter(key: str, value: Any, where: str) -> int:
+    """value, checked by the rule of the integer parameter key; the error names it as where."""
+    _, least, kind = INT_PARAMETERS[key]
+    if type(value) is not int or least is not None and value < least:
+        raise jsonio.ScenarioError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
 class Scenario:
     """Parsed scenario file: a torus plus named objects and parameters."""
 
@@ -56,12 +64,10 @@ class Scenario:
         if not isinstance(self.parameters, dict):
             raise jsonio.ScenarioError("'parameters' must be an object")
         # the integer parameters, each as given or its default
-        self.integers: dict[str, int] = {}
-        for key, (default, least, kind) in INT_PARAMETERS.items():
-            value = self.parameters.get(key, default)
-            if type(value) is not int or least is not None and value < least:
-                raise jsonio.ScenarioError(f"parameters.{key} must be {kind}, got {value!r}")
-            self.integers[key] = value
+        self.integers = {
+            key: _int_parameter(key, self.parameters.get(key, default), f"parameters.{key}")
+            for key, (default, _, _) in INT_PARAMETERS.items()
+        }
         names = self.parameters.get("operands", "")
         if not isinstance(names, (str, list)) or not all(isinstance(n, str) for n in names):
             raise jsonio.ScenarioError(f"parameters.operands must be names, got {names!r}")
@@ -298,6 +304,11 @@ def _random_na_rep(rng: random.Random, r: int, g: int) -> naside.NASemisimpleRep
 def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]:
     torus = scenario.na_torus
 
+    def of_torus_rank(rep: naside.NASemisimpleRep) -> naside.NASemisimpleRep:
+        if rep.g != torus.g:
+            raise AmbientMismatch("torus rank differs from the representation rank")
+        return rep
+
     rep_section = ("na_reps", "semisimple representation", jsonio.na_rep_from_json)
     if op in ("trop-line", "trop-simple"):
         (b,) = scenario.operands(
@@ -311,13 +322,11 @@ def cmd_na(scenario: Scenario, op: str, seed: int, bound: int) -> dict[str, Any]
         return jsonio.moduli_point_to_json(naside.tropicalize_simple(b))
     if op == "trop-rep":
         (rep,) = scenario.operands(1, *rep_section)
-        if rep.g != torus.g:
-            raise AmbientMismatch("torus rank differs from the representation rank")
-        return jsonio.rep_to_json(naside.trop_rep(rep))
+        return jsonio.rep_to_json(naside.trop_rep(of_torus_rank(rep)))
     if op == "verify-square":
         table = scenario.named(*rep_section)
         if table:
-            reps = [table[name] for name in sorted(table)]
+            reps = [of_torus_rank(table[name]) for name in sorted(table)]
         else:
             rng = random.Random(seed)
             count, r = scenario.integers["count"], scenario.integers["r"]
@@ -376,18 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> dict[str, Any]:
-    if args.bound is not None and args.bound < 0:
-        raise jsonio.ScenarioError(f"--bound must be a nonnegative integer, got {args.bound}")
+    # a flag is checked before the scenario is read, and takes precedence over it
+    given = [(key, getattr(args, key)) for key in ("seed", "bound")]
+    flags = {key: _int_parameter(key, v, f"--{key}") for key, v in given if v is not None}
     scenario = load_scenario(args.scenario)
-    seed = scenario.integers["seed"] if args.seed is None else args.seed
-    bound = scenario.integers["bound"] if args.bound is None else args.bound
+    integers = {**scenario.integers, **flags}
     if args.command == "ns-analyze":
-        return cmd_ns_analyze(scenario, bound)
+        return cmd_ns_analyze(scenario, integers["bound"])
     if args.command == "bundle":
         return cmd_bundle(scenario, args.op)
     if args.command == "rep":
         return cmd_rep(scenario, args.op)
-    return cmd_na(scenario, args.op, seed, bound)
+    return cmd_na(scenario, args.op, integers["seed"], integers["bound"])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,11 +10,10 @@ integer rows over one denominator.  Every encoder here but
 round-trips losslessly; ``na_bundle_from_json`` has no encoder, as no report
 prints a multiplicative line bundle.
 
-A decoder checks the JSON types and shapes, then runs the constructor's checks
-that decoded values can still fail (ranks against the torus, and the semantic
-check such as the symmetry of a class) through the private helper that the
-constructor calls too, and builds the value with ``_from_valid``; so each
-check runs once and raises the constructor's error.
+A decoder checks the JSON types and shapes, and returns
+``Cls._from_valid(...)._checked()``: ``_checked()`` is the value's one
+validation step, which its public constructor runs too, so each check is
+written in the value's class alone, runs once and raises the constructor's error.
 """
 
 from __future__ import annotations
@@ -23,21 +22,15 @@ import math
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .bundles import ModuliPoint, TropLineBundle, TropVectorBundle, _check_summand
-from .errors import (
-    DimensionMismatch,
-    MalformedScalar,
-    RankDeficient,
-    TropabelError,
-    ZeroDenominator,
-)
-from .lattices import Sublattice, _hermite_basis
+from .bundles import ModuliPoint, TropLineBundle, TropVectorBundle
+from .errors import DimensionMismatch, MalformedScalar, TropabelError, ZeroDenominator
+from .lattices import Sublattice
 from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial
-from .naside import NACharacter, NALineBundle, NASemisimpleRep, _check_factor, _checked_characters
+from .naside import NACharacter, NALineBundle, NASemisimpleRep
 from .nspairings import NATorus, NSClass, TropTorus
 from .rationals import parse_rational
-from .tropchar import TropGLElement, TropRepresentation, _check_element, _check_images
+from .tropchar import TropGLElement, TropRepresentation
 
 
 class ScenarioError(TropabelError):
@@ -117,7 +110,7 @@ def lattice_from_json(data: Any) -> Sublattice:
         )
     ):
         raise ScenarioError(f"expected a square integer lattice basis, got {data!r}")
-    return Sublattice._from_hermite(_hermite_basis(data, RankDeficient))
+    return Sublattice._from_valid(data)._checked()
 
 
 def mono_to_json(m: ValuedMonomial) -> dict[str, str]:
@@ -135,9 +128,7 @@ def mono_from_json(data: Any) -> ValuedMonomial:
     mag = rational_from_json(data.get("mag", 1))
     phase = rational_from_json(data.get("phase", 0))
     texp = rational_from_json(data.get("texp", 0))
-    if mag <= 0:
-        raise MalformedScalar(f"magnitude must be positive, got {mag}")
-    return ValuedMonomial._from_valid(mag, phase, texp)
+    return ValuedMonomial._from_valid(mag, phase, texp)._checked()
 
 
 def point_to_json(p: MultiplicativePoint) -> list[dict[str, str]]:
@@ -190,8 +181,7 @@ def summand_from_json(data: Any, torus: TropTorus) -> TropLineBundle:
     lattice = lattice_from_json(data["lattice"])
     ns = matrix_from_json(data["H"])
     l = vector_from_json(data["l"])
-    _check_summand(torus, lattice, ns, l)
-    return TropLineBundle._from_valid(torus, lattice, ns, l)
+    return TropLineBundle._from_valid(torus, lattice, ns, l)._checked()
 
 
 def bundle_to_json(e: TropVectorBundle) -> dict[str, Any]:
@@ -225,8 +215,7 @@ def gl_element_from_json(data: Any) -> TropGLElement:
         raise ScenarioError(f"perm must be a list of integers, got {perm!r}")
     perm = tuple(i - 1 for i in perm)
     d = vector_from_json(data.get("d", ["0"] * len(perm)))
-    _check_element(perm, d)
-    return TropGLElement._from_valid(perm, d)
+    return TropGLElement._from_valid(perm, d)._checked()
 
 
 def rep_to_json(rep: TropRepresentation) -> dict[str, Any]:
@@ -237,8 +226,7 @@ def rep_from_json(data: Any) -> TropRepresentation:
     if not isinstance(data, dict) or "images" not in data:
         raise ScenarioError(f"expected a representation object, got {data!r}")
     images = tuple(gl_element_from_json(a) for a in _json_list(data["images"], "tropical matrices"))
-    _check_images(images)
-    return TropRepresentation._from_valid(images)
+    return TropRepresentation._from_valid(images)._checked()
 
 
 def character_to_json(c: NACharacter) -> list[dict[str, str]]:
@@ -264,9 +252,7 @@ def na_bundle_from_json(data: Any, torus: NATorus, default_ns: Mat | None) -> NA
         else Sublattice.full(torus.g)
     )
     r = tuple(mono_from_json(v) for v in _json_list(data["r"], "monomials"))
-    ns = NSClass(torus, h)
-    _check_factor(ns, lattice, r)
-    return NALineBundle._from_valid(ns, lattice, r)
+    return NALineBundle._from_valid(NSClass(torus, h), lattice, r)._checked()
 
 
 def na_rep_to_json(rep: NASemisimpleRep) -> dict[str, Any]:
@@ -277,4 +263,4 @@ def na_rep_from_json(data: Any) -> NASemisimpleRep:
     if not isinstance(data, dict) or "characters" not in data:
         raise ScenarioError(f"expected a semisimple representation, got {data!r}")
     characters = tuple(character_from_json(c) for c in _json_list(data["characters"], "characters"))
-    return NASemisimpleRep._from_valid(_checked_characters(characters))
+    return NASemisimpleRep._from_valid(characters)._checked()

@@ -99,11 +99,16 @@ class Sublattice(Frozen):
 
     def __post_init__(self):
         rows = [as_tuple(row, "integers") for row in as_tuple(self.basis, "basis rows")]
-        g = len(rows)
-        if any(len(row) != g for row in rows):
+        if any(len(row) != len(rows) for row in rows):
             raise DimensionMismatch("a lattice basis must be square")
-        basis = _hermite_basis(_int_matrix(rows), RankDeficient)
+        object.__setattr__(self, "basis", _int_matrix(rows))
+        self._checked()
+
+    def _checked(self) -> "Sublattice":
+        """This lattice with its basis in Hermite form; ``RankDeficient`` unless of full rank."""
+        basis = _hermite_basis(self.basis, RankDeficient)
         object.__setattr__(self, "basis", tuple(map(tuple, basis)))
+        return self
 
     @classmethod
     def _from_hermite(cls, rows: Sequence[Sequence[int]]) -> "Sublattice":

@@ -36,8 +36,13 @@ class ValuedMonomial(Frozen):
         object.__setattr__(self, "magnitude", rat(self.magnitude))
         object.__setattr__(self, "phase", frac_mod_1(rat(self.phase)))
         object.__setattr__(self, "t_exponent", rat(self.t_exponent))
+        self._checked()
+
+    def _checked(self) -> "ValuedMonomial":
+        """This monomial, after checking that its magnitude is positive."""
         if self.magnitude <= 0:
             raise MalformedScalar(f"magnitude must be positive, got {self.magnitude}")
+        return self
 
     @classmethod
     def _from_valid(

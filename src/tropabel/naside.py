@@ -95,20 +95,18 @@ class NALineBundle(Frozen):
         ):
             raise NotExact("a line bundle takes an NSClass, a Sublattice and ValuedMonomials")
         object.__setattr__(self, "r_basis", r_basis)
-        _check_factor(self.ns, self.lattice, r_basis)
+        self._checked()
 
-
-def _check_factor(ns: NSClass, lattice: Sublattice, r_basis: tuple[ValuedMonomial, ...]) -> None:
-    """The checks of a line bundle whose fields have their types: a class on a
-    multiplicative torus, the ranks, and ``_check_cover``; the constructor and
-    the wire decoder both run them, once each."""
-    torus = ns.torus
-    if not isinstance(torus, NATorus):
-        raise InvalidClass("the class must live on a multiplicative torus")
-    g = torus.g
-    if lattice.ambient_rank != g or len(r_basis) != g:
-        raise AmbientMismatch("bundle data does not match the torus rank")
-    _check_cover(ns, lattice)
+    def _checked(self) -> "NALineBundle":
+        """This bundle, after the checks of its typed fields: a class on a
+        multiplicative torus, the ranks, and ``_check_cover``."""
+        torus = self.ns.torus
+        if not isinstance(torus, NATorus):
+            raise InvalidClass("the class must live on a multiplicative torus")
+        if self.lattice.ambient_rank != torus.g or len(self.r_basis) != torus.g:
+            raise AmbientMismatch("bundle data does not match the torus rank")
+        _check_cover(self.ns, self.lattice)
+        return self
 
 
 def _check_cover(ns: NSClass, lattice: Sublattice) -> None:
@@ -262,7 +260,19 @@ class NASemisimpleRep(Frozen):
         # over no characters this passes, so it may precede the check for none
         if not all(isinstance(c, NACharacter) for c in characters):
             raise NotExact(f"a representation takes NACharacters, got {characters!r}")
-        object.__setattr__(self, "characters", _checked_characters(characters))
+        object.__setattr__(self, "characters", characters)
+        self._checked()
+
+    def _checked(self) -> "NASemisimpleRep":
+        """This representation with its characters in canonical order, after
+        checking that there is at least one and that all have one rank."""
+        if not self.characters:
+            raise SizeMismatch("a representation needs at least one character")
+        if any(c.g != self.g for c in self.characters):
+            raise SizeMismatch("characters have different ranks")
+        characters = sorted(self.characters, key=lambda c: c.sort_key)
+        object.__setattr__(self, "characters", tuple(characters))
+        return self
 
     @property
     def r(self) -> int:
@@ -271,18 +281,6 @@ class NASemisimpleRep(Frozen):
     @property
     def g(self) -> int:
         return self.characters[0].g
-
-
-def _checked_characters(characters: tuple[NACharacter, ...]) -> tuple[NACharacter, ...]:
-    """The characters of a representation in canonical order, after checking
-    that there is at least one and that all have one rank; the constructor and
-    the wire decoder both run this check, once each."""
-    if not characters:
-        raise SizeMismatch("a representation needs at least one character")
-    g = characters[0].g
-    if any(c.g != g for c in characters):
-        raise SizeMismatch("characters have different ranks")
-    return tuple(sorted(characters, key=lambda c: c.sort_key))
 
 
 def bundles_from_rep(rep: NASemisimpleRep, torus: NATorus) -> tuple[NALineBundle, ...]:

@@ -81,8 +81,7 @@ class NATorus(Frozen):
 
     def _checked(self) -> "NATorus":
         """This torus, after the checks of its values: every generator has g
-        coordinates, and the valuation matrix is a ``TropTorus`` period matrix.
-        A decoder that builds the generators runs these checks alone."""
+        coordinates, and the valuation matrix is a ``TropTorus`` period matrix."""
         g = len(self.generators)
         if any(p.g != g for p in self.generators):
             raise DimensionMismatch("generator coordinates must have length g")

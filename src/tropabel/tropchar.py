@@ -41,10 +41,20 @@ class TropGLElement(Frozen):
     def __post_init__(self):
         # read through as_int: a float or a boolean entry would pass the sort
         perm = tuple(as_int(x, NotExact) for x in as_tuple(self.perm, "integers"))
-        d = as_tuple(self.d, "rationals")
-        _check_element(perm, d)
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "d", tuple(rat(x) for x in d))
+        object.__setattr__(self, "d", as_tuple(self.d, "rationals"))
+        # the translations are read after the checks, which only count them
+        object.__setattr__(self, "d", tuple(rat(x) for x in self._checked().d))
+
+    def _checked(self) -> "TropGLElement":
+        """This element, after checking that perm is a permutation of 0..r-1
+        and that d holds r translations."""
+        r = len(self.perm)
+        if sorted(self.perm) != list(range(r)):
+            raise NotInvertible("perm is not a permutation")
+        if len(self.d) != r:
+            raise SizeMismatch("translation vector length differs from perm size")
+        return self
 
     @property
     def r(self) -> int:
@@ -62,16 +72,6 @@ class TropGLElement(Frozen):
             raise SizeMismatch("vector length differs from element size")
         inv = self.inv_perm
         return tuple(self.d[i] + rat(x[inv[i]]) for i in range(self.r))
-
-
-def _check_element(perm: tuple[int, ...], d: tuple) -> None:
-    """perm must be a permutation of 0..r-1 and d hold r translations; the
-    constructor and the wire decoder both run this check, once each."""
-    r = len(perm)
-    if sorted(perm) != list(range(r)):
-        raise NotInvertible("perm is not a permutation")
-    if len(d) != r:
-        raise SizeMismatch("translation vector length differs from perm size")
 
 
 def identity(r: int) -> TropGLElement:
@@ -151,7 +151,16 @@ class TropRepresentation(Frozen):
         # over no images this passes, so it may precede the check for none
         if not all(isinstance(a, TropGLElement) for a in self.images):
             raise NotExact(f"generator images must be TropGLElements, got {self.images!r}")
-        _check_images(self.images)
+        self._checked()
+
+    def _checked(self) -> "TropRepresentation":
+        """This representation, after checking that it has at least one image
+        and that all have one size."""
+        if not self.images:
+            raise SizeMismatch("a representation needs at least one generator image")
+        if any(a.r != self.r for a in self.images):
+            raise SizeMismatch("generator images have different sizes")
+        return self
 
     @property
     def r(self) -> int:
@@ -169,16 +178,6 @@ class TropRepresentation(Frozen):
         for img, e in zip(self.images, a):
             out = compose(out, power(img, as_int(e, NotInLattice)))
         return out
-
-
-def _check_images(images: tuple[TropGLElement, ...]) -> None:
-    """A representation has at least one image, all of one size; the
-    constructor and the wire decoder both run this check, once each."""
-    if not images:
-        raise SizeMismatch("a representation needs at least one generator image")
-    r = images[0].r
-    if any(a.r != r for a in images):
-        raise SizeMismatch("generator images have different sizes")
 
 
 def _integer_translations(rep: TropRepresentation) -> tuple[list[list[int]], int]:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropabel import cli, jsonio, lattices, nspairings
+from tropabel import cli, jsonio, lattices, naside, nspairings
 from tropabel.bundles import as_bundle, line_bundle
 from tropabel.cli import main
 from tropabel.errors import TropabelError
@@ -813,6 +813,31 @@ def test_representation_of_another_rank_is_validation_error(
         code, out, err = run_edited(capsys, tmp_path, scenario, cut(keep), command, op)
         assert (code, out) == (2, ""), err
         assert json.loads(err) == {"error": message, "kind": kind}
+
+
+def test_verify_square_checks_every_rank_before_any_square(capsys, tmp_path, monkeypatch):
+    # A of rank 2 sorts before B of rank 1: B is refused before A's square is computed
+    squares = []
+    square = naside.verify_commuting_square
+
+    def counted(rep, torus):
+        squares.append(rep)
+        return square(rep, torus)
+
+    monkeypatch.setattr(naside, "verify_commuting_square", counted)
+
+    def edit(data):
+        a = data["na_reps"].pop("S")
+        b = {"characters": [character[:1] for character in a["characters"]]}
+        data["na_reps"] = {"A": a, "B": b}
+
+    code, out, err = run_edited(capsys, tmp_path, "na_square.json", edit, "na", "verify-square")
+    assert (code, out) == (2, ""), err
+    assert json.loads(err) == {
+        "error": "torus rank differs from the representation rank",
+        "kind": "AmbientMismatch",
+    }
+    assert squares == []
 
 
 def test_unexpected_exception_maps_to_exit_4(capsys, monkeypatch):

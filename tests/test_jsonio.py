@@ -8,6 +8,7 @@ and message.  The public path here reads the wire data with the constructors
 alone (``Mat`` and ``rat`` coerce the "p/q" strings), not with ``jsonio``.
 """
 
+import ast
 import json
 import random
 from collections import Counter
@@ -430,3 +431,82 @@ def test_torus_g_other_than_the_rank_is_refused(form, g, wire_g):
     with pytest.raises(jsonio.ScenarioError) as info:
         jsonio.torus_from_json(dict(_wire_torus(form, g), g=wire_g))
     assert str(info.value) == f"torus.g must be the rank {g} of the torus, got {wire_g!r}"
+
+
+# ---------------------------------------------------------------------------
+# One validation path: each value's ``_checked()``
+# ---------------------------------------------------------------------------
+
+
+def test_jsonio_imports_no_private_name():
+    tree = ast.parse(Path(jsonio.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("tropabel"))
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name.startswith("_")] == []
+
+
+def _scenario(name):
+    return json.loads((SCENARIOS / name).read_text(encoding="utf-8"))
+
+
+def _summand_case():
+    data = _scenario("bundle_ops.json")
+    torus = jsonio.torus_from_json(data["torus"])
+    wire = data["bundles"]["E1"]["summands"][0]
+    return wire, lambda w: jsonio.summand_from_json(w, torus), lambda w: public_summand(w, torus)
+
+
+def _na_bundle_case():
+    data = _scenario("reference_example.json")
+    torus = jsonio.torus_from_json(data["torus"])
+    ns = jsonio.matrix_from_json(data["ns_class"])
+    return (
+        data["na_bundles"]["B1"],
+        lambda w: jsonio.na_bundle_from_json(w, torus, ns),
+        lambda w: public_na_bundle(w, torus, ns),
+    )
+
+
+ELEMENT = {"perm": [2, 1], "d": ["1/2", "-3"]}
+
+# each value with a decoder: (wire data, decoder, public constructor), built
+# before _checked is patched
+VALIDATED = {
+    ValuedMonomial: lambda: (
+        {"mag": "2", "phase": "4/3", "texp": "-1/2"}, jsonio.mono_from_json, public_mono
+    ),
+    Sublattice: lambda: ([[2, 0], [3, 1]], jsonio.lattice_from_json, Sublattice),
+    NATorus: lambda: (_scenario("na_square.json")["torus"], jsonio.torus_from_json, public_torus),
+    TropLineBundle: _summand_case,
+    TropGLElement: lambda: (ELEMENT, jsonio.gl_element_from_json, public_element),
+    TropRepresentation: lambda: (
+        {"images": [ELEMENT, ELEMENT]}, jsonio.rep_from_json, public_rep
+    ),
+    NALineBundle: _na_bundle_case,
+    NASemisimpleRep: lambda: (
+        _scenario("na_square.json")["na_reps"]["S"], jsonio.na_rep_from_json, public_na_rep
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(VALIDATED), ids=lambda cls: cls.__name__)
+def test_constructor_and_decoder_both_run_checked(monkeypatch, cls):
+    wire, decode, build = VALIDATED[cls]()
+    checked = cls._checked
+    calls = []
+
+    def spy(self):
+        calls.append(self)
+        return checked(self)
+
+    monkeypatch.setattr(cls, "_checked", spy)
+    built = build(wire)
+    assert calls == [built]
+    assert decode(wire) == built
+    assert calls == [built, built]
