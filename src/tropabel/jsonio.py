@@ -14,6 +14,9 @@ A decoder checks the JSON types and shapes, and returns
 ``Cls._from_valid(...)._checked()``: ``_checked()`` is the value's one
 validation step, which its public constructor runs too, so each check is
 written in the value's class alone, runs once and raises the constructor's error.
+
+``bundles``, ``naside`` and ``tropchar`` are read as modules, which the package
+loads lazily, so decoding a torus or a class compiles none of them.
 """
 
 from __future__ import annotations
@@ -22,15 +25,13 @@ import math
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .bundles import ModuliPoint, TropLineBundle, TropVectorBundle
+from . import bundles, naside, tropchar
 from .errors import DimensionMismatch, MalformedScalar, TropabelError, ZeroDenominator
 from .lattices import Sublattice
 from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial
-from .naside import NACharacter, NALineBundle, NASemisimpleRep
 from .nspairings import NATorus, NSClass, TropTorus
 from .rationals import parse_rational
-from .tropchar import TropGLElement, TropRepresentation
 
 
 class ScenarioError(TropabelError):
@@ -163,7 +164,7 @@ def torus_from_json(data: Any) -> TropTorus | NATorus:
     return torus
 
 
-def summand_to_json(s: TropLineBundle) -> dict[str, Any]:
+def summand_to_json(s: bundles.TropLineBundle) -> dict[str, Any]:
     return {
         "lattice": lattice_to_json(s.lattice),
         "H": matrix_to_json(s.ns),
@@ -171,7 +172,7 @@ def summand_to_json(s: TropLineBundle) -> dict[str, Any]:
     }
 
 
-def summand_from_json(data: Any, torus: TropTorus) -> TropLineBundle:
+def summand_from_json(data: Any, torus: TropTorus) -> bundles.TropLineBundle:
     """The summand on torus, a TropTorus, of its wire object."""
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a summand object, got {data!r}")
@@ -181,21 +182,21 @@ def summand_from_json(data: Any, torus: TropTorus) -> TropLineBundle:
     lattice = lattice_from_json(data["lattice"])
     ns = matrix_from_json(data["H"])
     l = vector_from_json(data["l"])
-    return TropLineBundle._from_valid(torus, lattice, ns, l)._checked()
+    return bundles.TropLineBundle._from_valid(torus, lattice, ns, l)._checked()
 
 
-def bundle_to_json(e: TropVectorBundle) -> dict[str, Any]:
+def bundle_to_json(e: bundles.TropVectorBundle) -> dict[str, Any]:
     return {"summands": [summand_to_json(s) for s in e.summands]}
 
 
-def bundle_from_json(data: Any, torus: TropTorus) -> TropVectorBundle:
+def bundle_from_json(data: Any, torus: TropTorus) -> bundles.TropVectorBundle:
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a bundle object, got {data!r}")
     summands = _json_list(data.get("summands"), "summands")
-    return TropVectorBundle._sorted(torus, [summand_from_json(s, torus) for s in summands])
+    return bundles.TropVectorBundle._sorted(torus, [summand_from_json(s, torus) for s in summands])
 
 
-def moduli_point_to_json(p: ModuliPoint) -> dict[str, Any]:
+def moduli_point_to_json(p: bundles.ModuliPoint) -> dict[str, Any]:
     return {
         "gamma": lattice_to_json(p.gamma),
         "H": matrix_to_json(p.ns),
@@ -203,11 +204,11 @@ def moduli_point_to_json(p: ModuliPoint) -> dict[str, Any]:
     }
 
 
-def gl_element_to_json(a: TropGLElement) -> dict[str, Any]:
+def gl_element_to_json(a: tropchar.TropGLElement) -> dict[str, Any]:
     return {"perm": [a.perm[i] + 1 for i in range(a.r)], "d": vector_to_json(a.d)}
 
 
-def gl_element_from_json(data: Any) -> TropGLElement:
+def gl_element_from_json(data: Any) -> tropchar.TropGLElement:
     if not isinstance(data, dict) or "perm" not in data:
         raise ScenarioError(f"expected a tropical matrix object, got {data!r}")
     perm = data["perm"]
@@ -215,29 +216,30 @@ def gl_element_from_json(data: Any) -> TropGLElement:
         raise ScenarioError(f"perm must be a list of integers, got {perm!r}")
     perm = tuple(i - 1 for i in perm)
     d = vector_from_json(data.get("d", ["0"] * len(perm)))
-    return TropGLElement._from_valid(perm, d)._checked()
+    return tropchar.TropGLElement._from_valid(perm, d)._checked()
 
 
-def rep_to_json(rep: TropRepresentation) -> dict[str, Any]:
+def rep_to_json(rep: tropchar.TropRepresentation) -> dict[str, Any]:
     return {"images": [gl_element_to_json(a) for a in rep.images]}
 
 
-def rep_from_json(data: Any) -> TropRepresentation:
+def rep_from_json(data: Any) -> tropchar.TropRepresentation:
     if not isinstance(data, dict) or "images" not in data:
         raise ScenarioError(f"expected a representation object, got {data!r}")
     images = tuple(gl_element_from_json(a) for a in _json_list(data["images"], "tropical matrices"))
-    return TropRepresentation._from_valid(images)._checked()
+    return tropchar.TropRepresentation._from_valid(images)._checked()
 
 
-def character_to_json(c: NACharacter) -> list[dict[str, str]]:
+def character_to_json(c: naside.NACharacter) -> list[dict[str, str]]:
     return [mono_to_json(v) for v in c.values]
 
 
-def character_from_json(data: Any) -> NACharacter:
-    return NACharacter._from_valid(tuple(mono_from_json(v) for v in _json_list(data, "monomials")))
+def character_from_json(data: Any) -> naside.NACharacter:
+    values = tuple(mono_from_json(v) for v in _json_list(data, "monomials"))
+    return naside.NACharacter._from_valid(values)
 
 
-def na_bundle_from_json(data: Any, torus: NATorus, default_ns: Mat | None) -> NALineBundle:
+def na_bundle_from_json(data: Any, torus: NATorus, default_ns: Mat | None) -> naside.NALineBundle:
     if not isinstance(data, dict) or "r" not in data:
         raise ScenarioError(f"expected a line-bundle object, got {data!r}")
     if "H" in data:
@@ -252,15 +254,15 @@ def na_bundle_from_json(data: Any, torus: NATorus, default_ns: Mat | None) -> NA
         else Sublattice.full(torus.g)
     )
     r = tuple(mono_from_json(v) for v in _json_list(data["r"], "monomials"))
-    return NALineBundle._from_valid(NSClass(torus, h), lattice, r)._checked()
+    return naside.NALineBundle._from_valid(NSClass(torus, h), lattice, r)._checked()
 
 
-def na_rep_to_json(rep: NASemisimpleRep) -> dict[str, Any]:
+def na_rep_to_json(rep: naside.NASemisimpleRep) -> dict[str, Any]:
     return {"characters": [character_to_json(c) for c in rep.characters]}
 
 
-def na_rep_from_json(data: Any) -> NASemisimpleRep:
+def na_rep_from_json(data: Any) -> naside.NASemisimpleRep:
     if not isinstance(data, dict) or "characters" not in data:
         raise ScenarioError(f"expected a semisimple representation, got {data!r}")
     characters = tuple(character_from_json(c) for c in _json_list(data["characters"], "characters"))
-    return NASemisimpleRep._from_valid(characters)._checked()
+    return naside.NASemisimpleRep._from_valid(characters)._checked()

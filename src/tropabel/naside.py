@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from . import tropchar  # a module, so that only trop_rep and the square load it
 from ._frozen import Frozen
 from .bundles import ModuliPoint, TropLineBundle, moduli_point, moduli_points
 from .errors import (
@@ -31,7 +32,6 @@ from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from .nspairings import NATorus, NSClass
 from .rationals import as_int, as_tuple
-from .tropchar import TropGLElement, TropRepresentation, bundle_from_rep
 
 
 def _mono_key(m: ValuedMonomial):
@@ -300,15 +300,15 @@ def bundles_from_rep(rep: NASemisimpleRep, torus: NATorus) -> tuple[NALineBundle
     return tuple(NALineBundle._from_valid(zero, full, c.values) for c in rep.characters)
 
 
-def trop_rep(rep: NASemisimpleRep) -> TropRepresentation:
+def trop_rep(rep: NASemisimpleRep) -> tropchar.TropRepresentation:
     """Entrywise valuation: a diagonal tropical representation."""
     r, g = rep.r, rep.g
     idperm = tuple(range(r))
     images = []
     for j in range(g):
         d = tuple(c.values[j].valuation() for c in rep.characters)
-        images.append(TropGLElement._from_valid(idperm, d))
-    return TropRepresentation(tuple(images))
+        images.append(tropchar.TropGLElement._from_valid(idperm, d))
+    return tropchar.TropRepresentation(tuple(images))
 
 
 def characters_equal_mod_m(c1: NACharacter, c2: NACharacter, torus: NATorus) -> bool:
@@ -345,7 +345,8 @@ def verify_commuting_square(
     via_na = moduli_points(
         [tropicalize_line_bundle(b) for b in bundles_from_rep(rep, torus)], full, zero
     )
-    via_trop = moduli_points(bundle_from_rep(trop_rep(rep), torus.trop()).summands, full, zero)
+    trop_bundle = tropchar.bundle_from_rep(trop_rep(rep), torus.trop())
+    via_trop = moduli_points(trop_bundle.summands, full, zero)
     den = math.lcm(*{x.denominator for p in via_na + via_trop for x in p.coords})
 
     def key(p: ModuliPoint) -> tuple[int, ...]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from . import bundles  # a module, so that only the bundle correspondence loads it
 from ._frozen import Frozen
-from .bundles import TropLineBundle, TropVectorBundle, _coset_reps
 from .errors import (
     NotCommuting,
     NotExact,
@@ -297,7 +297,7 @@ def stratum(rep: TropRepresentation) -> tuple[Sublattice, ...]:
     return tuple(lat for lat, _ in canonical_form(rep))
 
 
-def bundle_from_rep(rep: TropRepresentation, torus: TropTorus) -> TropVectorBundle:
+def bundle_from_rep(rep: TropRepresentation, torus: TropTorus) -> bundles.TropVectorBundle:
     """The homogeneous bundle of a representation: one summand per orbit,
     pushed forward from the stabilizer cover with zero class."""
     if not isinstance(torus, TropTorus):
@@ -307,9 +307,9 @@ def bundle_from_rep(rep: TropRepresentation, torus: TropTorus) -> TropVectorBund
     zero = Mat.zeros(torus.g, torus.g)
     # the zero class is symmetric and integral on every cover
     summands = [
-        TropLineBundle._from_valid(torus, s.lattice, zero, s.l) for s in decompose_rep(rep)
+        bundles.TropLineBundle._from_valid(torus, s.lattice, zero, s.l) for s in decompose_rep(rep)
     ]
-    return TropVectorBundle._sorted(torus, summands)
+    return bundles.TropVectorBundle._sorted(torus, summands)
 
 
 def conjugate(rep: TropRepresentation, a: TropGLElement) -> TropRepresentation:
@@ -320,7 +320,7 @@ def conjugate(rep: TropRepresentation, a: TropGLElement) -> TropRepresentation:
     )
 
 
-def rep_from_bundle(e: TropVectorBundle) -> TropRepresentation:
+def rep_from_bundle(e: bundles.TropVectorBundle) -> TropRepresentation:
     """A representation whose bundle is the given homogeneous bundle.
 
     Each summand contributes the block induced from its cover lattice: the
@@ -339,7 +339,7 @@ def rep_from_bundle(e: TropVectorBundle) -> TropRepresentation:
     ds: list[list[Fraction]] = [[Fraction(0)] * total for _ in range(g)]
     off = 0
     for s in e.summands:
-        reps = _coset_reps(s.lattice)
+        reps = bundles._coset_reps(s.lattice)
         lookup = {c: i for i, c in enumerate(reps)}
         l_num, m = s._l_num
         # every rep shifted by every unit vector, reduced in one batch

@@ -1,11 +1,13 @@
-"""The benchmark tracer's targets still exist.
+"""The benchmark tracer installs, and its targets still exist.
 
 ``bench/tracer.py`` wraps the package's entry points by module and attribute
-name, looked up in ``sys.modules`` after the imports ``bench/run.py`` makes.
-A rename, or a module those imports no longer load, would otherwise show only
-in a traced benchmark run.  The check runs in a fresh interpreter, so that
+name, looked up in ``sys.modules`` after the imports of ``bench/run.py`` (in
+process) or of ``bench/child.py`` (one CLI call).  A rename, or a module those
+imports no longer put in ``sys.modules``, would otherwise show only in a
+traced benchmark run.  The check runs in a fresh interpreter, so that
 ``sys.modules`` holds what those imports load and nothing this test session
-imported.
+imported; the tracer is installed before anything else reads a module, so it
+also meets the submodules that the package has not run yet.
 """
 
 import json
@@ -20,8 +22,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import json, sys
-import tropabel.cli, tropabel.jsonio, tropabel.tropchar
 import tracer
+tracer_ = tracer.Tracer()
+tracer_.install()
+during = sys.modules["tropabel.bundles"].tensor
+tracer_.uninstall()
+wrapped = during is not sys.modules["tropabel.bundles"].tensor
 
 def resolves(module, attr):
     mod = sys.modules.get("tropabel." + module)
@@ -37,6 +43,7 @@ targets = [(m, a) for m, a, *_ in tracer.SPANS + tracer.TIMED_COUNTS + tracer.CO
 jsonio = vars(sys.modules["tropabel.jsonio"])
 suffixes = [s for s in tracer.JSONIO_SPANS if not any(k.endswith(s) for k in jsonio)]
 print(json.dumps({
+    "wrapped": wrapped,
     "targets": targets,
     "unresolved": [t for t in targets if not resolves(*t)],
     "suffixes_unmatched": suffixes,
@@ -44,16 +51,19 @@ print(json.dumps({
 """
 
 
-def test_every_traced_name_resolves_after_the_benchmark_imports():
+def _assert_installs_and_resolves(imports: str) -> None:
+    """The script, after the given imports of tropabel modules, finds every
+    traced name and installs the tracer."""
     src = str(Path(tropabel.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", imports + "\n" + SCRIPT],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(ROOT / "bench")])},
     )
     report = json.loads(out.stdout)
+    assert report["wrapped"]
     targets = {tuple(t) for t in report["targets"]}
     assert {
         ("linalg", "hnf"),
@@ -62,3 +72,13 @@ def test_every_traced_name_resolves_after_the_benchmark_imports():
     } <= targets
     assert report["unresolved"] == []
     assert report["suffixes_unmatched"] == []
+
+
+def test_every_traced_name_resolves_after_the_benchmark_imports():
+    # the imports of bench/run.py
+    _assert_installs_and_resolves("import tropabel.cli, tropabel.jsonio, tropabel.tropchar")
+
+
+def test_every_traced_name_resolves_after_the_child_import():
+    # the import of bench/child.py, which leaves bundles, tropchar and naside unrun
+    _assert_installs_and_resolves("import tropabel.cli")
