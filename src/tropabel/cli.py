@@ -402,7 +402,16 @@ def run(args: argparse.Namespace) -> dict[str, Any]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = json.dumps(run(args), sort_keys=True, indent=2) + "\n"
+        report = run(args)
+        # a valid answer prints in full: the int-to-str digit limit lifts for it alone
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        try:
+            if limit:
+                sys.set_int_max_str_digits(0)
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         if args.out:
             write_report(args.out, text)
     except Exception as exc:

@@ -18,8 +18,10 @@ a given order, by a walk over Hermite bases that checks each new column in
 integers and abandons a failing branch; given an alternating form it keeps
 only the isotropic subgroups, so the admissible covers, which correspond to
 the Lagrangian (isotropic of order sqrt|D|) subgroups of a defect group D,
-come out of the walk directly.  The walk charges its work to one budget of
-steps as it goes and raises ``TooLarge`` when the budget runs out.
+come out of the walk directly, each carrying its basis down the walk (one
+extended-gcd step per entry at each node), not taking a Hermite form of its
+own.  The walk charges its work to one budget of steps as it goes and raises
+``TooLarge`` when the budget runs out.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class Sublattice(Frozen):
     @classmethod
     def from_generators(cls, gens: Sequence[Sequence[int]]) -> "Sublattice":
         """Lattice spanned by the given vectors (nonempty, of one length, full rank).
-        Most covers and pullback lattices arrive as a Hermite basis, kept as is."""
+        Most pullback lattices arrive as a Hermite basis, kept as is."""
         _common_length(gens, "generators")
         return cls._from_hermite(_hermite_basis(_int_matrix(zip(*gens)), SingularLattice))
 
@@ -377,6 +379,34 @@ def _in_span(v: list[int], cols: Sequence[Sequence[int]], start: int) -> bool:
     return True
 
 
+def _hermite_add(cols: Sequence[Sequence[int]], v: Sequence[int]) -> list:
+    """The columns of a lower-triangular basis with positive diagonal, joined by
+    v: one extended-gcd step per nonzero entry of v (Cohen, GTM 138, 2.4); the
+    entries left of the diagonal are not reduced."""
+    cols = list(cols)
+    for i in range(len(v)):
+        if v[i]:
+            c, p, x = cols[i], cols[i][i], v[i]
+            d = math.gcd(p, x)
+            t = pow(x // d, -1, p // d)  # s p + t x = d for the s below
+            s = (d - t * x) // p
+            cols[i] = [s * y + t * z for y, z in zip(c, v)]
+            v = [p // d * z - x // d * y for y, z in zip(c, v)]
+    return cols
+
+
+def _hermite_rows(cols: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The rows of the canonical Hermite form of such columns: each entry left
+    of the diagonal reduced into range(diagonal) by the column of its row."""
+    cols = [list(col) for col in cols]
+    for j in range(len(cols) - 2, -1, -1):
+        for i in range(j + 1, len(cols)):
+            q = cols[j][i] // cols[i][i]
+            if q:
+                cols[j][i:] = [y - q * z for y, z in zip(cols[j][i:], cols[i][i:])]
+    return list(zip(*cols))
+
+
 def enumerate_subgroups(
     group: FiniteAbelianGroup,
     order: int,
@@ -392,18 +422,28 @@ def enumerate_subgroups(
     |G| / order.  M is returned as its lower-triangular Hermite basis
     (``basis[i][j]`` is the i-th coordinate of the j-th column, entries left
     of the diagonal reduced into range(basis[i][i])); its columns generate
-    the subgroup.  The basis is built from its last column to its first;
-    column j takes a diagonal entry c | d_j only when the index left to reach,
-    divided by c, divides d_0 ... d_{j-1}, that is when the columns before it
-    can still reach it.  Each new column is checked at once against the
-    columns after it, in integers: d_j e_j must lie in their span (divmod
-    forward substitution), and under ``form`` the column must pair to 0 with
-    each of them.  A branch that fails is abandoned.  The work is charged to
-    one budget of ``bound`` steps as it is done (isqrt(d_j) to list the
-    divisors of d_j, one per candidate column tried); TooLarge is raised when
-    the budget runs out.  An order or a bound that is not an integer raises
-    NotExact, a form whose F is not k x k DimensionMismatch, and one whose den
-    is not positive MalformedScalar.
+    the subgroup.  They are the leaves of ``_walk``, which carries the columns
+    placed so far and raises TooLarge when its budget of ``bound`` steps runs
+    out.  An order or a bound that is not an integer raises NotExact, a form
+    whose F is not k x k DimensionMismatch, and one whose den is not positive
+    MalformedScalar.
+    """
+    leaves = _walk(group, order, bound, form, (), lambda cols, col: (col,) + cols)
+    return sorted(tuple(zip(*cols)) for cols in leaves)
+
+
+def _walk(group, order, bound, form, root, extend) -> list:
+    """The states at the leaves of the subgroup walk: ``root`` at the top, and
+    ``extend(state, col)`` at the node that places col, shared by every leaf
+    below it.  The basis is built from its last column to its first; column j
+    takes a diagonal entry c | d_j only when the index left to reach, divided
+    by c, divides d_0 ... d_{j-1}, that is when the columns before it can
+    still reach it.  Each new column is checked at once against the columns
+    after it, in integers: d_j e_j must lie in their span (divmod forward
+    substitution), and under ``form`` the column must pair to 0 with each of
+    them.  A branch that fails is abandoned.  Each step of the budget is
+    charged as it is done: isqrt(d_j) to list the divisors of d_j, one per
+    candidate column tried.
     """
     order, bound = as_int(order, NotExact), as_int(bound, NotExact)
     d = group.invariant_factors
@@ -428,15 +468,15 @@ def enumerate_subgroups(
     divisors = [_divisors(x) for x in d]
     # reach[j] = d_0 ... d_{j-1}: the indices that columns 0..j-1 can reach are its divisors
     reach = list(itertools.accumulate(d, operator.mul, initial=1))
-    found: list[tuple[tuple[int, ...], ...]] = []
+    found = []
     cols: list[tuple[int, ...]] = [()] * k
     images: list[list[int]] = [[]] * k  # F cols[i], under form = (F, den)
 
-    def place(j: int, index: int) -> None:
+    def place(j: int, index: int, state) -> None:
         """Each column j that extends cols[j + 1:] toward the remaining index,
-        then the columns before it; a complete basis goes to found as its rows."""
+        then the columns before it; a complete basis puts its state in found."""
         if j < 0:
-            found.append(tuple(zip(*cols)))
+            found.append(state)
             return
         diag = [cols[i][i] for i in range(j + 1, k)]
         for c in divisors[j]:
@@ -455,10 +495,10 @@ def enumerate_subgroups(
                         continue
                     images[j] = [sum(map(operator.mul, row, col)) for row in f]
                 cols[j] = col
-                place(j - 1, index // c)
+                place(j - 1, index // c, extend(state, col))
 
-    place(k - 1, group.order // order)
-    return sorted(found)
+    place(k - 1, group.order // order, root)
+    return found
 
 
 # ---------------------------------------------------------------------------

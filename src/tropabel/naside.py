@@ -14,9 +14,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from . import tropchar  # a module, so that only trop_rep and the square load it
+from . import bundles, tropchar  # modules, so that only the functions using them load them
 from ._frozen import Frozen
-from .bundles import ModuliPoint, TropLineBundle, moduli_point, moduli_points
 from .errors import (
     AmbientMismatch,
     InvalidClass,
@@ -191,7 +190,7 @@ def represent_on(b: NALineBundle, target: Sublattice) -> NALineBundle:
     return NALineBundle._from_valid(b.ns, target, r_basis)
 
 
-def tropicalize_line_bundle(b: NALineBundle) -> TropLineBundle:
+def tropicalize_line_bundle(b: NALineBundle) -> bundles.TropLineBundle:
     """Valuation of the factor: l = v(r) - (1/2) [., .]-real on the basis.
 
     r at the k-th basis vector is r_basis[k] itself (every cocycle exponent
@@ -206,10 +205,10 @@ def tropicalize_line_bundle(b: NALineBundle) -> TropLineBundle:
         form = sum(x * y for x, y in zip(v, gram.num_image(v)))
         l.append(r.valuation() - Fraction(form, 2 * gram.den))
     # b's class is real-symmetric (NSClass) and integral on its lattice
-    return TropLineBundle._from_valid(torus, b.lattice, b.ns.matrix, tuple(l))
+    return bundles.TropLineBundle._from_valid(torus, b.lattice, b.ns.matrix, tuple(l))
 
 
-def tropicalize_simple(b: NALineBundle) -> ModuliPoint:
+def tropicalize_simple(b: NALineBundle) -> bundles.ModuliPoint:
     """Moduli coordinate of the simple bundle presented by b.
 
     b's cover is integral and isotropic for the class (``NALineBundle``), so it
@@ -222,7 +221,7 @@ def tropicalize_simple(b: NALineBundle) -> ModuliPoint:
     if not (gamma <= b.lattice and b.lattice.index == b.ns.class_rank()):
         raise NotAdmissible("cover lattice is not admissible for the class")
     s = tropicalize_line_bundle(restrict_na(b, gamma))
-    return moduli_point(s, gamma, b.ns.matrix)
+    return bundles.moduli_point(s, gamma, b.ns.matrix)
 
 
 def translate_na(b: NALineBundle, x: MultiplicativePoint) -> NALineBundle:
@@ -329,7 +328,7 @@ def characters_equal_mod_m(c1: NACharacter, c2: NACharacter, torus: NATorus) -> 
 
 def verify_commuting_square(
     rep: NASemisimpleRep, torus: NATorus
-) -> tuple[bool, list[ModuliPoint], list[ModuliPoint]]:
+) -> tuple[bool, list[bundles.ModuliPoint], list[bundles.ModuliPoint]]:
     """Compare tropicalizing the bundle against the bundle of the
     tropicalized representation, as canonical moduli-point multisets.
 
@@ -342,14 +341,14 @@ def verify_commuting_square(
     zero = Mat.zeros(g, g)
     full = Sublattice.full(g)
 
-    via_na = moduli_points(
+    via_na = bundles.moduli_points(
         [tropicalize_line_bundle(b) for b in bundles_from_rep(rep, torus)], full, zero
     )
     trop_bundle = tropchar.bundle_from_rep(trop_rep(rep), torus.trop())
-    via_trop = moduli_points(trop_bundle.summands, full, zero)
+    via_trop = bundles.moduli_points(trop_bundle.summands, full, zero)
     den = math.lcm(*{x.denominator for p in via_na + via_trop for x in p.coords})
 
-    def key(p: ModuliPoint) -> tuple[int, ...]:
+    def key(p: bundles.ModuliPoint) -> tuple[int, ...]:
         return tuple(x.numerator * (den // x.denominator) for x in p.coords)
 
     via_na.sort(key=key)

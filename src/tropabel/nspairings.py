@@ -14,6 +14,7 @@ sitting between the two, and the dual-side lattices with their index identity.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
@@ -33,12 +34,14 @@ from .lattices import (
     FiniteAbelianGroup,
     QLattice,
     Sublattice,
-    enumerate_subgroups,
+    _hermite_add,
+    _hermite_rows,
+    _walk,
     quotient,
 )
 from .linalg import Mat, congruence_lattice
 from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
-from .rationals import as_tuple
+from .rationals import as_tuple, over_one_denominator
 
 
 class TropTorus(Frozen):
@@ -186,13 +189,13 @@ class NSClass(Frozen):
         if not is_r_symmetric(self.matrix, self.torus.v):
             raise InvalidClass("V^T H is not symmetric")
         if isinstance(self.torus, NATorus):
-            # gm(e_i, e_j) for num = den * H is prod_k x_ik^num[k][j], x_ik
-            # coordinate k of generator i.  Its valuations are symmetric (V^T H
-            # is) and phases never decide torsion, so only magnitudes can fail.
-            num = self.matrix.num
-            mag = [[math.prod(c.magnitude ** row[j] for c, row in zip(p.coords, num))
-                    for j in range(g)] for p in self.torus.generators]
-            if any(mag[i][j] != mag[j][i] for i in range(g) for j in range(i)):
+            # gm(e_i, e_j) for num = den * H is prod_k x_ik^num[k][j], x_ik coordinate k
+            # of generator i.  Its valuations are symmetric (V^T H is) and phases never
+            # decide torsion, so only magnitudes, pairs (N, D) cross-multiplied, can fail.
+            mag = [[_power_ratio([c.magnitude.as_integer_ratio() for c in p.coords], col)
+                    for col in zip(*self.matrix.num)] for p in self.torus.generators]
+            if any(mag[i][j][0] * mag[j][i][1] != mag[j][i][0] * mag[i][j][1]
+                   for i in range(g) for j in range(i)):
                 raise InvalidClass(
                     "no integer multiple of H is symmetric for the "
                     "multiplicative pairing on this torus"
@@ -240,9 +243,9 @@ class NSClass(Frozen):
         that passes the constructor.  Checked once, on each pair (a, b) of
         integrality generators, against torsion_pairing(a, b) read straight
         from the monomial components x_rk (coordinate k of generator r), in
-        exact rationals: with the net exponents e_rk = a_r (Hb)_k - b_r (Ha)_k
-        it is prod x_rk^e_rk, of magnitude prod mag_rk^e_rk, valuation
-        sum e_rk texp_rk and phase sum e_rk phase_rk.
+        integers: with the net exponents e_rk = a_r (Hb)_k - b_r (Ha)_k it is
+        prod x_rk^e_rk, of magnitude prod mag_rk^e_rk (``_power_ratio``) and of
+        valuation and phase e . texp and e . phase, over one denominator each.
         """
         t = self._multiplicative_torus()
         ph = Mat([[c.phase for c in gen.coords] for gen in t.generators]) @ self.matrix
@@ -252,16 +255,18 @@ class NSClass(Frozen):
         form = _form_mod(omega, ph.den, gens)
         images = [_h_image(self.matrix, b) for b in gens]
         coords = [c for gen in t.generators for c in gen.coords]
+        mags = [c.magnitude.as_integer_ratio() for c in coords]
+        texps, _ = over_one_denominator([c.t_exponent for c in coords])
+        phases, m = over_one_denominator([c.phase for c in coords])
+        m_den = m * ph.den  # e . phase - form[i][j] / ph.den over m_den
         for i, (a, ha) in enumerate(zip(gens, images)):
             for j in range(i + 1, len(gens)):
                 b, hb = gens[j], images[j]
                 exps = [a[r] * hb[k] - b[r] * ha[k] for r in range(g) for k in range(g)]
-                terms = [(e, c) for e, c in zip(exps, coords) if e]
-                magnitude = math.prod(c.magnitude**e for e, c in terms if c.magnitude != 1)
-                if magnitude != 1 or sum(e * c.t_exponent for e, c in terms):
+                top, bottom = _power_ratio(mags, exps)
+                if top != bottom or sum(map(operator.mul, exps, texps)):
                     raise InternalInconsistency("torsion pairing left the torsion subgroup")
-                phase = sum(e * c.phase for e, c in terms) - Fraction(form[i][j], ph.den)
-                if phase.denominator != 1:
+                if (sum(map(operator.mul, exps, phases)) * ph.den - form[i][j] * m) % m_den:
                     raise InternalInconsistency("torsion pairing disagrees with its phase matrix")
         return omega, ph.den
 
@@ -304,19 +309,23 @@ class NSClass(Frozen):
     ) -> list[Sublattice]:
         """Sublattices between symmetry and integrality whose defect image is a
         Lagrangian subgroup (isotropic of order sqrt|D|: the pairing is
-        nondegenerate on D); each has index ``class_rank()`` in Z^g.  ``bound``
-        is the step budget of the walk in ``enumerate_subgroups``, which raises
-        TooLarge when it runs out."""
+        nondegenerate on D); each has index ``class_rank()`` in Z^g.  Their
+        Hermite bases are built in the one subgroup walk (``lattices._walk``),
+        with no Hermite form per cover.  ``bound`` is the walk's step budget; it
+        raises TooLarge when that runs out."""
         q = self.defect_group
         n = self.class_rank()
-        lattices = []
-        # the walk keeps only the subgroups isotropic for the pairing
-        form = self.defect_phases
-        for basis in enumerate_subgroups(q, n // self.integrality.index, bound, form):
-            # symmetry = span(trivial columns, d_i * generator lifts) and the
-            # subgroup holds each d_i e_i, so these g vectors span the cover
-            gens = list(q._trivial) + [q.lift(c) for c in zip(*basis)]
-            lattices.append(Sublattice.from_generators(gens))
+        lifts = list(zip(*q.generator_lifts))
+
+        def extend(cols, col):
+            # the node that places col joins its lift to the basis of every cover below
+            return _hermite_add(cols, [sum(map(operator.mul, row, col)) for row in lifts])
+
+        # symmetry = span(trivial columns, d_i * generator lifts) and a subgroup holds
+        # each d_i e_i, so its cover is symmetry + span(lifts of its columns)
+        root = list(zip(*self.symmetry.basis))
+        leaves = _walk(q, n // self.integrality.index, bound, self.defect_phases, root, extend)
+        lattices = [Sublattice._from_hermite(_hermite_rows(cols)) for cols in leaves]
         if not lattices or any(lat.index != n for lat in lattices):
             raise InternalInconsistency("admissible lattices violate the defect-order identity")
         return sorted(lattices, key=lambda lat: lat.basis)
@@ -354,3 +363,15 @@ def _form_mod(
     """The integer form gens^T omega gens, reduced mod den."""
     images = [[sum(w * x for w, x in zip(row, b)) for row in omega] for b in gens]
     return [[sum(x * y for x, y in zip(a, wb)) % den for wb in images] for a in gens]
+
+
+def _power_ratio(mags: Sequence[tuple[int, int]], exps: Sequence[int]) -> tuple[int, int]:
+    """(N, D) with N / D = prod (p / q)^e over the magnitudes p / q in lowest
+    terms and their exponents e: p^e over q^e for e > 0, q^-e over p^-e for e < 0."""
+    top = bottom = 1
+    for (p, q), e in zip(mags, exps):
+        if e and p != q:
+            if e < 0:
+                p, q, e = q, p, -e
+            top, bottom = top * p**e, bottom * q**e
+    return top, bottom

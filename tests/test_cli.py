@@ -535,6 +535,31 @@ def test_json_integer_beyond_the_int_digit_limit_is_validation_error(capsys, tmp
     assert "set_int_max_str_digits" not in record["error"]
 
 
+def test_an_answer_past_the_int_digit_limit_prints(capsys, tmp_path):
+    # a 5 x 5 basis of 1000-digit entries has an index of about 5000 digits, past
+    # the int-to-str limit that the wire keeps on input
+    rng = random.Random(4300)
+    basis = [[rng.randrange(10**999, 10**1000) for _ in range(5)] for _ in range(5)]
+    zeros = [["0"] * 5 for _ in range(5)]
+    summand = {"lattice": basis, "H": zeros, "l": ["0"] * 5}
+    data = {
+        "torus": {"g": 5, "v": [["1" if i == j else "0" for j in range(5)] for i in range(5)]},
+        "bundles": {"E": {"summands": [summand]}},
+        "parameters": {"operands": ["E"]},
+    }
+    path = tmp_path / "huge_rank.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "bundle", "slope", "--scenario", str(path))
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out)["rank"] == Sublattice(basis).index > 10**limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("value", [True, False])
 def test_boolean_rational_is_validation_error(capsys, tmp_path, value):
     def edit(data):

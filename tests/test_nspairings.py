@@ -1,9 +1,11 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tropabel import nspairings
+from tropabel import lattices, linalg, nspairings
 from tropabel.errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -12,7 +14,7 @@ from tropabel.errors import (
     NotInSmallLattice,
     TooLarge,
 )
-from tropabel.lattices import QLattice, Sublattice, enumerate_subgroups
+from tropabel.lattices import FiniteAbelianGroup, QLattice, Sublattice, enumerate_subgroups
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from tropabel.nspairings import (
@@ -507,6 +509,79 @@ def test_omega_self_check_catches_a_disagreeing_reference(monkeypatch):
             NSClass(torus, h).symmetry
 
 
+def _fraction_magnitudes_symmetric(t: NATorus, h: Mat) -> bool:
+    """The constructor's magnitude table in Fractions: prod_k mag_ik^num[k][j]
+    symmetric in (i, j) for num = den * H."""
+    num, g = h.num, t.g
+    mag = [[math.prod(c.magnitude ** row[j] for c, row in zip(p.coords, num))
+            for j in range(g)] for p in t.generators]
+    return all(mag[i][j] == mag[j][i] for i in range(g) for j in range(i))
+
+
+def _fraction_omega_check(ns: NSClass) -> bool:
+    """Whether _omega's self-check passes, by its formulas in Fractions: on each
+    pair (a, b) of integrality generators, with the net exponents
+    e_rk = a_r (Hb)_k - b_r (Ha)_k, prod mag_rk^e_rk = 1, sum e_rk texp_rk = 0,
+    and sum e_rk phase_rk equal to the phase table's entry mod 1."""
+    t, g = ns.torus, ns.torus.g
+    ph = Mat([[c.phase for c in gen.coords] for gen in t.generators]) @ ns.matrix
+    omega = [[ph.num[i][j] - ph.num[j][i] for j in range(g)] for i in range(g)]
+    gens = ns.integrality.generators()
+    form = nspairings._form_mod(omega, ph.den, gens)
+    images = [nspairings._h_image(ns.matrix, b) for b in gens]
+    coords = [c for gen in t.generators for c in gen.coords]
+    for i, (a, ha) in enumerate(zip(gens, images)):
+        for j in range(i + 1, len(gens)):
+            b, hb = gens[j], images[j]
+            exps = [a[r] * hb[k] - b[r] * ha[k] for r in range(g) for k in range(g)]
+            terms = [(e, c) for e, c in zip(exps, coords) if e]
+            magnitude = math.prod(c.magnitude**e for e, c in terms if c.magnitude != 1)
+            if magnitude != 1 or sum(e * c.t_exponent for e, c in terms):
+                return False
+            phase = sum(e * c.phase for e, c in terms) - F(form[i][j], ph.den)
+            if phase.denominator != 1:
+                return False
+    return True
+
+
+def test_integer_self_checks_match_the_fraction_reference():
+    # the constructor's magnitude table, then _omega's check on the class let
+    # past the constructor, half the time with a class whose V^T H is not
+    # symmetric; magnitudes q^v with v in [-2, 2] and q = a / b bring both
+    # denominators and negative exponents
+    rng = random.Random(433)
+    outcomes = Counter()
+    for _ in range(80):
+        g = rng.randint(2, 3)
+        make = _rand_small_magnitude_torus if rng.random() < 0.6 else _rand_magnitude_torus
+        t = make(rng, g)
+        outcomes["fractional magnitude"] += any(
+            c.magnitude.denominator > 1 for p in t.generators for c in p.coords
+        )
+        h = rand_r_symmetric(rng, t.v, max_den=3)
+        valid = _fraction_magnitudes_symmetric(t, h)
+        outcomes["class", valid] += 1
+        if valid:
+            NSClass(t, h)
+        else:
+            with pytest.raises(InvalidClass, match="no integer multiple of H"):
+                NSClass(t, h)
+        if rng.random() < 0.5:
+            s = [[rand_fraction(rng, -3, 3, 3) for _ in range(g)] for _ in range(g)]
+            h = t.v.T.inv() @ Mat(s)
+        ns = NSClass._from_valid(t, h)
+        passes = _fraction_omega_check(ns)
+        outcomes["symmetry", passes] += 1
+        if passes:
+            ns.symmetry
+        else:
+            with pytest.raises(InternalInconsistency, match="left the torsion subgroup"):
+                ns.symmetry
+    assert all(outcomes[key] for key in (("class", True), ("class", False)))
+    assert all(outcomes[key] for key in (("symmetry", True), ("symmetry", False)))
+    assert outcomes["fractional magnitude"]
+
+
 def test_admissible_trivial_cases(reference_torus):
     zero = NSClass(reference_torus, Mat.zeros(2, 2))
     assert zero.admissible_lattices() == [Sublattice.full(2)]
@@ -700,6 +775,93 @@ def test_admissible_counts_within_default_bound(make, count):
 def test_admissible_default_bound_refuses(make):
     with pytest.raises(TooLarge):
         make().admissible_lattices()
+
+
+def _covers_by_generators(ns: NSClass, bound: int) -> list[Sublattice]:
+    """The admissible covers built one at a time: per Lagrangian subgroup, the
+    trivial columns and the lift of each subgroup column, in one Hermite form."""
+    q = ns.defect_group
+    order = ns.class_rank() // ns.integrality.index
+    covers = [
+        Sublattice.from_generators(list(q._trivial) + [q.lift(c) for c in zip(*basis)])
+        for basis in enumerate_subgroups(q, order, bound, ns.defect_phases)
+    ]
+    return sorted(covers, key=lambda lat: lat.basis)
+
+
+def _random_defect_class(rng, n: int, g: int) -> NSClass:
+    """Class I on a unit torus whose torsion pairing has defect group (Z/n)^2,
+    drawn like the random tori of the defect-scan benchmark: an alternating
+    part a / n with a prime to n over a random symmetric part of the phases."""
+    while True:
+        a = {(r, c): rng.randrange(n) for r in range(g) for c in range(r + 1, g)}
+        if math.gcd(n, *a.values()) != 1:
+            continue
+        phases = {}
+        for r in range(g):
+            phases[(r, r)] = F(rng.randint(0, 5), rng.choice((1, 2, 3, 4, 6)))
+            for c in range(r + 1, g):
+                phases[(c, r)] = F(rng.randint(0, 5), rng.choice((1, 2, 3, 4, 6)))
+                phases[(r, c)] = phases[(c, r)] + F(a[(r, c)], n)
+        ns = _unit_class(g, phases)
+        if ns.defect_group.invariant_factors == (n, n):
+            return ns
+
+
+def _random_defect_classes() -> list[NSClass]:
+    rng = random.Random(7919)
+    return [_random_defect_class(rng, 2 + i % 7, 2 + (i // 7) % 2) for i in range(56)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [_cyclic_square_class(n) for n in range(2, 31)],
+        lambda: [_unit_class(2, _paired_phases(2, n)) for n in range(2, 31)],
+        lambda: [
+            _unit_class(4, phases)
+            for phases in (
+                {(0, 1): F(1, 2), (2, 3): F(1, 2)},
+                {(0, 1): F(1, 3), (2, 3): F(1, 3)},
+                {(0, 1): F(1, 4), (2, 3): F(1, 2)},
+            )
+        ],
+        lambda: [_unit_class(6, _paired_phases(6, 2))],
+        lambda: [_unit_class(4, _paired_phases(4, 6))],
+        lambda: [_unit_class(4, _paired_phases(4, 10))],
+        _random_defect_classes,
+    ],
+    ids=["cyclic-square", "unit-square", "rank-four", "2^6", "6^4", "10^4", "random"],
+)
+def test_covers_built_in_the_walk_match_one_hermite_form_per_cover(make):
+    for ns in make():
+        assert ns.admissible_lattices(bound=10**7) == _covers_by_generators(ns, 10**7)
+
+
+def test_admissible_lattices_lift_no_column_and_take_no_hermite_form(monkeypatch):
+    # (Z/12)^2, and a g = 3 class whose covers built one at a time take a Hermite form each
+    classes = [_cyclic_square_class(12), _random_defect_class(random.Random(1), 6, 3)]
+    for ns in classes:
+        ns.defect_phases, ns.class_rank()  # the lattices and the group, before counting
+    calls = Counter()
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(FiniteAbelianGroup, "lift")
+    spy(lattices, "column_hnf")
+    spy(linalg, "column_hnf")
+    assert [len(ns.admissible_lattices()) for ns in classes] == [_sigma(12), _sigma(6)]
+    assert calls == Counter()
+    # the spies see the covers built one at a time
+    assert len(_covers_by_generators(classes[1], 10**4)) == _sigma(6)
+    assert calls["lift"] and calls["column_hnf"]
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ NOT_COMPILED = {
     ("rep", "eta"): {"naside.py"},
     ("na", "trop-line"): {"tropchar.py"},
     ("na", "trop-simple"): {"tropchar.py"},
+    ("na", "trop-rep"): {"bundles.py"},
 }
 
 
