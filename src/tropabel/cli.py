@@ -18,10 +18,9 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable
 
-from . import bundles, jsonio, naside, tropchar
+from . import bundles, jsonio, monomials, naside, tropchar
 from .errors import AmbientMismatch, SizeMismatch, TooLarge, TropabelError
 from .lattices import SUBGROUP_ENUMERATION_BOUND
-from .monomials import ValuedMonomial
 from .nspairings import (
     NATorus,
     NSClass,
@@ -286,11 +285,11 @@ def cmd_rep(scenario: Scenario, op: str) -> dict[str, Any]:
     raise jsonio.ScenarioError(f"unknown rep op {op!r}")
 
 
-def _random_monomial(rng: random.Random) -> ValuedMonomial:
+def _random_monomial(rng: random.Random) -> monomials.ValuedMonomial:
     mag = Fraction(rng.randint(1, 5), rng.randint(1, 5))
     phase = Fraction(rng.randint(0, 5), rng.randint(1, 6))
     texp = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return ValuedMonomial(mag, phase, texp)
+    return monomials.ValuedMonomial(mag, phase, texp)
 
 
 def _random_na_rep(rng: random.Random, r: int, g: int) -> naside.NASemisimpleRep:

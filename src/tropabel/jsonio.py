@@ -15,8 +15,9 @@ A decoder checks the JSON types and shapes, and returns
 validation step, which its public constructor runs too, so each check is
 written in the value's class alone, runs once and raises the constructor's error.
 
-``bundles``, ``naside`` and ``tropchar`` are read as modules, which the package
-loads lazily, so decoding a torus or a class compiles none of them.
+``bundles``, ``monomials``, ``naside`` and ``tropchar`` are read as modules,
+which the package loads lazily, so decoding a tropical torus or a class on it
+compiles none of them.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import math
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import bundles, naside, tropchar
+from . import bundles, monomials, naside, tropchar
 from .errors import DimensionMismatch, MalformedScalar, TropabelError, ZeroDenominator
 from .lattices import Sublattice
 from .linalg import Mat
-from .monomials import MultiplicativePoint, ValuedMonomial
 from .nspairings import NATorus, NSClass, TropTorus
 from .rationals import parse_rational
 
@@ -114,7 +114,7 @@ def lattice_from_json(data: Any) -> Sublattice:
     return Sublattice._from_valid(data)._checked()
 
 
-def mono_to_json(m: ValuedMonomial) -> dict[str, str]:
+def mono_to_json(m: monomials.ValuedMonomial) -> dict[str, str]:
     return {
         "mag": str(m.magnitude),
         "phase": str(m.phase),
@@ -122,23 +122,23 @@ def mono_to_json(m: ValuedMonomial) -> dict[str, str]:
     }
 
 
-def mono_from_json(data: Any) -> ValuedMonomial:
+def mono_from_json(data: Any) -> monomials.ValuedMonomial:
     """mag, phase and texp, each parsed once."""
     if not isinstance(data, dict):
         raise ScenarioError(f"expected a monomial object, got {data!r}")
     mag = rational_from_json(data.get("mag", 1))
     phase = rational_from_json(data.get("phase", 0))
     texp = rational_from_json(data.get("texp", 0))
-    return ValuedMonomial._from_valid(mag, phase, texp)._checked()
+    return monomials.ValuedMonomial._from_valid(mag, phase, texp)._checked()
 
 
-def point_to_json(p: MultiplicativePoint) -> list[dict[str, str]]:
+def point_to_json(p: monomials.MultiplicativePoint) -> list[dict[str, str]]:
     return [mono_to_json(c) for c in p.coords]
 
 
-def point_from_json(data: Any) -> MultiplicativePoint:
+def point_from_json(data: Any) -> monomials.MultiplicativePoint:
     coords = tuple(mono_from_json(c) for c in _json_list(data, "monomials"))
-    return MultiplicativePoint._from_valid(coords)
+    return monomials.MultiplicativePoint._from_valid(coords)
 
 
 def torus_to_json(t: TropTorus | NATorus) -> dict[str, Any]:

@@ -40,7 +40,7 @@ class ValuedMonomial(Frozen):
 
     def _checked(self) -> "ValuedMonomial":
         """This monomial, after checking that its magnitude is positive."""
-        if self.magnitude <= 0:
+        if self.magnitude.numerator <= 0:
             raise MalformedScalar(f"magnitude must be positive, got {self.magnitude}")
         return self
 

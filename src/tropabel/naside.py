@@ -6,6 +6,11 @@ formula whose correctness is pinned by the cocycle identity.  Tropicalization
 sends the data to the real side of the same torus, landing in the moduli
 coordinates computed by the bundle module, and diagonal semisimple
 representations tropicalize entrywise by valuation.
+
+The rational work inside each operation runs on integer numerators over one
+denominator, and only its results become Fractions: a semisimple
+representation orders its characters by integer keys, and tropicalizing a
+line bundle builds each covector entry as one Fraction.
 """
 
 from __future__ import annotations
@@ -30,11 +35,7 @@ from .lattices import Sublattice, _smith_adapted
 from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from .nspairings import NATorus, NSClass
-from .rationals import as_int, as_tuple
-
-
-def _mono_key(m: ValuedMonomial):
-    return (m.magnitude, m.phase, m.t_exponent)
+from .rationals import as_int, as_tuple, over_one_denominator
 
 
 class NACharacter(Frozen):
@@ -62,10 +63,6 @@ class NACharacter(Frozen):
         if self.g != other.g:
             raise SizeMismatch("characters have different ranks")
         return NACharacter._from_valid(tuple(a * b for a, b in zip(self.values, other.values)))
-
-    @property
-    def sort_key(self):
-        return tuple(_mono_key(v) for v in self.values)
 
 
 def unit_character(torus: NATorus, m: Sequence[int]) -> NACharacter:
@@ -196,14 +193,17 @@ def tropicalize_line_bundle(b: NALineBundle) -> bundles.TropLineBundle:
     r at the k-th basis vector is r_basis[k] itself (every cocycle exponent
     of ``extend_r`` vanishes there), so its valuation is read off directly.
     The real pairing [v, v] = v^T G v, G = V^T H, is one integer quadratic
-    form on G's numerator, over 2 * G's denominator with the 1/2.
+    form on G's numerator, over 2 * G's denominator with the 1/2, so each
+    entry is one Fraction over the valuation's denominator times that.
     """
     torus = b.ns.torus.trop()
     gram = b.ns.gram
+    den2 = 2 * gram.den
     l = []
     for r, v in zip(b.r_basis, b.lattice.generators()):
         form = sum(x * y for x, y in zip(v, gram.num_image(v)))
-        l.append(r.valuation() - Fraction(form, 2 * gram.den))
+        t = r.t_exponent
+        l.append(Fraction(t.numerator * den2 - form * t.denominator, t.denominator * den2))
     # b's class is real-symmetric (NSClass) and integral on its lattice
     return bundles.TropLineBundle._from_valid(torus, b.lattice, b.ns.matrix, tuple(l))
 
@@ -269,8 +269,15 @@ class NASemisimpleRep(Frozen):
             raise SizeMismatch("a representation needs at least one character")
         if any(c.g != self.g for c in self.characters):
             raise SizeMismatch("characters have different ranks")
-        characters = sorted(self.characters, key=lambda c: c.sort_key)
-        object.__setattr__(self, "characters", tuple(characters))
+        # the key of a character: its (magnitude, phase, t_exponent) Fractions,
+        # value by value, each position scaled to integers over the lcm of its
+        # denominators across the characters, which keeps their order; the
+        # index last keeps the sort stable
+        chars = self.characters
+        rows = [[x for v in c.values for x in (v.magnitude, v.phase, v.t_exponent)] for c in chars]
+        cols = [over_one_denominator(col)[0] for col in zip(*rows)]
+        keys = sorted(zip(*cols, range(len(chars))))
+        object.__setattr__(self, "characters", tuple(chars[k[-1]] for k in keys))
         return self
 
     @property

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
+from . import monomials  # a module, so that only a multiplicative torus loads it
 from ._frozen import Frozen
 from .errors import (
     DimensionMismatch,
@@ -40,7 +41,6 @@ from .lattices import (
     quotient,
 )
 from .linalg import Mat, congruence_lattice
-from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from .rationals import as_tuple, over_one_denominator
 
 
@@ -73,11 +73,11 @@ class TropTorus(Frozen):
 class NATorus(Frozen):
     """Multiplicative torus (K*)^g / Lambda with monomial period generators."""
 
-    generators: tuple[MultiplicativePoint, ...]
+    generators: tuple[monomials.MultiplicativePoint, ...]
 
     def __post_init__(self):
         generators = as_tuple(self.generators, "MultiplicativePoints")
-        if not all(isinstance(p, MultiplicativePoint) for p in generators):
+        if not all(isinstance(p, monomials.MultiplicativePoint) for p in generators):
             raise NotExact(f"torus generators must be MultiplicativePoints, got {generators!r}")
         object.__setattr__(self, "generators", generators)
         self._checked()
@@ -113,13 +113,12 @@ class NATorus(Frozen):
     def _trop(self) -> TropTorus:
         return TropTorus(self.v)
 
-    def embed(self, a: Sequence[int]) -> MultiplicativePoint:
+    def embed(self, a: Sequence[int]) -> monomials.MultiplicativePoint:
         """The period-lattice point with integer coordinates a: coordinate k is
         the character a evaluated at the k-th coordinates of the generators."""
         cols = zip(*(gen.coords for gen in self.generators))
-        return MultiplicativePoint._from_valid(
-            tuple(eval_character(MultiplicativePoint._from_valid(c), a) for c in cols)
-        )
+        point = monomials.MultiplicativePoint._from_valid
+        return point(tuple(monomials.eval_character(point(c), a) for c in cols))
 
 
 Torus = Union[TropTorus, NATorus]
@@ -217,11 +216,12 @@ class NSClass(Frozen):
             raise InvalidClass("operation requires a multiplicative torus")
         return self.torus
 
-    def gm_pairing(self, a: Sequence[int], b: Sequence[int]) -> ValuedMonomial:
+    def gm_pairing(self, a: Sequence[int], b: Sequence[int]) -> monomials.ValuedMonomial:
         """The multiplicative pairing <a, H(b)>; b must land integrally."""
-        return eval_character(self._multiplicative_torus().embed(a), _h_image(self.matrix, b))
+        point = self._multiplicative_torus().embed(a)
+        return monomials.eval_character(point, _h_image(self.matrix, b))
 
-    def torsion_pairing(self, a: Sequence[int], b: Sequence[int]) -> ValuedMonomial:
+    def torsion_pairing(self, a: Sequence[int], b: Sequence[int]) -> monomials.ValuedMonomial:
         """The alternating pairing gm(a,b)/gm(b,a); both args where H is integral."""
         return self.gm_pairing(a, b) / self.gm_pairing(b, a)
 
@@ -248,16 +248,16 @@ class NSClass(Frozen):
         valuation and phase e . texp and e . phase, over one denominator each.
         """
         t = self._multiplicative_torus()
-        ph = Mat([[c.phase for c in gen.coords] for gen in t.generators]) @ self.matrix
         g = self.torus.g
+        coords = [c for gen in t.generators for c in gen.coords]
+        phases, m = over_one_denominator([c.phase for c in coords])
+        ph = Mat._from_int([phases[j * g : (j + 1) * g] for j in range(g)], m) @ self.matrix
         omega = [[ph.num[i][j] - ph.num[j][i] for j in range(g)] for i in range(g)]
         gens = self.integrality.generators()
         form = _form_mod(omega, ph.den, gens)
         images = [_h_image(self.matrix, b) for b in gens]
-        coords = [c for gen in t.generators for c in gen.coords]
         mags = [c.magnitude.as_integer_ratio() for c in coords]
         texps, _ = over_one_denominator([c.t_exponent for c in coords])
-        phases, m = over_one_denominator([c.phase for c in coords])
         m_den = m * ph.den  # e . phase - form[i][j] / ph.den over m_den
         for i, (a, ha) in enumerate(zip(gens, images)):
             for j in range(i + 1, len(gens)):
@@ -344,7 +344,7 @@ class NSClass(Frozen):
 
     def extended_pairing(
         self, gamma: Sequence[int], m0: Sequence[int], lam: Sequence[int]
-    ) -> ValuedMonomial:
+    ) -> monomials.ValuedMonomial:
         """Pairing of gamma (in the symmetry lattice) against m0 + H(lam).
 
         The value <embed(gamma), m0> * gm(lam, gamma) does not depend on the
@@ -353,7 +353,7 @@ class NSClass(Frozen):
         if not self.symmetry.contains(gamma):
             raise NotInSmallLattice(f"{tuple(gamma)} is not in the symmetry lattice")
         t = self._multiplicative_torus()
-        part = eval_character(t.embed(gamma), m0)
+        part = monomials.eval_character(t.embed(gamma), m0)
         return part * self.gm_pairing(lam, gamma)
 
 

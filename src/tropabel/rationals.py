@@ -113,5 +113,9 @@ def exact_over_one_denominator(v) -> tuple[list[int], int]:
 
 
 def frac_mod_1(x: Fraction) -> Fraction:
-    """Representative of x in [0, 1)."""
-    return x - (x.numerator // x.denominator)
+    """Representative of x in [0, 1): x itself when it lies there, else the
+    numerator reduced mod the denominator, which keeps it in lowest terms."""
+    n, d = x.numerator, x.denominator
+    if 0 <= n < d:
+        return x
+    return Fraction(n % d, d)

@@ -180,12 +180,12 @@ class TropRepresentation(Frozen):
         return out
 
 
-def _integer_translations(rep: TropRepresentation) -> tuple[list[list[int]], int]:
-    """(nums, den): the images' translations as integer numerators over one
-    denominator, nums[k][i] / den = rep.images[k].d[i]."""
-    flat, den = over_one_denominator([x for a in rep.images for x in a.d])
-    r = rep.r
-    return [flat[k * r : (k + 1) * r] for k in range(rep.g)], den
+def _integer_translations(elements: Sequence[TropGLElement]) -> tuple[list[list[int]], int]:
+    """(nums, den): the translations of elements of one size as integer
+    numerators over one denominator, nums[k][i] / den = elements[k].d[i]."""
+    flat, den = over_one_denominator([x for a in elements for x in a.d])
+    r = elements[0].r
+    return [flat[k * r : (k + 1) * r] for k in range(len(elements))], den
 
 
 def _commute(rep: TropRepresentation, nums: list[list[int]]) -> bool:
@@ -203,7 +203,7 @@ def _commute(rep: TropRepresentation, nums: list[list[int]]) -> bool:
 def check_commuting(rep: TropRepresentation) -> bool:
     """Whether the images commute, without composing them: ab = ba iff the permutations commute
     and a.d[i] - a.d[b^-1(i)] = b.d[i] - b.d[a^-1(i)] (see compose), over one denominator."""
-    return _commute(rep, _integer_translations(rep)[0])
+    return _commute(rep, _integer_translations(rep.images)[0])
 
 
 class OrbitSummand(Frozen):
@@ -242,7 +242,7 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
     sum is taken in the integer translations over one denominator, and each
     covector entry becomes one Fraction.
     """
-    nums, den = _integer_translations(rep)
+    nums, den = _integer_translations(rep.images)
     if not _commute(rep, nums):
         raise NotCommuting("generator images do not commute")
     g = rep.g
@@ -313,11 +313,23 @@ def bundle_from_rep(rep: TropRepresentation, torus: TropTorus) -> bundles.TropVe
 
 
 def conjugate(rep: TropRepresentation, a: TropGLElement) -> TropRepresentation:
-    a_inv = inverse(a)
-    # as many images as rep's, each of rep's size (compose checks a's)
-    return TropRepresentation._from_valid(
-        tuple(compose(compose(a, img), a_inv) for img in rep.images)
-    )
+    """The images b = a img a^-1, each built in one pass without composing:
+    b(i) = a(img(a^-1 i)) and, by compose and inverse, the translation
+    d_b(i) = d_a(i) + d_img(a^-1 i) - d_a(b^-1 i), summed in the translations
+    of a and of every image as integers over one denominator."""
+    if rep.r != a.r:
+        raise SizeMismatch("cannot compose elements of different sizes")
+    a_perm, a_inv = a.perm, a.inv_perm
+    (d_a, *nums), den = _integer_translations((a, *rep.images))
+    images = []
+    for img, d_img in zip(rep.images, nums):
+        perm = tuple(a_perm[img.perm[j]] for j in a_inv)
+        num = [x + d_img[j] for x, j in zip(d_a, a_inv)]
+        for j, i in enumerate(perm):  # j = b^-1(i)
+            num[i] -= d_a[j]
+        images.append(TropGLElement._from_valid(perm, tuple(Fraction(x, den) for x in num)))
+    # as many images as rep's, each of rep's size
+    return TropRepresentation._from_valid(tuple(images))
 
 
 def rep_from_bundle(e: bundles.TropVectorBundle) -> TropRepresentation:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from tropabel.monomials import (
     eval_character,
 )
 from tropabel.nspairings import NATorus
+from tropabel.rationals import frac_mod_1
 
 from conftest import MINUS_ONE, ONE, T_UNIF, mono, rand_mono
 
@@ -38,6 +40,27 @@ def test_multiplication_example():
 def test_phase_is_reduced_mod_one():
     assert mono(1, F(5, 4), 0) == mono(1, F(1, 4), 0)
     assert mono(1, F(-1, 3), 0).phase == F(2, 3)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [F(-7, 3), F(-1), F(-1, 10**30), F(0), F(1, 2), F(99, 100), F(1), F(3), F(7, 3)]
+    + [F(10**40 + 1, 7), F(-(10**40) - 1, 7), F(10**50), F(-(10**50), 3**60)],
+)
+def test_frac_mod_1_is_x_minus_its_floor(x):
+    y = frac_mod_1(x)
+    assert type(y) is Fraction
+    assert y == x - math.floor(x)
+    assert 0 <= y < 1
+
+
+def test_frac_mod_1_of_random_fractions():
+    rng = random.Random(277)
+    for _ in range(2000):
+        x = F(rng.randint(-(10**6), 10**6), rng.randint(1, 10**3))
+        y = frac_mod_1(x)
+        assert y == x - math.floor(x) and 0 <= y < 1
+        assert y is x or not 0 <= x < 1
 
 
 def test_magnitude_must_be_positive():

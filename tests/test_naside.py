@@ -402,6 +402,50 @@ def test_semisimple_rep_canonical_order():
         NASemisimpleRep((c1, NACharacter((ONE,))))
 
 
+def fraction_order(chars):
+    """The characters sorted by their values' Fractions: the order that the
+    integer keys must give."""
+    def key(c):
+        return tuple((v.magnitude, v.phase, v.t_exponent) for v in c.values)
+
+    return sorted(chars, key=key)
+
+
+def rand_tied_characters(rng, r, g):
+    """r characters of rank g drawn from few magnitudes, phases and (also negative)
+    t-exponents, so that ties run deep, with duplicates as distinct objects."""
+    def value():
+        return mono(
+            rng.choice([1, F(1, 2), F(3, 2), 2, F(5, 12)]),
+            rng.choice([0, F(1, 2), F(1, 3), F(5, 6)]),
+            F(rng.randint(-6, 6), rng.choice([1, 2, 4, 12])),
+        )
+
+    chars = [NACharacter(tuple(value() for _ in range(g))) for _ in range(r)]
+    chars += [NACharacter(c.values) for c in rng.sample(chars, rng.randint(0, r))]
+    rng.shuffle(chars)
+    return chars
+
+
+def test_character_order_matches_the_fraction_key_order():
+    rng = random.Random(269)
+    for _ in range(300):
+        chars = rand_tied_characters(rng, rng.randint(1, 12), rng.randint(0, 3))
+        expected = fraction_order(chars)
+        got = NASemisimpleRep(tuple(chars)).characters
+        # equal characters keep their given order: the sort is stable
+        assert [id(c) for c in got] == [id(c) for c in expected]
+
+
+def test_decoded_character_order_matches_the_fraction_key_order():
+    rng = random.Random(271)
+    for _ in range(200):
+        chars = rand_tied_characters(rng, rng.randint(1, 12), rng.randint(1, 3))
+        data = {"characters": [jsonio.character_to_json(c) for c in chars]}
+        decoded = [jsonio.character_from_json(c) for c in data["characters"]]
+        assert jsonio.na_rep_from_json(data).characters == tuple(fraction_order(decoded))
+
+
 def test_trop_rep_is_diagonal_valuations():
     c1 = NACharacter((mono(2, 0, F(1, 3)), mono(1, F(1, 2), -1)))
     c2 = NACharacter((T_UNIF, ONE))

@@ -47,9 +47,9 @@ print(json.dumps({"exit": code, "compiled": sorted(compiled)}))
 # other op of the command
 NOT_COMPILED = {
     ("ns-analyze", None): {"bundles.py", "tropchar.py", "naside.py"},
-    ("bundle", None): {"tropchar.py", "naside.py"},
-    ("rep", None): {"bundles.py", "naside.py"},
-    ("rep", "eta"): {"naside.py"},
+    ("bundle", None): {"tropchar.py", "naside.py", "monomials.py"},
+    ("rep", None): {"bundles.py", "naside.py", "monomials.py"},
+    ("rep", "eta"): {"naside.py", "monomials.py"},
     ("na", "trop-line"): {"tropchar.py"},
     ("na", "trop-simple"): {"tropchar.py"},
     ("na", "trop-rep"): {"bundles.py"},

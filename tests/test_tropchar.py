@@ -282,6 +282,58 @@ def test_canonical_form_conjugation_invariant():
         assert stratum(conj) == stratum(rep)
 
 
+def rand_element_over(rng, r, max_den):
+    perm = list(range(r))
+    rng.shuffle(perm)
+    d = tuple(rand_fraction(rng, -30, 30, max_den) for _ in range(r))
+    return TropGLElement(tuple(perm), d)
+
+
+def test_conjugate_matches_compose_and_inverse():
+    # the one-pass integer conjugation against its definition a img a^-1,
+    # on images that mostly do not commute, with negative translations and
+    # denominators up to 12
+    rng = random.Random(257)
+    commuting = 0
+    for _ in range(600):
+        r, g = rng.randint(1, 12), rng.randint(1, 3)
+        rep = TropRepresentation(tuple(rand_element_over(rng, r, 12) for _ in range(g)))
+        a = rand_element_over(rng, r, 12)
+        a_inv = inverse(a)
+        expected = tuple(compose(compose(a, img), a_inv) for img in rep.images)
+        images = conjugate(rep, a).images
+        assert images == expected
+        assert all(type(x) is Fraction for img in images for x in img.d)
+        commuting += check_commuting(rep)
+    assert commuting < 300
+
+
+def test_conjugate_by_an_element_of_another_size():
+    rep = TropRepresentation((identity(2), TropGLElement((1, 0), (F(1, 2), F(-3)))))
+    for a in (identity(1), identity(3)):
+        with pytest.raises(SizeMismatch, match="^cannot compose elements of different sizes$"):
+            conjugate(rep, a)
+
+
+def test_conjugate_composes_nothing(monkeypatch):
+    calls = 0
+    real = tropchar.compose
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    rng = random.Random(263)
+    rep = rand_bundle_rep(rng, 12, 3)
+    a = rand_element(rng, 12)
+    monkeypatch.setattr(tropchar, "compose", counting)
+    conj = conjugate(rep, a)
+    monkeypatch.undo()
+    assert calls == 0
+    assert conj.images == tuple(compose(compose(a, img), inverse(a)) for img in rep.images)
+
+
 def test_stratum_sorted():
     a1 = TropGLElement((1, 0, 2), (F(0), F(0), F(1)))
     rep = TropRepresentation((a1,))
