@@ -20,16 +20,17 @@ _EXPORTS = {
         iso_pushforward line_bundle moduli_point pullback pushforward
         restrict_line_bundle slope sym_point tensor translate""",
     "errors": "TropabelError",
-    "lattices": """FiniteAbelianGroup QLattice Sublattice enumerate_subgroups quotient
-        reduce_mod_lattice""",
-    "linalg": "Mat hnf snf",
+    "groups": "FiniteAbelianGroup enumerate_subgroups quotient snf",
+    "lattices": "QLattice Sublattice reduce_mod_lattice",
+    "linalg": "Mat hnf",
     "monomials": "MultiplicativePoint ValuedMonomial eval_character",
     "naside": """NACharacter NALineBundle NASemisimpleRep bundle_times_character
         bundles_from_rep characters_equal_mod_m extend_r represent_on restrict_na
         translate_na trop_rep tropicalize_line_bundle tropicalize_simple
         unit_character verify_commuting_square""",
-    "nspairings": """NATorus NSClass TropTorus dual_integrality_lattice
-        extended_character_lattice integrality_lattice is_r_symmetric""",
+    "nspairings": "NSClass",
+    "tori": """NATorus TropTorus dual_integrality_lattice extended_character_lattice
+        integrality_lattice is_r_symmetric""",
     "tropchar": """OrbitSummand TropGLElement TropRepresentation bundle_from_rep
         canonical_form check_commuting compose conjugate decompose_rep from_matrix
         identity inverse power rep_from_bundle stratum to_matrix""",

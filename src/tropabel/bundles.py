@@ -35,8 +35,8 @@ from .errors import (
 )
 from .lattices import QLattice, Sublattice, _sum_and_intersection
 from .linalg import Mat
-from .nspairings import TropTorus, extended_character_lattice, is_r_symmetric
 from .rationals import as_tuple, exact_over_one_denominator, over_one_denominator, rat
+from .tori import TropTorus, extended_character_lattice, is_r_symmetric
 
 
 class TropLineBundle(Frozen):

@@ -18,16 +18,10 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable
 
-from . import bundles, jsonio, monomials, naside, tropchar
+from . import bundles, jsonio, monomials, naside, nspairings, tropchar
 from .errors import AmbientMismatch, SizeMismatch, TooLarge, TropabelError
 from .lattices import SUBGROUP_ENUMERATION_BOUND
-from .nspairings import (
-    NATorus,
-    NSClass,
-    TropTorus,
-    dual_integrality_lattice,
-    extended_character_lattice,
-)
+from .tori import NATorus, TropTorus, dual_integrality_lattice, extended_character_lattice
 
 
 # each integer parameter: its default, its least value (None: any) and its description
@@ -128,6 +122,8 @@ def load_scenario(path: str) -> Scenario:
         raise jsonio.ScenarioError(
             "scenario has a JSON integer with more digits than an int may be read from"
         ) from exc
+    except RecursionError as exc:  # json.load recurses once per level of nesting
+        raise jsonio.ScenarioError("scenario nests its JSON values too deeply") from exc
     return Scenario(data)
 
 
@@ -148,7 +144,8 @@ def cmd_ns_analyze(scenario: Scenario, bound: int) -> dict[str, Any]:
     if scenario.ns_class is None:
         raise jsonio.ScenarioError("ns-analyze needs an 'ns_class' matrix")
     torus = scenario.torus
-    cls = NSClass(torus, scenario.ns_class)  # refuses a class whose V^T H is not symmetric
+    # the class refuses a matrix whose V^T H is not symmetric
+    cls = nspairings.NSClass(torus, scenario.ns_class)
     report: dict[str, Any] = {
         "g": torus.g,
         "ns_class": jsonio.matrix_to_json(cls.matrix),

@@ -15,9 +15,9 @@ A decoder checks the JSON types and shapes, and returns
 validation step, which its public constructor runs too, so each check is
 written in the value's class alone, runs once and raises the constructor's error.
 
-``bundles``, ``monomials``, ``naside`` and ``tropchar`` are read as modules,
-which the package loads lazily, so decoding a tropical torus or a class on it
-compiles none of them.
+``bundles``, ``monomials``, ``naside``, ``nspairings`` and ``tropchar`` are
+read as modules, which the package loads lazily, so decoding a tropical torus
+or a class matrix on it compiles none of them.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ import math
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import bundles, monomials, naside, tropchar
+from . import bundles, monomials, naside, nspairings, tropchar
 from .errors import DimensionMismatch, MalformedScalar, TropabelError, ZeroDenominator
 from .lattices import Sublattice
 from .linalg import Mat
-from .nspairings import NATorus, NSClass, TropTorus
 from .rationals import parse_rational
+from .tori import NATorus, TropTorus
 
 
 class ScenarioError(TropabelError):
@@ -254,7 +254,7 @@ def na_bundle_from_json(data: Any, torus: NATorus, default_ns: Mat | None) -> na
         else Sublattice.full(torus.g)
     )
     r = tuple(mono_from_json(v) for v in _json_list(data["r"], "monomials"))
-    return naside.NALineBundle._from_valid(NSClass(torus, h), lattice, r)._checked()
+    return naside.NALineBundle._from_valid(nspairings.NSClass(torus, h), lattice, r)._checked()
 
 
 def na_rep_to_json(rep: naside.NASemisimpleRep) -> dict[str, Any]:

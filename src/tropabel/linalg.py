@@ -12,12 +12,12 @@ Two layers live here:
     pass on the integer ``num``; desk-scale only, no pivoting beyond "first
     nonzero" is needed because arithmetic is exact.
 
-  * integer normal forms — column Hermite form in one fixed convention
+  * the integer Hermite form — column Hermite form in one fixed convention
     (lower-triangular, positive diagonal, off-diagonal row entries reduced into
-    [0, diagonal)) from one pass that builds no transform, and Smith form with
-    transformation matrices.  ``hnf``'s transform and a congruence lattice are
-    read as a block of the Hermite form of a block matrix; no other module
-    builds a Hermite transform.
+    [0, diagonal)) from one pass that builds no transform.  ``hnf``'s
+    transform and a congruence lattice are read as a block of the Hermite form
+    of a block matrix; no other module builds a Hermite transform.  The Smith
+    form belongs to the finite side, ``groups``.
 
 The Hermite convention is load-bearing: canonical bases make structural
 equality of lattices coincide with mathematical equality everywhere else in
@@ -233,7 +233,7 @@ class Mat(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# Integer normal forms
+# The integer Hermite form
 # ---------------------------------------------------------------------------
 
 
@@ -304,78 +304,6 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:
     return h[:n], h[n:]
 
 
-def snf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows, IntRows]:
-    """Smith form: returns (U, D, W) with U @ A @ W = D.
-
-    D is diagonal with nonnegative entries d_1 | d_2 | ...; U and W are
-    unimodular.  Raises DimensionMismatch for empty or ragged rows and NotExact
-    for an entry that is not an integer (an integral Fraction is read as one).
-    """
-    m = _common_length(rows, "rows")
-    a = [[as_int(x, NotExact) for x in r] for r in rows]
-    n = len(a)
-    u, w = _identity(n), _identity(m)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in w:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in w:
-            row[dst] -= q * row[src]
-
-    t = 0
-    while t < min(n, m):
-        entries = [(i, j) for i in range(t, n) for j in range(t, m) if a[i][j] != 0]
-        if not entries:
-            break
-        i0, j0 = min(entries, key=lambda ij: abs(a[ij[0]][ij[1]]))
-        if i0 != t:
-            swap_rows(t, i0)
-        if j0 != t:
-            swap_cols(t, j0)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, n):
-                while a[i][t] != 0:
-                    add_row(i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, m):
-                while a[t][j] != 0:
-                    add_col(j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        # enforce d_t | every remaining entry
-        viol = next(
-            ((i, j) for i in range(t + 1, n) for j in range(t + 1, m) if a[i][j] % a[t][t]),
-            None,
-        )
-        if viol is not None:
-            add_row(t, viol[0], -1)
-            continue
-        t += 1
-    return u, a, w
-
-
 def congruence_lattice(
     rows: Sequence[Sequence[int]], modulus: int, basis: Sequence[Sequence[int]] | None = None
 ) -> IntRows:
@@ -391,3 +319,13 @@ def congruence_lattice(
     if not all(h[n + i][n + i] for i in range(m)):
         raise RankDeficient("congruence solution lattice is rank deficient")
     return [row[n:] for row in h[n:]]
+
+
+def __getattr__(name: str):
+    # bench/tracer.py wraps linalg.snf by this name; the Smith form lives in
+    # groups, which is loaded only when it is asked for
+    if name == "snf":
+        from . import groups
+
+        return groups.snf
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

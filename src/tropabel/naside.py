@@ -19,7 +19,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from . import bundles, tropchar  # modules, so that only the functions using them load them
+# modules, so that only the functions using them load them
+from . import bundles, groups, nspairings, tropchar
 from ._frozen import Frozen
 from .errors import (
     AmbientMismatch,
@@ -31,11 +32,11 @@ from .errors import (
     SizeMismatch,
     TropabelError,
 )
-from .lattices import Sublattice, _smith_adapted
+from .lattices import Sublattice
 from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
-from .nspairings import NATorus, NSClass
 from .rationals import as_int, as_tuple, over_one_denominator
+from .tori import NATorus
 
 
 class NACharacter(Frozen):
@@ -78,14 +79,14 @@ class NALineBundle(Frozen):
     which makes the cocycle extension below single-valued.
     """
 
-    ns: NSClass
+    ns: nspairings.NSClass
     lattice: Sublattice
     r_basis: tuple[ValuedMonomial, ...]
 
     def __post_init__(self):
         r_basis = as_tuple(self.r_basis, "ValuedMonomials")
         if not (
-            isinstance(self.ns, NSClass)
+            isinstance(self.ns, nspairings.NSClass)
             and isinstance(self.lattice, Sublattice)
             and all(isinstance(v, ValuedMonomial) for v in r_basis)
         ):
@@ -105,7 +106,7 @@ class NALineBundle(Frozen):
         return self
 
 
-def _check_cover(ns: NSClass, lattice: Sublattice) -> None:
+def _check_cover(ns: nspairings.NSClass, lattice: Sublattice) -> None:
     """The class must be integral and multiplicatively symmetric on the cover."""
     if not ns.integrality.contains_lattice(lattice):
         raise InvalidClass("class is not integral on the cover lattice")
@@ -115,7 +116,7 @@ def _check_cover(ns: NSClass, lattice: Sublattice) -> None:
 
 
 def _extend_from_basis(
-    ns: NSClass,
+    ns: nspairings.NSClass,
     basis: Sequence[tuple[int, ...]],
     values: Sequence[ValuedMonomial],
     coeffs: Sequence[int],
@@ -170,7 +171,7 @@ def represent_on(b: NALineBundle, target: Sublattice) -> NALineBundle:
     """
     if target.ambient_rank != b.lattice.ambient_rank:
         raise AmbientMismatch("target lattice does not match the torus rank")
-    u, d, adapted = _smith_adapted(target, b.lattice & target)
+    u, d, adapted = groups._smith_adapted(target, b.lattice & target)
     values = []
     for k, w in zip(d, adapted):
         scaled = tuple(k * x for x in w)
@@ -301,7 +302,7 @@ def bundles_from_rep(rep: NASemisimpleRep, torus: NATorus) -> tuple[NALineBundle
         raise AmbientMismatch("torus rank differs from the representation rank")
     if not isinstance(torus, NATorus):
         raise InvalidClass("the class must live on a multiplicative torus")
-    zero = NSClass._from_valid(torus, Mat.zeros(torus.g, torus.g))
+    zero = nspairings.NSClass._from_valid(torus, Mat.zeros(torus.g, torus.g))
     full = Sublattice.full(torus.g)
     return tuple(NALineBundle._from_valid(zero, full, c.values) for c in rep.characters)
 

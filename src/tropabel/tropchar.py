@@ -25,8 +25,8 @@ from .errors import (
 )
 from .lattices import Sublattice
 from .linalg import Mat
-from .nspairings import TropTorus
 from .rationals import as_int, as_tuple, over_one_denominator, rat
+from .tori import TropTorus
 
 
 class TropGLElement(Frozen):

@@ -27,7 +27,8 @@ from tropabel.bundles import (
     translate,
 )
 from tropabel.cli import main
-from tropabel.lattices import QLattice, Sublattice, quotient, reduce_mod_lattice
+from tropabel.groups import quotient
+from tropabel.lattices import QLattice, Sublattice, reduce_mod_lattice
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial
 from tropabel.naside import (
@@ -39,9 +40,9 @@ from tropabel.naside import (
     unit_character,
     verify_commuting_square,
 )
-from tropabel.nspairings import (
+from tropabel.nspairings import NSClass
+from tropabel.tori import (
     NATorus,
-    NSClass,
     TropTorus,
     dual_integrality_lattice,
     extended_character_lattice,

@@ -82,3 +82,35 @@ def test_every_traced_name_resolves_after_the_benchmark_imports():
 def test_every_traced_name_resolves_after_the_child_import():
     # the import of bench/child.py, which leaves bundles, tropchar and naside unrun
     _assert_installs_and_resolves("import tropabel.cli")
+
+
+# one ns-analyze call under the tracer, installed as bench/child.py installs it
+NS_ANALYZE = """
+import contextlib, io, json, sys
+import tropabel.cli as cli
+from tracer import Tracer
+tracer_ = Tracer()
+tracer_.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["ns-analyze", "--scenario", sys.argv[1]])
+tracer_.uninstall()
+print(json.dumps({"exit": code, "calls": tracer_.summary()["calls"]}))
+"""
+
+
+def test_the_forwarded_finite_group_spans_still_count():
+    # the tracer wraps linalg.snf and lattices.quotient, which those modules forward
+    # to groups, and rebinds the wrappers where the library looks the functions up
+    src = str(Path(tropabel.__file__).resolve().parent.parent)
+    scenario = str(ROOT / "scenarios" / "reference_example.json")
+    out = subprocess.run(
+        [sys.executable, "-c", NS_ANALYZE, scenario],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(ROOT / "bench")])},
+    )
+    report = json.loads(out.stdout)
+    assert report["exit"] == 0
+    assert report["calls"].get("linalg.snf", 0) >= 1
+    assert report["calls"].get("lattices.quotient", 0) >= 1

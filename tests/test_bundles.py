@@ -45,7 +45,7 @@ from tropabel.errors import (
 )
 from tropabel.lattices import QLattice, Sublattice, reduce_mod_lattice
 from tropabel.linalg import Mat
-from tropabel.nspairings import TropTorus, extended_character_lattice, integrality_lattice
+from tropabel.tori import TropTorus, extended_character_lattice, integrality_lattice
 from tropabel.tropchar import TropRepresentation, bundle_from_rep, identity
 
 from conftest import (

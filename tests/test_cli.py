@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropabel import cli, jsonio, lattices, naside, nspairings
+from tropabel import cli, groups, jsonio, naside, nspairings, tori
 from tropabel.bundles import as_bundle, line_bundle
 from tropabel.cli import main
 from tropabel.errors import TropabelError
@@ -25,7 +25,8 @@ from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
 from tropabel.monomials import ValuedMonomial
 from tropabel.naside import NACharacter, NASemisimpleRep
-from tropabel.nspairings import NATorus, NSClass, TropTorus
+from tropabel.nspairings import NSClass
+from tropabel.tori import NATorus, TropTorus
 from tropabel.tropchar import TropGLElement, TropRepresentation
 
 from conftest import mono
@@ -535,6 +536,17 @@ def test_json_integer_beyond_the_int_digit_limit_is_validation_error(capsys, tmp
     assert "set_int_max_str_digits" not in record["error"]
 
 
+def test_too_deeply_nested_scenario_is_validation_error(capsys, tmp_path):
+    # json.load recurses once per level and runs out of stack on this file
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "ns-analyze", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["kind"] == "ScenarioError"
+
+
 def test_an_answer_past_the_int_digit_limit_prints(capsys, tmp_path):
     # a 5 x 5 basis of 1000-digit entries has an index of about 5000 digits, past
     # the int-to-str limit that the wire keeps on input
@@ -946,21 +958,21 @@ def test_ns_analyze_reads_the_symmetry_facts_from_the_class(capsys, tmp_path, ph
     path.write_text(json.dumps(data))
     report = run_json(capsys, "ns-analyze", "--scenario", str(path))
     ns = NSClass(cli.Scenario(data).torus, Mat.identity(4))
-    assert report["r_symmetric"] is nspairings.is_r_symmetric(ns.matrix, ns.torus.v) is True
+    assert report["r_symmetric"] is tori.is_r_symmetric(ns.matrix, ns.torus.v) is True
     assert report["gm_symmetric"] is ns.is_gm_symmetric_on(ns.integrality)
 
 
 def test_na_trop_simple_builds_no_smith_form(capsys, monkeypatch):
     # the class rank is read from the integrality and symmetry indices
     calls = 0
-    real = lattices.snf
+    real = groups.snf
 
     def counting(rows):
         nonlocal calls
         calls += 1
         return real(rows)
 
-    monkeypatch.setattr(lattices, "snf", counting)
+    monkeypatch.setattr(groups, "snf", counting)
     run_json(capsys, "na", "trop-simple", "--scenario", scen("reference_example.json"))
     assert calls == 0
 

@@ -24,7 +24,8 @@ from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial
 from tropabel.naside import NACharacter, NALineBundle, NASemisimpleRep
-from tropabel.nspairings import NATorus, NSClass, TropTorus, integrality_lattice
+from tropabel.nspairings import NSClass
+from tropabel.tori import NATorus, TropTorus, integrality_lattice
 from tropabel.tropchar import TropGLElement, TropRepresentation
 
 F = Fraction

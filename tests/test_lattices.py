@@ -17,16 +17,9 @@ from tropabel.errors import (
     SingularLattice,
     TooLarge,
 )
-from tropabel.lattices import (
-    SUBGROUP_ENUMERATION_BOUND,
-    FiniteAbelianGroup,
-    QLattice,
-    Sublattice,
-    enumerate_subgroups,
-    quotient,
-    reduce_mod_lattice,
-)
-from tropabel import lattices
+from tropabel.groups import FiniteAbelianGroup, enumerate_subgroups, quotient
+from tropabel.lattices import SUBGROUP_ENUMERATION_BOUND, QLattice, Sublattice, reduce_mod_lattice
+from tropabel import groups, lattices
 from tropabel.linalg import Mat, column_hnf, hnf
 
 from conftest import hermite_bases, rand_sublattice, sublattices_of_index_at_most
@@ -361,7 +354,7 @@ def test_quotient_lifts_and_trivial_columns_span_the_ambient():
         assert all(sub.contains(v) for v in q._trivial)
         # the adapted basis A, read from Smith's W, satisfies A U = ambient's
         # basis, and each d_j A_j lies in sub
-        u, d, adapted = lattices._smith_adapted(amb, sub)
+        u, d, adapted = groups._smith_adapted(amb, sub)
         assert [
             tuple(sum(a[i] * u[j][k] for j, a in enumerate(adapted)) for k in range(g))
             for i in range(g)

@@ -16,8 +16,9 @@ from tropabel.errors import (
     SingularLattice,
     ZeroDenominator,
 )
+from tropabel.groups import snf
 from tropabel.jsonio import ScenarioError, matrix_to_json, rational_from_json
-from tropabel.linalg import Mat, column_hnf, congruence_lattice, hnf, snf
+from tropabel.linalg import Mat, column_hnf, congruence_lattice, hnf
 from tropabel.rationals import RATIONAL, parse_rational, rat
 
 F = Fraction

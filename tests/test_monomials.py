@@ -11,8 +11,8 @@ from tropabel.monomials import (
     ValuedMonomial,
     eval_character,
 )
-from tropabel.nspairings import NATorus
 from tropabel.rationals import frac_mod_1
+from tropabel.tori import NATorus
 
 from conftest import MINUS_ONE, ONE, T_UNIF, mono, rand_mono
 

@@ -18,7 +18,8 @@ from tropabel.errors import (
     SizeMismatch,
     TropabelError,
 )
-from tropabel.lattices import Sublattice, enumerate_subgroups
+from tropabel.groups import enumerate_subgroups
+from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from tropabel.naside import (
@@ -38,7 +39,8 @@ from tropabel.naside import (
     unit_character,
     verify_commuting_square,
 )
-from tropabel.nspairings import NATorus, NSClass, TropTorus
+from tropabel.nspairings import NSClass
+from tropabel.tori import NATorus, TropTorus
 from tropabel.tropchar import TropGLElement, TropRepresentation, bundle_from_rep
 
 from test_acceptance import bounded_defect_instances

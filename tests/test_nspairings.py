@@ -14,12 +14,13 @@ from tropabel.errors import (
     NotInSmallLattice,
     TooLarge,
 )
-from tropabel.lattices import FiniteAbelianGroup, QLattice, Sublattice, enumerate_subgroups
+from tropabel.groups import FiniteAbelianGroup, enumerate_subgroups
+from tropabel.lattices import QLattice, Sublattice
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial, eval_character
-from tropabel.nspairings import (
+from tropabel.nspairings import NSClass
+from tropabel.tori import (
     NATorus,
-    NSClass,
     TropTorus,
     dual_integrality_lattice,
     extended_character_lattice,

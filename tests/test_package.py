@@ -23,9 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 SRC = str(Path(tropabel.__file__).resolve().parent.parent)
 
-# runs one CLI call, its report kept off stdout, and prints its exit code and the
-# package's source files that the interpreter compiled
-AUDIT = """
+# collects in ``compiled`` the package's source files that the interpreter compiles
+HOOK = """
 import contextlib, io, json, os, sys
 compiled = set()
 
@@ -36,6 +35,10 @@ def record(event, args):
             compiled.add(name)
 
 sys.addaudithook(record)
+"""
+# runs one CLI call, its report kept off stdout, and prints its exit code and the
+# package's source files that the interpreter compiled
+AUDIT = HOOK + """
 from tropabel import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
@@ -47,12 +50,13 @@ print(json.dumps({"exit": code, "compiled": sorted(compiled)}))
 # other op of the command
 NOT_COMPILED = {
     ("ns-analyze", None): {"bundles.py", "tropchar.py", "naside.py"},
-    ("bundle", None): {"tropchar.py", "naside.py", "monomials.py"},
-    ("rep", None): {"bundles.py", "naside.py", "monomials.py"},
-    ("rep", "eta"): {"naside.py", "monomials.py"},
-    ("na", "trop-line"): {"tropchar.py"},
-    ("na", "trop-simple"): {"tropchar.py"},
-    ("na", "trop-rep"): {"bundles.py"},
+    ("bundle", None): {"tropchar.py", "naside.py", "monomials.py", "nspairings.py", "groups.py"},
+    ("rep", None): {"bundles.py", "naside.py", "monomials.py", "nspairings.py", "groups.py"},
+    ("rep", "eta"): {"naside.py", "monomials.py", "nspairings.py", "groups.py"},
+    ("na", None): {"groups.py"},
+    ("na", "trop-line"): {"tropchar.py", "groups.py"},
+    ("na", "trop-simple"): {"tropchar.py", "groups.py"},
+    ("na", "trop-rep"): {"bundles.py", "nspairings.py", "groups.py"},
 }
 
 
@@ -128,8 +132,38 @@ def test_a_command_compiles_only_the_modules_it_runs(sources_only, command, op, 
     report = json.loads(out.stdout)
     compiled = set(report["compiled"])
     assert report["exit"] == 0
-    assert {"__init__.py", "cli.py", "jsonio.py", "nspairings.py"} <= compiled
+    assert {"__init__.py", "cli.py", "jsonio.py", "tori.py"} <= compiled
     assert compiled & _not_compiled(command, op) == set()
+
+
+def test_the_forwarded_names_are_the_functions_of_groups():
+    from tropabel import groups, lattices, linalg
+
+    assert linalg.snf is groups.snf
+    assert lattices.quotient is groups.quotient
+    assert lattices.enumerate_subgroups is groups.enumerate_subgroups
+    for module in (linalg, lattices):
+        with pytest.raises(AttributeError, match="has no attribute 'FiniteAbelianGroup'"):
+            module.FiniteAbelianGroup
+
+
+def test_lattices_and_linalg_run_without_compiling_groups(sources_only):
+    script = HOOK + (
+        "import tropabel.lattices as lattices, tropabel.linalg as linalg\n"
+        "lattices.Sublattice.full(2).intersect(lattices.Sublattice([[2, 0], [0, 1]]))\n"
+        "linalg.hnf([[2, 1], [0, 3]])\n"
+        "print(json.dumps(sorted(compiled)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(sources_only)},
+    )
+    compiled = set(json.loads(out.stdout))
+    assert {"lattices.py", "linalg.py"} <= compiled
+    assert "groups.py" not in compiled
 
 
 def test_run_as_a_module_warns_of_nothing():

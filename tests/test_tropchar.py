@@ -13,7 +13,7 @@ from tropabel.errors import NotCommuting, NotExact, NotInvertible, SizeMismatch,
 from tropabel import lattices, linalg
 from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
-from tropabel.nspairings import TropTorus
+from tropabel.tori import TropTorus
 from tropabel.tropchar import (
     TropGLElement,
     TropRepresentation,
