@@ -14,7 +14,7 @@ Hermite bases that checks each new column in integers and abandons a failing
 branch; given an alternating form it keeps only the isotropic subgroups, so
 the admissible covers, which correspond to the Lagrangian (isotropic of order
 sqrt|D|) subgroups of a defect group D, come out of the walk directly, each
-carrying its basis down the walk (one extended-gcd step per entry at each
+carrying its basis down the walk (one ``linalg._hermite_add`` join at each
 node), not taking a Hermite form of its own.  The walk charges its work to
 one budget of steps as it goes and raises ``TooLarge`` when the budget runs
 out.
@@ -216,34 +216,6 @@ def _in_span(v: list[int], cols: Sequence[Sequence[int]], start: int) -> bool:
             for t in range(i + 1, len(v)):
                 v[t] -= q * cols[i][t]
     return True
-
-
-def _hermite_add(cols: Sequence[Sequence[int]], v: Sequence[int]) -> list:
-    """The columns of a lower-triangular basis with positive diagonal, joined by
-    v: one extended-gcd step per nonzero entry of v (Cohen, GTM 138, 2.4); the
-    entries left of the diagonal are not reduced."""
-    cols = list(cols)
-    for i in range(len(v)):
-        if v[i]:
-            c, p, x = cols[i], cols[i][i], v[i]
-            d = math.gcd(p, x)
-            t = pow(x // d, -1, p // d)  # s p + t x = d for the s below
-            s = (d - t * x) // p
-            cols[i] = [s * y + t * z for y, z in zip(c, v)]
-            v = [p // d * z - x // d * y for y, z in zip(c, v)]
-    return cols
-
-
-def _hermite_rows(cols: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """The rows of the canonical Hermite form of such columns: each entry left
-    of the diagonal reduced into range(diagonal) by the column of its row."""
-    cols = [list(col) for col in cols]
-    for j in range(len(cols) - 2, -1, -1):
-        for i in range(j + 1, len(cols)):
-            q = cols[j][i] // cols[i][i]
-            if q:
-                cols[j][i:] = [y - q * z for y, z in zip(cols[j][i:], cols[i][i:])]
-    return list(zip(*cols))
 
 
 def enumerate_subgroups(

@@ -14,7 +14,11 @@ Two layers live here:
 
   * the integer Hermite form — column Hermite form in one fixed convention
     (lower-triangular, positive diagonal, off-diagonal row entries reduced into
-    [0, diagonal)) from one pass that builds no transform.  ``hnf``'s
+    [0, diagonal)), built by one join and one reducer and no transform:
+    ``_hermite_add`` adds a vector to an echelon basis by Euclid steps, and
+    ``_hermite_rows`` reduces the basis once.  ``column_hnf`` folds the join
+    over its input's columns, and the subgroup walk of ``groups`` joins each
+    cover's generators onto the symmetry lattice's basis with it.  ``hnf``'s
     transform and a congruence lattice are read as a block of the Hermite form
     of a block matrix; no other module builds a Hermite transform.  The Smith
     form belongs to the finite side, ``groups``.
@@ -237,43 +241,48 @@ class Mat(Frozen):
 # ---------------------------------------------------------------------------
 
 
-def _transpose(rows: Sequence[Sequence[int]]) -> IntRows:
-    return [list(col) for col in zip(*rows)] if rows else []
-
-
 def _identity(n: int) -> IntRows:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def row_hnf(rows: Sequence[Sequence[int]]) -> IntRows:
-    """Row Hermite form H = U @ A for some unimodular U, which is not built.
+def _hermite_add(cols: Sequence[Sequence[int] | None], v: Sequence[int]) -> list:
+    """An echelon basis joined by v, as a new list: ``cols[i]`` is the column
+    whose first nonzero entry, positive, is in row i, or None.  One Euclid step
+    per nonzero entry of v (reduce and swap until v's entry is 0, then fix the
+    sign), on copies, since callers share the columns; the entries in later
+    pivot rows are not reduced."""
+    cols, v = list(cols), list(v)
+    n = len(v)
+    for i in range(n):
+        if v[i]:
+            c = cols[i]
+            if c is None:
+                cols[i] = v if v[i] > 0 else [-z for z in v]
+                break
+            c = list(c)
+            while v[i]:
+                q = c[i] // v[i]
+                for t in range(i, n):  # both are 0 above row i
+                    c[t] -= q * v[t]
+                c, v = v, c
+            cols[i] = c if c[i] > 0 else [-y for y in c]
+    return cols
 
-    H is in row-echelon form; each pivot is positive and the entries above a
-    pivot are reduced into [0, pivot). Zero rows sink to the bottom.
-    """
-    a = [list(r) for r in rows]
-    n, r = len(a), 0
-    for c in range(len(a[0]) if a else 0):
-        if r == n:
-            break
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, n):
-            # euclid on (a[r][c], a[i][c]) by alternating reduce-and-swap
-            while a[i][c] != 0:
-                q = a[r][c] // a[i][c]
-                a[r], a[i] = a[i], [x - q * y for x, y in zip(a[r], a[i])]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
+
+def _hermite_rows(cols: Sequence[Sequence[int] | None]) -> IntRows:
+    """The rows of the canonical Hermite form of such a basis, its columns in
+    pivot order: each entry in a pivot row reduced into range(pivot) by the
+    column of that row (len(cols) empty rows when no column holds a pivot)."""
+    pivots = [i for i, c in enumerate(cols) if c is not None]
+    h = [list(cols[i]) for i in pivots]
+    for j in range(len(h) - 2, -1, -1):
+        col = h[j]
+        for c, i in zip(h[j + 1 :], pivots[j + 1 :]):
+            q = col[i] // c[i]
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return a
+                for t in range(i, len(col)):
+                    col[t] -= q * c[t]
+    return [list(row) for row in zip(*h)] if h else [[] for _ in cols]
 
 
 def column_hnf(rows: Sequence[Sequence[int]]) -> IntRows:
@@ -283,7 +292,13 @@ def column_hnf(rows: Sequence[Sequence[int]]) -> IntRows:
     and row entries left of the diagonal reduced into [0, diagonal); in
     general the nonzero columns come first and zero columns sink to the right.
     """
-    return _transpose(row_hnf(_transpose(rows)))
+    gens = list(zip(*rows))
+    if not gens:
+        return []
+    cols: list = [None] * len(rows)
+    for v in gens:
+        cols = _hermite_add(cols, v)
+    return [row + [0] * (len(gens) - len(row)) for row in _hermite_rows(cols)]
 
 
 def hnf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:

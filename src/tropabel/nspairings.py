@@ -29,7 +29,7 @@ from .errors import (
     NotInSmallLattice,
 )
 from .lattices import SUBGROUP_ENUMERATION_BOUND, Sublattice
-from .linalg import Mat, congruence_lattice
+from .linalg import Mat, _hermite_add, _hermite_rows, congruence_lattice
 from .rationals import over_one_denominator
 from .tori import NATorus, Torus, TropTorus, integrality_lattice, is_r_symmetric
 
@@ -194,7 +194,7 @@ class NSClass(Frozen):
 
         def extend(cols, col):
             # the node that places col joins its lift to the basis of every cover below
-            return groups._hermite_add(cols, [sum(map(operator.mul, row, col)) for row in lifts])
+            return _hermite_add(cols, [sum(map(operator.mul, row, col)) for row in lifts])
 
         # symmetry = span(trivial columns, d_i * generator lifts) and a subgroup holds
         # each d_i e_i, so its cover is symmetry + span(lifts of its columns)
@@ -202,7 +202,7 @@ class NSClass(Frozen):
         leaves = groups._walk(
             q, n // self.integrality.index, bound, self.defect_phases, root, extend
         )
-        lattices = [Sublattice._from_hermite(groups._hermite_rows(cols)) for cols in leaves]
+        lattices = [Sublattice._from_hermite(_hermite_rows(cols)) for cols in leaves]
         if not lattices or any(lat.index != n for lat in lattices):
             raise InternalInconsistency("admissible lattices violate the defect-order identity")
         return sorted(lattices, key=lambda lat: lat.basis)

@@ -15,7 +15,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from tropabel.errors import RankDeficient
 from tropabel.lattices import Sublattice, _sum_and_intersection
-from tropabel.linalg import column_hnf, congruence_lattice, hnf
+from tropabel.linalg import _hermite_add, _hermite_rows, column_hnf, congruence_lattice, hnf
 
 
 def sympy_form(rows):
@@ -45,6 +45,18 @@ def assert_column_echelon(h):
     for j, p in zip(cols, pivots):
         assert h[p][j] > 0
         assert all(0 <= h[p][k] < h[p][j] for k in range(j))
+
+
+def assert_column_hnf_against_sympy(a):
+    """column_hnf(a) keeps a's shape, is in column echelon form, and its nonzero
+    columns span a's column lattice; the form is unique, so this pins it."""
+    h = column_hnf(a)
+    assert len(h) == len(a) and all(len(row) == len(a[0]) for row in h)
+    assert_column_echelon(h)
+    cols = nonzero_columns(h)
+    assert len(cols) == sympy.Matrix(a).rank()
+    if cols:
+        assert same_lattice([[row[j] for j in cols] for row in h], a)
 
 
 def rand_square(rng, n):
@@ -81,14 +93,72 @@ def test_column_hnf_matches_sympy_on_square_matrices():
     rng = random.Random(709)
     for _ in range(150):
         n = rng.randint(1, 4)
-        a = rand_square(rng, n)
-        if not any(map(any, a)):
-            continue
-        h = column_hnf(a)
-        assert_column_echelon(h)
-        cols = nonzero_columns(h)
-        assert len(cols) == sympy.Matrix(a).rank()
-        assert same_lattice([[row[j] for j in cols] for row in h], a)
+        assert_column_hnf_against_sympy(rand_square(rng, n))
+
+
+def rand_low_rank(rng, n, m, rank, lo=-4, hi=4):
+    """An n x m integer matrix of rank at most ``rank``, the product of an
+    n x rank and a rank x m factor."""
+    b = [[rng.randint(lo, hi) for _ in range(rank)] for _ in range(n)]
+    c = [[rng.randint(lo, hi) for _ in range(m)] for _ in range(rank)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+
+
+def test_column_hnf_matches_sympy_on_wide_generator_sets():
+    # g x n with n > g: the generators of from_generators and of a sum
+    rng = random.Random(733)
+    for _ in range(80):
+        g = rng.randint(1, 4)
+        n = rng.randint(g + 1, 2 * g + 2)
+        assert_column_hnf_against_sympy([[rng.randint(-6, 6) for _ in range(n)] for _ in range(g)])
+
+
+def test_column_hnf_matches_sympy_on_a_stacked_identity():
+    # [A; I], the shape that hnf reads its transform from; A of any shape and rank
+    rng = random.Random(739)
+    for _ in range(80):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        a = rand_low_rank(rng, n, m, rng.randint(1, min(n, m)))
+        assert_column_hnf_against_sympy(a + [[int(i == j) for j in range(m)] for i in range(m)])
+
+
+def test_column_hnf_matches_sympy_on_rank_deficient_non_square_matrices():
+    rng = random.Random(743)
+    deficient = 0
+    for _ in range(120):
+        n, m = rng.sample(range(1, 6), 2)
+        a = rand_low_rank(rng, n, m, rng.randint(1, min(n, m)))
+        deficient += sympy.Matrix(a).rank() < min(n, m)
+        assert_column_hnf_against_sympy(a)
+    assert deficient >= 30
+
+
+def test_column_hnf_matches_sympy_on_hundred_digit_entries():
+    rng = random.Random(751)
+    big = 10**100
+    for _ in range(30):
+        n, m = rng.randint(1, 3), rng.randint(1, 5)
+        a = [[rng.choice((-1, 1)) * rng.randint(big, 10 * big) for _ in range(m)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            # a dependent row, so that the rank-deficient path runs on big entries
+            a[-1] = [rng.choice((-2, -1, 1, 2)) * x for x in a[0]]
+        assert all(len(str(abs(x))) >= 100 for row in a for x in row)
+        assert_column_hnf_against_sympy(a)
+
+
+def test_join_and_reduce_give_the_basis_of_from_generators():
+    # the cover walk's path (join onto a Hermite basis, reduce once) and the
+    # column_hnf path of from_generators build one basis from one generator set
+    rng = random.Random(757)
+    for _ in range(120):
+        g = rng.randint(1, 4)
+        lat = rand_lattice(rng, g, max_index=rng.choice([8, 64, 10**6]))
+        extra = [[rng.randint(-30, 30) for _ in range(g)] for _ in range(rng.randint(0, 3))]
+        cols = list(zip(*lat.basis))
+        for v in extra:
+            cols = _hermite_add(cols, v)
+        expected = Sublattice.from_generators(lat.generators() + [tuple(v) for v in extra])
+        assert tuple(map(tuple, _hermite_rows(cols))) == expected.basis
 
 
 def rand_lattice(rng, g, max_index=64):

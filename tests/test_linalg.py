@@ -291,6 +291,31 @@ def test_rational_beyond_the_int_digit_limit_is_malformed(text):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([], []),
+        ([[]], []),
+        ([[], []], []),
+        ([[0]], [[0]]),
+        ([[0, 0, 0]], [[0, 0, 0]]),
+        ([[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]),
+        ([[0, 3], [0, 5]], [[3, 0], [5, 0]]),
+        ([[0, 2, 0], [0, 4, 0]], [[2, 0, 0], [4, 0, 0]]),
+        ([[0, 0], [1, 0]], [[0, 0], [1, 0]]),
+        ([[2, 4, 6]], [[2, 0, 0]]),
+        ([[2], [4], [6]], [[2], [4], [6]]),
+        ([[-3]], [[3]]),
+        ([[4, 6], [0, 0]], [[2, 0], [0, 0]]),
+        ([[0, 6, 4], [0, 0, 0], [0, 9, 6]], [[2, 0, 0], [0, 0, 0], [3, 0, 0]]),
+    ],
+)
+def test_column_hnf_on_degenerate_inputs(rows, expected):
+    # no columns give no rows, zero matrices keep their shape, zero columns sink
+    # to the right, and a pivot row may skip a row that holds no pivot
+    assert column_hnf(rows) == expected
+
+
 def test_hnf_fixed_example():
     # columns (2,0) and (1,1) span the same lattice as (1,1) and (0,2)
     h, u = hnf([[2, 1], [0, 1]])

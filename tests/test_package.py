@@ -1,6 +1,7 @@
 """The package surface, the sources each CLI command compiles, and the
 documented session of README.md."""
 
+import ast
 import importlib
 import json
 import os
@@ -164,6 +165,20 @@ def test_lattices_and_linalg_run_without_compiling_groups(sources_only):
     compiled = set(json.loads(out.stdout))
     assert {"lattices.py", "linalg.py"} <= compiled
     assert "groups.py" not in compiled
+
+
+def test_the_hermite_form_has_one_home():
+    # the join, its reducer and column_hnf are defined once, in linalg, and no
+    # second Hermite path, such as a row form, grows back in another module
+    package = Path(tropabel.__file__).resolve().parent
+    defined: dict[str, list[str]] = {}
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(source.name)
+    for name in ("_hermite_add", "_hermite_rows", "column_hnf"):
+        assert defined.get(name) == ["linalg.py"], (name, defined.get(name))
+    assert "row_hnf" not in defined
 
 
 def test_run_as_a_module_warns_of_nothing():

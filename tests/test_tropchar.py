@@ -560,10 +560,17 @@ def test_decompose_runs_no_hermite_reduction(monkeypatch):
     expected = [decompose_rep(rep) for rep in reps]
     monkeypatch.setattr(Sublattice, "from_generators", forbidden)
     monkeypatch.setattr(Sublattice, "__init__", forbidden)
-    for module in (lattices, linalg):
-        for name in ("hnf", "column_hnf", "row_hnf"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+    # every Hermite entry point, named so that a rename fails here instead of
+    # leaving a path unguarded
+    for module, name in (
+        (linalg, "hnf"),
+        (linalg, "column_hnf"),
+        (linalg, "_hermite_add"),
+        (linalg, "_hermite_rows"),
+        (lattices, "column_hnf"),
+    ):
+        assert hasattr(module, name), f"{module.__name__}.{name} is gone"
+        monkeypatch.setattr(module, name, forbidden)
     assert [decompose_rep(rep) for rep in reps] == expected
 
 
