@@ -16,12 +16,12 @@ __version__ = "0.1.0"
 # every public name, by its home module
 _EXPORTS = {
     "bundles": """ModuliPoint TropLineBundle TropVectorBundle as_bundle cover_torus
-        direct_sum equivalent gamma_compatible is_homogeneous is_semi_homogeneous
-        iso_pushforward line_bundle moduli_point pullback pushforward
-        restrict_line_bundle slope sym_point tensor translate""",
+        direct_sum equivalent is_homogeneous is_semi_homogeneous iso_pushforward
+        line_bundle moduli_point pullback pushforward restrict_line_bundle slope
+        sym_point tensor translate""",
     "errors": "TropabelError",
     "groups": "FiniteAbelianGroup enumerate_subgroups quotient snf",
-    "lattices": "QLattice Sublattice reduce_mod_lattice",
+    "lattices": "QLattice Sublattice",
     "linalg": "Mat hnf",
     "monomials": "MultiplicativePoint ValuedMonomial eval_character",
     "naside": """NACharacter NALineBundle NASemisimpleRep bundle_times_character
@@ -32,8 +32,8 @@ _EXPORTS = {
     "tori": """NATorus TropTorus dual_integrality_lattice extended_character_lattice
         integrality_lattice is_r_symmetric""",
     "tropchar": """OrbitSummand TropGLElement TropRepresentation bundle_from_rep
-        canonical_form check_commuting compose conjugate decompose_rep from_matrix
-        identity inverse power rep_from_bundle stratum to_matrix""",
+        canonical_form check_commuting compose conjugate decompose_rep identity
+        inverse power rep_from_bundle stratum""",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

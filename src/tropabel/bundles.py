@@ -374,10 +374,6 @@ def equivalent(
     )
 
 
-def gamma_compatible(e: TropVectorBundle, gamma: Sublattice) -> bool:
-    return all(s.lattice.contains_lattice(gamma) for s in e.summands)
-
-
 class ModuliPoint(Frozen):
     """Canonical coordinate of a compatible summand class.
 

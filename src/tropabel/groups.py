@@ -39,72 +39,60 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows, IntRows]:
     """Smith form: returns (U, D, W) with U @ A @ W = D.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ...; U and W are
-    unimodular.  Raises DimensionMismatch for empty or ragged rows and NotExact
-    for an entry that is not an integer (an integral Fraction is read as one).
+    unimodular.  The operations run on the one block matrix [[A, I_n], [I_m, 0]]:
+    a row operation on its top n rows carries U beside A, a column operation on
+    its left m columns carries W below it, and the blocks end as [[D, U], [W, 0]].
+    Raises DimensionMismatch for empty or ragged rows and NotExact for an entry
+    that is not an integer (an integral Fraction is read as one).
     """
     m = _common_length(rows, "rows")
-    a = [[as_int(x, NotExact) for x in r] for r in rows]
-    n = len(a)
-    u, w = _identity(n), _identity(m)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    n = len(rows)
+    b = [[as_int(x, NotExact) for x in row] + e for row, e in zip(rows, _identity(n))]
+    b += [e + [0] * n for e in _identity(m)]
 
     def swap_cols(i, j):
-        for row in a:
+        for row in b:
             row[i], row[j] = row[j], row[i]
-        for row in w:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in w:
+        for row in b:
             row[dst] -= q * row[src]
 
     t = 0
     while t < min(n, m):
-        entries = [(i, j) for i in range(t, n) for j in range(t, m) if a[i][j] != 0]
+        entries = [(i, j) for i in range(t, n) for j in range(t, m) if b[i][j] != 0]
         if not entries:
             break
-        i0, j0 = min(entries, key=lambda ij: abs(a[ij[0]][ij[1]]))
-        if i0 != t:
-            swap_rows(t, i0)
+        i0, j0 = min(entries, key=lambda ij: abs(b[ij[0]][ij[1]]))
+        b[t], b[i0] = b[i0], b[t]
         if j0 != t:
             swap_cols(t, j0)
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, n):
-                while a[i][t] != 0:
-                    add_row(i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
+                while b[i][t] != 0:
+                    q = b[i][t] // b[t][t]
+                    b[i] = [x - q * y for x, y in zip(b[i], b[t])]
+                    if b[i][t] != 0:
+                        b[t], b[i] = b[i], b[t]
                         dirty = True
             for j in range(t + 1, m):
-                while a[t][j] != 0:
-                    add_col(j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
+                while b[t][j] != 0:
+                    add_col(j, t, b[t][j] // b[t][t])
+                    if b[t][j] != 0:
                         swap_cols(t, j)
                         dirty = True
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        # enforce d_t | every remaining entry
-        viol = next(
-            ((i, j) for i in range(t + 1, n) for j in range(t + 1, m) if a[i][j] % a[t][t]),
-            None,
-        )
+        if b[t][t] < 0:
+            b[t] = [-x for x in b[t]]
+        # enforce d_t | every remaining entry: add the offending row to row t
+        d = b[t][t]
+        viol = next((i for i in range(t + 1, n) for j in range(t + 1, m) if b[i][j] % d), None)
         if viol is not None:
-            add_row(t, viol[0], -1)
+            b[t] = [x + y for x, y in zip(b[t], b[viol])]
             continue
         t += 1
-    return u, a, w
+    return [row[m:] for row in b[:n]], [row[:m] for row in b[:n]], [row[:m] for row in b[n:]]
 
 
 class FiniteAbelianGroup(Frozen):

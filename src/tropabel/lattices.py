@@ -7,7 +7,8 @@ Every question about the basis B is answered from its adjugate, computed once
 per lattice by integer forward substitution: the coordinates of w / m are
 adj(B) w / (det(B) m), membership is their integrality, and box
 representatives are their floors, one integer pass over a batch of vectors
-that also hands back the coordinates of the lattice vector that moved each.
+that also hands back the coordinates of the lattice vector that moved each
+(the tests hold its reference, a ``Fraction`` solve and floor).
 Sum and intersection are the diagonal blocks of one Hermite form.  A
 ``QLattice`` is a Sublattice scaled by 1/den and reduces through the same
 pass.  Quotients by finite-index sublattices and their subgroups are the
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 from ._frozen import Frozen
 from .errors import DimensionMismatch, NotContained, NotExact, RankDeficient, SingularLattice
 from .linalg import IntRows, Mat, _common_length, column_hnf
-from .rationals import as_int, as_tuple, exact_over_one_denominator, rat
+from .rationals import as_int, as_tuple, exact_over_one_denominator
 
 SUBGROUP_ENUMERATION_BOUND = 10_000
 
@@ -252,22 +253,8 @@ def _sum_and_intersection(a: Sublattice, b: Sublattice) -> tuple[Sublattice, Sub
 
 
 # ---------------------------------------------------------------------------
-# Rational lattices and box reduction
+# Rational lattices
 # ---------------------------------------------------------------------------
-
-
-def reduce_mod_lattice(
-    v: Sequence[int | str | Fraction], basis: Mat
-) -> tuple[Fraction, ...]:
-    """The representative of v modulo the column lattice of ``basis`` whose
-    coordinate vector in that basis lies in [0,1)^g."""
-    if basis.n != basis.m or basis.det() == 0:
-        raise SingularLattice("lattice basis must be square and nonsingular")
-    w = tuple(rat(x) for x in v)
-    coords = basis.solve(w)
-    k = [math.floor(c) for c in coords]
-    shift = basis.mul_vec(k)
-    return tuple(a - b for a, b in zip(w, shift))
 
 
 class QLattice(Frozen):

@@ -1,11 +1,12 @@
 """Tropical representations of a period lattice and their bundle counterparts.
 
 An invertible tropical r x r matrix is a generalized permutation matrix: a
-permutation together with a rational translation vector.  Commuting tuples of
-such elements are representations of the period lattice; they decompose into
-induced pieces indexed by the orbits of the permutation action, and each piece
-corresponds to a homogeneous line-bundle summand on the cover given by the
-orbit stabilizer.
+permutation together with a rational translation vector, which is how an
+element is given and stored (its min-plus matrix is a test oracle only).
+Commuting tuples of such elements are representations of the period lattice;
+they decompose into induced pieces indexed by the orbits of the permutation
+action, and each piece corresponds to a homogeneous line-bundle summand on the
+cover given by the orbit stabilizer.
 """
 
 from __future__ import annotations
@@ -67,12 +68,6 @@ class TropGLElement(Frozen):
             out[j] = i
         return tuple(out)
 
-    def act(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(x) != self.r:
-            raise SizeMismatch("vector length differs from element size")
-        inv = self.inv_perm
-        return tuple(self.d[i] + rat(x[inv[i]]) for i in range(self.r))
-
 
 def identity(r: int) -> TropGLElement:
     return TropGLElement._from_valid(tuple(range(r)), (Fraction(0),) * r)
@@ -108,37 +103,6 @@ def power(a: TropGLElement, n: int) -> TropGLElement:
         if n:
             a = compose(a, a)
     return out
-
-
-def from_matrix(rows: Sequence[Sequence[Fraction | int | str | None]]) -> TropGLElement:
-    """Parse a min-plus matrix with one finite entry per row and column.
-
-    The finite entry in row i sits at column sigma^-1(i) and equals d_i.
-    """
-    rows = [as_tuple(row, "entries") for row in as_tuple(rows, "matrix rows")]
-    r = len(rows)
-    if any(len(row) != r for row in rows):
-        raise NotInvertible("matrix is not square")
-    perm = [-1] * r
-    d = [Fraction(0)] * r
-    for i, row in enumerate(rows):
-        finite = [(j, x) for j, x in enumerate(row) if x is not None]
-        if len(finite) != 1:
-            raise NotInvertible(f"row {i} must have exactly one finite entry")
-        j, x = finite[0]
-        if perm[j] != -1:
-            raise NotInvertible(f"column {j} has more than one finite entry")
-        perm[j] = i
-        d[i] = rat(x)
-    return TropGLElement(tuple(perm), tuple(d))
-
-
-def to_matrix(a: TropGLElement) -> list[list[Fraction | None]]:
-    rows: list[list[Fraction | None]] = [[None] * a.r for _ in range(a.r)]
-    inv = a.inv_perm
-    for i in range(a.r):
-        rows[i][inv[i]] = a.d[i]
-    return rows
 
 
 class TropRepresentation(Frozen):

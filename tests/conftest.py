@@ -9,11 +9,15 @@ before being written down.
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from tropabel import Mat, MultiplicativePoint, NATorus, Sublattice, TropTorus, ValuedMonomial
+from tropabel.errors import SingularLattice, SizeMismatch
+from tropabel.rationals import rat
+from tropabel.tropchar import TropGLElement
 
 F = Fraction
 
@@ -105,6 +109,39 @@ def sublattices_of_index_at_most(g: int, max_index: int) -> list[Sublattice]:
             for b in range(c):
                 out.append(Sublattice([[a, 0], [b, c]]))
     return out
+
+
+def reduce_mod_lattice(
+    v: Sequence[int | str | Fraction], basis: Mat
+) -> tuple[Fraction, ...]:
+    """The representative of v modulo the column lattice of ``basis`` whose
+    coordinate vector in that basis lies in [0,1)^g, by the general rational
+    solver.  The reduction oracle of ``Sublattice.reduce`` and ``_reduce_num``."""
+    if basis.n != basis.m or basis.det() == 0:
+        raise SingularLattice("lattice basis must be square and nonsingular")
+    w = tuple(rat(x) for x in v)
+    coords = basis.solve(w)
+    k = [math.floor(c) for c in coords]
+    shift = basis.mul_vec(k)
+    return tuple(a - b for a, b in zip(w, shift))
+
+
+def act(a: TropGLElement, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """(Ax)_i = d_i + x at sigma^-1(i): the action that ``compose`` must follow."""
+    if len(x) != a.r:
+        raise SizeMismatch("vector length differs from element size")
+    inv = a.inv_perm
+    return tuple(a.d[i] + rat(x[inv[i]]) for i in range(a.r))
+
+
+def to_matrix(a: TropGLElement) -> list[list[Fraction | None]]:
+    """The min-plus matrix of a, with None as the infinite element: the finite
+    entry of row i sits at column sigma^-1(i) and equals d_i."""
+    rows: list[list[Fraction | None]] = [[None] * a.r for _ in range(a.r)]
+    inv = a.inv_perm
+    for i in range(a.r):
+        rows[i][inv[i]] = a.d[i]
+    return rows
 
 
 def minplus_product(a, b):

@@ -28,7 +28,7 @@ from tropabel.bundles import (
 )
 from tropabel.cli import main
 from tropabel.groups import quotient
-from tropabel.lattices import QLattice, Sublattice, reduce_mod_lattice
+from tropabel.lattices import QLattice, Sublattice
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial
 from tropabel.naside import (
@@ -67,6 +67,7 @@ from conftest import (
     rand_sublattice,
     rand_unit_mono,
     rand_unit_torus,
+    reduce_mod_lattice,
     sublattices_of_index_at_most,
 )
 

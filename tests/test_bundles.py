@@ -16,7 +16,6 @@ from tropabel.bundles import (
     cover_torus,
     direct_sum,
     equivalent,
-    gamma_compatible,
     is_homogeneous,
     is_semi_homogeneous,
     iso_pushforward,
@@ -43,7 +42,7 @@ from tropabel.errors import (
     NotExact,
     SlopeMismatch,
 )
-from tropabel.lattices import QLattice, Sublattice, reduce_mod_lattice
+from tropabel.lattices import QLattice, Sublattice
 from tropabel.linalg import Mat
 from tropabel.tori import TropTorus, extended_character_lattice, integrality_lattice
 from tropabel.tropchar import TropRepresentation, bundle_from_rep, identity
@@ -55,6 +54,7 @@ from conftest import (
     rand_matrix,
     rand_r_symmetric,
     rand_sublattice,
+    reduce_mod_lattice,
 )
 
 F = Fraction
@@ -489,12 +489,6 @@ def test_moduli_points_errors():
             moduli_points(good, wrong, ns)
         with pytest.raises(AmbientMismatch):
             moduli_point(good[0], wrong, ns)
-
-
-def test_gamma_compatible():
-    s = line_bundle(EYE2, Sublattice([[2, 0], [0, 1]]), Mat.zeros(2, 2), (0, 0))
-    assert gamma_compatible(as_bundle(s), Sublattice([[2, 0], [0, 2]]))
-    assert not gamma_compatible(as_bundle(s), Sublattice.full(2))
 
 
 def test_sym_point():

@@ -754,6 +754,89 @@ def test_malformed_fields_are_validation_errors(capsys, tmp_path, scenario, edit
     assert json.loads(err)["kind"] == "ScenarioError"
 
 
+def _delete_at(path):
+    def edit(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+
+    return edit
+
+
+def _two_summands(data):
+    e1 = data["bundles"]["E1"]["summands"]
+    e1.extend(data["bundles"]["E2"]["summands"])
+
+
+def _no_class_and_no_h(data):
+    del data["ns_class"]
+    assert "H" not in data["na_bundles"]["B1"]
+
+
+# one validation exit of the scenario's checks each: scenario, edit, argv, message
+VALIDATION_EXITS = [
+    pytest.param(
+        "reference_example.json", _delete_at(("torus",)), ("ns-analyze",),
+        "scenario is missing the 'torus' field", id="no-torus",
+    ),
+    pytest.param(
+        "bundle_ops.json", lambda d: None, ("na", "trop-rep"),
+        "this command needs a multiplicative torus", id="na-on-a-tropical-torus",
+    ),
+    pytest.param(
+        "bundle_ops.json", _delete_at(("parameters", "operands")), ("bundle", "pullback"),
+        "parameters.operands must name 1 entries of 'bundles'", id="operands-not-named",
+    ),
+    pytest.param(
+        "reference_example.json", _delete_at(("ns_class",)), ("ns-analyze",),
+        "ns-analyze needs an 'ns_class' matrix", id="no-ns-class",
+    ),
+    pytest.param(
+        "bundle_ops.json", _two_summands, ("bundle", "equiv"),
+        "this operation needs a single-summand bundle", id="two-summands",
+    ),
+    pytest.param(
+        "reference_example.json", _delete_at(("torus", "generators")), ("ns-analyze",),
+        "torus needs either 'generators' or 'v'", id="torus-without-generators",
+    ),
+    pytest.param(
+        "reference_example.json", _delete_at(("na_bundles", "B1", "r")), ("na", "trop-line"),
+        "expected a line-bundle object, got {'lattice': [[2, 0], [0, 1]]}", id="bundle-without-r",
+    ),
+    pytest.param(
+        "reference_example.json", _no_class_and_no_h, ("na", "trop-line"),
+        "line bundle needs 'H' (no scenario ns_class to fall back on)", id="bundle-without-h",
+    ),
+    pytest.param(
+        "na_square.json", _delete_at(("na_reps", "S", "characters")), ("na", "trop-rep"),
+        "expected a semisimple representation, got {}", id="rep-without-characters",
+    ),
+]
+
+
+@pytest.mark.parametrize("scenario, edit, argv, message", VALIDATION_EXITS)
+def test_validation_exits_name_the_fault(capsys, tmp_path, scenario, edit, argv, message):
+    code, out, err = run_edited(capsys, tmp_path, scenario, edit, *argv)
+    assert (code, out) == (2, ""), err
+    assert json.loads(err) == {"error": message, "kind": "ScenarioError"}
+
+
+@pytest.mark.parametrize(
+    "scenario, argv",
+    [("bundle_ops.json", ("bundle", "sum")), ("rep_demo.json", ("rep", "decompose"))],
+    ids=["bundle-sum", "rep-decompose"],
+)
+def test_operands_default_to_the_whole_section_in_name_order(capsys, tmp_path, scenario, argv):
+    # without parameters.operands, a section of exactly as many entries as the
+    # op takes is read in name order: here the shipped names, in that order
+    code, out, err = run_edited(
+        capsys, tmp_path, scenario, _delete_at(("parameters", "operands")), *argv
+    )
+    assert code == 0, err
+    assert out == run_cli(capsys, *argv, "--scenario", scen(scenario))[1]
+
+
 def test_parser_is_built_from_the_command_table():
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == list(cli.COMMANDS)

@@ -18,11 +18,16 @@ from tropabel.errors import (
     TooLarge,
 )
 from tropabel.groups import FiniteAbelianGroup, enumerate_subgroups, quotient
-from tropabel.lattices import SUBGROUP_ENUMERATION_BOUND, QLattice, Sublattice, reduce_mod_lattice
+from tropabel.lattices import SUBGROUP_ENUMERATION_BOUND, QLattice, Sublattice
 from tropabel import groups, lattices
 from tropabel.linalg import Mat, column_hnf, hnf
 
-from conftest import hermite_bases, rand_sublattice, sublattices_of_index_at_most
+from conftest import (
+    hermite_bases,
+    rand_sublattice,
+    reduce_mod_lattice,
+    sublattices_of_index_at_most,
+)
 
 F = Fraction
 

@@ -389,6 +389,47 @@ def test_snf_fixed_examples():
     assert [d[0][0], d[1][1]] == [2, 0]
 
 
+# (A, (U, D, W)) exactly: ns-analyze reads defect_generators and
+# torsion_pairing_phases off U and W, so other valid transforms change its report
+SNF_PINNED = [
+    # the defect coordinates of scenarios/reference_example.json: its symmetry
+    # lattice in the basis of its integrality lattice
+    ([[2, 0], [0, 2]], ([[1, 0], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [0, 1]])),
+    ([[2, 4], [6, 8]], ([[1, 0], [3, -1]], [[2, 0], [0, 4]], [[1, -2], [0, 1]])),
+    ([[0, 3], [2, 0]], ([[1, 1], [2, 3]], [[1, 0], [0, 6]], [[-1, 3], [1, -2]])),
+    ([[4, 0], [0, 6]], ([[1, 1], [3, 2]], [[2, 0], [0, 12]], [[-1, 3], [1, -2]])),
+    ([[4, 6, 8]], ([[1]], [[2, 0, 0]], [[-1, 3, 4], [1, -2, -4], [0, 0, 1]])),
+    (
+        [[1, 2], [3, 4], [5, 6]],
+        ([[1, 0, 0], [3, -1, 0], [1, -2, 1]], [[1, 0], [0, 2], [0, 0]], [[1, -2], [0, 1]]),
+    ),
+    ([[0, 0], [0, 0]], ([[1, 0], [0, 1]], [[0, 0], [0, 0]], [[1, 0], [0, 1]])),
+    (
+        [[-3, 5, 7], [2, -4, 6], [9, 12, -15]],
+        (
+            [[1, 2, 0], [29, 39, 1], [60, 81, 2]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 876]],
+            [[1, 3, -1285], [0, 1, -422], [0, 0, 1]],
+        ),
+    ),
+    (
+        [[12, 18, 0], [6, 0, 30], [0, 0, 0]],
+        (
+            [[0, 1, 0], [1, -2, 0], [0, 0, 1]],
+            [[6, 0, 0], [0, 6, 0], [0, 0, 0]],
+            [[1, 5, -15], [0, -3, 10], [0, -1, 3]],
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, expected", SNF_PINNED)
+def test_snf_transforms_are_pinned(rows, expected):
+    assert snf(rows) == expected
+    u, d, w = expected
+    assert mat_mul(mat_mul(u, rows), w) == d
+
+
 @pytest.mark.parametrize(
     "rows, error",
     [

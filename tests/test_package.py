@@ -1,5 +1,5 @@
-"""The package surface, the sources each CLI command compiles, and the
-documented session of README.md."""
+"""The package surface, the exported functions that the CLI runs, the sources
+each CLI command compiles, and the documented session of README.md."""
 
 import ast
 import importlib
@@ -46,6 +46,36 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"exit": code, "compiled": sorted(compiled)}))
 """
 
+# runs the CLI calls of the digest file named by its argument in one interpreter,
+# under a profiler that records each Python function entered, and prints whether
+# each exit code was the recorded one, the exported functions and those never entered
+SURFACE = """
+import contextlib, inspect, io, json, sys
+import tropabel
+from tropabel import cli
+entered = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    records = json.load(fh)
+sys.setprofile(record)
+try:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        exits = [cli.main(r["argv"]) for r in records]
+finally:
+    sys.setprofile(None)
+functions = {n: f for n in tropabel.__all__ if inspect.isfunction(f := getattr(tropabel, n))}
+print(json.dumps({
+    "runs": len(records),
+    "exits_recorded": exits == [r["exit"] for r in records],
+    "functions": sorted(functions),
+    "never_entered": sorted(n for n, f in functions.items() if f.__code__ not in entered),
+}))
+"""
+
 
 # (command, op) -> the sources that its call has no use for; op None: every
 # other op of the command
@@ -86,6 +116,33 @@ def test_every_public_non_module_name_is_exported():
         if not name.startswith("_") and not isinstance(getattr(tropabel, name), ModuleType)
     }
     assert public == set(tropabel.__all__)
+
+
+def _listed_as_library_api() -> list[str]:
+    """The names of README.md's section on the library API that no command runs."""
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"### Library API that no command runs\n(.*?)\n#", text, re.S).group(1)
+    return re.findall(r"^- `(\w+)`", section, re.M)
+
+
+def test_every_exported_function_is_run_by_the_cli_or_listed_in_the_readme():
+    # in a fresh interpreter, so that no cache filled by another test spares a call
+    out = subprocess.run(
+        [sys.executable, "-c", SURFACE, str(ROOT / "bench" / "cli_digests.json")],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    report = json.loads(out.stdout)
+    assert report["runs"] == 19 and report["exits_recorded"]
+    listed = _listed_as_library_api()
+    assert len(listed) == len(set(listed)), listed
+    not_run = set(report["never_entered"])
+    assert not_run - set(listed) == set(), "exported, run by no CLI call and not listed"
+    assert set(listed) - set(report["functions"]) == set(), "listed, but not an exported function"
+    assert set(listed) - not_run == set(), "listed, but a CLI call runs it"
 
 
 def test_a_reload_of_the_package_keeps_its_submodules():
