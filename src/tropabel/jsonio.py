@@ -4,11 +4,11 @@ Rationals travel as strings "p/q" (plain "p" when integral) so that no float
 ever enters the pipeline; integer lattice bases travel as JSON integers.
 Every wire string is read by the memoised ``rationals.parse_rational``, so a
 string that repeats is parsed once, and its errors come out here as
-``ScenarioError`` with the same message.  A wire matrix decodes straight to
-integer rows over one denominator.  Every encoder here but
-``moduli_point_to_json``, whose points are only reported, has a decoder that
-round-trips losslessly; ``na_bundle_from_json`` has no encoder, as no report
-prints a multiplicative line bundle.
+``ScenarioError`` with the same message.  A wire matrix decodes in one pass, each
+entry as its lowest-terms pair (the memo's Fraction by ``as_integer_ratio()``), over
+the lcm of the denominators.  Every encoder but ``moduli_point_to_json`` (its points
+are only reported) has a decoder that round-trips losslessly;
+``na_bundle_from_json`` has no encoder, as no report prints a multiplicative line bundle.
 
 A decoder checks the JSON types and shapes, and returns
 ``Cls._from_valid(...)._checked()``: ``_checked()`` is the value's one
@@ -62,14 +62,6 @@ def rational_from_json(s: Any) -> Fraction:
         raise ScenarioError(str(exc)) from None
 
 
-def _rational_pair(s: Any) -> tuple[int, int]:
-    """(p, q), q > 0, in lowest terms, of a wire rational read by ``rational_from_json``."""
-    if type(s) is int:
-        return s, 1
-    x = rational_from_json(s)
-    return x.numerator, x.denominator
-
-
 def vector_to_json(v: Sequence[Fraction]) -> list[str]:
     return [str(x) for x in v]
 
@@ -85,16 +77,31 @@ def matrix_to_json(m: Mat) -> list[list[str]]:
 
 
 def matrix_from_json(data: Any) -> Mat:
-    """The integer rows over the lcm of the wire denominators; ``Mat._from_int``
-    cancels their common factor, which leaves the least denominator."""
-    rows = [
-        [_rational_pair(x) for x in _json_list(row, "rationals")]
-        for row in _json_list(data, "matrix rows")
-    ]
-    if any(len(row) != len(rows[0]) for row in rows):
+    """The integer rows over the lcm of the wire denominators, in one pass over
+    each entry's lowest-terms pair (x, 1 for an int x): the lcm leaves no common
+    factor to cancel, and over 1 the numerators are the rows."""
+    rows, den = [], 1
+    for row in _json_list(data, "matrix rows"):
+        pairs = []
+        for x in _json_list(row, "rationals"):
+            if type(x) is str:
+                try:
+                    pair = parse_rational(x).as_integer_ratio()
+                except (MalformedScalar, ZeroDenominator) as exc:
+                    raise ScenarioError(str(exc)) from None
+            elif type(x) is int:
+                pair = x, 1
+            else:
+                pair = rational_from_json(x).as_integer_ratio()
+            if pair[1] != 1:
+                den = math.lcm(den, pair[1])
+            pairs.append(pair)
+        rows.append(pairs)
+    if len(set(map(len, rows))) > 1:
         raise DimensionMismatch("ragged rows")
-    den = math.lcm(*(q for row in rows for _, q in row))
-    return Mat._from_int([[p * (den // q) for p, q in row] for row in rows], den)
+    if den == 1:
+        return Mat._from_valid(tuple([tuple([p for p, _ in row]) for row in rows]), 1)
+    return Mat._from_valid(tuple([tuple([p * (den // q) for p, q in row]) for row in rows]), den)
 
 
 def lattice_to_json(lat: Sublattice) -> list[list[int]]:
@@ -102,16 +109,15 @@ def lattice_to_json(lat: Sublattice) -> list[list[int]]:
 
 
 def lattice_from_json(data: Any) -> Sublattice:
-    if (
-        not isinstance(data, list)
-        or not data
-        or not all(
-            isinstance(r, list) and len(r) == len(data) and all(type(x) is int for x in r)
-            for r in data
-        )
-    ):
-        raise ScenarioError(f"expected a square integer lattice basis, got {data!r}")
-    return Sublattice._from_valid(data)._checked()
+    """The lattice of a nonempty square basis of int rows, checked in one loop."""
+    if isinstance(data, list) and data:
+        g = len(data)
+        for row in data:
+            if not isinstance(row, list) or len(row) != g or set(map(type, row)) != {int}:
+                break
+        else:
+            return Sublattice._from_valid(data)._checked()
+    raise ScenarioError(f"expected a square integer lattice basis, got {data!r}")
 
 
 def mono_to_json(m: monomials.ValuedMonomial) -> dict[str, str]:

@@ -47,10 +47,14 @@ def _is_hermite(rows: Sequence[Sequence[int]]) -> bool:
     form: lower-triangular, positive diagonal, and the entries left of the
     diagonal in [0, diagonal).  The form is unique, so ``column_hnf`` would
     return such a basis unchanged."""
-    return bool(rows) and all(
-        row[i] > 0 and all(0 <= x < row[i] for x in row[:i]) and not any(row[i + 1 :])
-        for i, row in enumerate(rows)
-    )
+    for i, row in enumerate(rows):
+        d = row[i]
+        if d <= 0 or any(row[i + 1 :]):
+            return False
+        for x in row[:i]:
+            if not 0 <= x < d:
+                return False
+    return bool(rows)
 
 
 def _int_matrix(rows: Iterable[Iterable]) -> IntRows:
@@ -59,18 +63,18 @@ def _int_matrix(rows: Iterable[Iterable]) -> IntRows:
     return [[as_int(x, NotContained) for x in row] for row in rows]
 
 
-def _hermite_basis(rows: Sequence[Sequence[int]], error: type[Exception]) -> IntRows:
-    """The Hermite basis of the column span of a g x n integer matrix: the
-    matrix itself when canonical, else the first g columns of one column_hnf;
-    ``error`` unless the columns span a full-rank lattice of Z^g."""
+def _hermite_basis(rows: Sequence[Sequence], error: type[Exception]) -> tuple[tuple[int, ...], ...]:
+    """The Hermite basis, as tuple rows, of the column span of a g x n integer
+    matrix: the matrix itself when canonical, else the first g columns of one
+    column_hnf; ``error`` unless the columns span a full-rank lattice of Z^g."""
     g, n = len(rows), len(rows[0]) if rows else 0
     if n == g and _is_hermite(rows):
-        return rows
+        return tuple(map(tuple, rows))
     if 0 < g <= n:
         h = column_hnf(rows)
         # at full rank the first g columns, pivots on the diagonal, are the basis
         if all(h[i][i] for i in range(g)):
-            return [row[:g] for row in h]
+            return tuple([tuple(row[:g]) for row in h])
     raise error("the columns do not span a full-rank lattice")
 
 
@@ -91,9 +95,9 @@ class Sublattice(Frozen):
         self._checked()
 
     def _checked(self) -> "Sublattice":
-        """This lattice with its basis in Hermite form; ``RankDeficient`` unless of full rank."""
-        basis = _hermite_basis(self.basis, RankDeficient)
-        object.__setattr__(self, "basis", tuple(map(tuple, basis)))
+        """This lattice with its basis in Hermite form, as tuple rows;
+        ``RankDeficient`` unless of full rank."""
+        object.__setattr__(self, "basis", _hermite_basis(self.basis, RankDeficient))
         return self
 
     @classmethod
@@ -106,7 +110,7 @@ class Sublattice(Frozen):
         """Lattice spanned by the given vectors (nonempty, of one length, full rank).
         Most pullback lattices arrive as a Hermite basis, kept as is."""
         _common_length(gens, "generators")
-        return cls._from_hermite(_hermite_basis(_int_matrix(zip(*gens)), SingularLattice))
+        return cls._from_valid(_hermite_basis(_int_matrix(zip(*gens)), SingularLattice))
 
     @classmethod
     def full(cls, g: int) -> "Sublattice":

@@ -9,8 +9,8 @@ Two layers live here:
     ``"p/q"`` strings and ``Fraction``s; ``entries`` gives the ``Fraction``
     rows, and ``<`` orders matrices as those rows without building them.
     Determinant, solve and inverse come from one fraction-free Gauss-Jordan
-    pass on the integer ``num``; desk-scale only, no pivoting beyond "first
-    nonzero" is needed because arithmetic is exact.
+    pass on the integer ``num``; desk-scale only, with "first nonzero" pivots as the
+    arithmetic is exact, and with each row's identity updates skipped.
 
   * the integer Hermite form — column Hermite form in one fixed convention
     (lower-triangular, positive diagonal, off-diagonal row entries reduced into
@@ -190,25 +190,29 @@ class Mat(Frozen):
         (Y is empty when det(num) = 0).  Fraction-free Gauss-Jordan (Bareiss):
         each step divides by the previous pivot, every entry stays a minor of
         [num | rhs] so the division is exact, and every diagonal entry ends
-        equal to the last pivot, det(num) up to the sign of the row swaps."""
+        equal to the last pivot, det(num) up to the sign of the row swaps.  A row
+        with 0 in the pivot column is kept while the pivot equals the previous
+        one: its update is then the identity."""
         n = self.n
-        a = [list(row) + list(r) for row, r in zip(self.num, rhs)]
+        a = [[*row, *r] for row, r in zip(self.num, rhs)]
         sign, prev = 1, 1
         for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k]), None)
-            if piv is None:
-                return 0, []
+            piv = k
+            while not a[piv][k]:
+                piv += 1
+                if piv == n:
+                    return 0, []
             if piv != k:
                 a[k], a[piv] = a[piv], a[k]
                 sign = -sign
             pivot_row = a[k]
             p = pivot_row[k]
             for i in range(n):
-                if i != k:
-                    f = a[i][k]
+                f = a[i][k]
+                if i != k and (f or p != prev):
                     a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
             prev = p
-        return sign * prev, [[sign * x for x in row[n:]] for row in a]
+        return sign * prev, [row[n:] if sign == 1 else [-x for x in row[n:]] for row in a]
 
     def det(self) -> Fraction:
         if self.n != self.m:

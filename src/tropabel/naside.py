@@ -195,14 +195,16 @@ def tropicalize_line_bundle(b: NALineBundle) -> bundles.TropLineBundle:
     of ``extend_r`` vanishes there), so its valuation is read off directly.
     The real pairing [v, v] = v^T G v, G = V^T H, is one integer quadratic
     form on G's numerator, over 2 * G's denominator with the 1/2, so each
-    entry is one Fraction over the valuation's denominator times that.
+    entry is one Fraction over the valuation's denominator times that; for the
+    zero class (every character's bundle) G = 0, and the form is not evaluated.
     """
     torus = b.ns.torus.trop()
     gram = b.ns.gram
     den2 = 2 * gram.den
+    zero = not any(map(any, gram.num))
     l = []
     for r, v in zip(b.r_basis, b.lattice.generators()):
-        form = sum(x * y for x, y in zip(v, gram.num_image(v)))
+        form = 0 if zero else sum(x * y for x, y in zip(v, gram.num_image(v)))
         t = r.t_exponent
         l.append(Fraction(t.numerator * den2 - form * t.denominator, t.denominator * den2))
     # b's class is real-symmetric (NSClass) and integral on its lattice

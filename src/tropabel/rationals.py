@@ -1,12 +1,12 @@
 """Rational scalars.
 
 The whole library computes over Q, represented by ``fractions.Fraction``.
-These helpers coerce input to it and reject floats and booleans, so that
-none ever enters the pipeline, and read an integer without truncating it
-or a sequence without accepting a scalar.
-Strings in the one rational grammar are parsed by ``parse_rational``, which
-memoises its results: the wire repeats few distinct strings.  Integer work on
-a rational vector starts from ``over_one_denominator`` (checked at an entry point).
+These helpers coerce input to it and reject floats and booleans, so that none ever
+enters the pipeline, and read an integer without truncating it or a sequence without
+accepting a scalar.  ``parse_rational`` parses the one rational grammar and is the one
+memo (the wire repeats few distinct strings); a wire matrix reads its Fractions as
+pairs, ``as_integer_ratio()``, with no cache of its own.  Integer work on a rational
+vector starts from ``over_one_denominator`` (checked at an entry point).
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from .errors import MalformedScalar, NotExact, TropabelError, ZeroDenominator
 # the one grammar of rational strings: "[+-]n" or "[+-]p/q"
 RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
-# Entries kept by parse_rational's memo: a pass of the rep-square benchmark
-# workload reads about 960 distinct strings.  An accepted string has at most 2 x 4,300 digits
-# (the int conversion limit) at up to 4 bytes a character (a digit outside
-# the BMP), about 34 KB, and a Fraction of two ints of about 1.9 KB each, so
-# the memo holds at most about 75 MiB; a short wire string such as "-7/12"
-# costs about 0.2 KB an entry.
+# Entries kept by parse_rational's memo, the package's one parse cache: a pass of the
+# rep-square benchmark reads about 960 distinct strings.  An accepted string has at most
+# 2 x 4,300 digits (the int conversion limit) at up to 4 bytes a character (a digit outside
+# the BMP), about 34 KB, and a Fraction of two ints of about 1.9 KB each, so the memo holds
+# at most about 75 MiB; a short string such as "-7/12" costs about 0.2 KB an entry.
+# Reading an entry as a pair (``as_integer_ratio()``) stores nothing more.
 PARSE_CACHE_SIZE = 2048
 
 

@@ -107,18 +107,22 @@ def is_r_symmetric(h: Mat, v: Mat) -> bool:
     """Whether the real pairing V^T @ H is a symmetric matrix.
 
     V^T H is (V.num)^T H.num over the common factor V.den * H.den, so this
-    compares the integer dot products of columns of V.num and H.num.
+    compares integer dot products of columns of V.num and H.num, row by row.
     """
-    if v.n != h.n:
+    if len(v.num) != len(h.num):
         raise DimensionMismatch(f"cannot multiply {v.m}x{v.n} by {h.n}x{h.m}")
-    if v.m != h.m:
+    g = v.m
+    if g != h.m:
         return False
-    vc, hc = list(zip(*v.num)), list(zip(*h.num))
-    return all(
-        sum(a * b for a, b in zip(vc[i], hc[j])) == sum(a * b for a, b in zip(vc[j], hc[i]))
-        for i in range(v.m)
-        for j in range(i)
-    )
+    rows = list(zip(v.num, h.num))
+    for i in range(g):
+        for j in range(i):
+            d = 0
+            for vr, hr in rows:
+                d += vr[i] * hr[j] - vr[j] * hr[i]
+            if d:
+                return False
+    return True
 
 
 def integrality_lattice(h: Mat) -> Sublattice:

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import strategies as st
 
 from tropabel import Mat, MultiplicativePoint, NATorus, Sublattice, TropTorus, ValuedMonomial
-from tropabel.errors import SingularLattice, SizeMismatch
+from tropabel.errors import DimensionMismatch, RankDeficient, SingularLattice, SizeMismatch
+from tropabel.jsonio import ScenarioError, rational_from_json
+from tropabel.linalg import column_hnf
 from tropabel.rationals import rat
 from tropabel.tropchar import TropGLElement
 
@@ -124,6 +126,122 @@ def reduce_mod_lattice(
     k = [math.floor(c) for c in coords]
     shift = basis.mul_vec(k)
     return tuple(a - b for a, b in zip(w, shift))
+
+
+# ---------------------------------------------------------------------------
+# The earlier wire decoders and elimination, kept as differential oracles of
+# the one-pass versions in jsonio, lattices, tori and linalg
+# ---------------------------------------------------------------------------
+
+
+def ref_rational_pair(s) -> tuple[int, int]:
+    """(p, q), q > 0, in lowest terms, of a wire rational read by ``rational_from_json``."""
+    if type(s) is int:
+        return s, 1
+    x = rational_from_json(s)
+    return x.numerator, x.denominator
+
+
+def ref_matrix_from_json(data) -> Mat:
+    """The integer rows over the lcm of the wire denominators; ``Mat._from_int``
+    cancels their common factor, which leaves the least denominator."""
+    if not isinstance(data, list):
+        raise ScenarioError(f"expected a list of matrix rows, got {data!r}")
+    rows = []
+    for row in data:
+        if not isinstance(row, list):
+            raise ScenarioError(f"expected a list of rationals, got {row!r}")
+        rows.append([ref_rational_pair(x) for x in row])
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionMismatch("ragged rows")
+    den = math.lcm(*(q for row in rows for _, q in row))
+    return Mat._from_int([[p * (den // q) for p, q in row] for row in rows], den)
+
+
+def ref_is_hermite(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether a nonempty square integer basis is already in canonical Hermite form."""
+    return bool(rows) and all(
+        row[i] > 0 and all(0 <= x < row[i] for x in row[:i]) and not any(row[i + 1 :])
+        for i, row in enumerate(rows)
+    )
+
+
+def ref_lattice_from_json(data) -> Sublattice:
+    """The decoded lattice: the basis itself when canonical, else the first g
+    columns of its column Hermite form, made tuple rows afterwards."""
+    if (
+        not isinstance(data, list)
+        or not data
+        or not all(
+            isinstance(r, list) and len(r) == len(data) and all(type(x) is int for x in r)
+            for r in data
+        )
+    ):
+        raise ScenarioError(f"expected a square integer lattice basis, got {data!r}")
+    g = len(data)
+    basis = data
+    if not ref_is_hermite(data):
+        h = column_hnf(data)
+        if not all(h[i][i] for i in range(g)):
+            raise RankDeficient("the columns do not span a full-rank lattice")
+        basis = [row[:g] for row in h]
+    return Sublattice._from_valid(tuple(map(tuple, basis)))
+
+
+def ref_is_r_symmetric(h: Mat, v: Mat) -> bool:
+    """Whether V^T @ H is symmetric, from the transposed numerators."""
+    if v.n != h.n:
+        raise DimensionMismatch(f"cannot multiply {v.m}x{v.n} by {h.n}x{h.m}")
+    if v.m != h.m:
+        return False
+    vc, hc = list(zip(*v.num)), list(zip(*h.num))
+    return all(
+        sum(a * b for a, b in zip(vc[i], hc[j])) == sum(a * b for a, b in zip(vc[j], hc[i]))
+        for i in range(v.m)
+        for j in range(i)
+    )
+
+
+def ref_eliminate(num: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]):
+    """(det(num), Y) with num @ Y = det(num) * rhs, by Bareiss elimination that
+    updates every row at every step."""
+    n = len(num)
+    a = [list(row) + list(r) for row, r in zip(num, rhs)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, []
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
+def typed(x):
+    """x with the type of every part beside it, all the way down, so that two
+    results compare equal only when their types agree too: ``Fraction(1) == 1``."""
+    if isinstance(x, (tuple, list)):
+        return type(x), [typed(y) for y in x]
+    fields = getattr(type(x), "__match_args__", None)
+    if fields is not None:
+        return type(x), [typed(getattr(x, f)) for f in fields]
+    return type(x), x
+
+
+def outcome(decode, *args):
+    """The typed value of decode(*args), or the class and message of its error."""
+    try:
+        return "value", typed(decode(*args))
+    except Exception as exc:  # compared, class and message, with the oracle's
+        return "error", type(exc), str(exc)
 
 
 def act(a: TropGLElement, x: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from tropabel import bundles, jsonio
+from tropabel import bundles, jsonio, lattices, tori
 from tropabel.bundles import TropLineBundle, TropVectorBundle
-from tropabel.errors import TropabelError
+from tropabel.errors import DimensionMismatch, TropabelError
 from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial
@@ -27,6 +27,16 @@ from tropabel.naside import NACharacter, NALineBundle, NASemisimpleRep
 from tropabel.nspairings import NSClass
 from tropabel.tori import NATorus, TropTorus, integrality_lattice
 from tropabel.tropchar import TropGLElement, TropRepresentation
+
+from conftest import (
+    outcome,
+    rand_r_symmetric,
+    rand_sublattice,
+    ref_is_hermite,
+    ref_is_r_symmetric,
+    ref_lattice_from_json,
+    ref_matrix_from_json,
+)
 
 F = Fraction
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -511,3 +521,138 @@ def test_constructor_and_decoder_both_run_checked(monkeypatch, cls):
     assert calls == [built]
     assert decode(wire) == built
     assert calls == [built, built]
+
+
+# ---------------------------------------------------------------------------
+# The one-pass decoders against the earlier ones (conftest), value by value
+# ---------------------------------------------------------------------------
+
+# wire junk for one scalar: wrong types, strings outside the grammar or past
+# the int digit limit, and spellings that the grammar reads (sign, "-0",
+# unreduced, non-ASCII digits)
+JUNK_SCALARS = [
+    True, False, 1.5, 0.0, None, "1/0", "+3", "-0/5", " 1", "4/6", "\u0661/\u0662", "",
+    "1/2/3", "abc", "9" * 5000, "1/" + "9" * 5000, "-" + "7" * 4000, 10**30, [], {}, ["1"],
+]
+
+
+# "0".."9" to the Arabic-Indic digits, which the grammar's \d reads as the same digits
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
+
+
+def rand_wire_entry(rng):
+    """A wire rational: a JSON integer or a string, sometimes signed with "+",
+    unreduced or in non-ASCII digits."""
+    x = F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6]))
+    kind = rng.randrange(5)
+    if kind == 0 and x.denominator == 1:
+        return int(x)
+    if kind == 1:
+        k = rng.randint(2, 3)
+        return f"{k * x.numerator}/{k * x.denominator}"
+    if kind == 2 and x >= 0:
+        return "+" + str(x)
+    if kind == 3:
+        return str(x).translate(ARABIC_INDIC_DIGITS)
+    return str(x)
+
+
+def junk_placements(value, scalars, rows):
+    """value (a list of lists) with junk put at every position: each scalar in
+    each entry, each row replaced by a junk row, and the whole by a junk whole."""
+    for i, row in enumerate(value):
+        for j in range(len(row)):
+            for junk in scalars:
+                yield [r if k != i else r[:j] + [junk] + r[j + 1 :] for k, r in enumerate(value)]
+        for junk in rows(row):
+            yield value[:i] + [junk] + value[i + 1 :]
+    yield from (
+        [], [[]], [[], []], None, "1", 3, {}, tuple(value), value + [value[0]], value[:-1],
+        [tuple(r) for r in value],
+    )
+
+
+def junk_rows(row):
+    return [None, "1", 2, tuple(row), [], row + [row[0]], row[:-1], [row], {}]
+
+
+def _same_outcome(new, old, *args):
+    got, want = outcome(new, *args), outcome(old, *args)
+    assert got == want, (args, got, want)
+    # junk is refused with the library's own errors, never a built-in exception
+    assert got[0] == "value" or issubclass(got[1], TropabelError), got
+    return got[0]
+
+
+def test_matrix_decoder_matches_the_earlier_decoder_on_valid_and_junk_wire():
+    rng = random.Random(3401)
+    kinds = Counter()
+    for _ in range(40):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        value = [[rand_wire_entry(rng) for _ in range(m)] for _ in range(n)]
+        assert _same_outcome(jsonio.matrix_from_json, ref_matrix_from_json, value) == "value"
+        for wire in junk_placements(value, JUNK_SCALARS, junk_rows):
+            kinds[_same_outcome(jsonio.matrix_from_json, ref_matrix_from_json, wire)] += 1
+    assert kinds["value"] > 1000 and kinds["error"] > 1000, kinds
+
+
+def _lattice_rows(rng, g):
+    """A square int basis: canonical, a mixed basis of a full-rank lattice, or
+    random small rows, which may be singular."""
+    kind = rng.randrange(3)
+    rows = [list(row) for row in rand_sublattice(rng, g, max_diag=5).basis]
+    if kind == 1:
+        for i in range(g):
+            for j in range(g):
+                rows[i][j] += rng.randint(-2, 2) * rows[i][(j + 1) % g] * (g > 1)
+    elif kind == 2:
+        rows = [[rng.randint(-3, 3) for _ in range(g)] for _ in range(g)]
+    return rows
+
+
+LATTICE_JUNK = [True, 1.0, None, "1", "1/2", 10**30, -(10**30), [1], {}]
+
+
+def test_lattice_decoder_matches_the_earlier_decoder_on_valid_and_junk_wire():
+    rng = random.Random(3402)
+    kinds = Counter()
+    for _ in range(60):
+        value = _lattice_rows(rng, rng.randint(1, 4))
+        kinds[_same_outcome(jsonio.lattice_from_json, ref_lattice_from_json, value)] += 1
+        for wire in junk_placements(value, LATTICE_JUNK, junk_rows):
+            kinds[_same_outcome(jsonio.lattice_from_json, ref_lattice_from_json, wire)] += 1
+    assert kinds["value"] > 100 and kinds["error"] > 1000, kinds
+
+
+def test_hermite_recognition_matches_the_earlier_test():
+    rng = random.Random(3403)
+    seen = Counter()
+    assert lattices._is_hermite(()) is ref_is_hermite(()) is False
+    for _ in range(3000):
+        g = rng.randint(1, 5)
+        rows = [list(row) for row in rand_sublattice(rng, g, max_diag=4).basis]
+        for _ in range(rng.randrange(3)):
+            i, j = rng.randrange(g), rng.randrange(g)
+            rows[i][j] += rng.choice([-rows[i][i], -1, 1, rows[i][i], 10**20])
+        for form in (rows, tuple(map(tuple, rows))):
+            got = lattices._is_hermite(form)
+            assert got is ref_is_hermite(form), rows
+            seen[got] += 1
+    assert seen[True] > 1000 and seen[False] > 1000, seen
+
+
+def test_real_symmetry_matches_the_earlier_test():
+    rng = random.Random(3404)
+    seen = Counter()
+    for _ in range(600):
+        g = rng.randint(1, 4)
+        v = rand_period_matrix(rng, g)
+        h = rand_r_symmetric(rng, v) if rng.random() < 0.5 else Mat(
+            [[F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(g)] for _ in range(g)]
+        )
+        for other in (h, Mat.identity(g + 1), Mat([[1] * (g + 1)] * g)):
+            got = outcome(tori.is_r_symmetric, other, v)
+            assert got == outcome(ref_is_r_symmetric, other, v), (other, v)
+            seen[got[1]] += 1
+    assert seen[(bool, True)] > 100 and seen[(bool, False)] > 100, seen
+    assert seen[DimensionMismatch] == 600, seen

@@ -20,6 +20,9 @@ from tropabel.groups import snf
 from tropabel.jsonio import ScenarioError, matrix_to_json, rational_from_json
 from tropabel.linalg import Mat, column_hnf, congruence_lattice, hnf
 from tropabel.rationals import RATIONAL, parse_rational, rat
+from tropabel.tori import TropTorus
+
+from conftest import ref_eliminate
 
 F = Fraction
 
@@ -565,3 +568,63 @@ def test_order_and_encoding_follow_the_fraction_entries():
         assert (b < a) == (b.entries < a.entries)
         assert matrix_to_json(a) == [[str(x) for x in row] for row in a.entries]
     assert equal >= 60
+
+
+# ---------------------------------------------------------------------------
+# Bareiss elimination on sparse matrices, where rows with a zero in the pivot
+# column are left as they are while the pivot stays the previous one
+# ---------------------------------------------------------------------------
+
+SPARSE_KINDS = ("permutation", "diagonal", "block-triangular", "identity-like", "sparse")
+
+
+def rand_sparse_square(rng, kind, n):
+    """An n x n integer matrix of one sparse kind; diagonal, block-triangular and
+    sparse ones are sometimes singular."""
+    if kind == "permutation":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        scale = [rng.choice([-2, -1, 1, 1, 3]) for _ in range(n)]
+        return [[scale[i] * (perm[i] == j) for j in range(n)] for i in range(n)]
+    if kind == "diagonal":
+        return [[rng.randint(-3, 3) * (i == j) for j in range(n)] for i in range(n)]
+    if kind == "block-triangular":
+        k = rng.randint(1, n)
+        return [
+            [0 if i < k <= j else rng.randint(-3, 3) * (rng.random() < 0.6) for j in range(n)]
+            for i in range(n)
+        ]
+    if kind == "identity-like":
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(0, 2)):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(-4, 4)
+        return rows
+    return [[rng.randint(-5, 5) * (rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
+def test_elimination_of_sparse_matrices_matches_the_full_update_and_sympy(kind):
+    rng = random.Random(f"eliminate:{kind}")
+    singular = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        a = rand_sparse_square(rng, kind, n)
+        mat = Mat._from_int(a)
+        rhs = rand_int_matrix(rng, n, rng.randint(1, 3), -4, 4)
+        det = int(sympy.Matrix(a).det())
+        assert mat._eliminate([()] * n) == ref_eliminate(a, [()] * n)
+        d, y = mat._eliminate(rhs)
+        assert (d, y) == ref_eliminate(a, rhs)
+        assert d == det and mat.det() == det
+        if det:
+            assert [[sum(r[t] * y[t][j] for t in range(n)) for j in range(len(rhs[0]))]
+                    for r in a] == [[det * x for x in row] for row in rhs]
+            assert mat.inv() @ mat == Mat.identity(n)
+            TropTorus(mat)
+        else:
+            singular += 1
+            assert y == []
+            with pytest.raises(SingularLattice, match="period matrix must be nonsingular"):
+                TropTorus(mat)
+    if kind in ("diagonal", "block-triangular", "sparse"):
+        assert singular > 10

@@ -611,6 +611,37 @@ def test_tropicalize_line_bundle_matches_definition():
         assert s == TropLineBundle(TropTorus(b.ns.torus.v), b.lattice, b.ns.matrix, expected)
 
 
+def test_tropicalize_line_bundle_takes_no_form_of_the_zero_class(monkeypatch, reference_torus):
+    # the zero class pairs every vector to 0, so no Gram image is taken for it;
+    # a nonzero class still takes one per basis vector
+    rng = random.Random(242)
+    zero = []
+    for _ in range(20):
+        g = rng.randint(1, 3)
+        ns = NSClass(rand_unit_torus(rng, g), Mat.zeros(g, g))
+        zero.append(rand_na_bundle(rng, ns, rand_sublattice(rng, g)))
+    characters = tuple(NACharacter((rand_unit_mono(rng), rand_unit_mono(rng))) for _ in range(4))
+    zero += bundles_from_rep(NASemisimpleRep(characters), reference_torus)
+    nonzero = reference_na_bundles()
+    expected = [
+        tuple(extend_r(b, v).valuation() - F(1, 2) * b.ns.real_pairing(v, v)
+              for v in b.lattice.generators())
+        for b in zero + nonzero
+    ]
+    images = []
+    num_image = Mat.num_image
+
+    def spy(self, v):
+        images.append(v)
+        return num_image(self, v)
+
+    monkeypatch.setattr(Mat, "num_image", spy)
+    assert [tropicalize_line_bundle(b).l for b in zero] == expected[: len(zero)]
+    assert images == []
+    assert [tropicalize_line_bundle(b).l for b in nonzero] == expected[len(zero) :]
+    assert len(images) == sum(b.ns.torus.g for b in nonzero)
+
+
 def test_internal_bundles_equal_public_construction(reference_torus):
     rng = random.Random(251)
     chars = tuple(NACharacter((rand_unit_mono(rng), rand_unit_mono(rng))) for _ in range(5))
