@@ -9,13 +9,15 @@ order so that structural equality of values is equality of bundles.
 The class matrix of a summand is stored ambiently (on the full period-lattice
 basis); restriction to the cover is a basis change, and the unique Q-linear
 extension back to the full lattice — the summand's slope — is the stored
-matrix itself.
+matrix itself; so is the covector's, one integer row over one denominator
+(``_l_ext``), which the ops read at integer points: one ``Fraction`` per output entry.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -53,7 +55,7 @@ class TropLineBundle(Frozen):
     l: tuple[Fraction, ...]
 
     def __post_init__(self):
-        l = _exact_values("summand", self.torus, self.lattice, self.ns, self.l)
+        l = _exact_values(self.torus, self.lattice, self.ns, self.l)
         object.__setattr__(self, "l", l)
         self._checked()
 
@@ -93,8 +95,8 @@ class TropLineBundle(Frozen):
         return [sum(map(operator.mul, num, col)) for col in zip(*adj)], m * d
 
     def l_value(self, x: Sequence[int | Fraction]) -> Fraction:
-        """The Q-linear extension of the covector at x, one dot product with
-        ``_l_ext``; an entry that is not an int or a Fraction raises NotExact."""
+        """The Q-linear extension of the covector at a rational point x, one dot product
+        with ``_l_ext``; an entry that is not an int or a Fraction raises NotExact."""
         w, m = exact_over_one_denominator(x)
         ext, den = self._l_ext
         if len(w) != len(ext):
@@ -103,14 +105,11 @@ class TropLineBundle(Frozen):
 
 
 def _exact_values(
-    what: str, torus: TropTorus, lattice: Sublattice, ns: Mat, values: Sequence
+    torus: TropTorus, lattice: Sublattice, ns: Mat, values: Sequence
 ) -> tuple[Fraction, ...]:
     """values as Fractions, after checking the types of the (torus, lattice,
     class, values) of a summand or a moduli point."""
-    if not (
-        isinstance(torus, TropTorus) and isinstance(lattice, Sublattice) and isinstance(ns, Mat)
-    ):
-        raise NotExact(f"a {what} takes a TropTorus, a Sublattice and a Mat")
+    _check_types((torus, lattice, ns), (TropTorus, Sublattice, Mat))
     return tuple(rat(x) for x in as_tuple(values, "rationals"))
 
 
@@ -136,10 +135,7 @@ class TropVectorBundle(Frozen):
 
     def __post_init__(self):
         summands = as_tuple(self.summands, "TropLineBundles")
-        if not isinstance(self.torus, TropTorus) or not all(
-            isinstance(s, TropLineBundle) for s in summands
-        ):
-            raise NotExact("a vector bundle takes a TropTorus and TropLineBundle summands")
+        _check_types((self.torus, *summands), (TropTorus,) + (TropLineBundle,) * len(summands))
         if any(s.torus != self.torus for s in summands):
             raise AmbientMismatch("summands live on a different torus")
         object.__setattr__(self, "summands", _canonical_order(summands))
@@ -181,19 +177,32 @@ def cover_torus(torus: TropTorus, sub: Sublattice) -> TropTorus:
     return TropTorus._from_valid(torus.v @ sub.mat)
 
 
+def _check_types(values: tuple, types: tuple) -> None:
+    """NotExact unless each value is an instance of the type beside it."""
+    for value, cls in zip(values, types):
+        if not isinstance(value, cls):
+            raise NotExact(f"expected a {cls.__name__}, got a {type(value).__name__}")
+
+
+def _at(row: tuple, points: Iterable[Sequence[int]]) -> tuple[list[int], int]:
+    """A covector's row (integers, den) at integer points: numerators over that den."""
+    ext, den = row
+    return [sum(map(operator.mul, ext, p)) for p in points], den
+
+
 def _twists(
-    torus: TropTorus, ns: Mat, cols: Sequence, values: Sequence, shifts: Iterable, q: int = 1
+    torus: TropTorus, ns: Mat, cols: Sequence, l: tuple, shifts: Iterable, q: int = 1
 ) -> Iterable[tuple[Fraction, ...]]:
-    """The covector values on the columns cols, twisted by the translation over
-    each shift y / q: values[i] - <V cols[i], H y / q>, one tuple per shift.
-    The pairing is integer work, (V.num cols[i]) . (H.num y) over V.den H.den q."""
+    """The covector values a / m on the columns cols, l = (a, m), twisted by the
+    translation over each shift y / q: a[i] / m - <V cols[i], H y / q>, one tuple
+    of Fractions per shift; the pairing is (V.num cols[i]) . (H.num y) over V.den H.den q."""
     positions = [torus.v.num_image(c) for c in cols]
+    nums, m = l
     den = torus.v.den * ns.den * q
-    for m in map(ns.num_image, shifts):
-        pairs = [sum(map(operator.mul, p, m)) for p in positions]
+    for y in map(ns.num_image, shifts):
         yield tuple(
-            Fraction(a.numerator * den - x * a.denominator, a.denominator * den)
-            for a, x in zip(values, pairs)
+            Fraction(a * den - sum(map(operator.mul, p, y)) * m, m * den)
+            for a, p in zip(nums, positions)
         )
 
 
@@ -209,13 +218,14 @@ def _coset_reps(lat: Sublattice) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _same_torus(e1, e2) -> None:
+def _same_torus(e1, e2, cls: type) -> None:
+    _check_types((e1, e2), (cls, cls))
     if e1.torus != e2.torus:
         raise AmbientMismatch("operands live on different tori")
 
 
 def direct_sum(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
-    _same_torus(e1, e2)
+    _same_torus(e1, e2, TropVectorBundle)
     return TropVectorBundle._sorted(e1.torus, e1.summands + e2.summands)
 
 
@@ -227,7 +237,7 @@ def tensor(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
     covector is twisted by the translation over the canonical coset
     representative delta, contributing -<., H2(delta)>.
     """
-    _same_torus(e1, e2)
+    _same_torus(e1, e2, TropVectorBundle)
     torus = e1.torus
     out = []
     for s1 in e1.summands:
@@ -235,8 +245,10 @@ def tensor(e1: TropVectorBundle, e2: TropVectorBundle) -> TropVectorBundle:
             total, inter = _sum_and_intersection(s1.lattice, s2.lattice)
             ns = s1.ns + s2.ns
             basis = inter.generators()
-            base_l = [s1.l_value(b) + s2.l_value(b) for b in basis]
-            for l in _twists(torus, s2.ns, basis, base_l, _coset_reps(total)):
+            (a, m1), (b, m2) = s1._l_ext, s2._l_ext
+            m = math.lcm(m1, m2)
+            row = [x * (m // m1) + y * (m // m2) for x, y in zip(a, b)]
+            for l in _twists(torus, s2.ns, basis, _at((row, m), basis), _coset_reps(total)):
                 out.append(TropLineBundle._from_valid(torus, inter, ns, l))
     return TropVectorBundle._sorted(torus, out)
 
@@ -248,16 +260,16 @@ def pullback(e: TropVectorBundle, sub: Sublattice) -> TropVectorBundle:
     the cosets of (summand lattice + sub), each on the intersection, with the
     covector twisted by the coset representative's translation.
     """
+    _check_types((e, sub), (TropVectorBundle, Sublattice))
     torus = e.torus
     target = cover_torus(torus, sub)
     out = []
     for s in e.summands:
         total, inter = _sum_and_intersection(s.lattice, sub)
         new_lat = Sublattice.from_generators([sub._coordinates(b, 1) for b in inter.generators()])
-        amb_cols = list(zip(*(sub.mat @ new_lat.mat).num))
+        amb_cols = [sub.mat.num_image(c) for c in new_lat.generators()]
         new_ns = s.ns @ sub.mat
-        base_l = [s.l_value(c) for c in amb_cols]
-        for l in _twists(torus, s.ns, amb_cols, base_l, _coset_reps(total)):
+        for l in _twists(torus, s.ns, amb_cols, _at(s._l_ext, amb_cols), _coset_reps(total)):
             out.append(TropLineBundle._from_valid(target, new_lat, new_ns, l))
     return TropVectorBundle._sorted(target, out)
 
@@ -268,30 +280,31 @@ def pushforward(
     """Push a bundle on the cover N_R/sub down to the parent torus.
 
     Pure relabeling through the composed cover: each summand's lattice is
-    mapped into parent coordinates and its data re-expressed there.
+    mapped into parent coordinates, and its class and covector row multiplied by S^-1.
     """
-    if not isinstance(parent, TropTorus):
-        raise NotExact(f"a bundle is pushed forward to a TropTorus, got {parent!r}")
+    _check_types((e, sub, parent), (TropVectorBundle, Sublattice, TropTorus))
     if e.torus != cover_torus(parent, sub):
         raise AmbientMismatch("bundle does not live on the stated cover of the parent")
     sub_inv = Mat._from_int(sub._adjugate[1], sub.index)
     out = []
     for s in e.summands:
-        amb_lat = Sublattice((sub.mat @ s.lattice.mat).int_rows())
+        amb_lat = Sublattice.from_generators([sub.mat.num_image(c) for c in s.lattice.generators()])
         ns = s.ns @ sub_inv
-        l = tuple(s.l_value(sub._coordinates(col, 1)) for col in amb_lat.generators())
+        nums, m = _at(_at(s._l_ext, zip(*sub_inv.num)), amb_lat.generators())
+        l = tuple(Fraction(x, m * sub_inv.den) for x in nums)
         out.append(TropLineBundle._from_valid(parent, amb_lat, ns, l))
     return TropVectorBundle._sorted(parent, out)
 
 
 def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVectorBundle:
     """Translate by the point with N_Q-coordinates x: l goes to l - <., H(x)>."""
+    _check_types((e,), (TropVectorBundle,))
     torus = e.torus
-    lam = torus.v.solve(x)
+    lam = torus.v.solve(as_tuple(x, "rationals"))
     lam_num, q = over_one_denominator(lam)
     out = []
     for s in e.summands:
-        (l,) = _twists(torus, s.ns, s.lattice.generators(), s.l, [lam_num], q)
+        (l,) = _twists(torus, s.ns, s.lattice.generators(), s._l_num, [lam_num], q)
         out.append(TropLineBundle._from_valid(torus, s.lattice, s.ns, l))
     return TropVectorBundle._sorted(torus, out)
 
@@ -326,12 +339,13 @@ def is_semi_homogeneous(e: TropVectorBundle) -> bool:
 
 def restrict_line_bundle(s: TropLineBundle, cover: Sublattice) -> TropLineBundle:
     """The same factor of automorphy on a finer cover (pure restriction)."""
+    _check_types((s, cover), (TropLineBundle, Sublattice))
     if cover.ambient_rank != s.torus.g:
         raise AmbientMismatch("cover lattice does not match the torus rank")
     if not s.lattice.contains_lattice(cover):
         raise NotContained("restriction target is not contained in the cover lattice")
-    l = tuple(s.l_value(b) for b in cover.generators())
-    return TropLineBundle._from_valid(s.torus, cover, s.ns, l)
+    nums, m = _at(s._l_ext, cover.generators())
+    return TropLineBundle._from_valid(s.torus, cover, s.ns, tuple(Fraction(x, m) for x in nums))
 
 
 @functools.lru_cache(maxsize=64)
@@ -353,7 +367,7 @@ def iso_pushforward(s1: TropLineBundle, s2: TropLineBundle) -> bool:
     the lattice of covectors induced by integral characters plus class images
     of full-lattice translations.
     """
-    _same_torus(s1, s2)
+    _same_torus(s1, s2, TropLineBundle)
     if s1.lattice != s2.lattice:
         raise LatticeMismatch("summands live on different covers")
     if s1.ns != s2.ns:
@@ -366,7 +380,7 @@ def equivalent(
     s1: TropLineBundle, s2: TropLineBundle, cover: Sublattice | None = None
 ) -> bool:
     """Bundle equivalence through a common cover (defaults to the intersection)."""
-    _same_torus(s1, s2)
+    _same_torus(s1, s2, TropLineBundle)
     if cover is None:
         cover = s1.lattice & s2.lattice
     return iso_pushforward(
@@ -387,7 +401,7 @@ class ModuliPoint(Frozen):
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = _exact_values("moduli point", self.torus, self.gamma, self.ns, self.coords)
+        coords = _exact_values(self.torus, self.gamma, self.ns, self.coords)
         object.__setattr__(self, "coords", coords)
         _check_ranks("moduli point", self.torus.g, self.gamma, self.ns, coords)
 
@@ -416,7 +430,7 @@ def moduli_points(
     cols: dict[Sublattice, list[tuple[int | Fraction, ...]]] = {}
     restricted = []
     for s in summands:
-        _same_torus(s, first)
+        _same_torus(s, first, TropLineBundle)
         if s.ns != ns:
             raise SlopeMismatch("summand slope differs from the supplied class")
         c = cols.get(s.lattice)

@@ -140,11 +140,6 @@ class Mat(Frozen):
     def is_symmetric(self) -> bool:
         return self.num == tuple(zip(*self.num))
 
-    def int_rows(self) -> IntRows:
-        if self.den != 1:
-            raise DimensionMismatch("matrix is not integral")
-        return [list(row) for row in self.num]
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":

@@ -55,6 +55,7 @@ from conftest import (
     rand_r_symmetric,
     rand_sublattice,
     reduce_mod_lattice,
+    typed,
 )
 
 F = Fraction
@@ -659,41 +660,158 @@ def ref_translate(e, x):
     return TropVectorBundle(torus, tuple(out))
 
 
+def ref_equivalent(s1, s2, cover=None):
+    """Equal classes, and the covector difference on the common cover in the
+    lattice of integral characters and class images, by the rational solver."""
+    if cover is None:
+        cover = s1.lattice & s2.lattice
+    if s1.ns != s2.ns:
+        return False
+    diff = [ref_l_value(s1, b) - ref_l_value(s2, b) for b in cover.generators()]
+    basis = cover.mat.T @ s1.torus.v.T @ extended_character_lattice(s1.ns).basis
+    return not any(reduce_mod_lattice(diff, basis))
+
+
+def rand_covector(rng, g):
+    """Covector values over mixed denominators, some of them and some numerators large."""
+    dens = (1, 2, 3, 4, 7, 12, 2**61 - 1, 10**24 + 7)
+    nums = (rng.randint(-9, 9), rng.randint(-(10**30), 10**30))
+    return [F(rng.choice(nums), rng.choice(dens)) for _ in range(g)]
+
+
+def rand_rational_summand(rng, torus):
+    """A summand with a nonzero rational class on a cover where it is integral."""
+    while True:
+        ns = rand_r_symmetric(rng, torus.v, max_den=3)
+        if ns != Mat.zeros(torus.g, torus.g):
+            break
+    lattice = integrality_lattice(ns) & rand_sublattice(rng, torus.g, 2)
+    return line_bundle(torus, lattice, ns, rand_covector(rng, torus.g))
+
+
+def assert_exact_types(e):
+    for s in e.summands:
+        assert all(type(x) is Fraction for x in s.l)
+        assert type(s.lattice.basis) is tuple
+        basis = s.lattice.basis
+        assert all(type(row) is tuple and all(type(x) is int for x in row) for row in basis)
+
+
 def test_bundle_operations_match_fraction_reference():
     # random tori with rational periods, nonzero rational classes on covers
-    # where they are integral
-    rng = random.Random(467)
-
-    def rand_summand(torus):
-        while True:
-            ns = rand_r_symmetric(rng, torus.v, max_den=2)
-            if ns != Mat.zeros(torus.g, torus.g):
-                break
-        lattice = integrality_lattice(ns) & rand_sublattice(rng, torus.g, 2)
-        return line_bundle(torus, lattice, ns, [rand_fraction(rng) for _ in range(torus.g)])
-
-    for g in (1, 2, 2, 3, 3, 4):
+    # where they are integral, and covectors over mixed and large
+    # denominators, for g = 1..4; results are compared with their types, since
+    # Fraction(1) == 1, and equivalence against its rational reference
+    class_dens, equivalences = set(), set()
+    for seed in range(467, 495):
+        rng = random.Random(seed)
+        g = 1 + seed % 4
         while True:
             v = rand_matrix(rng, g, max_den=3)
             if v.det() != 0 and v != Mat.identity(g):
                 break
         torus = TropTorus(v)
-        e1 = as_bundle([rand_summand(torus) for _ in range(2)])
-        e2 = as_bundle(rand_summand(torus))
+        e1 = as_bundle([rand_rational_summand(rng, torus) for _ in range(2)])
+        e2 = as_bundle(rand_rational_summand(rng, torus))
         sub = rand_sublattice(rng, g, 2)
-        on_cover = as_bundle(rand_summand(cover_torus(torus, sub)))
-        x = [rand_fraction(rng) for _ in range(g)]
+        on_cover = as_bundle(rand_rational_summand(rng, cover_torus(torus, sub)))
+        x = rand_covector(rng, g)
         s = e1.summands[0]
+        class_dens.update(t.ns.den for t in e1.summands + e2.summands + on_cover.summands)
         cover = s.lattice & rand_sublattice(rng, g, 2)
-        assert tensor(e1, e2) == ref_tensor(e1, e2)
-        assert pullback(e1, sub) == ref_pullback(e1, sub)
-        assert pushforward(on_cover, sub, torus) == ref_pushforward(on_cover, sub, torus)
-        assert translate(e1, x) == ref_translate(e1, x)
+        pairs = [
+            (tensor(e1, e2), ref_tensor(e1, e2)),
+            (pullback(e1, sub), ref_pullback(e1, sub)),
+            (pushforward(on_cover, sub, torus), ref_pushforward(on_cover, sub, torus)),
+            (translate(e1, x), ref_translate(e1, x)),
+        ]
+        for result, expected in pairs:
+            assert typed(result) == typed(expected)
+            assert_exact_types(result)
         expected = [ref_l_value(s, b) for b in cover.generators()]
-        assert restrict_line_bundle(s, cover) == TropLineBundle(torus, cover, s.ns, expected)
+        restricted = restrict_line_bundle(s, cover)
+        assert typed(restricted) == typed(TropLineBundle(torus, cover, s.ns, expected))
+        assert_exact_types(as_bundle(restricted))
         for b in cover.generators():
             q = [F(c, rng.randint(1, 4)) for c in b]
             assert s.l_value(q) == ref_l_value(s, q)
+        # s's covector extended to another cover plus an integral character or
+        # a class image is equivalent to s; one value moved by 1/3 may not be
+        lat = integrality_lattice(s.ns) & rand_sublattice(rng, g, 2)
+        k = [rng.randint(-3, 3) for _ in range(g)]
+        shift = extended_character_lattice(s.ns).basis.mul_vec(k)
+        l = [ref_l_value(s, b) + ref_char_value(torus, b, shift) for b in lat.generators()]
+        twin = TropLineBundle(torus, lat, s.ns, l)
+        moved = TropLineBundle(torus, lat, s.ns, [l[0] + F(1, 3), *l[1:]])
+        finer = s.lattice & lat & rand_sublattice(rng, g, 2)
+        for t, c in ((twin, None), (moved, None), (twin, finer), (e2.summands[0], None)):
+            same = ref_equivalent(s, t, c)
+            assert equivalent(s, t, c) is same
+            equivalences.add(same)
+    assert max(class_dens) > 1 and equivalences == {True, False}
+
+
+def test_bundle_operations_read_neither_l_value_nor_the_public_lattice_constructor(monkeypatch):
+    # the ops read each summand's cached integer row at integer points and
+    # build their lattices through from_generators: a return to the Fraction
+    # evaluator or to the checked Sublattice(...) fails here
+    rng = random.Random(499)
+    torus = rand_torus(rng, 3)
+    e1 = as_bundle([rand_rational_summand(rng, torus) for _ in range(2)])
+    e2 = as_bundle(rand_rational_summand(rng, torus))
+    sub = Sublattice([[2, 0, 0], [1, 2, 0], [0, 1, 1]])
+    on_cover = as_bundle(rand_rational_summand(rng, cover_torus(torus, sub)))
+    s = e1.summands[0]
+    cover = s.lattice & sub
+    calls = []
+    for cls, name in ((TropLineBundle, "l_value"), (Sublattice, "__init__")):
+        def spy(*args, _original=getattr(cls, name), _name=f"{cls.__name__}.{name}", **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+    results = [
+        tensor(e1, e2),
+        pullback(e1, sub),
+        pushforward(on_cover, sub, torus),
+        translate(e1, [F(1, 2), F(-2, 3), 1]),
+        as_bundle(restrict_line_bundle(s, cover)),
+    ]
+    assert all(r.summands for r in results)
+    assert calls == []
+
+
+E_FULL = as_bundle(line_bundle(EYE2, Sublattice.full(2), Mat.identity(2), (0, 0)))
+S_FULL = E_FULL.summands[0]
+ROWS = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "op, args",
+    [
+        pytest.param(pullback, (E_FULL, ROWS), id="pullback-rows"),
+        pytest.param(pullback, (E_FULL, None), id="pullback-none"),
+        pytest.param(pullback, (S_FULL, Sublattice.full(2)), id="pullback-summand"),
+        pytest.param(pushforward, (E_FULL, ROWS, EYE2), id="pushforward-rows"),
+        pytest.param(pushforward, (ROWS, Sublattice.full(2), EYE2), id="pushforward-rows-bundle"),
+        pytest.param(tensor, (E_FULL, 5), id="tensor-int"),
+        pytest.param(tensor, (E_FULL, S_FULL), id="tensor-summand"),
+        pytest.param(tensor, (None, E_FULL), id="tensor-none"),
+        pytest.param(direct_sum, (E_FULL, S_FULL), id="sum-summand"),
+        pytest.param(translate, (E_FULL, 5), id="translate-int"),
+        pytest.param(translate, (S_FULL, (0, 0)), id="translate-summand"),
+        pytest.param(equivalent, (S_FULL, 5), id="equivalent-int"),
+        pytest.param(equivalent, (E_FULL, S_FULL), id="equivalent-bundle"),
+        pytest.param(equivalent, (S_FULL, S_FULL, ROWS), id="equivalent-cover-rows"),
+        pytest.param(restrict_line_bundle, (S_FULL, ROWS), id="restrict-rows"),
+        pytest.param(restrict_line_bundle, (E_FULL, Sublattice.full(2)), id="restrict-bundle"),
+        pytest.param(iso_pushforward, (S_FULL, 5), id="iso-pushforward-int"),
+    ],
+)
+def test_bundle_operations_reject_arguments_of_the_wrong_type(op, args):
+    # each used to escape as AttributeError or TypeError
+    with pytest.raises(NotExact):
+        op(*args)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)

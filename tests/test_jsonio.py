@@ -131,7 +131,7 @@ def rand_lattice_rows(rng, basis, hermite):
     k = [[rng.randint(1, 3) if i == j else rng.randint(-2, 2) * (i > j) for j in range(g)]
          for i in range(g)]
     u = [[1 if i == j else rng.randint(-2, 2) * (i < j) for j in range(g)] for i in range(g)]
-    rows = (Mat._from_int(basis) @ Mat._from_int(k) @ Mat._from_int(u)).int_rows()
+    rows = [list(r) for r in (Mat._from_int(basis) @ Mat._from_int(k) @ Mat._from_int(u)).num]
     return [list(row) for row in Sublattice(rows).basis] if hermite else rows
 
 

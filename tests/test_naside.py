@@ -200,7 +200,7 @@ def test_restrict_na_is_consistent():
         g = rng.randint(1, 2)
         ns, lat = rand_symmetric_instance(rng, g)
         b = rand_na_bundle(rng, ns, lat)
-        sub = Sublattice((lat.mat @ rand_sublattice(rng, g).mat).int_rows())
+        sub = Sublattice((lat.mat @ rand_sublattice(rng, g).mat).num)
         r = restrict_na(b, sub)
         for _ in range(4):
             v = sub.mat.mul_vec(tuple(F(rng.randint(-2, 2)) for _ in range(g)))
@@ -702,7 +702,7 @@ def test_na_operations_equal_public_construction(reference_torus):
     moved = 0
     for b in bundles:
         g = b.ns.torus.g
-        sub = Sublattice((b.lattice.mat @ rand_sublattice(rng, g, 2).mat).int_rows())
+        sub = Sublattice((b.lattice.mat @ rand_sublattice(rng, g, 2).mat).num)
         x = MultiplicativePoint(tuple(rand_unit_mono(rng) for _ in range(g)))
         chi = NACharacter(tuple(rand_unit_mono(rng) for _ in range(g)))
         results = [restrict_na(b, sub), translate_na(b, x), bundle_times_character(b, chi)]

@@ -243,7 +243,7 @@ def test_class_check_matches_monomial_reference():
         t = _rand_small_magnitude_torus(rng, g)
         h = rand_r_symmetric(rng, t.v, max_den=2)
         num = h.scale(h.den)
-        units = Mat.identity(g).int_rows()
+        units = Mat.identity(g).num
         cols = [[int(x) for x in num.col(j)] for j in range(g)]
         valid = all(
             (
