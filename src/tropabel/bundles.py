@@ -311,6 +311,7 @@ def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVec
 
 def slope(e: TropVectorBundle) -> Mat:
     """Rank-weighted average of the summand classes (a rational class matrix)."""
+    _check_types((e,), (TropVectorBundle,))
     if not e.summands:
         raise EmptyBundle("slope of the empty bundle")
     g = e.torus.g
@@ -321,11 +322,13 @@ def slope(e: TropVectorBundle) -> Mat:
 
 
 def is_homogeneous(e: TropVectorBundle) -> bool:
+    _check_types((e,), (TropVectorBundle,))
     zero = Mat.zeros(e.torus.g, e.torus.g)
     return all(s.ns == zero for s in e.summands)
 
 
 def is_semi_homogeneous(e: TropVectorBundle) -> bool:
+    _check_types((e,), (TropVectorBundle,))
     if not e.summands:
         return True
     first = e.summands[0].ns
@@ -356,7 +359,8 @@ def _twist_lattice(torus: TropTorus, lat: Sublattice, ns: Mat) -> QLattice:
     summands in one call, so the memo serves repeated (torus, lattice, class)
     triples across calls: at seed 1 the ops on one ``bundle-calculus``
     scenario share it (200 hits to 100 misses per pass), and each
-    ``verify-square`` case hits it once."""
+    ``verify-square`` case hits it once.  ``jsonio`` hands every repeat of a
+    wire torus or lattice the same value, so a hit compares them by identity."""
     return QLattice(lat.mat.T @ torus.v.T @ extended_character_lattice(ns).basis)
 
 
@@ -421,6 +425,8 @@ def moduli_points(
     integer pass: each restricted covector goes to the reducer as integer
     numerators over one denominator, and its point is read back as Fractions.
     """
+    summands = as_tuple(summands, "TropLineBundles")
+    _check_types((gamma, ns, *summands), (Sublattice, Mat) + (TropLineBundle,) * len(summands))
     if not summands:
         return []
     first = summands[0]
@@ -430,7 +436,8 @@ def moduli_points(
     cols: dict[Sublattice, list[tuple[int | Fraction, ...]]] = {}
     restricted = []
     for s in summands:
-        _same_torus(s, first, TropLineBundle)
+        if s.torus != first.torus:
+            raise AmbientMismatch("operands live on different tori")
         if s.ns != ns:
             raise SlopeMismatch("summand slope differs from the supplied class")
         c = cols.get(s.lattice)
@@ -450,6 +457,8 @@ def moduli_points(
 
 def sym_point(points: Sequence[ModuliPoint]) -> tuple[tuple[Fraction, ...], ...]:
     """Canonical (sorted) coordinate multiset of equally-typed moduli points."""
+    points = as_tuple(points, "ModuliPoints")
+    _check_types(points, (ModuliPoint,) * len(points))
     if not points:
         return ()
     first = points[0]

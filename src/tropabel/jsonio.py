@@ -15,6 +15,13 @@ A decoder checks the JSON types and shapes, and returns
 validation step, which its public constructor runs too, so each check is
 written in the value's class alone, runs once and raises the constructor's error.
 
+A lattice basis and a tropical period matrix are decoded once per working set:
+the wire repeats a few of them across many operations, so two bounded memos,
+``_lattice`` (``LATTICE_CACHE_SIZE`` entries, keyed by the int rows once every
+entry is checked to be an int) and ``_trop_torus`` (``TORUS_CACHE_SIZE``, keyed by
+the decoded ``Mat``), hand every repeat the same immutable, validated value, and
+with it the lattice's cached ``mat`` and ``_adjugate``; a raise is never cached.
+
 ``bundles``, ``monomials``, ``naside``, ``nspairings`` and ``tropchar`` are
 read as modules, which the package loads lazily, so decoding a tropical torus
 or a class matrix on it compiles none of them.
@@ -24,13 +31,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Sequence
 
 from . import bundles, monomials, naside, nspairings, tropchar
 from .errors import DimensionMismatch, MalformedScalar, TropabelError, ZeroDenominator
 from .lattices import Sublattice
 from .linalg import Mat
-from .rationals import parse_rational
+from .rationals import LATTICE_CACHE_SIZE, TORUS_CACHE_SIZE, parse_rational
 from .tori import NATorus, TropTorus
 
 
@@ -108,15 +116,24 @@ def lattice_to_json(lat: Sublattice) -> list[list[int]]:
     return [list(row) for row in lat.basis]
 
 
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _lattice(rows: tuple[tuple[int, ...], ...]) -> Sublattice:
+    """The checked lattice of a square basis of int rows, memoised: a Sublattice is
+    immutable, so one value, with its cached ``mat`` and ``_adjugate``, serves every
+    repeat of its basis; a raise is never cached."""
+    return Sublattice._from_valid(rows)._checked()
+
+
 def lattice_from_json(data: Any) -> Sublattice:
-    """The lattice of a nonempty square basis of int rows, checked in one loop."""
+    """The lattice of a nonempty square basis of int rows, checked in one loop; the
+    rows key ``_lattice`` only once every entry is an int, so no bool reaches it."""
     if isinstance(data, list) and data:
         g = len(data)
         for row in data:
             if not isinstance(row, list) or len(row) != g or set(map(type, row)) != {int}:
                 break
         else:
-            return Sublattice._from_valid(data)._checked()
+            return _lattice(tuple(map(tuple, data)))
     raise ScenarioError(f"expected a square integer lattice basis, got {data!r}")
 
 
@@ -153,6 +170,13 @@ def torus_to_json(t: TropTorus | NATorus) -> dict[str, Any]:
     return {"g": t.g, "v": matrix_to_json(t.v)}
 
 
+@lru_cache(maxsize=TORUS_CACHE_SIZE)
+def _trop_torus(v: Mat) -> TropTorus:
+    """The torus of a decoded period matrix, memoised like ``_lattice``: its
+    nonsingularity is checked once per distinct matrix."""
+    return TropTorus(v)
+
+
 def torus_from_json(data: Any) -> TropTorus | NATorus:
     """The torus of 'generators' or 'v'; a 'g', which may be left out, must be its rank."""
     if not isinstance(data, dict):
@@ -161,7 +185,7 @@ def torus_from_json(data: Any) -> TropTorus | NATorus:
         points = tuple(point_from_json(p) for p in _json_list(data["generators"], "points"))
         torus = NATorus._from_valid(points)._checked()
     elif "v" in data:
-        torus = TropTorus(matrix_from_json(data["v"]))
+        torus = _trop_torus(matrix_from_json(data["v"]))
     else:
         raise ScenarioError("torus needs either 'generators' or 'v'")
     g = data.get("g", torus.g)

@@ -3,10 +3,12 @@
 The whole library computes over Q, represented by ``fractions.Fraction``.
 These helpers coerce input to it and reject floats and booleans, so that none ever
 enters the pipeline, and read an integer without truncating it or a sequence without
-accepting a scalar.  ``parse_rational`` parses the one rational grammar and is the one
-memo (the wire repeats few distinct strings); a wire matrix reads its Fractions as
-pairs, ``as_integer_ratio()``, with no cache of its own.  Integer work on a rational
-vector starts from ``over_one_denominator`` (checked at an entry point).
+accepting a scalar.  ``parse_rational`` parses the one rational grammar and is
+memoised (the wire repeats few distinct strings); a wire matrix reads its Fractions as
+pairs, ``as_integer_ratio()``, with no cache of its own.  The bounds of the wire
+boundary's three memos are kept here together: this parse memo's and those of the
+lattice and torus memos of ``jsonio``.  Integer work on a rational vector starts from
+``over_one_denominator`` (checked at an entry point).
 """
 
 from __future__ import annotations
@@ -22,13 +24,29 @@ from .errors import MalformedScalar, NotExact, TropabelError, ZeroDenominator
 # the one grammar of rational strings: "[+-]n" or "[+-]p/q"
 RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
-# Entries kept by parse_rational's memo, the package's one parse cache: a pass of the
+# Entries kept by parse_rational's memo, the one cache of parsed strings: a pass of the
 # rep-square benchmark reads about 960 distinct strings.  An accepted string has at most
 # 2 x 4,300 digits (the int conversion limit) at up to 4 bytes a character (a digit outside
 # the BMP), about 34 KB, and a Fraction of two ints of about 1.9 KB each, so the memo holds
 # at most about 75 MiB; a short string such as "-7/12" costs about 0.2 KB an entry.
 # Reading an entry as a pair (``as_integer_ratio()``) stores nothing more.
 PARSE_CACHE_SIZE = 2048
+
+# Entries kept by jsonio's memo of decoded lattices, keyed by the wire basis: a case of
+# the bundle-calculus benchmark reads about 17 bases, at most 7 of them distinct.  An
+# entry holds its g x g key and the lattice: the Hermite basis, ``mat`` (the same ints)
+# and ``_adjugate``, whose entries are bounded by the determinant, at most about g times
+# the bits of the largest key entry.  At the int conversion limit (about 1.9 KB an
+# int) that is at most (2g + 1) g^2 x 1.9 KB, 0.27 MB for g = 4 and so about 9 MiB
+# for the memo; a basis of small ints costs about 2 KB an entry.
+LATTICE_CACHE_SIZE = 32
+
+# Entries kept by jsonio's memo of decoded tropical tori, keyed by the period matrix,
+# which the torus shares: a scenario has one torus.  Over the lcm of g^2 wire
+# denominators a numerator has at most g^2 + 1 times the digits of one wire integer,
+# so an entry is at most g^2 (g^2 + 1) x 1.9 KB, 0.52 MB for g = 4 and so about
+# 4 MiB for the memo; a small g = 2 period matrix costs about 0.4 KB.
+TORUS_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
@@ -88,7 +106,10 @@ def as_int(x: int | Fraction, error: type[TropabelError]) -> int:
 
 
 def as_tuple(x, what: str) -> tuple:
-    """x as a tuple; ``NotExact`` (a ``TypeError``) when x is not iterable."""
+    """x as a tuple; ``NotExact`` (a ``TypeError``) when x is not iterable, or is a
+    ``str`` or ``bytes``, whose characters would otherwise be read as entries."""
+    if isinstance(x, (str, bytes)):
+        raise NotExact(f"expected a sequence of {what}, got {x!r}")
     try:
         return tuple(x)
     except TypeError:

@@ -783,6 +783,8 @@ def test_bundle_operations_read_neither_l_value_nor_the_public_lattice_construct
 
 E_FULL = as_bundle(line_bundle(EYE2, Sublattice.full(2), Mat.identity(2), (0, 0)))
 S_FULL = E_FULL.summands[0]
+FULL = Sublattice.full(2)
+ID2 = Mat.identity(2)
 ROWS = [[1, 0], [0, 1]]
 
 
@@ -806,10 +808,26 @@ ROWS = [[1, 0], [0, 1]]
         pytest.param(restrict_line_bundle, (S_FULL, ROWS), id="restrict-rows"),
         pytest.param(restrict_line_bundle, (E_FULL, Sublattice.full(2)), id="restrict-bundle"),
         pytest.param(iso_pushforward, (S_FULL, 5), id="iso-pushforward-int"),
+        pytest.param(translate, (E_FULL, "12"), id="translate-string"),
+        pytest.param(translate, (E_FULL, b"12"), id="translate-bytes"),
+        pytest.param(moduli_points, ([5], FULL, ID2), id="moduli-points-int"),
+        pytest.param(moduli_points, ([S_FULL], ROWS, ID2), id="moduli-points-gamma-rows"),
+        pytest.param(moduli_points, ([S_FULL], FULL, ROWS), id="moduli-points-class-rows"),
+        pytest.param(moduli_points, ([], ROWS, ID2), id="moduli-points-empty-gamma-rows"),
+        pytest.param(moduli_points, (S_FULL, FULL, ID2), id="moduli-points-summand"),
+        pytest.param(moduli_point, (S_FULL, ROWS, ID2), id="moduli-point-gamma-rows"),
+        pytest.param(moduli_point, (E_FULL, FULL, ID2), id="moduli-point-bundle"),
+        pytest.param(slope, (5,), id="slope-int"),
+        pytest.param(slope, (S_FULL,), id="slope-summand"),
+        pytest.param(is_homogeneous, (S_FULL,), id="homogeneous-summand"),
+        pytest.param(is_semi_homogeneous, (5,), id="semi-homogeneous-int"),
+        pytest.param(sym_point, ([5],), id="sym-point-int"),
+        pytest.param(sym_point, (5,), id="sym-point-not-a-sequence"),
     ],
 )
 def test_bundle_operations_reject_arguments_of_the_wrong_type(op, args):
-    # each used to escape as AttributeError or TypeError
+    # each used to escape as AttributeError or TypeError, and a string point
+    # used to be read as its characters
     with pytest.raises(NotExact):
         op(*args)
 

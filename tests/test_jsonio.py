@@ -19,9 +19,10 @@ import pytest
 
 from tropabel import bundles, jsonio, lattices, tori
 from tropabel.bundles import TropLineBundle, TropVectorBundle
-from tropabel.errors import DimensionMismatch, TropabelError
+from tropabel.errors import DimensionMismatch, SingularLattice, TropabelError
 from tropabel.lattices import Sublattice
 from tropabel.linalg import Mat
+from tropabel.rationals import LATTICE_CACHE_SIZE, TORUS_CACHE_SIZE
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial
 from tropabel.naside import NACharacter, NALineBundle, NASemisimpleRep
 from tropabel.nspairings import NSClass
@@ -410,6 +411,74 @@ def test_na_line_bundle_decoder_tests_the_cover_once(monkeypatch, reference_toru
     ns = jsonio.matrix_from_json(data["ns_class"])
     jsonio.na_bundle_from_json(data["na_bundles"]["B1"], torus, ns)
     assert calls == 1
+
+
+# ---------------------------------------------------------------------------
+# The memos of decoded lattices and tori
+# ---------------------------------------------------------------------------
+
+
+def test_a_repeated_wire_lattice_or_period_matrix_decodes_to_the_same_value():
+    basis = [[3, 0], [1, 2]]
+    lat = jsonio.lattice_from_json(basis)
+    assert jsonio.lattice_from_json([list(row) for row in basis]) is lat
+    assert lat == Sublattice(basis)
+    as_strings = {"v": [["1", "1/2"], ["0", "3"]]}
+    as_ints = {"g": 2, "v": [[1, "1/2"], [0, 3]]}
+    torus = jsonio.torus_from_json(as_strings)
+    assert jsonio.torus_from_json(as_ints) is torus
+    assert torus == TropTorus(Mat([[1, F(1, 2)], [0, 3]]))
+
+
+def test_a_boolean_basis_is_refused_after_the_int_basis():
+    # True == 1 and hash(True) == hash(1), so only the type check keeps a
+    # boolean basis from the memo entry of the int one
+    assert jsonio.lattice_from_json([[1, 0], [0, 1]]) == Sublattice.full(2)
+    for basis in ([[True, 0], [0, True]], [[1, 0], [0, True]], [[1, False], [0, 1]]):
+        with pytest.raises(jsonio.ScenarioError, match="expected a square integer lattice basis"):
+            jsonio.lattice_from_json(basis)
+
+
+def test_a_failed_decode_is_not_memoised():
+    for _ in range(3):
+        with pytest.raises(SingularLattice, match="period matrix must be nonsingular"):
+            jsonio.torus_from_json({"v": [["1", "2"], ["2", "4"]]})
+        with pytest.raises(TropabelError, match="full-rank"):
+            jsonio.lattice_from_json([[1, 0], [2, 0]])
+
+
+def test_a_non_canonical_basis_decodes_to_its_hermite_form():
+    basis = [[2, 0], [5, 3]]
+    lat = jsonio.lattice_from_json(basis)
+    assert lat.basis == ((2, 0), (2, 3)) == Sublattice(basis).basis
+    assert ref_is_hermite(lat.basis)
+    assert jsonio.lattice_from_json(basis) is lat
+    assert jsonio.lattice_from_json([[2, 0], [2, 3]]) == lat
+
+
+def test_the_memos_keep_at_most_their_bound():
+    for i in range(LATTICE_CACHE_SIZE + 5):
+        jsonio.lattice_from_json([[i + 1, 0], [i, i + 2]])
+    for i in range(TORUS_CACHE_SIZE + 5):
+        jsonio.torus_from_json({"v": [[str(i + 1), "0"], ["0", "1"]]})
+    assert 0 < jsonio._lattice.cache_info().currsize <= LATTICE_CACHE_SIZE
+    assert 0 < jsonio._trop_torus.cache_info().currsize <= TORUS_CACHE_SIZE
+
+
+def test_a_repeated_torus_runs_one_nonsingularity_check(monkeypatch):
+    calls = 0
+    original = Mat._eliminate
+
+    def counted(self, rhs):
+        nonlocal calls
+        calls += 1
+        return original(self, rhs)
+
+    monkeypatch.setattr(Mat, "_eliminate", counted)
+    jsonio._trop_torus.cache_clear()
+    data = {"g": 3, "v": [["2", "0", "1/3"], ["0", "1", "0"], ["1", "0", "5"]]}
+    tori = {id(jsonio.torus_from_json(json.loads(json.dumps(data)))) for _ in range(10)}
+    assert len(tori) == 1 and calls == 1
 
 
 # ---------------------------------------------------------------------------

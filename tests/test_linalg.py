@@ -19,7 +19,7 @@ from tropabel.errors import (
 from tropabel.groups import snf
 from tropabel.jsonio import ScenarioError, matrix_to_json, rational_from_json
 from tropabel.linalg import Mat, column_hnf, congruence_lattice, hnf
-from tropabel.rationals import RATIONAL, parse_rational, rat
+from tropabel.rationals import RATIONAL, as_tuple, parse_rational, rat
 from tropabel.tori import TropTorus
 
 from conftest import ref_eliminate
@@ -210,6 +210,18 @@ def test_rat_rejects_floats_and_booleans(value):
         rat(value)
     with pytest.raises(TypeError):
         Mat([[value]])
+
+
+@pytest.mark.parametrize("text", ["12", "", b"12"], ids=["str", "empty", "bytes"])
+def test_a_string_is_not_a_sequence_of_entries(text):
+    # each character of "12" used to be read as an entry, so a point "12" was (1, 2)
+    with pytest.raises(NotExact, match="expected a sequence of rationals"):
+        as_tuple(text, "rationals")
+    with pytest.raises(NotExact):
+        Mat([text])
+    with pytest.raises(NotExact):
+        Mat(text)
+    assert as_tuple(["12"], "rationals") == ("12",) and as_tuple(iter((1, 2)), "ints") == (1, 2)
 
 
 def _reference_parse(s):
