@@ -76,10 +76,6 @@ class TropLineBundle(Frozen):
     def rank(self) -> int:
         return self.lattice.index
 
-    @property
-    def sort_key(self):
-        return (self.lattice.basis, self.ns, self.l)
-
     @functools.cached_property
     def _l_num(self) -> tuple[list[int], int]:
         """The covector's integer numerators over their least common
@@ -123,8 +119,30 @@ def _check_ranks(what: str, g: int, lattice: Sublattice, ns: Mat, values: Sequen
 
 
 def _canonical_order(summands: Iterable[TropLineBundle]) -> tuple[TropLineBundle, ...]:
-    """Summands in the canonical order of a vector bundle."""
-    return tuple(sorted(summands, key=lambda s: s.sort_key))
+    """Summands in the canonical order of a vector bundle: the stable sort by
+    (basis, class, covector).  They are sorted stably by (basis, class), and
+    each run of equal (basis, class) is then sorted stably by its covectors'
+    integer numerators over the run's lcm, the order of their Fractions.
+    Summands built together share their lattice and class objects, and a
+    tuple compares its items by identity first, so finding a run is cheap."""
+    out = sorted(summands, key=_basis_and_class)
+    keys = list(map(_basis_and_class, out))
+    if not any(map(operator.eq, keys, keys[1:])):
+        return tuple(out)
+    start = 0
+    for k in range(1, len(out) + 1):
+        if k < len(out) and keys[k] == keys[k - 1]:
+            continue
+        if k - start > 1:
+            run = out[start:k]
+            m = math.lcm(*[x.denominator for s in run for x in s.l])
+            ints = [[x.numerator * (m // x.denominator) for x in s.l] for s in run]
+            out[start:k] = [run[i] for i in sorted(range(len(run)), key=ints.__getitem__)]
+        start = k
+    return tuple(out)
+
+
+_basis_and_class = operator.attrgetter("lattice.basis", "ns")
 
 
 class TropVectorBundle(Frozen):
@@ -424,34 +442,40 @@ def moduli_points(
     restricted covector is reduced modulo the one twist lattice in a single
     integer pass: each restricted covector goes to the reducer as integer
     numerators over one denominator, and its point is read back as Fractions.
+    Every point carries the first summand's torus with gamma and ns, so the
+    points of one call share one (torus, gamma, ns).  The pass compares each
+    summand's torus and class by identity before equality, and looks up the
+    columns of gamma only where the lattice object changes.
     """
     summands = as_tuple(summands, "TropLineBundles")
     _check_types((gamma, ns, *summands), (Sublattice, Mat) + (TropLineBundle,) * len(summands))
     if not summands:
         return []
-    first = summands[0]
-    if gamma.ambient_rank != first.torus.g:
+    torus = summands[0].torus
+    if gamma.ambient_rank != torus.g:
         raise AmbientMismatch("gamma does not match the torus rank")
     gens = gamma.generators()
     cols: dict[Sublattice, list[tuple[int | Fraction, ...]]] = {}
+    lat = c = None
     restricted = []
     for s in summands:
-        if s.torus != first.torus:
+        if s.torus is not torus and s.torus != torus:
             raise AmbientMismatch("operands live on different tori")
-        if s.ns != ns:
+        if s.ns is not ns and s.ns != ns:
             raise SlopeMismatch("summand slope differs from the supplied class")
-        c = cols.get(s.lattice)
-        if c is None:
-            c = [s.lattice._coordinates(b, 1) for b in gens]
-            if not all(type(x) is int for col in c for x in col):
-                raise NotCompatible("gamma is not contained in the summand's cover lattice")
-            cols[s.lattice] = c
+        if s.lattice is not lat:
+            lat = s.lattice
+            c = cols.get(lat)
+            if c is None:
+                c = cols[lat] = [lat._coordinates(b, 1) for b in gens]
+                if not all(type(x) is int for col in c for x in col):
+                    raise NotCompatible("gamma is not contained in the summand's cover lattice")
         l_num, m = s._l_num
-        restricted.append(([sum(a * x for a, x in zip(l_num, col)) for col in c], m))
-    reduced = _twist_lattice(first.torus, gamma, ns)._reduce_num(restricted)
+        restricted.append(([sum(map(operator.mul, l_num, col)) for col in c], m))
+    reduced = _twist_lattice(torus, gamma, ns)._reduce_num(restricted)
     return [
-        ModuliPoint._from_valid(s.torus, gamma, ns, tuple(Fraction(x, m) for x in r))
-        for s, (r, m, _) in zip(summands, reduced)
+        ModuliPoint._from_valid(torus, gamma, ns, tuple(Fraction(x, m) for x in r))
+        for r, m, _ in reduced
     ]
 
 

@@ -36,7 +36,7 @@ from .lattices import Sublattice
 from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
 from .rationals import as_int, as_tuple, over_one_denominator
-from .tori import NATorus
+from .tori import NATorus, TropTorus
 
 
 class NACharacter(Frozen):
@@ -198,6 +198,8 @@ def tropicalize_line_bundle(b: NALineBundle) -> bundles.TropLineBundle:
     entry is one Fraction over the valuation's denominator times that; for the
     zero class (every character's bundle) G = 0, and the form is not evaluated.
     """
+    if not isinstance(b, NALineBundle):
+        raise NotExact(f"expected an NALineBundle, got a {type(b).__name__}")
     torus = b.ns.torus.trop()
     gram = b.ns.gram
     den2 = 2 * gram.den
@@ -298,8 +300,13 @@ def bundles_from_rep(rep: NASemisimpleRep, torus: NATorus) -> tuple[NALineBundle
     Of the checks of ``NALineBundle`` only the torus type can fail here: the
     zero class is real- and multiplicatively symmetric and integral on the
     full lattice, and every character has g values.  So the torus type is
-    checked, and the zero class and every bundle are built unchecked.
+    checked, and the zero class and every bundle are built unchecked.  An
+    argument that is neither a representation nor a torus raises NotExact.
     """
+    if not isinstance(rep, NASemisimpleRep):
+        raise NotExact(f"expected an NASemisimpleRep, got a {type(rep).__name__}")
+    if not isinstance(torus, (NATorus, TropTorus)):
+        raise NotExact(f"expected an NATorus, got a {type(torus).__name__}")
     if torus.g != rep.g:
         raise AmbientMismatch("torus rank differs from the representation rank")
     if not isinstance(torus, NATorus):
@@ -311,6 +318,8 @@ def bundles_from_rep(rep: NASemisimpleRep, torus: NATorus) -> tuple[NALineBundle
 
 def trop_rep(rep: NASemisimpleRep) -> tropchar.TropRepresentation:
     """Entrywise valuation: a diagonal tropical representation."""
+    if not isinstance(rep, NASemisimpleRep):
+        raise NotExact(f"expected an NASemisimpleRep, got a {type(rep).__name__}")
     r, g = rep.r, rep.g
     idperm = tuple(range(r))
     images = []
@@ -344,23 +353,30 @@ def verify_commuting_square(
 
     Both pipelines produce points for (full lattice, zero class) on the same
     real torus; returns the boolean together with both sorted point lists.
-    The lists are sorted by their coordinates as integer numerators over one
-    denominator common to all of them, the order of the coordinates.
+    Each list is sorted once by its coordinates as integer numerators over
+    one denominator common to both, the order of the coordinates.  Every
+    point of one ``moduli_points`` call carries the same (torus, gamma, ns),
+    so the lists are equal exactly when their keys are and the two sides'
+    (torus, gamma, ns) are: that is the boolean, without comparing points.
     """
+    # bundles_from_rep checks both arguments' types before any work
+    na_bundles = bundles_from_rep(rep, torus)
     g = torus.g
     zero = Mat.zeros(g, g)
     full = Sublattice.full(g)
 
-    via_na = bundles.moduli_points(
-        [tropicalize_line_bundle(b) for b in bundles_from_rep(rep, torus)], full, zero
-    )
+    via_na = bundles.moduli_points([tropicalize_line_bundle(b) for b in na_bundles], full, zero)
     trop_bundle = tropchar.bundle_from_rep(trop_rep(rep), torus.trop())
     via_trop = bundles.moduli_points(trop_bundle.summands, full, zero)
     den = math.lcm(*{x.denominator for p in via_na + via_trop for x in p.coords})
 
-    def key(p: bundles.ModuliPoint) -> tuple[int, ...]:
-        return tuple(x.numerator * (den // x.denominator) for x in p.coords)
+    def by_coordinates(points: list[bundles.ModuliPoint]) -> tuple[list, list]:
+        keys = [tuple([x.numerator * (den // x.denominator) for x in p.coords]) for p in points]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return [keys[i] for i in order], [points[i] for i in order]
 
-    via_na.sort(key=key)
-    via_trop.sort(key=key)
-    return via_na == via_trop, via_na, via_trop
+    na_keys, via_na = by_coordinates(via_na)
+    trop_keys, via_trop = by_coordinates(via_trop)
+    na, trop = via_na[0], via_trop[0]
+    equal = na_keys == trop_keys and (na.torus, na.gamma, na.ns) == (trop.torus, trop.gamma, trop.ns)
+    return equal, via_na, via_trop

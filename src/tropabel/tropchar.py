@@ -164,9 +164,17 @@ def _commute(rep: TropRepresentation, nums: list[list[int]]) -> bool:
     return True
 
 
+def _check_rep(rep) -> None:
+    """NotExact unless rep is a TropRepresentation: the type check of every
+    function taking one, before any work."""
+    if not isinstance(rep, TropRepresentation):
+        raise NotExact(f"expected a TropRepresentation, got a {type(rep).__name__}")
+
+
 def check_commuting(rep: TropRepresentation) -> bool:
     """Whether the images commute, without composing them: ab = ba iff the permutations commute
     and a.d[i] - a.d[b^-1(i)] = b.d[i] - b.d[a^-1(i)] (see compose), over one denominator."""
+    _check_rep(rep)
     return _commute(rep, _integer_translations(rep.images)[0])
 
 
@@ -204,8 +212,12 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
     b_2 times by sigma_2^-1, and so on.  Hermite generators have no negative
     coordinates, so the walk only steps forward, and it must end at p.  The
     sum is taken in the integer translations over one denominator, and each
-    covector entry becomes one Fraction.
+    covector entry becomes one Fraction.  Orbits with the same Hermite
+    columns share one stabilizer object (a diagonal representation's r
+    orbits all have Z^g), so the comparisons that later order the summands
+    and look up their lattices stop at the identity.
     """
+    _check_rep(rep)
     nums, den = _integer_translations(rep.images)
     if not _commute(rep, nums):
         raise NotCommuting("generator images do not commute")
@@ -213,6 +225,7 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
     perms = [a.perm for a in rep.images]
     inv_perms = [a.inv_perm for a in rep.images]
     seen: set[int] = set()
+    lattices: dict[tuple, Sublattice] = {}
     out = []
     for p in range(rep.r):
         if p in seen:
@@ -232,7 +245,9 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
                     q = perm[q]
             labels = grown
         seen.update(labels)
-        lat = Sublattice._from_hermite([[col[i] for col in cols] for i in range(g)])
+        lat = lattices.get(key := tuple(cols))
+        if lat is None:
+            lat = lattices[key] = Sublattice._from_hermite(list(zip(*cols)))
         l = []
         for b in cols:
             pos, acc = p, 0
@@ -264,6 +279,7 @@ def stratum(rep: TropRepresentation) -> tuple[Sublattice, ...]:
 def bundle_from_rep(rep: TropRepresentation, torus: TropTorus) -> bundles.TropVectorBundle:
     """The homogeneous bundle of a representation: one summand per orbit,
     pushed forward from the stabilizer cover with zero class."""
+    _check_rep(rep)
     if not isinstance(torus, TropTorus):
         raise NotExact(f"the bundle of a representation lives on a TropTorus, got {torus!r}")
     if torus.g != rep.g:
@@ -281,6 +297,9 @@ def conjugate(rep: TropRepresentation, a: TropGLElement) -> TropRepresentation:
     b(i) = a(img(a^-1 i)) and, by compose and inverse, the translation
     d_b(i) = d_a(i) + d_img(a^-1 i) - d_a(b^-1 i), summed in the translations
     of a and of every image as integers over one denominator."""
+    _check_rep(rep)
+    if not isinstance(a, TropGLElement):
+        raise NotExact(f"expected a TropGLElement, got a {type(a).__name__}")
     if rep.r != a.r:
         raise SizeMismatch("cannot compose elements of different sizes")
     a_perm, a_inv = a.perm, a.inv_perm
@@ -307,6 +326,8 @@ def rep_from_bundle(e: bundles.TropVectorBundle) -> TropRepresentation:
     numerators, over their denominator.  Inverse to bundle construction up to
     equivalence.
     """
+    if not isinstance(e, bundles.TropVectorBundle):
+        raise NotExact(f"expected a TropVectorBundle, got a {type(e).__name__}")
     if not e.summands:
         raise SizeMismatch("cannot build a representation from an empty bundle")
     g = e.torus.g

@@ -290,3 +290,10 @@ def hermite_bases(draw):
         [draw(st.integers(0, diag[i] - 1)) if j < i else diag[i] * (i == j) for j in range(g)]
         for i in range(g)
     ]
+
+
+def ref_canonical_order(summands):
+    """The canonical order of a vector bundle's summands as one stable sort by
+    (basis, class, covector), comparing the covectors as Fractions: the oracle
+    of ``bundles._canonical_order``."""
+    return tuple(sorted(summands, key=lambda s: (s.lattice.basis, s.ns, s.l)))

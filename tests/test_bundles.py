@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropabel.bundles import (
+    _canonical_order,
     ModuliPoint,
     TropLineBundle,
     TropVectorBundle,
@@ -55,6 +56,7 @@ from conftest import (
     rand_r_symmetric,
     rand_sublattice,
     reduce_mod_lattice,
+    ref_canonical_order,
     typed,
 )
 
@@ -875,3 +877,49 @@ def test_cover_of_another_rank_is_rejected(sub):
         pullback(e, sub)
     with pytest.raises(AmbientMismatch):
         pushforward(e, sub, EYE2)
+
+
+# ---------------------------------------------------------------------------
+# The canonical order against one Fraction sort
+# ---------------------------------------------------------------------------
+
+# lattices and classes by position: two objects for one lattice and for one
+# class, so that runs mix shared objects with equal but distinct ones
+ORDER_LATTICES = [
+    Sublattice([[2, 0], [1, 1]]),
+    Sublattice([[2, 0], [1, 1]]),
+    Sublattice.full(2),
+    Sublattice([[1, 0], [0, 3]]),
+]
+ORDER_CLASSES = [Mat.zeros(2, 2), Mat.zeros(2, 2), Mat([[2, 0], [0, 2]]), Mat([[6, 3], [3, 6]])]
+ORDER_VALUES = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(2, 4)]) | st.builds(
+    F, st.integers(-(2**70), 2**70), st.integers(1, 12) | st.integers(2**64, 2**66)
+)
+
+
+@st.composite
+def summand_lists(draw):
+    """Up to 12 summands on EYE2 over a few lattice and class objects, with
+    covectors drawn from a few repeated values, mixed and large denominators
+    and negative entries, some repeated whole."""
+    summands = []
+    for _ in range(draw(st.integers(0, 12))):
+        lat = draw(st.sampled_from(ORDER_LATTICES))
+        ns = draw(st.sampled_from(ORDER_CLASSES))
+        if summands and draw(st.booleans()):
+            l = draw(st.sampled_from(summands)).l
+        else:
+            l = (draw(ORDER_VALUES), draw(ORDER_VALUES))
+        summands.append(TropLineBundle(EYE2, lat, ns, l))
+    return summands
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(summand_lists())
+def test_canonical_order_matches_the_fraction_sort(summands):
+    # the same sequence, object by object: ties of the whole key keep their
+    # input order in both
+    got = _canonical_order(summands)
+    expected = ref_canonical_order(summands)
+    assert len(got) == len(expected)
+    assert all(a is b for a, b in zip(got, expected))

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropabel import jsonio
+from tropabel import bundles, jsonio
 from tropabel.bundles import TropLineBundle, as_bundle, moduli_point, translate
 from tropabel.errors import (
     AmbientMismatch,
     InvalidClass,
     NotAdmissible,
+    NotExact,
     NotContained,
     NotInLattice,
     SizeMismatch,
@@ -41,7 +42,18 @@ from tropabel.naside import (
 )
 from tropabel.nspairings import NSClass
 from tropabel.tori import NATorus, TropTorus
-from tropabel.tropchar import TropGLElement, TropRepresentation, bundle_from_rep
+from tropabel.tropchar import (
+    TropGLElement,
+    TropRepresentation,
+    bundle_from_rep,
+    canonical_form,
+    check_commuting,
+    conjugate,
+    decompose_rep,
+    identity,
+    rep_from_bundle,
+    stratum,
+)
 
 from test_acceptance import bounded_defect_instances
 from test_nspairings import _cyclic_square_class, _unit_class
@@ -561,6 +573,81 @@ def test_commuting_square_reduces_once_per_side(monkeypatch):
         assert ok and len(via_na) == 32 and len(bundle.summands) == 32
         assert reduced == 2
         assert calls["from_generators"] == 0
+
+
+def _perturb_first(points):
+    p = points[0]
+    coords = (p.coords[0] + F(1, 7),) + p.coords[1:]
+    return [bundles.ModuliPoint._from_valid(p.torus, p.gamma, p.ns, coords)] + points[1:]
+
+
+ID2 = Mat.identity(2)
+
+
+def _perturb_class(points):
+    return [bundles.ModuliPoint._from_valid(p.torus, p.gamma, p.ns + ID2, p.coords) for p in points]
+
+
+@pytest.mark.parametrize("perturb", [_perturb_first, _perturb_class], ids=["coordinate", "class"])
+@pytest.mark.parametrize("side", [0, 1], ids=["via-na", "via-trop"])
+def test_commuting_square_sees_a_perturbed_side(monkeypatch, perturb, side):
+    # the boolean compares the integer keys and the sides' (torus, gamma, ns):
+    # one coordinate moved on one side, or that side's class changed, reads False
+    rng = random.Random(467)
+    torus = rand_unit_torus(rng, 2)
+    chars = tuple(NACharacter((rand_unit_mono(rng), rand_unit_mono(rng))) for _ in range(5))
+    rep = NASemisimpleRep(chars)
+    assert verify_commuting_square(rep, torus)[0] is True
+    real = bundles.moduli_points
+    calls = []
+
+    def perturbed(summands, gamma, ns):
+        points = real(summands, gamma, ns)
+        calls.append(None)
+        return perturb(points) if len(calls) - 1 == side else points
+
+    monkeypatch.setattr(bundles, "moduli_points", perturbed)
+    ok, via_na, via_trop = verify_commuting_square(rep, torus)
+    assert len(calls) == 2
+    assert ok is False and via_na != via_trop
+
+
+NA_TORUS = NATorus((MultiplicativePoint((T_UNIF, ONE)), MultiplicativePoint((MINUS_ONE, T_UNIF))))
+NA_REP = NASemisimpleRep((NACharacter((ONE, T_UNIF)),))
+NA_BUNDLE = NALineBundle(NSClass(NA_TORUS, Mat.zeros(2, 2)), Sublattice.full(2), (ONE, ONE))
+TROP_REP = TropRepresentation((identity(2), identity(2)))
+TROP_BUNDLE = bundle_from_rep(TROP_REP, NA_TORUS.trop())
+
+
+@pytest.mark.parametrize(
+    "op, args",
+    [
+        pytest.param(decompose_rep, (5,), id="decompose-int"),
+        pytest.param(decompose_rep, (TROP_BUNDLE,), id="decompose-bundle"),
+        pytest.param(canonical_form, (None,), id="canonical-none"),
+        pytest.param(stratum, ((1, 2),), id="stratum-tuple"),
+        pytest.param(check_commuting, (NA_REP,), id="commuting-na-rep"),
+        pytest.param(bundle_from_rep, (5, NA_TORUS.trop()), id="bundle-from-rep-int"),
+        pytest.param(bundle_from_rep, (TROP_REP, 5), id="bundle-from-rep-torus-int"),
+        pytest.param(rep_from_bundle, (5,), id="rep-from-bundle-int"),
+        pytest.param(rep_from_bundle, (TROP_BUNDLE.summands[0],), id="rep-from-bundle-summand"),
+        pytest.param(conjugate, (5, identity(2)), id="conjugate-int"),
+        pytest.param(conjugate, (TROP_REP, (0, 1)), id="conjugate-tuple"),
+        pytest.param(trop_rep, (5,), id="trop-rep-int"),
+        pytest.param(trop_rep, (TROP_REP,), id="trop-rep-trop-rep"),
+        pytest.param(bundles_from_rep, (5, NA_TORUS), id="bundles-from-rep-int"),
+        pytest.param(bundles_from_rep, (NA_REP, 5), id="bundles-from-rep-torus-int"),
+        pytest.param(tropicalize_line_bundle, (5,), id="tropicalize-int"),
+        pytest.param(tropicalize_line_bundle, (TROP_BUNDLE.summands[0],), id="tropicalize-trop"),
+        pytest.param(verify_commuting_square, (5, NA_TORUS), id="square-int"),
+        pytest.param(verify_commuting_square, (NA_REP, None), id="square-torus-none"),
+        pytest.param(verify_commuting_square, (TROP_REP, NA_TORUS), id="square-trop-rep"),
+    ],
+)
+def test_square_path_functions_reject_arguments_of_the_wrong_type(op, args):
+    # each used to escape as AttributeError
+    with pytest.raises(NotExact):
+        op(*args)
 
 
 def test_verify_commuting_square_twist_invariant(reference_torus):

@@ -541,6 +541,27 @@ def test_stabilizers_match_schreier_reference(g):
     assert multi >= 10
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_decompose_hands_equal_stabilizers_one_object(g):
+    # a diagonal representation's r orbits all have the stabilizer Z^g, and
+    # any two orbits with equal stabilizers get one lattice object; the
+    # pieces still match the Schreier reference
+    rng = random.Random(257 + g)
+    images = [TropGLElement(tuple(range(6)), [rand_fraction(rng) for _ in range(6)]) for _ in range(g)]
+    diagonal = TropRepresentation(tuple(images))
+    reps = [diagonal] + [rand_bundle_rep(rng, rng.randint(2, 12), g) for _ in range(10)]
+    shared = 0
+    for rep in reps:
+        pieces = decompose_rep(rep)
+        assert [(s.orbit, s.lattice) for s in pieces] == schreier_stabilizers(rep)
+        for a, b in itertools.combinations(pieces, 2):
+            assert (a.lattice is b.lattice) == (a.lattice == b.lattice)
+            shared += a.lattice is b.lattice
+    first, *rest = decompose_rep(diagonal)
+    assert len(rest) == 5 and all(s.lattice is first.lattice for s in rest)
+    assert shared > len(reps)
+
+
 def test_decompose_runs_no_hermite_reduction(monkeypatch):
     # the stabilizer basis is built in Hermite form, never reduced into it
     def forbidden(*args, **kwargs):
