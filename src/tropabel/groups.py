@@ -169,6 +169,8 @@ def _smith_adapted(ambient: Sublattice, sub: Sublattice) -> tuple[IntRows, list[
 
 def quotient(ambient: Sublattice, sub: Sublattice) -> FiniteAbelianGroup:
     """The finite group ambient/sub, with generator lifts in Z^g coordinates."""
+    if not isinstance(ambient, Sublattice) or not isinstance(sub, Sublattice):
+        raise NotExact(f"a quotient is of two Sublattices, got {ambient!r} and {sub!r}")
     u, diag, adapted = _smith_adapted(ambient, sub)
     kept = [i for i, x in enumerate(diag) if x > 1]
     return FiniteAbelianGroup._from_valid(

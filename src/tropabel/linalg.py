@@ -326,8 +326,14 @@ def congruence_lattice(
     modulus * B Z^m).  For A n x m (DimensionMismatch if empty or ragged), the
     columns of [[A, modulus I], [B, 0]] span the (A x + modulus y, B x); the first
     n columns of its column Hermite form take the pivots of the top rows, and the
-    lower-right m x m block is the Hermite basis of the B x."""
+    lower-right m x m block is the Hermite basis of the B x.  When modulus divides
+    every entry of A, every x solves it: the block is empty (n = 0), and the
+    lattice is I itself or B's own Hermite form."""
     n, m = len(rows), _common_length(rows, "rows")
+    if not any(x % modulus for row in rows for x in row):
+        if basis is None:
+            return _identity(m)
+        n, rows = 0, []
     top = [list(row) + [modulus * (i == j) for j in range(n)] for i, row in enumerate(rows)]
     h = column_hnf(top + [list(row) + [0] * n for row in basis or _identity(m)])
     if not all(h[n + i][n + i] for i in range(m)):

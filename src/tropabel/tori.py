@@ -20,7 +20,7 @@ from ._frozen import Frozen
 from .errors import DimensionMismatch, NotExact, SingularLattice
 from .lattices import QLattice, Sublattice
 from .linalg import Mat, congruence_lattice
-from .rationals import as_tuple
+from .rationals import as_tuple, over_one_denominator
 
 
 class TropTorus(Frozen):
@@ -77,13 +77,12 @@ class NATorus(Frozen):
 
     @cached_property
     def v(self) -> Mat:
-        # column j = valuations of generator j's coordinates
-        return Mat(
-            [
-                [self.generators[j].coords[i].valuation() for j in range(self.g)]
-                for i in range(self.g)
-            ]
-        )
+        # column j = valuations of generator j's coordinates, read row by row
+        # as integers over their lcm, which leaves no common factor
+        g = self.g
+        rows = zip(*(p.coords for p in self.generators))
+        num, den = over_one_denominator([c.valuation() for row in rows for c in row])
+        return Mat._from_valid(tuple(tuple(num[i * g : i * g + g]) for i in range(g)), den)
 
     def trop(self) -> TropTorus:
         return self._trop
@@ -109,6 +108,8 @@ def is_r_symmetric(h: Mat, v: Mat) -> bool:
     V^T H is (V.num)^T H.num over the common factor V.den * H.den, so this
     compares integer dot products of columns of V.num and H.num, row by row.
     """
+    if not isinstance(h, Mat) or not isinstance(v, Mat):
+        raise NotExact(f"a class and a period matrix are Mats, got {h!r} and {v!r}")
     if len(v.num) != len(h.num):
         raise DimensionMismatch(f"cannot multiply {v.m}x{v.n} by {h.n}x{h.m}")
     g = v.m
@@ -127,16 +128,25 @@ def is_r_symmetric(h: Mat, v: Mat) -> bool:
 
 def integrality_lattice(h: Mat) -> Sublattice:
     """Sublattice of lattice vectors whose image under h is integral."""
+    if not isinstance(h, Mat):
+        raise NotExact(f"a class matrix is a Mat, got {h!r}")
     return Sublattice._from_hermite(congruence_lattice(h.num, h.den))
 
 
 def dual_integrality_lattice(h: Mat) -> Sublattice:
     """Sublattice of character-dual vectors n with h^T @ n integral."""
+    if not isinstance(h, Mat):
+        raise NotExact(f"a class matrix is a Mat, got {h!r}")
     return integrality_lattice(h.T)
 
 
 def extended_character_lattice(h: Mat) -> QLattice:
     """The character lattice enlarged by the image of h (full period lattice):
-    the column span of [I | h] = [den I | num] / den."""
+    the column span of [I | h] = [den I | num] / den, which is Z^g when h is
+    integral, as [I | h] then holds I."""
+    if not isinstance(h, Mat):
+        raise NotExact(f"a class matrix is a Mat, got {h!r}")
+    if h.den == 1:
+        return QLattice.standard(h.n)
     rows = [[h.den if i == j else 0 for j in range(h.n)] + list(r) for i, r in enumerate(h.num)]
     return QLattice(Mat._from_int(rows, h.den))

@@ -202,6 +202,21 @@ def ref_is_r_symmetric(h: Mat, v: Mat) -> bool:
     )
 
 
+def ref_congruence_lattice(rows, modulus, basis=None):
+    """The Hermite basis of {B x : A x = 0 (mod modulus)} as the lower-right block
+    of the column Hermite form of [[A, modulus I], [B, 0]], for every A: the
+    oracle of ``linalg.congruence_lattice``."""
+    n, m = len(rows), len(rows[0]) if rows else 0
+    if not m or any(len(row) != m for row in rows):
+        raise DimensionMismatch("rows must be nonempty and of one length")
+    eye = [[int(i == j) for j in range(m)] for i in range(m)]
+    top = [list(row) + [modulus * (i == j) for j in range(n)] for i, row in enumerate(rows)]
+    h = column_hnf(top + [list(row) + [0] * n for row in basis or eye])
+    if not all(h[n + i][n + i] for i in range(m)):
+        raise RankDeficient("congruence solution lattice is rank deficient")
+    return [row[n:] for row in h[n:]]
+
+
 def ref_eliminate(num: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]):
     """(det(num), Y) with num @ Y = det(num) * rhs, by Bareiss elimination that
     updates every row at every step."""

@@ -79,6 +79,62 @@ def test_ns_analyze_report(capsys):
     assert report["dual_integrality_index"] == 1
 
 
+@pytest.mark.parametrize(
+    "h",
+    [
+        [[F(1, 2), 0], [0, F(1, 3)]],
+        # V = diag(2, 3), so V^T H = [[1, 3/2], [3/2, 1]] is symmetric
+        [[F(1, 2), F(3, 4)], [F(1, 2), F(1, 3)]],
+    ],
+    ids=["diagonal", "full"],
+)
+def test_ns_analyze_on_a_rational_class_matches_brute_force(capsys, tmp_path, h):
+    # a class that is not integral takes the block Hermite forms; every lattice
+    # and index of the report is checked by membership over a box
+    scenario = {
+        "torus": {
+            "g": 2,
+            "generators": [
+                [{"mag": "1", "phase": "0", "texp": "2"}, {"mag": "1", "phase": "0", "texp": "0"}],
+                [{"mag": "1", "phase": "0", "texp": "0"}, {"mag": "1", "phase": "0", "texp": "3"}],
+            ],
+        },
+        "ns_class": [[str(x) for x in row] for row in h],
+    }
+    path = tmp_path / "rational_class.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    report = run_json(capsys, "ns-analyze", "--scenario", str(path))
+    d = 12  # a multiple of every denominator of h
+
+    def image(rows, x):
+        return [sum(F(a) * b for a, b in zip(row, x)) for row in rows]
+
+    def integral(xs):
+        return all(F(x).denominator == 1 for x in xs)
+
+    def member(basis, x):
+        return integral(Mat(basis).solve([F(c) for c in x]))
+
+    ht = [list(col) for col in zip(*h)]
+    box = [(x, y) for x in range(-d, d + 1) for y in range(-d, d + 1)]
+    for name, rows in (("integrality", h), ("dual_integrality", ht)):
+        basis = report[f"{name}_lattice"]
+        for v in box:
+            assert integral(image(rows, v)) == member(basis, v), (name, v)
+        # the lattice holds d Z^2, so its index is the share of [0, d)^2 it misses
+        hits = sum(integral(image(rows, v)) for v in box if 0 <= min(v) and max(v) < d)
+        assert report[f"{name}_index"] * hits == d * d
+    # the extended lattice Z^2 + h Z^2 meets [0, 1)^2 in the h a mod 1, a in [0, d)^2
+    extended = report["extended_character_lattice"]
+    shifts = {
+        tuple(x % 1 for x in image(h, (a, b))) for a in range(d) for b in range(d)
+    }
+    assert report["extended_character_index"] == len(shifts)
+    for w in box:
+        w = (F(w[0], d), F(w[1], d))
+        assert member(extended, w) == (tuple(x % 1 for x in w) in shifts), w
+
+
 def test_bundle_sum(capsys):
     out = run_json(capsys, "bundle", "sum", "--scenario", scen("bundle_ops.json"))
     assert out["torus"] == {"g": 2, "v": [["1", "0"], ["0", "1"]]}

@@ -22,7 +22,7 @@ from tropabel.linalg import Mat, column_hnf, congruence_lattice, hnf
 from tropabel.rationals import RATIONAL, as_tuple, parse_rational, rat
 from tropabel.tori import TropTorus
 
-from conftest import ref_eliminate
+from conftest import ref_congruence_lattice, ref_eliminate
 
 F = Fraction
 
@@ -554,6 +554,34 @@ def test_congruence_lattice_below_a_basis_is_its_image():
         if Mat(b).det() == 0:
             continue
         assert congruence_lattice(a, d, b) == hnf(mat_mul(b, congruence_lattice(a, d)))[0]
+
+
+@pytest.mark.parametrize("modulus", range(1, 7))
+def test_congruence_lattice_of_a_vanishing_system_matches_the_block_form(modulus):
+    # A = 0 (mod modulus) puts no condition on x, so the lattice is I or B's own
+    # Hermite form: the same as the block path, for no B, a Hermite B and a
+    # non-Hermite B; a singular B still raises RankDeficient
+    rng = random.Random(4100 + modulus)
+    seen = {"hermite": 0, "other": 0, "singular": 0}
+    for g in range(1, 5):
+        for _ in range(12):
+            n = rng.randint(1, 3)
+            a = [[modulus * x for x in row] for row in rand_int_matrix(rng, n, g)]
+            b = rand_int_matrix(rng, g, g, -3, 3)
+            hermite = hnf(b)[0] if Mat(b).det() else None
+            for basis in (None, b, hermite):
+                if basis is not None and Mat(basis).det() == 0:
+                    seen["singular"] += 1
+                    with pytest.raises(RankDeficient):
+                        ref_congruence_lattice(a, modulus, basis)
+                    with pytest.raises(RankDeficient):
+                        congruence_lattice(a, modulus, basis)
+                    continue
+                got = congruence_lattice(a, modulus, basis)
+                assert got == ref_congruence_lattice(a, modulus, basis), (a, modulus, basis)
+                if basis is not None:
+                    seen["hermite" if got == basis else "other"] += 1
+    assert seen["hermite"] > 10 and seen["other"] > 10 and seen["singular"] > 0, seen
 
 
 @pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [3]]])

@@ -10,11 +10,12 @@ from tropabel.errors import (
     DimensionMismatch,
     InternalInconsistency,
     InvalidClass,
+    NotExact,
     NotInLargeLattice,
     NotInSmallLattice,
     TooLarge,
 )
-from tropabel.groups import FiniteAbelianGroup, enumerate_subgroups
+from tropabel.groups import FiniteAbelianGroup, enumerate_subgroups, quotient
 from tropabel.lattices import QLattice, Sublattice
 from tropabel.linalg import Mat
 from tropabel.monomials import MultiplicativePoint, ValuedMonomial, eval_character
@@ -35,9 +36,11 @@ from conftest import (
     mono,
     rand_fraction,
     rand_integral_symmetric,
+    rand_matrix,
     rand_r_symmetric,
     rand_sublattice,
     rand_unit_torus,
+    typed,
 )
 
 F = Fraction
@@ -154,6 +157,85 @@ def test_extended_vs_dual_index_identity():
             extended_character_lattice(h).index_over(QLattice.standard(g))
             == dual_integrality_lattice(h).index
         )
+
+
+def test_extended_character_lattice_of_an_integral_class_is_the_span_of_i_and_h():
+    # [I | H] holds I, so an integral class extends nothing: Z^g, as the span
+    # of the columns of [I | H] that QLattice reduces
+    rng = random.Random(3801)
+    for _ in range(60):
+        g = rng.randint(1, 4)
+        h = [[rng.randint(-6, 6) for _ in range(g)] for _ in range(g)]
+        span = QLattice(Mat([[int(i == j) for j in range(g)] + row for i, row in enumerate(h)]))
+        assert extended_character_lattice(Mat(h)) == span == QLattice.standard(g)
+
+
+def test_an_integral_class_takes_no_hermite_form(monkeypatch):
+    # the integrality, dual integrality and extended character lattices of an
+    # integral class are all Z^g, read without one column Hermite form
+    calls, column_hnf = [], linalg.column_hnf
+
+    def spy(rows):
+        calls.append(rows)
+        return column_hnf(rows)
+
+    monkeypatch.setattr(linalg, "column_hnf", spy)
+    monkeypatch.setattr(lattices, "column_hnf", spy)
+    rng = random.Random(3802)
+    for g in range(1, 5):
+        for h in (Mat.identity(g), Mat.zeros(g, g), rand_matrix(rng, g)):
+            assert integrality_lattice(h) == Sublattice.full(g)
+            assert dual_integrality_lattice(h) == Sublattice.full(g)
+            assert extended_character_lattice(h) == QLattice.standard(g)
+    assert calls == []
+    # a rational class still takes the block form
+    integrality_lattice(Mat([[F(1, 2), 0], [0, 1]]))
+    assert calls
+
+
+def test_valuation_matrix_matches_the_public_mat():
+    # the valuations read as integers over their lcm, against Mat's own coercion,
+    # on tori with mixed and large denominators and negative valuations
+    rng = random.Random(3803)
+    dens = (1, 2, 3, 4, 6, 7, 2**65)
+    seen = set()
+    for _ in range(80):
+        g = rng.randint(1, 4)
+        coords = [
+            [mono(texp=F(rng.randint(-9, 9), rng.choice(dens))) for _ in range(g)]
+            for _ in range(g)
+        ]
+        v = Mat([[coords[j][i].valuation() for j in range(g)] for i in range(g)])
+        if v.det() == 0:
+            continue
+        torus = NATorus(tuple(MultiplicativePoint(tuple(c)) for c in coords))
+        assert typed(torus.v) == typed(v)
+        seen.add((v.den > 1, any(x < 0 for row in v.num for x in row)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}, seen
+
+
+EYE2 = Mat.identity(2)
+
+
+@pytest.mark.parametrize(
+    "op, args",
+    [
+        pytest.param(integrality_lattice, (5,), id="integrality-int"),
+        pytest.param(integrality_lattice, ([[1, 0], [0, 1]],), id="integrality-rows"),
+        pytest.param(dual_integrality_lattice, ([[1, 0], [0, 1]],), id="dual-rows"),
+        pytest.param(dual_integrality_lattice, (None,), id="dual-none"),
+        pytest.param(extended_character_lattice, (5,), id="extended-int"),
+        pytest.param(extended_character_lattice, (Sublattice.full(2),), id="extended-lattice"),
+        pytest.param(is_r_symmetric, ([[1, 0], [0, 1]], EYE2), id="r-symmetric-rows"),
+        pytest.param(is_r_symmetric, (EYE2, TropTorus(EYE2)), id="r-symmetric-torus"),
+        pytest.param(quotient, (Sublattice.full(2), [[2, 0], [0, 2]]), id="quotient-rows"),
+        pytest.param(quotient, (EYE2, Sublattice.full(2)), id="quotient-mat"),
+    ],
+)
+def test_lattice_functions_reject_arguments_of_the_wrong_type(op, args):
+    # each used to escape as AttributeError
+    with pytest.raises(NotExact):
+        op(*args)
 
 
 # ---------------------------------------------------------------------------
