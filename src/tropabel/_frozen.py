@@ -23,8 +23,8 @@ its canonical form where it has one, and it returns the value.  The public
 constructor coerces the types in ``__post_init__`` and calls ``_checked()``;
 the decoder checks the JSON shapes and returns ``Cls._from_valid(...)._checked()``.
 
-A method the class defines itself is kept, as ``ValuedMonomial`` keeps its
-``__repr__`` and a ``_from_valid`` that reduces the phase mod 1, and as
+A method the class defines itself is kept, as ``ValuedMonomial`` keeps a
+``_from_valid`` that reduces the phase mod 1, and as
 ``QLattice`` and ``linalg.Mat`` keep an ``__init__`` whose argument is not
 their fields: a basis, and rows.  The generated methods are closures made
 once per class in ``__init_subclass__``, not generated source: defining a

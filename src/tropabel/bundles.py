@@ -25,19 +25,17 @@ from typing import Iterable, Sequence
 from ._frozen import Frozen
 from .errors import (
     AmbientMismatch,
-    DimensionMismatch,
     EmptyBundle,
     InvalidClass,
     LatticeMismatch,
     MixedClasses,
     NotCompatible,
     NotContained,
-    NotExact,
     SlopeMismatch,
 )
 from .lattices import QLattice, Sublattice, _sum_and_intersection
 from .linalg import Mat
-from .rationals import as_tuple, exact_over_one_denominator, over_one_denominator, rat
+from .rationals import as_tuple, check_types, over_one_denominator, rat
 from .tori import TropTorus, extended_character_lattice, is_r_symmetric
 
 
@@ -55,8 +53,8 @@ class TropLineBundle(Frozen):
     l: tuple[Fraction, ...]
 
     def __post_init__(self):
-        l = _exact_values(self.torus, self.lattice, self.ns, self.l)
-        object.__setattr__(self, "l", l)
+        check_types((self.torus, self.lattice, self.ns), (TropTorus, Sublattice, Mat))
+        object.__setattr__(self, "l", tuple(rat(x) for x in as_tuple(self.l, "rationals")))
         self._checked()
 
     def _checked(self) -> "TropLineBundle":
@@ -89,24 +87,6 @@ class TropLineBundle(Frozen):
         num, m = self._l_num
         d, adj = self.lattice._adjugate
         return [sum(map(operator.mul, num, col)) for col in zip(*adj)], m * d
-
-    def l_value(self, x: Sequence[int | Fraction]) -> Fraction:
-        """The Q-linear extension of the covector at a rational point x, one dot product
-        with ``_l_ext``; an entry that is not an int or a Fraction raises NotExact."""
-        w, m = exact_over_one_denominator(x)
-        ext, den = self._l_ext
-        if len(w) != len(ext):
-            raise DimensionMismatch(f"expected a vector of length {len(ext)}")
-        return Fraction(sum(map(operator.mul, ext, w)), den * m)
-
-
-def _exact_values(
-    torus: TropTorus, lattice: Sublattice, ns: Mat, values: Sequence
-) -> tuple[Fraction, ...]:
-    """values as Fractions, after checking the types of the (torus, lattice,
-    class, values) of a summand or a moduli point."""
-    _check_types((torus, lattice, ns), (TropTorus, Sublattice, Mat))
-    return tuple(rat(x) for x in as_tuple(values, "rationals"))
 
 
 def _check_ranks(what: str, g: int, lattice: Sublattice, ns: Mat, values: Sequence) -> None:
@@ -153,7 +133,7 @@ class TropVectorBundle(Frozen):
 
     def __post_init__(self):
         summands = as_tuple(self.summands, "TropLineBundles")
-        _check_types((self.torus, *summands), (TropTorus,) + (TropLineBundle,) * len(summands))
+        check_types((self.torus, *summands), (TropTorus,) + (TropLineBundle,) * len(summands))
         if any(s.torus != self.torus for s in summands):
             raise AmbientMismatch("summands live on a different torus")
         object.__setattr__(self, "summands", _canonical_order(summands))
@@ -175,13 +155,14 @@ def line_bundle(
     ns: Mat,
     l: Sequence[int | str | Fraction],
 ) -> TropLineBundle:
-    return TropLineBundle(torus, lattice, ns, tuple(l))
+    return TropLineBundle(torus, lattice, ns, as_tuple(l, "rationals"))
 
 
 def as_bundle(summands: TropLineBundle | Iterable[TropLineBundle]) -> TropVectorBundle:
     if isinstance(summands, TropLineBundle):
         return TropVectorBundle(summands.torus, (summands,))
-    summands = tuple(summands)
+    summands = as_tuple(summands, "TropLineBundles")
+    check_types(summands, (TropLineBundle,) * len(summands))
     if not summands:
         raise EmptyBundle("cannot infer the torus of an empty bundle")
     return TropVectorBundle(summands[0].torus, summands)
@@ -190,16 +171,10 @@ def as_bundle(summands: TropLineBundle | Iterable[TropLineBundle]) -> TropVector
 def cover_torus(torus: TropTorus, sub: Sublattice) -> TropTorus:
     """The torus of the cover: period positions are those of sub's basis.
     det(V S) = det(V) [Z^g : sub] is nonzero, so no determinant is taken."""
+    check_types((torus, sub), (TropTorus, Sublattice))
     if sub.ambient_rank != torus.g:
         raise AmbientMismatch("cover lattice does not match the torus rank")
     return TropTorus._from_valid(torus.v @ sub.mat)
-
-
-def _check_types(values: tuple, types: tuple) -> None:
-    """NotExact unless each value is an instance of the type beside it."""
-    for value, cls in zip(values, types):
-        if not isinstance(value, cls):
-            raise NotExact(f"expected a {cls.__name__}, got a {type(value).__name__}")
 
 
 def _at(row: tuple, points: Iterable[Sequence[int]]) -> tuple[list[int], int]:
@@ -237,7 +212,7 @@ def _coset_reps(lat: Sublattice) -> list[tuple[int, ...]]:
 
 
 def _same_torus(e1, e2, cls: type) -> None:
-    _check_types((e1, e2), (cls, cls))
+    check_types((e1, e2), (cls, cls))
     if e1.torus != e2.torus:
         raise AmbientMismatch("operands live on different tori")
 
@@ -278,7 +253,7 @@ def pullback(e: TropVectorBundle, sub: Sublattice) -> TropVectorBundle:
     the cosets of (summand lattice + sub), each on the intersection, with the
     covector twisted by the coset representative's translation.
     """
-    _check_types((e, sub), (TropVectorBundle, Sublattice))
+    check_types((e, sub), (TropVectorBundle, Sublattice))
     torus = e.torus
     target = cover_torus(torus, sub)
     out = []
@@ -300,7 +275,7 @@ def pushforward(
     Pure relabeling through the composed cover: each summand's lattice is
     mapped into parent coordinates, and its class and covector row multiplied by S^-1.
     """
-    _check_types((e, sub, parent), (TropVectorBundle, Sublattice, TropTorus))
+    check_types((e, sub, parent), (TropVectorBundle, Sublattice, TropTorus))
     if e.torus != cover_torus(parent, sub):
         raise AmbientMismatch("bundle does not live on the stated cover of the parent")
     sub_inv = Mat._from_int(sub._adjugate[1], sub.index)
@@ -315,11 +290,14 @@ def pushforward(
 
 
 def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVectorBundle:
-    """Translate by the point with N_Q-coordinates x: l goes to l - <., H(x)>."""
-    _check_types((e,), (TropVectorBundle,))
+    """Translate by the point with N_Q-coordinates x: l goes to l - <., H(x)>.
+    The lattice coordinates lam = V^-1 x are one exact solve of x as an integer
+    column over its lcm, read back as lam's numerators over their lcm."""
+    check_types((e,), (TropVectorBundle,))
     torus = e.torus
-    lam = torus.v.solve(as_tuple(x, "rationals"))
-    lam_num, q = over_one_denominator(lam)
+    w, m = over_one_denominator([rat(c) for c in as_tuple(x, "rationals")])
+    lam = torus.v.solve_mat(Mat._from_valid(tuple((c,) for c in w), m))
+    lam_num, q = [c for (c,) in lam.num], lam.den
     out = []
     for s in e.summands:
         (l,) = _twists(torus, s.ns, s.lattice.generators(), s._l_num, [lam_num], q)
@@ -329,7 +307,7 @@ def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVec
 
 def slope(e: TropVectorBundle) -> Mat:
     """Rank-weighted average of the summand classes (a rational class matrix)."""
-    _check_types((e,), (TropVectorBundle,))
+    check_types((e,), (TropVectorBundle,))
     if not e.summands:
         raise EmptyBundle("slope of the empty bundle")
     g = e.torus.g
@@ -340,13 +318,13 @@ def slope(e: TropVectorBundle) -> Mat:
 
 
 def is_homogeneous(e: TropVectorBundle) -> bool:
-    _check_types((e,), (TropVectorBundle,))
+    check_types((e,), (TropVectorBundle,))
     zero = Mat.zeros(e.torus.g, e.torus.g)
     return all(s.ns == zero for s in e.summands)
 
 
 def is_semi_homogeneous(e: TropVectorBundle) -> bool:
-    _check_types((e,), (TropVectorBundle,))
+    check_types((e,), (TropVectorBundle,))
     if not e.summands:
         return True
     first = e.summands[0].ns
@@ -360,7 +338,7 @@ def is_semi_homogeneous(e: TropVectorBundle) -> bool:
 
 def restrict_line_bundle(s: TropLineBundle, cover: Sublattice) -> TropLineBundle:
     """The same factor of automorphy on a finer cover (pure restriction)."""
-    _check_types((s, cover), (TropLineBundle, Sublattice))
+    check_types((s, cover), (TropLineBundle, Sublattice))
     if cover.ambient_rank != s.torus.g:
         raise AmbientMismatch("cover lattice does not match the torus rank")
     if not s.lattice.contains_lattice(cover):
@@ -423,7 +401,8 @@ class ModuliPoint(Frozen):
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = _exact_values(self.torus, self.gamma, self.ns, self.coords)
+        check_types((self.torus, self.gamma, self.ns), (TropTorus, Sublattice, Mat))
+        coords = tuple(rat(x) for x in as_tuple(self.coords, "rationals"))
         object.__setattr__(self, "coords", coords)
         _check_ranks("moduli point", self.torus.g, self.gamma, self.ns, coords)
 
@@ -448,7 +427,7 @@ def moduli_points(
     columns of gamma only where the lattice object changes.
     """
     summands = as_tuple(summands, "TropLineBundles")
-    _check_types((gamma, ns, *summands), (Sublattice, Mat) + (TropLineBundle,) * len(summands))
+    check_types((gamma, ns, *summands), (Sublattice, Mat) + (TropLineBundle,) * len(summands))
     if not summands:
         return []
     torus = summands[0].torus
@@ -482,7 +461,7 @@ def moduli_points(
 def sym_point(points: Sequence[ModuliPoint]) -> tuple[tuple[Fraction, ...], ...]:
     """Canonical (sorted) coordinate multiset of equally-typed moduli points."""
     points = as_tuple(points, "ModuliPoints")
-    _check_types(points, (ModuliPoint,) * len(points))
+    check_types(points, (ModuliPoint,) * len(points))
     if not points:
         return ()
     first = points[0]

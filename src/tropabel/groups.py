@@ -7,8 +7,8 @@ only ``NSClass.defect_group`` and ``NSClass.admissible_lattices`` (and
 
 ``snf`` is the Smith form with transformation matrices.  Quotients by
 finite-index sublattices come back as ``FiniteAbelianGroup`` values carrying
-invariant factors, generator lifts and the projection map, which is
-everything the pairing machinery downstream needs.  ``enumerate_subgroups``
+invariant factors and generator lifts, which is everything the pairing
+machinery downstream needs.  ``enumerate_subgroups``
 lists the subgroups of such a group that have a given order, by a walk over
 Hermite bases that checks each new column in integers and abandons a failing
 branch; given an alternating form it keeps only the isotropic subgroups, so
@@ -25,14 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from typing import Sequence
 
 from ._frozen import Frozen
 from .errors import DimensionMismatch, MalformedScalar, NotContained, NotExact, TooLarge
-from .lattices import SUBGROUP_ENUMERATION_BOUND, Sublattice, _int_rows, _ints
+from .lattices import SUBGROUP_ENUMERATION_BOUND, Sublattice
 from .linalg import IntRows, _common_length, _identity
-from .rationals import as_int
+from .rationals import as_int, as_tuple, check_types
 
 
 def snf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows, IntRows]:
@@ -45,6 +44,7 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows, IntRows]:
     Raises DimensionMismatch for empty or ragged rows and NotExact for an entry
     that is not an integer (an integral Fraction is read as one).
     """
+    rows = as_tuple(rows, "integer rows")
     m = _common_length(rows, "rows")
     n = len(rows)
     b = [[as_int(x, NotExact) for x in row] + e for row, e in zip(rows, _identity(n))]
@@ -99,56 +99,29 @@ class FiniteAbelianGroup(Frozen):
     """Quotient of a lattice by a finite-index sublattice.
 
     invariant_factors: the d_i > 1 with d_1 | d_2 | ...; the group is
-    the direct sum of Z/d_i. generator_lifts are ambient integer vectors
-    mapping to generators of the cyclic factors; with the private _trivial,
-    the adapted basis vectors of the factors d_i = 1, they form a basis of
-    the ambient lattice.  The constructor checks the types and shapes of the
-    six fields; ``quotient`` builds the group unchecked.
+    the direct sum of Z/d_i. generator_lifts are ambient integer vectors, one
+    per factor and all of one length, mapping to generators of the cyclic
+    factors.  The constructor checks the types and shapes of both fields;
+    ``quotient`` builds the group unchecked.
     """
 
     invariant_factors: tuple[int, ...]
     generator_lifts: tuple[tuple[int, ...], ...]
-    _ambient: Sublattice
-    _u: tuple[tuple[int, ...], ...]
-    _moduli: tuple[int, ...]
-    _trivial: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self._ambient, Sublattice):
-            raise NotExact(f"a group's ambient lattice is a Sublattice, got {self._ambient!r}")
-        g = self._ambient.ambient_rank
-        factors, moduli = _ints(self.invariant_factors), _ints(self._moduli)
-        lifts, u, trivial = map(_int_rows, (self.generator_lifts, self._u, self._trivial))
-        if len(lifts) != len(factors) or len(moduli) != g or len(u) != g:
-            raise DimensionMismatch(f"a group on a rank-{g} lattice has g moduli and a g x g U")
-        if len(lifts) + len(trivial) != g or any(len(v) != g for v in lifts + trivial + u):
-            raise DimensionMismatch(f"the lifts and trivial vectors must form a basis of Z^{g}")
-        fields = (factors, lifts, self._ambient, u, moduli, trivial)
-        for name, value in zip(self.__match_args__, fields):
-            object.__setattr__(self, name, value)
+        factors = tuple(as_int(d, NotExact) for d in as_tuple(self.invariant_factors, "integers"))
+        lifts = tuple(
+            tuple(as_int(x, NotExact) for x in as_tuple(v, "integers"))
+            for v in as_tuple(self.generator_lifts, "integer rows")
+        )
+        if len(lifts) != len(factors) or len({len(v) for v in lifts}) > 1:
+            raise DimensionMismatch("a group takes one lift, all of one length, per factor")
+        object.__setattr__(self, "invariant_factors", factors)
+        object.__setattr__(self, "generator_lifts", lifts)
 
     @property
     def order(self) -> int:
         return math.prod(self.invariant_factors)
-
-    def project(self, v: Sequence[int | Fraction]) -> tuple[int, ...]:
-        """Coordinates of the class of v, one entry per invariant factor:
-        U times the integer coordinates of v in the ambient basis."""
-        x = self._ambient.coordinates(v)
-        if any(type(c) is not int for c in x):
-            raise NotContained("vector is not in the numerator lattice")
-        rows = zip(self._u, self._moduli)
-        return tuple(sum(a * c for a, c in zip(row, x)) % d for row, d in rows if d > 1)
-
-    def lift(self, e: Sequence[int]) -> tuple[int, ...]:
-        """An ambient representative of the element with coordinates e."""
-        if len(e) != len(self.generator_lifts):
-            raise DimensionMismatch(f"expected an element of length {len(self.generator_lifts)}")
-        g = self._ambient.ambient_rank
-        return tuple(sum(c * gen[i] for c, gen in zip(e, self.generator_lifts)) for i in range(g))
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(*(range(d) for d in self.invariant_factors)))
 
 
 def _smith_adapted(ambient: Sublattice, sub: Sublattice) -> tuple[IntRows, list[int], list]:
@@ -169,17 +142,11 @@ def _smith_adapted(ambient: Sublattice, sub: Sublattice) -> tuple[IntRows, list[
 
 def quotient(ambient: Sublattice, sub: Sublattice) -> FiniteAbelianGroup:
     """The finite group ambient/sub, with generator lifts in Z^g coordinates."""
-    if not isinstance(ambient, Sublattice) or not isinstance(sub, Sublattice):
-        raise NotExact(f"a quotient is of two Sublattices, got {ambient!r} and {sub!r}")
-    u, diag, adapted = _smith_adapted(ambient, sub)
+    check_types((ambient, sub), (Sublattice, Sublattice))
+    _, diag, adapted = _smith_adapted(ambient, sub)
     kept = [i for i, x in enumerate(diag) if x > 1]
     return FiniteAbelianGroup._from_valid(
-        tuple(diag[i] for i in kept),
-        tuple(adapted[i] for i in kept),
-        ambient,
-        tuple(map(tuple, u)),
-        tuple(diag),
-        tuple(adapted[i] for i, x in enumerate(diag) if x == 1),
+        tuple(diag[i] for i in kept), tuple(adapted[i] for i in kept)
     )
 
 
@@ -229,6 +196,7 @@ def enumerate_subgroups(
     whose F is not k x k DimensionMismatch, and one whose den is not positive
     MalformedScalar.
     """
+    check_types((group,), (FiniteAbelianGroup,))
     leaves = _walk(group, order, bound, form, (), lambda cols, col: (col,) + cols)
     return sorted(tuple(zip(*cols)) for cols in leaves)
 

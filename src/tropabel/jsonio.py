@@ -6,9 +6,13 @@ Every wire string is read by the memoised ``rationals.parse_rational``, so a
 string that repeats is parsed once, and its errors come out here as
 ``ScenarioError`` with the same message.  A wire matrix decodes in one pass, each
 entry as its lowest-terms pair (the memo's Fraction by ``as_integer_ratio()``), over
-the lcm of the denominators.  Every encoder but ``moduli_point_to_json`` (its points
-are only reported) has a decoder that round-trips losslessly;
-``na_bundle_from_json`` has no encoder, as no report prints a multiplicative line bundle.
+the lcm of the denominators.  An encoder exists only for a value that some report
+prints, and every one but ``moduli_point_to_json`` (its points are only reported)
+round-trips losslessly through its decoder: ``decode(encode(x)) == x``.  The decoders
+of the multiplicative side (monomials, points, an ``NATorus``, characters, line
+bundles and semisimple representations) have no encoder, as no report prints one;
+``torus_to_json`` raises ``NotExact`` on an ``NATorus`` rather than print its
+tropicalization.
 
 A decoder checks the JSON types and shapes, and returns
 ``Cls._from_valid(...)._checked()``: ``_checked()`` is the value's one
@@ -38,7 +42,7 @@ from . import bundles, monomials, naside, nspairings, tropchar
 from .errors import DimensionMismatch, MalformedScalar, TropabelError, ZeroDenominator
 from .lattices import Sublattice
 from .linalg import Mat
-from .rationals import LATTICE_CACHE_SIZE, TORUS_CACHE_SIZE, parse_rational
+from .rationals import LATTICE_CACHE_SIZE, TORUS_CACHE_SIZE, check_types, parse_rational
 from .tori import NATorus, TropTorus
 
 
@@ -137,14 +141,6 @@ def lattice_from_json(data: Any) -> Sublattice:
     raise ScenarioError(f"expected a square integer lattice basis, got {data!r}")
 
 
-def mono_to_json(m: monomials.ValuedMonomial) -> dict[str, str]:
-    return {
-        "mag": str(m.magnitude),
-        "phase": str(m.phase),
-        "texp": str(m.t_exponent),
-    }
-
-
 def mono_from_json(data: Any) -> monomials.ValuedMonomial:
     """mag, phase and texp, each parsed once."""
     if not isinstance(data, dict):
@@ -155,18 +151,14 @@ def mono_from_json(data: Any) -> monomials.ValuedMonomial:
     return monomials.ValuedMonomial._from_valid(mag, phase, texp)._checked()
 
 
-def point_to_json(p: monomials.MultiplicativePoint) -> list[dict[str, str]]:
-    return [mono_to_json(c) for c in p.coords]
-
-
 def point_from_json(data: Any) -> monomials.MultiplicativePoint:
     coords = tuple(mono_from_json(c) for c in _json_list(data, "monomials"))
     return monomials.MultiplicativePoint._from_valid(coords)
 
 
-def torus_to_json(t: TropTorus | NATorus) -> dict[str, Any]:
-    if isinstance(t, NATorus):
-        return {"g": t.g, "generators": [point_to_json(p) for p in t.generators]}
+def torus_to_json(t: TropTorus) -> dict[str, Any]:
+    """The wire object of a tropical torus; no report prints a multiplicative one."""
+    check_types((t,), (TropTorus,))
     return {"g": t.g, "v": matrix_to_json(t.v)}
 
 
@@ -260,10 +252,6 @@ def rep_from_json(data: Any) -> tropchar.TropRepresentation:
     return tropchar.TropRepresentation._from_valid(images)._checked()
 
 
-def character_to_json(c: naside.NACharacter) -> list[dict[str, str]]:
-    return [mono_to_json(v) for v in c.values]
-
-
 def character_from_json(data: Any) -> naside.NACharacter:
     values = tuple(mono_from_json(v) for v in _json_list(data, "monomials"))
     return naside.NACharacter._from_valid(values)
@@ -285,10 +273,6 @@ def na_bundle_from_json(data: Any, torus: NATorus, default_ns: Mat | None) -> na
     )
     r = tuple(mono_from_json(v) for v in _json_list(data["r"], "monomials"))
     return naside.NALineBundle._from_valid(nspairings.NSClass(torus, h), lattice, r)._checked()
-
-
-def na_rep_to_json(rep: naside.NASemisimpleRep) -> dict[str, Any]:
-    return {"characters": [character_to_json(c) for c in rep.characters]}
 
 
 def na_rep_from_json(data: Any) -> naside.NASemisimpleRep:

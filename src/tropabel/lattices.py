@@ -26,20 +26,11 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._frozen import Frozen
-from .errors import DimensionMismatch, NotContained, NotExact, RankDeficient, SingularLattice
+from .errors import DimensionMismatch, NotContained, RankDeficient, SingularLattice
 from .linalg import IntRows, Mat, _common_length, column_hnf
-from .rationals import as_int, as_tuple, exact_over_one_denominator
+from .rationals import as_int, as_tuple, check_types, exact_over_one_denominator
 
 SUBGROUP_ENUMERATION_BOUND = 10_000
-
-
-def _ints(x) -> tuple[int, ...]:
-    """x as a tuple of ints, read by ``as_int``; ``NotExact`` otherwise."""
-    return tuple(as_int(c, NotExact) for c in as_tuple(x, "integers"))
-
-
-def _int_rows(x) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(_ints, as_tuple(x, "integer rows")))
 
 
 def _is_hermite(rows: Sequence[Sequence[int]]) -> bool:
@@ -118,9 +109,6 @@ class Sublattice(Frozen):
 
     # -- structure -----------------------------------------------------------
 
-    def __repr__(self) -> str:
-        return f"Sublattice({[list(r) for r in self.basis]})"
-
     @property
     def ambient_rank(self) -> int:
         return len(self.basis)
@@ -136,9 +124,6 @@ class Sublattice(Frozen):
 
     def generators(self) -> list[tuple[int, ...]]:
         return list(zip(*self.basis))
-
-    def is_full(self) -> bool:
-        return self.index == 1
 
     # -- membership and coordinates ------------------------------------------
 
@@ -165,10 +150,6 @@ class Sublattice(Frozen):
 
     def __le__(self, other: "Sublattice") -> bool:
         return other.contains_lattice(self)
-
-    def reduce(self, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
-        """The representative of v whose coordinates lie in [0,1)^g."""
-        return self.reduce_all([v])[0]
 
     def reduce_all(
         self, vectors: Iterable[Sequence[int | Fraction]]
@@ -230,17 +211,8 @@ class Sublattice(Frozen):
         """Intersection, a block of one Hermite pass: ``_sum_and_intersection``."""
         return _sum_and_intersection(self, other)[1]
 
-    def sum(self, other: "Sublattice") -> "Sublattice":
-        return Sublattice.from_generators(self.generators() + other.generators())
-
     def __and__(self, other: "Sublattice") -> "Sublattice":
         return self.intersect(other)
-
-    def __add__(self, other: "Sublattice") -> "Sublattice":
-        return self.sum(other)
-
-    def scaled(self, c: int) -> "Sublattice":
-        return Sublattice.from_generators([tuple(c * x for x in gen) for gen in self.generators()])
 
 
 def _sum_and_intersection(a: Sublattice, b: Sublattice) -> tuple[Sublattice, Sublattice]:
@@ -271,21 +243,13 @@ class QLattice(Frozen):
 
     def __init__(self, basis: Mat):
         """The lattice spanned by the columns of ``basis``."""
-        if not isinstance(basis, Mat):
-            raise NotExact(f"a QLattice is spanned by the columns of a Mat, got {basis!r}")
+        check_types((basis,), (Mat,))
         object.__setattr__(self, "den", basis.den)
         object.__setattr__(self, "lattice", Sublattice.from_generators(list(zip(*basis.num))))
 
     @classmethod
-    def from_generators(cls, gens: Sequence[Sequence[Fraction]]) -> "QLattice":
-        return cls(Mat.from_cols(gens))
-
-    @classmethod
     def standard(cls, g: int) -> "QLattice":
         return cls(Mat.identity(g))
-
-    def __repr__(self) -> str:
-        return f"QLattice({self.basis!r})"
 
     @property
     def basis(self) -> Mat:
@@ -298,10 +262,6 @@ class QLattice(Frozen):
     def contains(self, v: Sequence[Fraction]) -> bool:
         w, m = exact_over_one_denominator(v)
         return all(type(c) is int for c in self.lattice._coordinates([self.den * x for x in w], m))
-
-    def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """The representative of v whose coordinates lie in [0,1)^g."""
-        return self.reduce_all([v])[0]
 
     def reduce_all(self, vectors: Iterable[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
         """The representative of each vector whose coordinates lie in [0,1)^g."""

@@ -6,8 +6,8 @@ Two layers live here:
     integer rows ``num`` over one positive denominator ``den`` in lowest terms,
     so that products, sums, transposes and integrality tests are integer work
     and two equal matrices have equal fields.  ``Mat(rows)`` coerces ints,
-    ``"p/q"`` strings and ``Fraction``s; ``entries`` gives the ``Fraction``
-    rows, and ``<`` orders matrices as those rows without building them.
+    ``"p/q"`` strings and ``Fraction``s, and ``<`` orders matrices as their
+    ``Fraction`` rows without building them.
     Determinant, solve and inverse come from one fraction-free Gauss-Jordan
     pass on the integer ``num``; desk-scale only, with "first nonzero" pivots as the
     arithmetic is exact, and with each row's identity updates skipped.
@@ -80,7 +80,7 @@ class Mat(Frozen):
             den //= d
         return cls._from_valid(num, den)
 
-    # -- shape and access ----------------------------------------------------
+    # -- shape -----------------------------------------------------------------
 
     @property
     def n(self) -> int:
@@ -90,15 +90,6 @@ class Mat(Frozen):
     def m(self) -> int:
         return len(self.num[0]) if self.num else 0
 
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as ``Fraction`` rows, built on each access."""
-        den = self.den
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(row[j], self.den) for row in self.num)
-
     @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls._from_int(_identity(n))
@@ -107,15 +98,10 @@ class Mat(Frozen):
     def zeros(cls, n: int, m: int) -> "Mat":
         return cls._from_int([[0] * m for _ in range(n)])
 
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[int | str | Fraction]]) -> "Mat":
-        n = _common_length(cols, "columns")
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
     # -- structure -----------------------------------------------------------
 
     def __lt__(self, other: "Mat") -> bool:
-        """The order of the ``Fraction`` rows of ``entries``, lexicographic row by
+        """The order of the ``Fraction`` rows, lexicographic row by
         row, decided on ``num`` by cross-multiplication: x/a < y/b iff x*b < y*a."""
         a, b = self.den, other.den
         for r, s in zip(self.num, other.num):
@@ -126,19 +112,9 @@ class Mat(Frozen):
                 return len(r) < len(s)
         return len(self.num) < len(other.num)
 
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
-        return f"Mat[{body}]"
-
     @property
     def T(self) -> "Mat":
         return Mat._from_int(zip(*self.num), self.den)
-
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def is_symmetric(self) -> bool:
-        return self.num == tuple(zip(*self.num))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -169,10 +145,6 @@ class Mat(Frozen):
         if len(v) != self.m:
             raise DimensionMismatch(f"vector length {len(v)} != {self.m}")
         return [sum(a * b for a, b in zip(row, v)) for row in self.num]
-
-    def mul_vec(self, v: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-        den = self.den
-        return tuple(Fraction(x, den) for x in self.num_image(v))
 
     def _same_shape(self, other: "Mat") -> None:
         if (self.n, self.m) != (other.n, other.m):
@@ -227,9 +199,6 @@ class Mat(Frozen):
             raise SingularLattice("singular matrix in exact solve")
         c = self.den if d > 0 else -self.den
         return Mat._from_int(([c * x for x in row] for row in y), abs(d) * rhs.den)
-
-    def solve(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return self.solve_mat(Mat([[x] for x in v])).col(0)
 
     def inv(self) -> "Mat":
         return self.solve_mat(Mat.identity(self.n))
@@ -309,6 +278,7 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[IntRows, IntRows]:
     generators exists, DimensionMismatch for ragged rows and NotExact for an
     entry that is not an integer (an integral Fraction is read as one).
     """
+    rows = as_tuple(rows, "integer rows")
     if not rows or not rows[0]:
         raise RankDeficient("empty matrix")
     k, n = _common_length(rows, "rows"), len(rows)

@@ -10,19 +10,12 @@ exactly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ._frozen import Frozen
-from .errors import (
-    DimensionMismatch,
-    IrrationalRoot,
-    MalformedScalar,
-    NotExact,
-    NotInLattice,
-    TropabelError,
-)
-from .rationals import as_int, as_tuple, frac_mod_1, rat
+from .errors import DimensionMismatch, IrrationalRoot, MalformedScalar, NotExact, NotInLattice
+from .rationals import as_int, as_tuple, check_types, frac_mod_1, rat
 
 
 class ValuedMonomial(Frozen):
@@ -71,10 +64,6 @@ class ValuedMonomial(Frozen):
         """t^v: the canonical element of valuation v."""
         return cls(Fraction(1), Fraction(0), rat(v))
 
-    @classmethod
-    def of(cls, mag, phase=0, texp=0) -> "ValuedMonomial":
-        return cls(rat(mag), rat(phase), rat(texp))
-
     # -- group structure -----------------------------------------------------
 
     def __mul__(self, other: "ValuedMonomial") -> "ValuedMonomial":
@@ -103,46 +92,23 @@ class ValuedMonomial(Frozen):
         ``ValueError``) is raised.
         """
         e = rat(e)
-        mag = _rational_pow(self.magnitude, e)
-        if mag is None:
+        base = self.magnitude**e.numerator
+        num = _int_root(base.numerator, e.denominator)
+        den = _int_root(base.denominator, e.denominator)
+        if num is None or den is None:
             raise IrrationalRoot(f"{self.magnitude}^{e} is not rational")
         # a rational root of a positive magnitude is positive
-        return ValuedMonomial._from_valid(mag, e * self.phase, e * self.t_exponent)
+        return ValuedMonomial._from_valid(Fraction(num, den), e * self.phase, e * self.t_exponent)
 
     # -- structure of elements -----------------------------------------------
 
     def valuation(self) -> Fraction:
         return self.t_exponent
 
-    def is_one(self) -> bool:
-        return self.magnitude == 1 and self.phase == 0 and self.t_exponent == 0
-
-    def is_torsion(self) -> int | None:
-        """The multiplicative order, or None for non-torsion elements."""
-        if self.magnitude != 1 or self.t_exponent != 0:
-            return None
-        return self.phase.denominator
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.magnitude}, e^2pi*i*{self.phase}, t^{self.t_exponent})"
-
-
-def _rational_pow(q: Fraction, e: Fraction) -> Fraction | None:
-    """q^e as an exact rational, or None when the root is irrational."""
-    if e.denominator == 1:
-        return q ** int(e)
-    n, d = e.numerator, e.denominator
-    base = q**n
-    num = _int_root(base.numerator, d)
-    den = _int_root(base.denominator, d)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
 
 def _int_root(a: int, k: int) -> int | None:
     """Exact k-th root of a nonnegative integer, or None. Pure integer search."""
-    if a in (0, 1):
+    if k == 1 or a in (0, 1):
         return a
     lo, hi = 1, 1 << (a.bit_length() // k + 1)
     while lo < hi:
@@ -164,26 +130,12 @@ class MultiplicativePoint(Frozen):
 
     def __post_init__(self):
         coords = as_tuple(self.coords, "ValuedMonomials")
-        if not all(isinstance(c, ValuedMonomial) for c in coords):
-            raise TropabelError("point coordinates must be ValuedMonomial values")
+        check_types(coords, (ValuedMonomial,) * len(coords))
         object.__setattr__(self, "coords", coords)
 
     @property
     def g(self) -> int:
         return len(self.coords)
-
-    def __mul__(self, other: "MultiplicativePoint") -> "MultiplicativePoint":
-        if self.g != other.g:
-            raise DimensionMismatch("points live in different tori")
-        return MultiplicativePoint._from_valid(
-            tuple(a * b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __pow__(self, n: int) -> "MultiplicativePoint":
-        return MultiplicativePoint._from_valid(tuple(c**n for c in self.coords))
-
-    def valuations(self) -> tuple[Fraction, ...]:
-        return tuple(c.valuation() for c in self.coords)
 
 
 def eval_character(p: MultiplicativePoint, m: Sequence[int]) -> ValuedMonomial:
@@ -192,6 +144,7 @@ def eval_character(p: MultiplicativePoint, m: Sequence[int]) -> ValuedMonomial:
     This is the one monomial product of the package.  Each m_i must be an int
     or an integral Fraction; anything else raises ``NotInLattice``.
     """
+    check_types((p, m), (MultiplicativePoint, Sequence))
     if len(m) != p.g:
         raise DimensionMismatch(f"character length {len(m)} != point length {p.g}")
     out = ONE

@@ -16,8 +16,8 @@ line bundle builds each covector entry as one Fraction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 # modules, so that only the functions using them load them
 from . import bundles, groups, nspairings, tropchar
@@ -27,15 +27,14 @@ from .errors import (
     InvalidClass,
     NotAdmissible,
     NotContained,
-    NotExact,
+    NotInLargeLattice,
     NotInLattice,
     SizeMismatch,
-    TropabelError,
 )
 from .lattices import Sublattice
 from .linalg import Mat
 from .monomials import MultiplicativePoint, ValuedMonomial, eval_character
-from .rationals import as_int, as_tuple, over_one_denominator
+from .rationals import as_int, as_tuple, check_types, over_one_denominator
 from .tori import NATorus, TropTorus
 
 
@@ -47,8 +46,7 @@ class NACharacter(Frozen):
 
     def __post_init__(self):
         values = as_tuple(self.values, "ValuedMonomials")
-        if not all(isinstance(v, ValuedMonomial) for v in values):
-            raise TropabelError("character values must be ValuedMonomial values")
+        check_types(values, (ValuedMonomial,) * len(values))
         object.__setattr__(self, "values", values)
 
     @property
@@ -60,14 +58,10 @@ class NACharacter(Frozen):
             raise SizeMismatch("coordinate length differs from the character rank")
         return eval_character(MultiplicativePoint._from_valid(self.values), a)
 
-    def __mul__(self, other: "NACharacter") -> "NACharacter":
-        if self.g != other.g:
-            raise SizeMismatch("characters have different ranks")
-        return NACharacter._from_valid(tuple(a * b for a, b in zip(self.values, other.values)))
-
 
 def unit_character(torus: NATorus, m: Sequence[int]) -> NACharacter:
     """The character lambda -> <lambda, m> of an integral character m."""
+    check_types((torus, m), (NATorus, Sequence))
     return NACharacter._from_valid(tuple(eval_character(gen, m) for gen in torus.generators))
 
 
@@ -85,12 +79,8 @@ class NALineBundle(Frozen):
 
     def __post_init__(self):
         r_basis = as_tuple(self.r_basis, "ValuedMonomials")
-        if not (
-            isinstance(self.ns, nspairings.NSClass)
-            and isinstance(self.lattice, Sublattice)
-            and all(isinstance(v, ValuedMonomial) for v in r_basis)
-        ):
-            raise NotExact("a line bundle takes an NSClass, a Sublattice and ValuedMonomials")
+        types = (nspairings.NSClass, Sublattice) + (ValuedMonomial,) * len(r_basis)
+        check_types((self.ns, self.lattice, *r_basis), types)
         object.__setattr__(self, "r_basis", r_basis)
         self._checked()
 
@@ -108,10 +98,11 @@ class NALineBundle(Frozen):
 
 def _check_cover(ns: nspairings.NSClass, lattice: Sublattice) -> None:
     """The class must be integral and multiplicatively symmetric on the cover."""
-    if not ns.integrality.contains_lattice(lattice):
-        raise InvalidClass("class is not integral on the cover lattice")
-    form, _ = ns._phase_form(lattice.generators())
-    if any(any(row) for row in form):
+    try:
+        symmetric = ns.is_gm_symmetric_on(lattice)
+    except NotInLargeLattice:
+        raise InvalidClass("class is not integral on the cover lattice") from None
+    if not symmetric:
         raise InvalidClass("class is not symmetric on the cover lattice")
 
 
@@ -142,6 +133,7 @@ def _extend_from_basis(
 
 def extend_r(b: NALineBundle, lam: Sequence[int]) -> ValuedMonomial:
     """The value of r at an arbitrary element of the cover lattice."""
+    check_types((b, lam), (NALineBundle, Sequence))
     coeffs = b.lattice.coordinates([as_int(x, NotInLattice) for x in lam])
     if any(type(c) is not int for c in coeffs):
         raise NotInLattice("element is not in the cover lattice")
@@ -151,6 +143,7 @@ def extend_r(b: NALineBundle, lam: Sequence[int]) -> ValuedMonomial:
 def restrict_na(b: NALineBundle, sub: Sublattice) -> NALineBundle:
     """The same factor on a finer cover: r evaluated on the sublattice basis.
     A class integral and symmetric on the cover is so on sub."""
+    check_types((b, sub), (NALineBundle, Sublattice))
     if sub.ambient_rank != b.lattice.ambient_rank:
         raise AmbientMismatch("restriction target does not match the torus rank")
     if not b.lattice.contains_lattice(sub):
@@ -169,6 +162,7 @@ def represent_on(b: NALineBundle, target: Sublattice) -> NALineBundle:
     model.  Of the constructor's checks only the class on the new cover is
     not implied by b.
     """
+    check_types((b, target), (NALineBundle, Sublattice))
     if target.ambient_rank != b.lattice.ambient_rank:
         raise AmbientMismatch("target lattice does not match the torus rank")
     u, d, adapted = groups._smith_adapted(target, b.lattice & target)
@@ -198,8 +192,7 @@ def tropicalize_line_bundle(b: NALineBundle) -> bundles.TropLineBundle:
     entry is one Fraction over the valuation's denominator times that; for the
     zero class (every character's bundle) G = 0, and the form is not evaluated.
     """
-    if not isinstance(b, NALineBundle):
-        raise NotExact(f"expected an NALineBundle, got a {type(b).__name__}")
+    check_types((b,), (NALineBundle,))
     torus = b.ns.torus.trop()
     gram = b.ns.gram
     den2 = 2 * gram.den
@@ -222,6 +215,7 @@ def tropicalize_simple(b: NALineBundle) -> bundles.ModuliPoint:
     into the canonical coordinates; the output does not depend on which
     admissible cover was used to present the bundle.
     """
+    check_types((b,), (NALineBundle,))
     gamma = b.ns.symmetry
     if not (gamma <= b.lattice and b.lattice.index == b.ns.class_rank()):
         raise NotAdmissible("cover lattice is not admissible for the class")
@@ -231,6 +225,7 @@ def tropicalize_simple(b: NALineBundle) -> bundles.ModuliPoint:
 
 def translate_na(b: NALineBundle, x: MultiplicativePoint) -> NALineBundle:
     """Translate by a multiplicative point: r picks up <x, class(.)>."""
+    check_types((b, x), (NALineBundle, MultiplicativePoint))
     if x.g != b.ns.torus.g:
         raise AmbientMismatch("point rank differs from the torus rank")
     h = b.ns.matrix
@@ -243,6 +238,7 @@ def translate_na(b: NALineBundle, x: MultiplicativePoint) -> NALineBundle:
 
 def bundle_times_character(b: NALineBundle, chi: NACharacter) -> NALineBundle:
     """Tensor with the degree-zero line bundle of a character."""
+    check_types((b, chi), (NALineBundle, NACharacter))
     values = tuple(
         r * chi.value(v) for r, v in zip(b.r_basis, b.lattice.generators())
     )
@@ -262,8 +258,7 @@ class NASemisimpleRep(Frozen):
     def __post_init__(self):
         characters = as_tuple(self.characters, "NACharacters")
         # over no characters this passes, so it may precede the check for none
-        if not all(isinstance(c, NACharacter) for c in characters):
-            raise NotExact(f"a representation takes NACharacters, got {characters!r}")
+        check_types(characters, (NACharacter,) * len(characters))
         object.__setattr__(self, "characters", characters)
         self._checked()
 
@@ -303,10 +298,7 @@ def bundles_from_rep(rep: NASemisimpleRep, torus: NATorus) -> tuple[NALineBundle
     checked, and the zero class and every bundle are built unchecked.  An
     argument that is neither a representation nor a torus raises NotExact.
     """
-    if not isinstance(rep, NASemisimpleRep):
-        raise NotExact(f"expected an NASemisimpleRep, got a {type(rep).__name__}")
-    if not isinstance(torus, (NATorus, TropTorus)):
-        raise NotExact(f"expected an NATorus, got a {type(torus).__name__}")
+    check_types((rep, torus), (NASemisimpleRep, (NATorus, TropTorus)))
     if torus.g != rep.g:
         raise AmbientMismatch("torus rank differs from the representation rank")
     if not isinstance(torus, NATorus):
@@ -317,31 +309,36 @@ def bundles_from_rep(rep: NASemisimpleRep, torus: NATorus) -> tuple[NALineBundle
 
 
 def trop_rep(rep: NASemisimpleRep) -> tropchar.TropRepresentation:
-    """Entrywise valuation: a diagonal tropical representation."""
-    if not isinstance(rep, NASemisimpleRep):
-        raise NotExact(f"expected an NASemisimpleRep, got a {type(rep).__name__}")
+    """Entrywise valuation: a diagonal tropical representation, built unchecked:
+    its g images are r x r, as rep has r >= 1 characters of rank g."""
+    check_types((rep,), (NASemisimpleRep,))
     r, g = rep.r, rep.g
+    if not g:
+        raise SizeMismatch("a representation needs at least one generator image")
     idperm = tuple(range(r))
     images = []
     for j in range(g):
         d = tuple(c.values[j].valuation() for c in rep.characters)
         images.append(tropchar.TropGLElement._from_valid(idperm, d))
-    return tropchar.TropRepresentation(tuple(images))
+    return tropchar.TropRepresentation._from_valid(tuple(images))
 
 
 def characters_equal_mod_m(c1: NACharacter, c2: NACharacter, torus: NATorus) -> bool:
     """Whether the characters present the same degree-zero bundle.
 
     True when the ratio is <., m> for an integral character m, found by
-    solving the valuation system and verified by exact monomial equality.
+    solving the valuation system V^T m = v, the valuations as one integer
+    column over their lcm, and verified by exact monomial equality.
     """
+    check_types((c1, c2, torus), (NACharacter, NACharacter, NATorus))
     if c1.g != c2.g or c1.g != torus.g:
         raise SizeMismatch("character ranks differ")
     ratios = tuple(b / a for a, b in zip(c1.values, c2.values))
-    vals = tuple(r.valuation() for r in ratios)
-    m = torus.v.T.solve(vals)
-    if any(x.denominator != 1 for x in m):
+    vals, den = over_one_denominator([r.valuation() for r in ratios])
+    m = torus.v.T.solve_mat(Mat._from_valid(tuple((x,) for x in vals), den))
+    if m.den != 1:
         return False
+    m = [x for (x,) in m.num]
     return all(eval_character(gen, m) == r for gen, r in zip(torus.generators, ratios))
 
 

@@ -24,13 +24,12 @@ from .errors import (
     DimensionMismatch,
     InternalInconsistency,
     InvalidClass,
-    NotExact,
     NotInLargeLattice,
     NotInSmallLattice,
 )
 from .lattices import SUBGROUP_ENUMERATION_BOUND, Sublattice
 from .linalg import Mat, _hermite_add, _hermite_rows, congruence_lattice
-from .rationals import over_one_denominator
+from .rationals import check_types, over_one_denominator
 from .tori import NATorus, Torus, TropTorus, integrality_lattice, is_r_symmetric
 
 
@@ -55,8 +54,7 @@ class NSClass(Frozen):
     matrix: Mat
 
     def __post_init__(self):
-        if not isinstance(self.torus, (TropTorus, NATorus)) or not isinstance(self.matrix, Mat):
-            raise NotExact("a class takes a TropTorus or an NATorus and a Mat")
+        check_types((self.torus, self.matrix), ((TropTorus, NATorus), Mat))
         g = self.torus.g
         if (self.matrix.n, self.matrix.m) != (g, g):
             raise DimensionMismatch("class matrix must be g x g")
@@ -81,10 +79,6 @@ class NSClass(Frozen):
     def gram(self) -> Mat:
         """The real pairing matrix V^T @ H (symmetric by construction)."""
         return self.torus.v.T @ self.matrix
-
-    def real_pairing(self, a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> Fraction:
-        row = self.gram.mul_vec(b)
-        return sum((x * y for x, y in zip(a, row)), Fraction(0))
 
     def _multiplicative_torus(self) -> NATorus:
         if not isinstance(self.torus, NATorus):

@@ -8,7 +8,8 @@ memoised (the wire repeats few distinct strings); a wire matrix reads its Fracti
 pairs, ``as_integer_ratio()``, with no cache of its own.  The bounds of the wire
 boundary's three memos are kept here together: this parse memo's and those of the
 lattice and torus memos of ``jsonio``.  Integer work on a rational vector starts from
-``over_one_denominator`` (checked at an entry point).
+``over_one_denominator`` (checked at an entry point).  ``check_types`` is the one rule
+for an argument of the wrong type: every entry point calls it before any work.
 """
 
 from __future__ import annotations
@@ -114,6 +115,14 @@ def as_tuple(x, what: str) -> tuple:
         return tuple(x)
     except TypeError:
         raise NotExact(f"expected a sequence of {what}, got {x!r}") from None
+
+
+def check_types(values: tuple, types: tuple) -> None:
+    """NotExact unless each value is an instance of the type (or a tuple of types) beside it."""
+    for value, cls in zip(values, types):
+        if not isinstance(value, cls):
+            names = " or ".join(t.__name__ for t in cls) if isinstance(cls, tuple) else cls.__name__
+            raise NotExact(f"expected a {names}, got a {type(value).__name__}")
 
 
 def over_one_denominator(v: Sequence[int | Fraction]) -> tuple[list[int], int]:

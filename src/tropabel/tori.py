@@ -11,16 +11,15 @@ class itself, with its pairings and defect group, is ``nspairings.NSClass``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
 from . import monomials  # a module, so that only a multiplicative torus loads it
 from ._frozen import Frozen
-from .errors import DimensionMismatch, NotExact, SingularLattice
+from .errors import DimensionMismatch, SingularLattice
 from .lattices import QLattice, Sublattice
 from .linalg import Mat, congruence_lattice
-from .rationals import as_tuple, over_one_denominator
+from .rationals import as_tuple, check_types, over_one_denominator
 
 
 class TropTorus(Frozen):
@@ -30,8 +29,7 @@ class TropTorus(Frozen):
 
     def __post_init__(self):
         v = self.v
-        if not isinstance(v, Mat):
-            raise NotExact(f"a period matrix is a Mat, got {v!r}")
+        check_types((v,), (Mat,))
         if v.n != v.m:
             raise DimensionMismatch("period matrix must be square")
         if v.n == 0:
@@ -44,10 +42,6 @@ class TropTorus(Frozen):
     def g(self) -> int:
         return self.v.n
 
-    def position(self, a: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-        """N_Q-coordinates of the point with lattice coordinates a."""
-        return self.v.mul_vec(a)
-
 
 class NATorus(Frozen):
     """Multiplicative torus (K*)^g / Lambda with monomial period generators."""
@@ -56,8 +50,7 @@ class NATorus(Frozen):
 
     def __post_init__(self):
         generators = as_tuple(self.generators, "MultiplicativePoints")
-        if not all(isinstance(p, monomials.MultiplicativePoint) for p in generators):
-            raise NotExact(f"torus generators must be MultiplicativePoints, got {generators!r}")
+        check_types(generators, (monomials.MultiplicativePoint,) * len(generators))
         object.__setattr__(self, "generators", generators)
         self._checked()
 
@@ -108,8 +101,7 @@ def is_r_symmetric(h: Mat, v: Mat) -> bool:
     V^T H is (V.num)^T H.num over the common factor V.den * H.den, so this
     compares integer dot products of columns of V.num and H.num, row by row.
     """
-    if not isinstance(h, Mat) or not isinstance(v, Mat):
-        raise NotExact(f"a class and a period matrix are Mats, got {h!r} and {v!r}")
+    check_types((h, v), (Mat, Mat))
     if len(v.num) != len(h.num):
         raise DimensionMismatch(f"cannot multiply {v.m}x{v.n} by {h.n}x{h.m}")
     g = v.m
@@ -128,15 +120,13 @@ def is_r_symmetric(h: Mat, v: Mat) -> bool:
 
 def integrality_lattice(h: Mat) -> Sublattice:
     """Sublattice of lattice vectors whose image under h is integral."""
-    if not isinstance(h, Mat):
-        raise NotExact(f"a class matrix is a Mat, got {h!r}")
+    check_types((h,), (Mat,))
     return Sublattice._from_hermite(congruence_lattice(h.num, h.den))
 
 
 def dual_integrality_lattice(h: Mat) -> Sublattice:
     """Sublattice of character-dual vectors n with h^T @ n integral."""
-    if not isinstance(h, Mat):
-        raise NotExact(f"a class matrix is a Mat, got {h!r}")
+    check_types((h,), (Mat,))
     return integrality_lattice(h.T)
 
 
@@ -144,8 +134,7 @@ def extended_character_lattice(h: Mat) -> QLattice:
     """The character lattice enlarged by the image of h (full period lattice):
     the column span of [I | h] = [den I | num] / den, which is Z^g when h is
     integral, as [I | h] then holds I."""
-    if not isinstance(h, Mat):
-        raise NotExact(f"a class matrix is a Mat, got {h!r}")
+    check_types((h,), (Mat,))
     if h.den == 1:
         return QLattice.standard(h.n)
     rows = [[h.den if i == j else 0 for j in range(h.n)] + list(r) for i, r in enumerate(h.num)]

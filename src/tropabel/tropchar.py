@@ -26,7 +26,7 @@ from .errors import (
 )
 from .lattices import Sublattice
 from .linalg import Mat
-from .rationals import as_int, as_tuple, over_one_denominator, rat
+from .rationals import as_int, as_tuple, check_types, over_one_denominator, rat
 from .tori import TropTorus
 
 
@@ -70,11 +70,13 @@ class TropGLElement(Frozen):
 
 
 def identity(r: int) -> TropGLElement:
+    r = as_int(r, NotExact)
     return TropGLElement._from_valid(tuple(range(r)), (Fraction(0),) * r)
 
 
 def compose(a: TropGLElement, b: TropGLElement) -> TropGLElement:
     """(sigma, d) o (sigma', d') = (sigma sigma', d + sigma . d')."""
+    check_types((a, b), (TropGLElement, TropGLElement))
     if a.r != b.r:
         raise SizeMismatch("cannot compose elements of different sizes")
     perm = tuple(a.perm[b.perm[i]] for i in range(a.r))
@@ -84,6 +86,7 @@ def compose(a: TropGLElement, b: TropGLElement) -> TropGLElement:
 
 
 def inverse(a: TropGLElement) -> TropGLElement:
+    check_types((a,), (TropGLElement,))
     inv = a.inv_perm
     d = tuple(-a.d[a.perm[i]] for i in range(a.r))
     return TropGLElement._from_valid(inv, d)
@@ -91,6 +94,7 @@ def inverse(a: TropGLElement) -> TropGLElement:
 
 def power(a: TropGLElement, n: int) -> TropGLElement:
     """a^n by repeated squaring: O(log n) compositions, exact by associativity."""
+    check_types((a,), (TropGLElement,))
     if type(n) is not int:
         raise TropabelError(f"power needs an int exponent, got {n!r}")
     if n < 0:
@@ -113,8 +117,7 @@ class TropRepresentation(Frozen):
     def __post_init__(self):
         object.__setattr__(self, "images", as_tuple(self.images, "TropGLElements"))
         # over no images this passes, so it may precede the check for none
-        if not all(isinstance(a, TropGLElement) for a in self.images):
-            raise NotExact(f"generator images must be TropGLElements, got {self.images!r}")
+        check_types(self.images, (TropGLElement,) * len(self.images))
         self._checked()
 
     def _checked(self) -> "TropRepresentation":
@@ -164,17 +167,10 @@ def _commute(rep: TropRepresentation, nums: list[list[int]]) -> bool:
     return True
 
 
-def _check_rep(rep) -> None:
-    """NotExact unless rep is a TropRepresentation: the type check of every
-    function taking one, before any work."""
-    if not isinstance(rep, TropRepresentation):
-        raise NotExact(f"expected a TropRepresentation, got a {type(rep).__name__}")
-
-
 def check_commuting(rep: TropRepresentation) -> bool:
     """Whether the images commute, without composing them: ab = ba iff the permutations commute
     and a.d[i] - a.d[b^-1(i)] = b.d[i] - b.d[a^-1(i)] (see compose), over one denominator."""
-    _check_rep(rep)
+    check_types((rep,), (TropRepresentation,))
     return _commute(rep, _integer_translations(rep.images)[0])
 
 
@@ -188,8 +184,7 @@ class OrbitSummand(Frozen):
 
     def __post_init__(self):
         orbit = tuple(as_int(i, NotExact) for i in as_tuple(self.orbit, "integers"))
-        if not isinstance(self.lattice, Sublattice):
-            raise NotExact(f"an orbit summand's lattice is a Sublattice, got {self.lattice!r}")
+        check_types((self.lattice,), (Sublattice,))
         l = tuple(rat(x) for x in as_tuple(self.l, "rationals"))
         if len(l) != self.lattice.ambient_rank:
             raise SizeMismatch("an orbit summand takes one value per basis vector")
@@ -217,7 +212,7 @@ def decompose_rep(rep: TropRepresentation) -> tuple[OrbitSummand, ...]:
     orbits all have Z^g), so the comparisons that later order the summands
     and look up their lattices stop at the identity.
     """
-    _check_rep(rep)
+    check_types((rep,), (TropRepresentation,))
     nums, den = _integer_translations(rep.images)
     if not _commute(rep, nums):
         raise NotCommuting("generator images do not commute")
@@ -279,9 +274,7 @@ def stratum(rep: TropRepresentation) -> tuple[Sublattice, ...]:
 def bundle_from_rep(rep: TropRepresentation, torus: TropTorus) -> bundles.TropVectorBundle:
     """The homogeneous bundle of a representation: one summand per orbit,
     pushed forward from the stabilizer cover with zero class."""
-    _check_rep(rep)
-    if not isinstance(torus, TropTorus):
-        raise NotExact(f"the bundle of a representation lives on a TropTorus, got {torus!r}")
+    check_types((rep, torus), (TropRepresentation, TropTorus))
     if torus.g != rep.g:
         raise SizeMismatch("torus rank differs from the number of generators")
     zero = Mat.zeros(torus.g, torus.g)
@@ -297,9 +290,7 @@ def conjugate(rep: TropRepresentation, a: TropGLElement) -> TropRepresentation:
     b(i) = a(img(a^-1 i)) and, by compose and inverse, the translation
     d_b(i) = d_a(i) + d_img(a^-1 i) - d_a(b^-1 i), summed in the translations
     of a and of every image as integers over one denominator."""
-    _check_rep(rep)
-    if not isinstance(a, TropGLElement):
-        raise NotExact(f"expected a TropGLElement, got a {type(a).__name__}")
+    check_types((rep, a), (TropRepresentation, TropGLElement))
     if rep.r != a.r:
         raise SizeMismatch("cannot compose elements of different sizes")
     a_perm, a_inv = a.perm, a.inv_perm
@@ -326,8 +317,7 @@ def rep_from_bundle(e: bundles.TropVectorBundle) -> TropRepresentation:
     numerators, over their denominator.  Inverse to bundle construction up to
     equivalence.
     """
-    if not isinstance(e, bundles.TropVectorBundle):
-        raise NotExact(f"expected a TropVectorBundle, got a {type(e).__name__}")
+    check_types((e,), (bundles.TropVectorBundle,))
     if not e.summands:
         raise SizeMismatch("cannot build a representation from an empty bundle")
     g = e.torus.g

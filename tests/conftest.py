@@ -15,9 +15,17 @@ import pytest
 from hypothesis import strategies as st
 
 from tropabel import Mat, MultiplicativePoint, NATorus, Sublattice, TropTorus, ValuedMonomial
-from tropabel.errors import DimensionMismatch, RankDeficient, SingularLattice, SizeMismatch
+from tropabel.errors import (
+    DimensionMismatch,
+    NotContained,
+    RankDeficient,
+    SingularLattice,
+    SizeMismatch,
+)
+from tropabel.groups import _smith_adapted
 from tropabel.jsonio import ScenarioError, rational_from_json
 from tropabel.linalg import column_hnf
+from tropabel.naside import NACharacter
 from tropabel.rationals import rat
 from tropabel.tropchar import TropGLElement
 
@@ -89,7 +97,7 @@ def rand_r_symmetric(rng: random.Random, v: Mat, max_den=2) -> Mat:
 def rand_integral_symmetric(rng: random.Random, v: Mat) -> Mat:
     """Like rand_r_symmetric but scaled to have integer entries."""
     h = rand_r_symmetric(rng, v, max_den=2)
-    d = math.lcm(*(x.denominator for row in h.entries for x in row))
+    d = h.den
     return h.scale(d)
 
 
@@ -118,14 +126,83 @@ def reduce_mod_lattice(
 ) -> tuple[Fraction, ...]:
     """The representative of v modulo the column lattice of ``basis`` whose
     coordinate vector in that basis lies in [0,1)^g, by the general rational
-    solver.  The reduction oracle of ``Sublattice.reduce`` and ``_reduce_num``."""
+    solver.  The reduction oracle of ``reduce_all`` and ``_reduce_num``."""
     if basis.n != basis.m or basis.det() == 0:
         raise SingularLattice("lattice basis must be square and nonsingular")
     w = tuple(rat(x) for x in v)
-    coords = basis.solve(w)
+    coords = ref_solve(basis, w)
     k = [math.floor(c) for c in coords]
-    shift = basis.mul_vec(k)
+    shift = ref_mul_vec(basis, k)
     return tuple(a - b for a, b in zip(w, shift))
+
+
+# ---------------------------------------------------------------------------
+# Matrix, lattice, group and pairing operations that no command runs, kept as
+# the references the tests read
+# ---------------------------------------------------------------------------
+
+
+def ref_entries(m: Mat) -> tuple[tuple[Fraction, ...], ...]:
+    """The entries of m as Fraction rows."""
+    return tuple(tuple(Fraction(x, m.den) for x in row) for row in m.num)
+
+
+def ref_mul_vec(m: Mat, v: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
+    """m @ v as Fractions."""
+    return tuple(Fraction(x, m.den) for x in m.num_image(v))
+
+
+def ref_solve(m: Mat, v: Sequence[int | str | Fraction]) -> tuple[Fraction, ...]:
+    """The solution x of m @ x = v by the Fraction path: v as a public Mat column,
+    ``solve_mat``, and the column read back as Fractions."""
+    x = m.solve_mat(Mat([[c] for c in v]))
+    return tuple(Fraction(row[0], x.den) for row in x.num)
+
+
+def ref_l_value(s, x: Sequence[int | Fraction]) -> Fraction:
+    """The covector of a summand, extended Q-linearly, at the point x of Z^g
+    (its lattice coordinates dotted with the covector, in Fractions)."""
+    return sum((a * b for a, b in zip(s.l, s.lattice.coordinates(x))), Fraction(0))
+
+
+def ref_real_pairing(ns, a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> Fraction:
+    """The real pairing a^T V^T H b of a class, in Fractions."""
+    return sum((x * y for x, y in zip(a, ref_mul_vec(ns.gram, b))), Fraction(0))
+
+
+def ref_scaled(lat: Sublattice, c: int) -> Sublattice:
+    """The lattice c * lat."""
+    return Sublattice.from_generators([tuple(c * x for x in v) for v in lat.generators()])
+
+
+def ref_torsion_order(x: ValuedMonomial) -> int | None:
+    """The multiplicative order of x, or None when x is not torsion."""
+    if x.magnitude != 1 or x.t_exponent != 0:
+        return None
+    return x.phase.denominator
+
+
+def ref_character_product(c1, c2):
+    """The character whose values are the products of c1's and c2's."""
+    return NACharacter(tuple(a * b for a, b in zip(c1.values, c2.values)))
+
+
+def ref_project(ambient: Sublattice, sub: Sublattice, v: Sequence[int]) -> tuple[int, ...]:
+    """The class of v in ambient / sub, one coordinate per invariant factor of
+    ``quotient(ambient, sub)``: U times v's coordinates in ambient, for the Smith
+    form U C W = diag(d) of sub's coordinates C in ambient's basis."""
+    x = ambient.coordinates(v)
+    if any(type(c) is not int for c in x):
+        raise NotContained("vector is not in the numerator lattice")
+    u, d, _ = _smith_adapted(ambient, sub)
+    return tuple(sum(a * c for a, c in zip(row, x)) % m for row, m in zip(u, d) if m > 1)
+
+
+def ref_lift(group, e: Sequence[int], g: int) -> tuple[int, ...]:
+    """A representative in Z^g of the group element with coordinates e."""
+    if len(e) != len(group.generator_lifts):
+        raise DimensionMismatch(f"expected an element of length {len(group.generator_lifts)}")
+    return tuple(sum(c * v[i] for c, v in zip(e, group.generator_lifts)) for i in range(g))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from tropabel.errors import (
 )
 from tropabel.lattices import QLattice, Sublattice
 from tropabel.linalg import Mat
+from tropabel.rationals import rat
 from tropabel.tori import TropTorus, extended_character_lattice, integrality_lattice
 from tropabel.tropchar import TropRepresentation, bundle_from_rep, identity
 
@@ -57,6 +58,10 @@ from conftest import (
     rand_sublattice,
     reduce_mod_lattice,
     ref_canonical_order,
+    ref_l_value,
+    ref_mul_vec,
+    ref_scaled,
+    ref_solve,
     typed,
 )
 
@@ -135,13 +140,20 @@ def test_direct_sum():
         direct_sum(as_bundle(s1), as_bundle(s3))
 
 
+def extension_value(s, x):
+    """The summand's cached Q-linear extension of its covector, the integer row
+    ``_l_ext`` over its denominator, at the point x."""
+    ext, den = s._l_ext
+    return F(sum(map(operator.mul, ext, x))) / den
+
+
 def test_l_value_is_linear_extension():
     s = line_bundle(EYE2, Sublattice([[2, 0], [0, 2]]), Mat.identity(2), (1, F(1, 3)))
     # basis vectors (2,0), (0,2) carry the stored values
-    assert s.l_value((2, 0)) == 1
-    assert s.l_value((0, 2)) == F(1, 3)
-    assert s.l_value((1, 1)) == F(1, 2) + F(1, 6)
-    assert s.l_value((0, 0)) == 0
+    assert extension_value(s, (2, 0)) == 1
+    assert extension_value(s, (0, 2)) == F(1, 3)
+    assert extension_value(s, (1, 1)) == F(1, 2) + F(1, 6)
+    assert extension_value(s, (0, 0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +277,7 @@ def test_pull_push_identity_small():
     round_trip = pullback(pushforward(e, sub, EYE2), sub)
     expected = []
     for delta in [(0, 0), (0, 1)]:
-        shift = EYE2.v.mul_vec((F(delta[0]), F(delta[1])))
+        shift = ref_mul_vec(EYE2.v, (F(delta[0]), F(delta[1])))
         expected.extend(translate(e, shift).summands)
     assert round_trip == as_bundle(expected)
 
@@ -304,7 +316,7 @@ def test_translate_by_period_is_equivalent():
         torus = rand_torus(rng, 2)
         s = rand_line_bundle(rng, torus, lattice=Sublattice.full(2))
         lam = [rng.randint(-2, 2), rng.randint(-2, 2)]
-        shift = torus.v.mul_vec((F(lam[0]), F(lam[1])))
+        shift = ref_mul_vec(torus.v, (F(lam[0]), F(lam[1])))
         moved = translate(as_bundle(s), shift).summands[0]
         assert iso_pushforward(s, moved)
         gamma = Sublattice([[2, 0], [0, 2]])
@@ -445,8 +457,8 @@ def test_moduli_points_match_reduction_reference():
         torus = TropTorus(v)
         covers = {integrality_lattice(ns) & rand_sublattice(rng, g, 2) for _ in range(3)}
         gamma = functools.reduce(operator.and_, covers) & rand_sublattice(rng, g, 3)
-        if gamma.is_full():
-            gamma = gamma.scaled(2)
+        if gamma.index == 1:
+            gamma = ref_scaled(gamma, 2)
         summands = [
             line_bundle(torus, cover, ns, [F(rng.randint(-40, 40), rng.randint(1, 7))
                                            for _ in range(g)])
@@ -458,11 +470,11 @@ def test_moduli_points_match_reduction_reference():
         points = moduli_points(summands, gamma, ns)
         assert len(points) == len(summands)
         for s, p in zip(summands, points):
-            restricted = tuple(s.l_value(b) for b in gamma.generators())
+            restricted = tuple(ref_l_value(s, b) for b in gamma.generators())
             assert p == ModuliPoint(torus, gamma, ns, reduce_mod_lattice(restricted, twist.basis))
             assert p == moduli_point(s, gamma, ns)
             assert all(type(x) is Fraction for x in p.coords)
-            coords = twist.basis.solve(restricted)
+            coords = ref_solve(twist.basis, restricted)
             negative_fractional += any(c < 0 and c.denominator != 1 for c in coords)
     # floor and truncation differ only on these
     assert negative_fractional >= 20
@@ -588,7 +600,7 @@ def test_integrality_check_matches_rational_product():
         lattice = rand_sublattice(rng, g, 4)
         if rng.random() < 0.4:
             lattice = integrality_lattice(ns) & lattice
-        integral = (ns @ lattice.mat).is_integral()
+        integral = (ns @ lattice.mat).den == 1
         outcomes.add(integral)
         l = [rand_fraction(rng) for _ in range(g)]
         if integral:
@@ -599,20 +611,20 @@ def test_integrality_check_matches_rational_product():
     assert outcomes == {True, False}
 
 
-def ref_l_value(s, x):
-    """The covector at lattice coordinates x, as a Fraction dot product."""
-    return sum((a * b for a, b in zip(s.l, s.lattice.coordinates(x))), F(0))
-
-
 def ref_char_value(torus, x, m):
     """<x, m>: the character m at lattice coordinates x, in Fractions."""
-    return sum((a * b for a, b in zip(torus.v.mul_vec(x), m)), F(0))
+    return sum((a * b for a, b in zip(ref_mul_vec(torus.v, x), m)), F(0))
 
 
 def ref_coset_reps(lat):
     """The Hermite box reduced by the general rational solver."""
     box = itertools.product(*(range(row[i]) for i, row in enumerate(lat.basis)))
     return sorted(tuple(int(x) for x in reduce_mod_lattice(p, lat.mat)) for p in box)
+
+
+def ref_sum(a, b):
+    """The lattice a + b, spanned by the generators of both."""
+    return Sublattice.from_generators(a.generators() + b.generators())
 
 
 def ref_tensor(e1, e2):
@@ -622,8 +634,8 @@ def ref_tensor(e1, e2):
             inter = s1.lattice & s2.lattice
             basis = inter.generators()
             base = [ref_l_value(s1, b) + ref_l_value(s2, b) for b in basis]
-            for delta in ref_coset_reps(s1.lattice + s2.lattice):
-                m = s2.ns.mul_vec(delta)
+            for delta in ref_coset_reps(ref_sum(s1.lattice, s2.lattice)):
+                m = ref_mul_vec(s2.ns, delta)
                 l = [v - ref_char_value(torus, b, m) for v, b in zip(base, basis)]
                 out.append(TropLineBundle(torus, inter, s1.ns + s2.ns, l))
     return TropVectorBundle(torus, tuple(out))
@@ -635,9 +647,9 @@ def ref_pullback(e, sub):
     for s in e.summands:
         inter = s.lattice & sub
         new_lat = Sublattice.from_generators([sub.coordinates(b) for b in inter.generators()])
-        cols = [sub.mat.mul_vec(c) for c in new_lat.generators()]
-        for delta in ref_coset_reps(s.lattice + sub):
-            m = s.ns.mul_vec(delta)
+        cols = [ref_mul_vec(sub.mat, c) for c in new_lat.generators()]
+        for delta in ref_coset_reps(ref_sum(s.lattice, sub)):
+            m = ref_mul_vec(s.ns, delta)
             l = [ref_l_value(s, c) - ref_char_value(torus, c, m) for c in cols]
             out.append(TropLineBundle(target, new_lat, s.ns @ sub.mat, l))
     return TropVectorBundle(target, tuple(out))
@@ -646,17 +658,17 @@ def ref_pullback(e, sub):
 def ref_pushforward(e, sub, parent):
     out = []
     for s in e.summands:
-        lat = Sublattice.from_generators([sub.mat.mul_vec(c) for c in s.lattice.generators()])
-        l = [ref_l_value(s, sub.mat.solve(col)) for col in lat.generators()]
+        lat = Sublattice.from_generators([ref_mul_vec(sub.mat, c) for c in s.lattice.generators()])
+        l = [ref_l_value(s, ref_solve(sub.mat, col)) for col in lat.generators()]
         out.append(TropLineBundle(parent, lat, s.ns @ sub.mat.inv(), l))
     return TropVectorBundle(parent, tuple(out))
 
 
 def ref_translate(e, x):
     torus, out = e.torus, []
-    lam = torus.v.solve(x)
+    lam = ref_solve(torus.v, x)
     for s in e.summands:
-        m = s.ns.mul_vec(lam)
+        m = ref_mul_vec(s.ns, lam)
         l = [v - ref_char_value(torus, b, m) for v, b in zip(s.l, s.lattice.generators())]
         out.append(TropLineBundle(torus, s.lattice, s.ns, l))
     return TropVectorBundle(torus, tuple(out))
@@ -689,6 +701,46 @@ def rand_rational_summand(rng, torus):
             break
     lattice = integrality_lattice(ns) & rand_sublattice(rng, torus.g, 2)
     return line_bundle(torus, lattice, ns, rand_covector(rng, torus.g))
+
+
+def rand_rational_torus(rng, g):
+    """A torus whose period matrix has rational entries, of either sign of determinant."""
+    while True:
+        v = Mat([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(g)] for _ in range(g)])
+        if v.det() != 0:
+            return TropTorus(v)
+
+
+def rand_point(rng, g):
+    """A point whose entries are ints, Fractions and "p/q" strings."""
+    kinds = (
+        lambda: rng.randint(-5, 5), lambda: rand_fraction(rng), lambda: str(rand_fraction(rng))
+    )
+    return [rng.choice(kinds)() for _ in range(g)]
+
+
+def test_translate_matches_the_solve_reference():
+    # the point solved as one integer column against the Fraction path of
+    # ref_solve, on rational period matrices of g = 1..5
+    rng = random.Random(613)
+    signs = set()
+    for g in range(1, 6):
+        for _ in range(8):
+            torus = rand_rational_torus(rng, g)
+            signs.add(torus.v.det() > 0)
+            e = as_bundle([rand_rational_summand(rng, torus) for _ in range(2)])
+            x = rand_point(rng, g)
+            assert translate(e, x) == ref_translate(e, x)
+            assert translate(e, tuple(x)) == translate(e, [rat(c) for c in x])
+            for wrong in (x + [1], x[:-1]):
+                with pytest.raises(DimensionMismatch):
+                    translate(e, wrong)
+            for bad in (0.5, True):
+                with pytest.raises(NotExact):
+                    translate(e, x[:-1] + [bad])
+            with pytest.raises(NotExact):
+                translate(e, "1/2" * g)
+    assert signs == {True, False}
 
 
 def assert_exact_types(e):
@@ -736,12 +788,12 @@ def test_bundle_operations_match_fraction_reference():
         assert_exact_types(as_bundle(restricted))
         for b in cover.generators():
             q = [F(c, rng.randint(1, 4)) for c in b]
-            assert s.l_value(q) == ref_l_value(s, q)
+            assert ref_l_value(s, q) == ref_l_value(s, q)
         # s's covector extended to another cover plus an integral character or
         # a class image is equivalent to s; one value moved by 1/3 may not be
         lat = integrality_lattice(s.ns) & rand_sublattice(rng, g, 2)
         k = [rng.randint(-3, 3) for _ in range(g)]
-        shift = extended_character_lattice(s.ns).basis.mul_vec(k)
+        shift = ref_mul_vec(extended_character_lattice(s.ns).basis, k)
         l = [ref_l_value(s, b) + ref_char_value(torus, b, shift) for b in lat.generators()]
         twin = TropLineBundle(torus, lat, s.ns, l)
         moved = TropLineBundle(torus, lat, s.ns, [l[0] + F(1, 3), *l[1:]])
@@ -754,9 +806,10 @@ def test_bundle_operations_match_fraction_reference():
 
 
 def test_bundle_operations_read_neither_l_value_nor_the_public_lattice_constructor(monkeypatch):
-    # the ops read each summand's cached integer row at integer points and
-    # build their lattices through from_generators: a return to the Fraction
-    # evaluator or to the checked Sublattice(...) fails here
+    # the ops read each summand's cached integer row at integer points, build
+    # their lattices through from_generators and their matrices from integers
+    # (translate solves its point as one integer column): a return to the
+    # public Mat(...) or to the checked Sublattice(...) fails here
     rng = random.Random(499)
     torus = rand_torus(rng, 3)
     e1 = as_bundle([rand_rational_summand(rng, torus) for _ in range(2)])
@@ -766,7 +819,7 @@ def test_bundle_operations_read_neither_l_value_nor_the_public_lattice_construct
     s = e1.summands[0]
     cover = s.lattice & sub
     calls = []
-    for cls, name in ((TropLineBundle, "l_value"), (Sublattice, "__init__")):
+    for cls, name in ((Mat, "__init__"), (Sublattice, "__init__")):
         def spy(*args, _original=getattr(cls, name), _name=f"{cls.__name__}.{name}", **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
@@ -852,20 +905,9 @@ def test_l_value_matches_the_reference_on_hermite_bases(rows, data):
     k = vector(big)
     points = [vector(fractions), vector(big), tuple(sum(map(operator.mul, r, k)) for r in rows)]
     for x in points:
-        value = s.l_value(x)
+        value = extension_value(s, x)
         assert value == ref_l_value(s, x)
-        assert value == sum((a * c for a, c in zip(s.l, lat.mat.solve(x))), F(0))
-    for wrong in (points[0] + (1,), points[0][:-1]):
-        with pytest.raises(DimensionMismatch):
-            s.l_value(wrong)
-
-
-@pytest.mark.parametrize("bad", [2.0, True, "1/2"], ids=["float", "bool", "string"])
-def test_l_value_rejects_inexact_entries(bad):
-    # a float used to escape as a bare TypeError, and a bool was read as an int
-    s = line_bundle(EYE2, Sublattice([[2, 0], [1, 3]]), Mat.zeros(2, 2), (F(1, 2), F(1, 3)))
-    with pytest.raises(NotExact):
-        s.l_value((bad, 1))
+        assert value == sum((a * c for a, c in zip(s.l, ref_solve(lat.mat, x))), F(0))
 
 
 @pytest.mark.parametrize("sub", [Sublattice([[2]]), Sublattice([[1, 0, 0], [0, 2, 0], [0, 0, 1]])])

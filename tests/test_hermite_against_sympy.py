@@ -187,7 +187,8 @@ def test_sum_and_intersection_against_sympy(g):
         l1, l2 = rand_lattice(rng, g), rand_lattice(rng, g)
         a, b = [list(r) for r in l1.basis], [list(r) for r in l2.basis]
         total, inter = _sum_and_intersection(l1, l2)
-        assert (total, inter) == (l1 + l2, l1 & l2)
+        assert total == Sublattice.from_generators(l1.generators() + l2.generators())
+        assert inter == l1 & l2
         # the sum is the lattice of the joint generators
         assert same_lattice(total.basis, [x + y for x, y in zip(a, b)])
         # the intersection lies in both, and [L1 : L1 ∩ L2] = [L1 + L2 : L2]

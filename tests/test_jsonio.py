@@ -33,6 +33,7 @@ from conftest import (
     outcome,
     rand_r_symmetric,
     rand_sublattice,
+    ref_entries,
     ref_is_hermite,
     ref_is_r_symmetric,
     ref_lattice_from_json,
@@ -114,7 +115,7 @@ def wire_rational(rng, den=(1, 2, 3, 4, 6)):
 
 
 def wire_matrix(m: Mat):
-    return [[str(x) for x in row] for row in m.entries]
+    return [[str(x) for x in row] for row in ref_entries(m)]
 
 
 def rand_period_matrix(rng, g):

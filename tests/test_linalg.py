@@ -22,7 +22,7 @@ from tropabel.linalg import Mat, column_hnf, congruence_lattice, hnf
 from tropabel.rationals import RATIONAL, as_tuple, parse_rational, rat
 from tropabel.tori import TropTorus
 
-from conftest import ref_congruence_lattice, ref_eliminate
+from conftest import ref_congruence_lattice, ref_eliminate, ref_entries, ref_mul_vec, ref_solve
 
 F = Fraction
 
@@ -62,7 +62,7 @@ def test_mat_shape_errors():
     with pytest.raises(DimensionMismatch):
         a + b
     with pytest.raises(DimensionMismatch):
-        a.mul_vec((F(1),))
+        a.num_image((F(1),))
 
 
 def to_sympy(rows):
@@ -90,7 +90,7 @@ def test_det_inverse_random():
     for _ in range(25):
         n = rng.randint(1, 4)
         m = Mat(rand_int_matrix(rng, n, n))
-        sym_det = sympy.Matrix(n, n, lambda i, j: int(m.entries[i][j])).det()
+        sym_det = sympy.Matrix(n, n, lambda i, j: int(ref_entries(m)[i][j])).det()
         assert m.det() == sym_det
         if m.det() != 0:
             assert m @ m.inv() == Mat.identity(n)
@@ -123,23 +123,19 @@ def test_solve_mat_rational():
             with pytest.raises(SingularLattice):
                 a.solve_mat(rhs)
             with pytest.raises(SingularLattice):
-                a.solve(rhs.col(0))
+                ref_solve(a, [row[0] for row in ref_entries(rhs)])
         else:
             x = a.solve_mat(rhs)
             assert a @ x == rhs
-            assert a.mul_vec(a.solve(rhs.col(0))) == rhs.col(0)
+            col = tuple(row[0] for row in ref_entries(rhs))
+            assert ref_mul_vec(a, ref_solve(a, col)) == col
     assert singular >= 10
 
 
 def test_solve_singular():
     m = Mat([[1, 2], [2, 4]])
     with pytest.raises(SingularLattice):
-        m.solve((F(1), F(0)))
-
-
-def test_from_cols_round_trip():
-    m = Mat([[1, 2], [3, 4]])
-    assert Mat.from_cols([m.col(0), m.col(1)]) == m
+        m.solve_mat(Mat([[1], [0]]))
 
 
 def rand_frac_rows(rng, n, m):
@@ -156,19 +152,19 @@ def test_mat_arithmetic_matches_fraction_reference():
         v = [rng.randint(-5, 5) for _ in range(k)]
         ma, mb = Mat(a), Mat(b)
         prod = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-        assert (ma @ mb).entries == tuple(map(tuple, prod))
-        assert (ma + Mat(a2)).entries == tuple(
+        assert ref_entries(ma @ mb) == tuple(map(tuple, prod))
+        assert ref_entries(ma + Mat(a2)) == tuple(
             tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, a2)
         )
-        assert ma.scale(c).entries == tuple(tuple(c * x for x in r) for r in a)
-        assert ma.T.entries == tuple(zip(*a))
-        assert ma.mul_vec(v) == tuple(sum(x * y for x, y in zip(r, v)) for r in a)
-        assert ma.is_integral() == all(x.denominator == 1 for r in a for x in r)
+        assert ref_entries(ma.scale(c)) == tuple(tuple(c * x for x in r) for r in a)
+        assert ref_entries(ma.T) == tuple(zip(*a))
+        assert ref_mul_vec(ma, v) == tuple(sum(x * y for x, y in zip(r, v)) for r in a)
+        assert (ma.den == 1) == all(x.denominator == 1 for r in a for x in r)
         # the stored form is canonical: lowest terms over a positive denominator
         for res in (ma, ma @ mb, ma + Mat(a2), ma.scale(c), ma.T):
             assert res.den > 0
             assert math.gcd(res.den, *(x for r in res.num for x in r)) == 1
-            assert res == Mat(res.entries)
+            assert res == Mat(ref_entries(res))
 
 
 def test_mat_canonical_form():
@@ -383,8 +379,8 @@ def test_hnf_membership_oracle():
         if Mat(a).det() == 0:
             continue
         h = Mat(hnf(a)[0])
-        assert (h.inv() @ Mat(a)).is_integral()
-        assert (Mat(a).inv() @ h).is_integral()
+        assert (h.inv() @ Mat(a)).den == 1
+        assert (Mat(a).inv() @ h).den == 1
 
 
 def test_hnf_rank_deficient():
@@ -536,7 +532,7 @@ def test_congruence_lattice_brute_force():
         box = range(-d, d + 1)
         pts = [(x,) for x in box] if g == 1 else [(x, y) for x in box for y in box]
         for v in pts:
-            in_span = all(c.denominator == 1 for c in inv.mul_vec(tuple(map(F, v))))
+            in_span = all(c.denominator == 1 for c in ref_mul_vec(inv, tuple(map(F, v))))
             satisfies = all(
                 sum(a[i][j] * v[j] for j in range(g)) % d == 0 for i in range(g)
             )
@@ -602,11 +598,11 @@ def test_order_and_encoding_follow_the_fraction_entries():
     for _ in range(400):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         a = rand_mat(n, m)
-        b = Mat(a.entries) if rng.random() < 0.2 else rand_mat(n, m)
+        b = Mat(ref_entries(a)) if rng.random() < 0.2 else rand_mat(n, m)
         equal += a == b
-        assert (a < b) == (a.entries < b.entries)
-        assert (b < a) == (b.entries < a.entries)
-        assert matrix_to_json(a) == [[str(x) for x in row] for row in a.entries]
+        assert (a < b) == (ref_entries(a) < ref_entries(b))
+        assert (b < a) == (ref_entries(b) < ref_entries(a))
+        assert matrix_to_json(a) == [[str(x) for x in row] for row in ref_entries(a)]
     assert equal >= 60
 
 

@@ -62,9 +62,16 @@ from conftest import (
     ONE,
     T_UNIF,
     mono,
+    rand_mono,
     rand_sublattice,
     rand_unit_mono,
     rand_unit_torus,
+    ref_character_product,
+    ref_lift,
+    ref_mul_vec,
+    ref_real_pairing,
+    ref_scaled,
+    ref_solve,
 )
 
 F = Fraction
@@ -156,7 +163,7 @@ def test_unit_character(reference_torus):
     lam = (2, 3)
     assert chi.value(lam) == eval_character(reference_torus.embed(lam), (1, 0))
     other = unit_character(reference_torus, (0, 1))
-    for c in (chi, chi * other):
+    for c in (chi, ref_character_product(chi, other)):
         assert c == NACharacter(c.values)
 
 
@@ -198,8 +205,8 @@ def test_cocycle_identity_random():
         g = rng.randint(1, 3)
         ns, lat = rand_symmetric_instance(rng, g)
         b = rand_na_bundle(rng, ns, lat)
-        x = lat.mat.mul_vec(tuple(F(rng.randint(-2, 2)) for _ in range(g)))
-        y = lat.mat.mul_vec(tuple(F(rng.randint(-2, 2)) for _ in range(g)))
+        x = ref_mul_vec(lat.mat, tuple(F(rng.randint(-2, 2)) for _ in range(g)))
+        y = ref_mul_vec(lat.mat, tuple(F(rng.randint(-2, 2)) for _ in range(g)))
         x = tuple(int(c) for c in x)
         y = tuple(int(c) for c in y)
         s = tuple(a + c for a, c in zip(x, y))
@@ -215,7 +222,7 @@ def test_restrict_na_is_consistent():
         sub = Sublattice((lat.mat @ rand_sublattice(rng, g).mat).num)
         r = restrict_na(b, sub)
         for _ in range(4):
-            v = sub.mat.mul_vec(tuple(F(rng.randint(-2, 2)) for _ in range(g)))
+            v = ref_mul_vec(sub.mat, tuple(F(rng.randint(-2, 2)) for _ in range(g)))
             v = tuple(int(c) for c in v)
             assert extend_r(r, v) == extend_r(b, v)
 
@@ -246,7 +253,7 @@ def test_tropicalize_one_dimensional_example():
     ns = NSClass(t, Mat([[1]]))
     b = NALineBundle(ns, Sublattice.full(1), (mono(1, 0, 2),))
     s = tropicalize_line_bundle(b)
-    assert ns.real_pairing((1,), (1,)) == 3
+    assert ref_real_pairing(ns, (1,), (1,)) == 3
     assert s.l == (F(1, 2),)
 
 
@@ -272,7 +279,7 @@ def test_tropicalize_commutes_with_translation():
         b = rand_na_bundle(rng, ns, lat)
         x = MultiplicativePoint(tuple(rand_unit_mono(rng) for _ in range(g)))
         lhs = tropicalize_line_bundle(translate_na(b, x))
-        shift = tuple(-v for v in x.valuations())
+        shift = tuple(-c.valuation() for c in x.coords)
         rhs = translate(as_bundle(tropicalize_line_bundle(b)), shift).summands[0]
         assert lhs == rhs
 
@@ -313,7 +320,7 @@ def isotropic_covers(ns):
     covers = []
     for order in (d for d in range(1, q.order + 1) if q.order % d == 0):
         for basis in enumerate_subgroups(q, order, bound=10**6):
-            lifts = [q.lift([row[j] for row in basis]) for j in range(k)]
+            lifts = [ref_lift(q, [row[j] for row in basis], ns.torus.g) for j in range(k)]
             lat = Sublattice.from_generators(base + lifts)
             if ns.is_gm_symmetric_on(lat):
                 covers.append(lat)
@@ -343,7 +350,7 @@ def test_admissibility_from_the_index_matches_enumeration():
         g = ns.torus.g
         for lat in isotropic_covers(ns):
             # the finer cover 2L is isotropic too, but of the wrong index
-            for cover in (lat, lat.scaled(2)):
+            for cover in (lat, ref_scaled(lat, 2)):
                 b = NALineBundle(ns, cover, (ONE,) * g)
                 assert admits(b) == (cover in admissible)
                 checked += 1
@@ -451,11 +458,16 @@ def test_character_order_matches_the_fraction_key_order():
         assert [id(c) for c in got] == [id(c) for c in expected]
 
 
+def mono_wire(v: ValuedMonomial) -> dict[str, str]:
+    """The wire object of a monomial, as scenario files write it."""
+    return {"mag": str(v.magnitude), "phase": str(v.phase), "texp": str(v.t_exponent)}
+
+
 def test_decoded_character_order_matches_the_fraction_key_order():
     rng = random.Random(271)
     for _ in range(200):
         chars = rand_tied_characters(rng, rng.randint(1, 12), rng.randint(1, 3))
-        data = {"characters": [jsonio.character_to_json(c) for c in chars]}
+        data = {"characters": [[mono_wire(v) for v in c.values] for c in chars]}
         decoded = [jsonio.character_from_json(c) for c in data["characters"]]
         assert jsonio.na_rep_from_json(data).characters == tuple(fraction_order(decoded))
 
@@ -485,7 +497,7 @@ def test_bundles_from_rep(reference_torus):
 def test_characters_equal_mod_m(reference_torus):
     base = NACharacter((mono(1, F(1, 3), 0), mono(1, 0, F(1, 2))))
     twist = unit_character(reference_torus, (1, 0))
-    assert characters_equal_mod_m(base, base * twist, reference_torus)
+    assert characters_equal_mod_m(base, ref_character_product(base, twist), reference_torus)
     # a bare sign flip on the second value matches no integral character
     flipped = NACharacter((base.values[0], base.values[1] * MINUS_ONE))
     assert not characters_equal_mod_m(base, flipped, reference_torus)
@@ -495,6 +507,53 @@ def test_characters_equal_mod_m(reference_torus):
     assert characters_equal_mod_m(a, b, reference_torus)
 
 
+def rand_valuation_torus(rng, g):
+    """A multiplicative torus whose valuation matrix is rational, of either sign
+    of determinant, with random phases and magnitudes."""
+    while True:
+        v = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(g)] for _ in range(g)]
+        if Mat(v).det() != 0:
+            break
+    return NATorus(
+        tuple(
+            MultiplicativePoint(
+                tuple(mono(rng.randint(1, 3), F(rng.randint(0, 3), 4), v[i][j]) for i in range(g))
+            )
+            for j in range(g)
+        )
+    )
+
+
+def ref_characters_equal_mod_m(c1, c2, torus):
+    """The valuation system solved by the Fraction path of ref_solve."""
+    ratios = [b / a for a, b in zip(c1.values, c2.values)]
+    m = ref_solve(torus.v.T, [r.valuation() for r in ratios])
+    if any(x.denominator != 1 for x in m):
+        return False
+    return all(eval_character(gen, m) == r for gen, r in zip(torus.generators, ratios))
+
+
+def test_characters_equal_mod_m_matches_the_solve_reference():
+    # the valuations solved as one integer column, on rational valuation
+    # matrices of g = 1..5, for twists by an integral character (equal), by one
+    # with a phase flipped (integral solution, unequal) and by random values
+    rng = random.Random(617)
+    signs, outcomes = set(), set()
+    for g in range(1, 6):
+        for _ in range(8):
+            torus = rand_valuation_torus(rng, g)
+            signs.add(torus.v.det() > 0)
+            c1 = NACharacter(tuple(rand_mono(rng) for _ in range(g)))
+            twist = unit_character(torus, [rng.randint(-2, 2) for _ in range(g)])
+            flipped = NACharacter(twist.values[:-1] + (twist.values[-1] * MINUS_ONE,))
+            other = NACharacter(tuple(rand_mono(rng) for _ in range(g)))
+            for c2 in (ref_character_product(c1, twist), ref_character_product(c1, flipped), other):
+                got = characters_equal_mod_m(c1, c2, torus)
+                assert got == ref_characters_equal_mod_m(c1, c2, torus)
+                outcomes.add(got)
+    assert signs == {True, False} and outcomes == {True, False}
+
+
 def test_equal_mod_m_same_moduli_point(reference_torus):
     # equivalent characters present the same degree-zero bundle: equal points
     zero = Mat.zeros(2, 2)
@@ -502,7 +561,7 @@ def test_equal_mod_m_same_moduli_point(reference_torus):
     base = NACharacter((mono(1, 0, F(1, 3)), mono(1, F(1, 2), F(2, 7))))
     twist = unit_character(reference_torus, (2, -1))
     pts = []
-    for chi in (base, base * twist):
+    for chi in (base, ref_character_product(base, twist)):
         rep = NASemisimpleRep((chi,))
         (b,) = bundles_from_rep(rep, reference_torus)
         pts.append(moduli_point(tropicalize_line_bundle(b), full, zero))
@@ -659,7 +718,7 @@ def test_verify_commuting_square_twist_invariant(reference_torus):
     ok, via_na, _ = verify_commuting_square(rep, reference_torus)
     assert ok
     twist = unit_character(reference_torus, (1, -2))
-    twisted = NASemisimpleRep(tuple(c * twist for c in chars))
+    twisted = NASemisimpleRep(tuple(ref_character_product(c, twist) for c in chars))
     ok2, via_na2, _ = verify_commuting_square(twisted, reference_torus)
     assert ok2
     assert [p.coords for p in via_na2] == [p.coords for p in via_na]
@@ -685,12 +744,12 @@ def test_tropicalize_line_bundle_matches_definition():
     while len(bundles) < 30:
         g = rng.randint(1, 3)
         ns, lat = rand_symmetric_instance(rng, g)
-        if not lat.is_full() and ns.matrix != Mat.zeros(g, g):
+        if lat.index != 1 and ns.matrix != Mat.zeros(g, g):
             bundles.append(rand_na_bundle(rng, ns, lat))
     for b in bundles:
-        assert not b.lattice.is_full() and b.ns.matrix != Mat.zeros(b.ns.torus.g, b.ns.torus.g)
+        assert b.lattice.index != 1 and b.ns.matrix != Mat.zeros(b.ns.torus.g, b.ns.torus.g)
         expected = tuple(
-            extend_r(b, v).valuation() - F(1, 2) * b.ns.real_pairing(v, v)
+            extend_r(b, v).valuation() - F(1, 2) * ref_real_pairing(b.ns, v, v)
             for v in b.lattice.generators()
         )
         s = tropicalize_line_bundle(b)
@@ -711,7 +770,7 @@ def test_tropicalize_line_bundle_takes_no_form_of_the_zero_class(monkeypatch, re
     zero += bundles_from_rep(NASemisimpleRep(characters), reference_torus)
     nonzero = reference_na_bundles()
     expected = [
-        tuple(extend_r(b, v).valuation() - F(1, 2) * b.ns.real_pairing(v, v)
+        tuple(extend_r(b, v).valuation() - F(1, 2) * ref_real_pairing(b.ns, v, v)
               for v in b.lattice.generators())
         for b in zero + nonzero
     ]

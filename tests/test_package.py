@@ -3,6 +3,7 @@ each CLI command compiles, and the documented session of README.md."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import re
@@ -17,10 +18,12 @@ import pytest
 
 import tropabel
 from tropabel import ValuedMonomial
+from tropabel.errors import TropabelError
 
 from test_acceptance import CLI_MATRIX
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 README = ROOT / "README.md"
 SRC = str(Path(tropabel.__file__).resolve().parent.parent)
 
@@ -46,13 +49,17 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"exit": code, "compiled": sorted(compiled)}))
 """
 
-# runs the CLI calls of the digest file named by its argument in one interpreter,
-# under a profiler that records each Python function entered, and prints whether
-# each exit code was the recorded one, the exported functions and those never entered
+# runs the CLI calls of the digest file named by its first argument in one
+# interpreter, under a profiler started before the package is imported, that records
+# each Python function entered; prints whether each exit code was the recorded one,
+# every function body of the package (each module-level function, method, property
+# and cached_property, a nested function counting as part of the body that encloses
+# it) as "module:qualname", those that no call entered, and the bodies that the
+# benchmark's tracer (bench/tracer.py, in the folder of the second argument) binds by
+# name in SPANS, TIMED_COUNTS and COUNTS
 SURFACE = """
-import contextlib, inspect, io, json, sys
-import tropabel
-from tropabel import cli
+import contextlib, functools, importlib, io, json, sys, types
+from pathlib import Path
 entered = set()
 
 def record(frame, event, arg):
@@ -63,16 +70,67 @@ with open(sys.argv[1], encoding="utf-8") as fh:
     records = json.load(fh)
 sys.setprofile(record)
 try:
+    import tropabel
+    from tropabel import cli
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         exits = [cli.main(r["argv"]) for r in records]
 finally:
     sys.setprofile(None)
-functions = {n: f for n in tropabel.__all__ if inspect.isfunction(f := getattr(tropabel, n))}
+
+def functions(member):
+    if isinstance(member, (staticmethod, classmethod)):
+        member = member.__func__
+    if isinstance(member, property):
+        return [f for f in (member.fget, member.fset, member.fdel) if f is not None]
+    if isinstance(member, functools.cached_property):
+        member = member.func
+    member = getattr(member, "__wrapped__", member)  # an lru_cache
+    return [member] if isinstance(member, types.FunctionType) else []
+
+def body(f):
+    # a function defined in a function (``<locals>``) is part of the body around it
+    name = f.__module__.rpartition(".")[2]
+    return None if "<locals>" in f.__qualname__ else f"{name}:{f.__qualname__}"
+
+def codes(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from codes(const)
+
+modules = {"tropabel": tropabel}
+for path in Path(tropabel.__file__).parent.glob("*.py"):
+    if path.stem != "__init__":
+        modules[path.stem] = importlib.import_module(f"tropabel.{path.stem}")
+bodies = {}
+for module in modules.values():
+    members = list(vars(module).values())
+    for cls in [m for m in members if isinstance(m, type) and m.__module__ == module.__name__]:
+        members += vars(cls).values()
+    for f in (f for m in members for f in functions(m) if f.__module__ == module.__name__):
+        name = body(f)
+        if name:
+            bodies[name] = f.__code__
+
+sys.path.insert(0, sys.argv[2])
+from tracer import COUNTS, SPANS, TIMED_COUNTS
+bound = set()
+for module_name, attr, *_ in SPANS + TIMED_COUNTS + COUNTS:
+    module = modules[module_name]
+    first, _, rest = attr.partition(".")
+    if first not in vars(module):  # served by the module's __getattr__
+        bound.add(body(module.__getattr__))
+    target = getattr(module, first)
+    member = vars(target)[rest] if rest else target
+    bound.update(body(f) for f in functions(member) if body(f))
 print(json.dumps({
     "runs": len(records),
     "exits_recorded": exits == [r["exit"] for r in records],
-    "functions": sorted(functions),
-    "never_entered": sorted(n for n, f in functions.items() if f.__code__ not in entered),
+    "bodies": sorted(bodies),
+    "never_entered": sorted(
+        k for k, code in bodies.items() if not any(c in entered for c in codes(code))
+    ),
+    "tracer_bound": sorted(bound),
 }))
 """
 
@@ -119,30 +177,87 @@ def test_every_public_non_module_name_is_exported():
 
 
 def _listed_as_library_api() -> list[str]:
-    """The names of README.md's section on the library API that no command runs."""
+    """The names that head the items of README.md's section on the library API that
+    no command runs: functions, and methods as ``Class.method``."""
     text = README.read_text(encoding="utf-8")
     section = re.search(r"### Library API that no command runs\n(.*?)\n#", text, re.S).group(1)
-    return re.findall(r"^- `(\w+)`", section, re.M)
+    heads = re.findall(r"^- ((?:`[\w.]+`(?:, )?)+):", section, re.M)
+    return [name for head in heads for name in re.findall(r"`([\w.]+)`", head)]
 
 
-def test_every_exported_function_is_run_by_the_cli_or_listed_in_the_readme():
-    # in a fresh interpreter, so that no cache filled by another test spares a call
+def surface_report() -> dict:
+    """The SURFACE report of the 19 recorded CLI calls, in a fresh interpreter, so
+    that no cache filled by another test spares a call."""
     out = subprocess.run(
-        [sys.executable, "-c", SURFACE, str(ROOT / "bench" / "cli_digests.json")],
+        [sys.executable, "-c", SURFACE, str(BENCH / "cli_digests.json"), str(BENCH)],
         capture_output=True,
         text=True,
         check=True,
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": SRC},
     )
-    report = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def unentered_by_kind(report: dict, listed: list[str]) -> dict[str, list[str]]:
+    """Each body that no recorded call enters, by the kind that accounts for it:
+    bound by the benchmark's tracer, a public-constructor check (``__post_init__``,
+    ``_checked``) or the machinery of the package and of ``Frozen``, or listed in
+    README.md by its qualified name; what none accounts for is "unaccounted"."""
+    kinds: dict[str, list[str]] = {
+        "tracer-bound": [], "checks and machinery": [], "listed": [], "unaccounted": []
+    }
+    for name in report["never_entered"]:
+        module, qualname = name.split(":")
+        if name in report["tracer_bound"]:
+            kind = "tracer-bound"
+        elif module in ("tropabel", "_frozen") or qualname.endswith((".__post_init__", "._checked")):
+            kind = "checks and machinery"
+        elif qualname in listed:
+            kind = "listed"
+        else:
+            kind = "unaccounted"
+        kinds[kind].append(name)
+    return kinds
+
+
+def test_every_exported_function_is_run_by_the_cli_or_listed_in_the_readme():
+    # every function body, exported or not, method or module-level: entered by a
+    # recorded CLI call, tracer-bound, a constructor check or machinery, or listed
+    report = surface_report()
     assert report["runs"] == 19 and report["exits_recorded"]
     listed = _listed_as_library_api()
     assert len(listed) == len(set(listed)), listed
-    not_run = set(report["never_entered"])
-    assert not_run - set(listed) == set(), "exported, run by no CLI call and not listed"
-    assert set(listed) - set(report["functions"]) == set(), "listed, but not an exported function"
-    assert set(listed) - not_run == set(), "listed, but a CLI call runs it"
+    kinds = unentered_by_kind(report, listed)
+    assert kinds["unaccounted"] == [], "run by no CLI call, and not tracer-bound, a check or listed"
+    qualnames = [name.split(":")[1] for name in report["bodies"]]
+    assert [n for n in listed if qualnames.count(n) != 1] == [], "listed, but not one body"
+    listed_bodies = {name for name in report["bodies"] if name.split(":")[1] in listed}
+    assert listed_bodies - set(kinds["listed"]) == set(), "listed, but entered, tracer-bound or a check"
+    # the tracer binds names that exist, and the audit sees them
+    assert report["tracer_bound"] and set(report["tracer_bound"]) <= set(report["bodies"])
+
+
+def _required_positional(f) -> int:
+    """The number of required positional parameters of f."""
+    kinds = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    params = inspect.signature(f).parameters.values()
+    return sum(p.kind in kinds and p.default is inspect.Parameter.empty for p in params)
+
+
+EXPORTED_FUNCTIONS = [n for n in tropabel.__all__ if inspect.isfunction(getattr(tropabel, n))]
+
+
+@pytest.mark.parametrize("junk", [5, None, "ab"], ids=["5", "None", "ab"])
+@pytest.mark.parametrize("name", EXPORTED_FUNCTIONS)
+def test_an_exported_function_given_junk_raises_only_library_errors(name, junk):
+    # the junk value in every required positional argument: a library error, or
+    # a result where the value is valid input (identity(5) is GL_5's unit)
+    f = getattr(tropabel, name)
+    try:
+        f(*[junk] * _required_positional(f))
+    except TropabelError:
+        pass
 
 
 def test_a_reload_of_the_package_keeps_its_submodules():

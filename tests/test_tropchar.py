@@ -30,7 +30,7 @@ from tropabel.tropchar import (
     stratum,
 )
 
-from conftest import act, minplus_product, rand_fraction, to_matrix
+from conftest import act, minplus_product, rand_fraction, ref_l_value, to_matrix
 
 F = Fraction
 
@@ -399,7 +399,7 @@ def ref_rep_from_bundle(e):
             j, k = divmod(n, len(reps))
             k2 = off + lookup[target]
             perms[j][off + k] = k2
-            ds[j][k2] = s.l_value(tuple(a - b for a, b in zip(v, target)))
+            ds[j][k2] = ref_l_value(s, tuple(a - b for a, b in zip(v, target)))
         off += len(reps)
     return [(tuple(p), tuple(d)) for p, d in zip(perms, ds)]
 
