@@ -15,10 +15,9 @@ __version__ = "0.1.0"
 
 # every public name, by its home module
 _EXPORTS = {
-    "bundles": """ModuliPoint TropLineBundle TropVectorBundle as_bundle cover_torus
-        direct_sum equivalent is_homogeneous is_semi_homogeneous iso_pushforward
-        line_bundle moduli_point pullback pushforward restrict_line_bundle slope
-        sym_point tensor translate""",
+    "bundles": """ModuliPoint TropLineBundle TropVectorBundle cover_torus direct_sum
+        equivalent is_homogeneous is_semi_homogeneous moduli_point pullback
+        pushforward restrict_line_bundle slope sym_point tensor translate""",
     "errors": "TropabelError",
     "groups": "FiniteAbelianGroup enumerate_subgroups quotient snf",
     "lattices": "QLattice Sublattice",

@@ -25,9 +25,9 @@ from typing import Iterable, Sequence
 from ._frozen import Frozen
 from .errors import (
     AmbientMismatch,
+    DimensionMismatch,
     EmptyBundle,
     InvalidClass,
-    LatticeMismatch,
     MixedClasses,
     NotCompatible,
     NotContained,
@@ -147,25 +147,6 @@ class TropVectorBundle(Frozen):
     @property
     def rank(self) -> int:
         return sum(s.rank for s in self.summands)
-
-
-def line_bundle(
-    torus: TropTorus,
-    lattice: Sublattice,
-    ns: Mat,
-    l: Sequence[int | str | Fraction],
-) -> TropLineBundle:
-    return TropLineBundle(torus, lattice, ns, as_tuple(l, "rationals"))
-
-
-def as_bundle(summands: TropLineBundle | Iterable[TropLineBundle]) -> TropVectorBundle:
-    if isinstance(summands, TropLineBundle):
-        return TropVectorBundle(summands.torus, (summands,))
-    summands = as_tuple(summands, "TropLineBundles")
-    check_types(summands, (TropLineBundle,) * len(summands))
-    if not summands:
-        raise EmptyBundle("cannot infer the torus of an empty bundle")
-    return TropVectorBundle(summands[0].torus, summands)
 
 
 def cover_torus(torus: TropTorus, sub: Sublattice) -> TropTorus:
@@ -295,7 +276,11 @@ def translate(e: TropVectorBundle, x: Sequence[int | str | Fraction]) -> TropVec
     column over its lcm, read back as lam's numerators over their lcm."""
     check_types((e,), (TropVectorBundle,))
     torus = e.torus
-    w, m = over_one_denominator([rat(c) for c in as_tuple(x, "rationals")])
+    x = [rat(c) for c in as_tuple(x, "rationals")]
+    if len(x) != torus.g:
+        point = ", ".join(map(str, x))
+        raise DimensionMismatch(f"translation point ({point}) is not of the torus rank {torus.g}")
+    w, m = over_one_denominator(x)
     lam = torus.v.solve_mat(Mat._from_valid(tuple((c,) for c in w), m))
     lam_num, q = [c for (c,) in lam.num], lam.den
     out = []
@@ -336,13 +321,19 @@ def is_semi_homogeneous(e: TropVectorBundle) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _check_restriction(cover: Sublattice, *summands: TropLineBundle) -> None:
+    """cover must be a Sublattice of the torus rank in each summand's cover lattice."""
+    check_types((cover,), (Sublattice,))
+    if cover.ambient_rank != summands[0].torus.g:
+        raise AmbientMismatch("cover lattice does not match the torus rank")
+    if not all(s.lattice.contains_lattice(cover) for s in summands):
+        raise NotContained("restriction target is not contained in the cover lattice")
+
+
 def restrict_line_bundle(s: TropLineBundle, cover: Sublattice) -> TropLineBundle:
     """The same factor of automorphy on a finer cover (pure restriction)."""
-    check_types((s, cover), (TropLineBundle, Sublattice))
-    if cover.ambient_rank != s.torus.g:
-        raise AmbientMismatch("cover lattice does not match the torus rank")
-    if not s.lattice.contains_lattice(cover):
-        raise NotContained("restriction target is not contained in the cover lattice")
+    check_types((s,), (TropLineBundle,))
+    _check_restriction(cover, s)
     nums, m = _at(s._l_ext, cover.generators())
     return TropLineBundle._from_valid(s.torus, cover, s.ns, tuple(Fraction(x, m) for x in nums))
 
@@ -360,32 +351,17 @@ def _twist_lattice(torus: TropTorus, lat: Sublattice, ns: Mat) -> QLattice:
     return QLattice(lat.mat.T @ torus.v.T @ extended_character_lattice(ns).basis)
 
 
-def iso_pushforward(s1: TropLineBundle, s2: TropLineBundle) -> bool:
-    """Whether the two pushforwards from the same cover are isomorphic.
-
-    True exactly when the classes agree and the covector difference lies in
-    the lattice of covectors induced by integral characters plus class images
-    of full-lattice translations.
-    """
-    _same_torus(s1, s2, TropLineBundle)
-    if s1.lattice != s2.lattice:
-        raise LatticeMismatch("summands live on different covers")
-    if s1.ns != s2.ns:
-        return False
-    diff = tuple(a - b for a, b in zip(s1.l, s2.l))
-    return _twist_lattice(s1.torus, s1.lattice, s1.ns).contains(diff)
-
-
-def equivalent(
-    s1: TropLineBundle, s2: TropLineBundle, cover: Sublattice | None = None
-) -> bool:
-    """Bundle equivalence through a common cover (defaults to the intersection)."""
+def equivalent(s1: TropLineBundle, s2: TropLineBundle, cover: Sublattice | None = None) -> bool:
+    """Bundle equivalence through a common cover (defaults to the intersection):
+    equal classes, and equal moduli points of the two summands on the cover."""
     _same_torus(s1, s2, TropLineBundle)
     if cover is None:
         cover = s1.lattice & s2.lattice
-    return iso_pushforward(
-        restrict_line_bundle(s1, cover), restrict_line_bundle(s2, cover)
-    )
+    _check_restriction(cover, s1, s2)
+    if s1.ns != s2.ns:
+        return False
+    p1, p2 = moduli_points([s1, s2], cover, s1.ns)
+    return p1 == p2
 
 
 class ModuliPoint(Frozen):

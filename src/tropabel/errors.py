@@ -87,10 +87,6 @@ class AmbientMismatch(TropabelError):
     """Operands live on different ambient tori."""
 
 
-class LatticeMismatch(TropabelError):
-    """Operands live on different cover lattices."""
-
-
 class EmptyBundle(TropabelError):
     """Operation undefined for the rank-zero bundle."""
 

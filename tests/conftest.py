@@ -14,7 +14,9 @@ from typing import Sequence
 import pytest
 from hypothesis import strategies as st
 
-from tropabel import Mat, MultiplicativePoint, NATorus, Sublattice, TropTorus, ValuedMonomial
+from tropabel import (
+    Mat, MultiplicativePoint, NATorus, QLattice, Sublattice, TropTorus, ValuedMonomial,
+)
 from tropabel.errors import (
     DimensionMismatch,
     NotContained,
@@ -27,6 +29,7 @@ from tropabel.jsonio import ScenarioError, rational_from_json
 from tropabel.linalg import column_hnf
 from tropabel.naside import NACharacter
 from tropabel.rationals import rat
+from tropabel.tori import extended_character_lattice
 from tropabel.tropchar import TropGLElement
 
 F = Fraction
@@ -163,6 +166,20 @@ def ref_l_value(s, x: Sequence[int | Fraction]) -> Fraction:
     """The covector of a summand, extended Q-linearly, at the point x of Z^g
     (its lattice coordinates dotted with the covector, in Fractions)."""
     return sum((a * b for a, b in zip(s.l, s.lattice.coordinates(x))), Fraction(0))
+
+
+def ref_iso_pushforward(s1, s2) -> bool:
+    """Whether the pushforwards of two summands on one cover are isomorphic: the
+    classes agree and the covector difference lies in the lattice of covectors
+    induced by integral characters plus class images of full-lattice
+    translations, by ``QLattice.contains``.  The reference of ``equivalent``,
+    applied to the two summands restricted to the common cover."""
+    assert s1.torus == s2.torus and s1.lattice == s2.lattice
+    if s1.ns != s2.ns:
+        return False
+    diff = tuple(a - b for a, b in zip(s1.l, s2.l))
+    basis = s1.lattice.mat.T @ s1.torus.v.T @ extended_character_lattice(s1.ns).basis
+    return QLattice(basis).contains(diff)
 
 
 def ref_real_pairing(ns, a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> Fraction:

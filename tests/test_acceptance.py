@@ -15,11 +15,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from tropabel.bundles import (
-    as_bundle,
+    TropLineBundle,
+    TropVectorBundle,
     cover_torus,
     equivalent,
     is_homogeneous,
-    line_bundle,
     moduli_point,
     pullback,
     pushforward,
@@ -236,7 +236,7 @@ def test_moduli_coordinates_classify_equivalence():
     classes = [Mat.zeros(2, 2), Mat.identity(2)]
     for ns in classes:
         pool = [
-            line_bundle(torus, lat, ns, (a, b))
+            TropLineBundle(torus, lat, ns, (a, b))
             for lat in covers
             for a in grid
             for b in grid
@@ -253,8 +253,8 @@ def test_moduli_coordinates_classify_equivalence():
                 # and is decided exactly by the canonical coordinates
                 assert via_inter == (points[i] == points[j])
     # different classes never mix
-    flat = line_bundle(torus, gamma, classes[0], (0, 0))
-    curved = line_bundle(torus, gamma, classes[1], (0, 0))
+    flat = TropLineBundle(torus, gamma, classes[0], (0, 0))
+    curved = TropLineBundle(torus, gamma, classes[1], (0, 0))
     assert not equivalent(flat, curved)
 
 
@@ -272,21 +272,21 @@ def test_homogeneous_bundles_match_representations():
     for lat in sublattices_of_index_at_most(2, 3):
         for a in grid:
             for b in grid:
-                cases.append(as_bundle(line_bundle(torus, lat, zero, (a, b))))
+                cases.append(TropVectorBundle(torus, (TropLineBundle(torus, lat, zero, (a, b)),)))
     # a couple of genuinely decomposable bundles
     cases.append(
-        as_bundle(
+        TropVectorBundle(torus, 
             [
-                line_bundle(torus, Sublattice([[2, 0], [0, 1]]), zero, (F(1, 2), 0)),
-                line_bundle(torus, Sublattice.full(2), zero, (F(1, 5), F(2, 5))),
+                TropLineBundle(torus, Sublattice([[2, 0], [0, 1]]), zero, (F(1, 2), 0)),
+                TropLineBundle(torus, Sublattice.full(2), zero, (F(1, 5), F(2, 5))),
             ]
         )
     )
     cases.append(
-        as_bundle(
+        TropVectorBundle(torus, 
             [
-                line_bundle(torus, Sublattice([[3, 0], [0, 1]]), zero, (F(1, 3), 0)),
-                line_bundle(torus, Sublattice([[3, 0], [0, 1]]), zero, (F(2, 3), 0)),
+                TropLineBundle(torus, Sublattice([[3, 0], [0, 1]]), zero, (F(1, 3), 0)),
+                TropLineBundle(torus, Sublattice([[3, 0], [0, 1]]), zero, (F(2, 3), 0)),
             ]
         )
     )
@@ -351,17 +351,17 @@ def test_tensor_rank_slope_and_cover_identities():
     for _ in range(20):
         g = rng.randint(1, 2)
         torus = rand_trop_torus(g)
-        mk = lambda: line_bundle(
+        mk = lambda: TropLineBundle(
             torus,
             rand_sublattice(rng, g),
             rand_integral_symmetric(rng, torus.v),
             [rand_fraction(rng) for _ in range(g)],
         )
-        e1 = as_bundle([mk() for _ in range(rng.randint(1, 2))])
-        e2 = as_bundle([mk() for _ in range(rng.randint(1, 2))])
+        e1 = TropVectorBundle(torus, [mk() for _ in range(rng.randint(1, 2))])
+        e2 = TropVectorBundle(torus, [mk() for _ in range(rng.randint(1, 2))])
         t = tensor(e1, e2)
         assert t.rank == e1.rank * e2.rank
-        s1, s2 = as_bundle(mk()), as_bundle(mk())
+        s1, s2 = TropVectorBundle(torus, (mk(),)), TropVectorBundle(torus, (mk(),))
         assert slope(tensor(s1, s2)) == slope(s1) + slope(s2)
 
     # pulling a pushforward back along the same cover is exactly the sum of
@@ -370,13 +370,13 @@ def test_tensor_rank_slope_and_cover_identities():
     for sub in sublattices_of_index_at_most(2, 4):
         cov = cover_torus(torus, sub)
         for _ in range(2):
-            lb = line_bundle(
+            lb = TropLineBundle(
                 cov,
                 Sublattice.full(2),
                 rand_integral_symmetric(rng, cov.v),
                 [rand_fraction(rng), rand_fraction(rng)],
             )
-            e = as_bundle(lb)
+            e = TropVectorBundle(cov, (lb,))
             round_trip = pullback(pushforward(e, sub, torus), sub)
             q = quotient(Sublattice.full(2), sub)
             pieces = []
@@ -384,7 +384,7 @@ def test_tensor_rank_slope_and_cover_identities():
                 delta = reduce_mod_lattice(ref_lift(q, elt, 2), sub.mat)
                 shift = ref_mul_vec(torus.v, (delta[0], delta[1]))
                 pieces.extend(translate(e, shift).summands)
-            assert round_trip == as_bundle(pieces)
+            assert round_trip == TropVectorBundle(cov, pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropabel import cli, groups, jsonio, naside, nspairings, tori
-from tropabel.bundles import as_bundle, line_bundle
+from tropabel.bundles import TropLineBundle, TropVectorBundle
 from tropabel.cli import main
 from tropabel.errors import NotExact, TropabelError
 from tropabel.lattices import Sublattice
@@ -708,6 +708,23 @@ def test_equiv_cover_of_lower_rank_is_validation_error(capsys, tmp_path):
     assert json.loads(err)["kind"] == "AmbientMismatch"
 
 
+@pytest.mark.parametrize(
+    "x, point",
+    [([], ""), (["1"], "1"), (["1/2", "0", "-3"], "1/2, 0, -3")],
+    ids=["rank-0", "rank-1", "rank-3"],
+)
+def test_translate_point_of_another_rank_names_the_point(capsys, tmp_path, x, point):
+    def edit(data):
+        data["parameters"]["x"] = x
+
+    code, out, err = run_edited(capsys, tmp_path, "bundle_ops.json", edit, "bundle", "translate")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": f"translation point ({point}) is not of the torus rank 2",
+        "kind": "DimensionMismatch",
+    }
+
+
 @pytest.mark.parametrize("gamma", [[[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
 def test_moduli_point_gamma_of_another_rank_is_validation_error(capsys, tmp_path, gamma):
     def edit(data):
@@ -1277,10 +1294,10 @@ def test_torus_to_json_refuses_a_multiplicative_torus(reference_torus):
 
 def test_bundle_round_trip():
     torus = TropTorus(Mat.identity(2))
-    e = as_bundle(
+    e = TropVectorBundle(torus, 
         [
-            line_bundle(torus, Sublattice([[2, 0], [0, 1]]), Mat.identity(2), (F(1, 2), 0)),
-            line_bundle(torus, Sublattice.full(2), Mat.zeros(2, 2), (1, F(-2, 3))),
+            TropLineBundle(torus, Sublattice([[2, 0], [0, 1]]), Mat.identity(2), (F(1, 2), 0)),
+            TropLineBundle(torus, Sublattice.full(2), Mat.zeros(2, 2), (1, F(-2, 3))),
         ]
     )
     assert jsonio.bundle_from_json(jsonio.bundle_to_json(e), torus) == e

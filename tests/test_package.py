@@ -49,22 +49,34 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"exit": code, "compiled": sorted(compiled)}))
 """
 
-# runs the CLI calls of the digest file named by its first argument in one
-# interpreter, under a profiler started before the package is imported, that records
-# each Python function entered; prints whether each exit code was the recorded one,
-# every function body of the package (each module-level function, method, property
-# and cached_property, a nested function counting as part of the body that encloses
-# it) as "module:qualname", those that no call entered, and the bodies that the
-# benchmark's tracer (bench/tracer.py, in the folder of the second argument) binds by
-# name in SPANS, TIMED_COUNTS and COUNTS
-SURFACE = """
-import contextlib, functools, importlib, io, json, sys, types
-from pathlib import Path
+# the profiler of the SURFACE audit: records in ``entered`` the code of each Python
+# function entered, except a module's ``__getattr__`` asked for a dunder name: the
+# import system probes a module for ``__path__`` on ``from .module import name``,
+# which asks a forward for nothing that it serves
+PROFILER = """
 entered = set()
 
 def record(frame, event, arg):
-    if event == "call":
-        entered.add(frame.f_code)
+    code = frame.f_code
+    if event != "call":
+        return
+    if code.co_name == "__getattr__" and code.co_argcount == 1:
+        name = frame.f_locals[code.co_varnames[0]]
+        if name.startswith("__") and name.endswith("__"):
+            return
+    entered.add(code)
+"""
+
+# runs the CLI calls of the digest file named by its first argument in one
+# interpreter, under PROFILER started before the package is imported; prints whether
+# each exit code was the recorded one, every function body of the package (each
+# module-level function, method, property and cached_property, a nested function
+# counting as part of the body that encloses it) as "module:qualname", those that
+# no call entered, and the bodies that the benchmark's tracer (bench/tracer.py, in
+# the folder of the second argument) binds by name in SPANS, TIMED_COUNTS and COUNTS
+SURFACE = PROFILER + """
+import contextlib, functools, importlib, io, json, sys, types
+from pathlib import Path
 
 with open(sys.argv[1], encoding="utf-8") as fh:
     records = json.load(fh)
@@ -318,6 +330,41 @@ def test_the_forwarded_names_are_the_functions_of_groups():
     for module in (linalg, lattices):
         with pytest.raises(AttributeError, match="has no attribute 'FiniteAbelianGroup'"):
             module.FiniteAbelianGroup
+
+
+def test_the_audit_does_not_count_a_dunder_probe_of_a_module_getattr():
+    # importing bundles runs ``from .linalg import ...`` and ``from .lattices import
+    # ...``, and the import system asks both modules for __path__ through their
+    # __getattr__; the profiler sees those calls but does not count them, and it
+    # counts the forward once a forwarded name is asked for
+    script = PROFILER + (
+        "import json, sys\n"
+        "probes = []\n"
+        "def profile(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == '__getattr__':\n"
+        "        probes.append((frame.f_globals['__name__'], frame.f_locals['name']))\n"
+        "    record(frame, event, arg)\n"
+        "sys.setprofile(profile)\n"
+        "from tropabel import bundles, lattices, linalg\n"
+        "bundles.equivalent\n"
+        "probed = [m.__getattr__.__code__ in entered for m in (linalg, lattices)]\n"
+        "linalg.snf\n"
+        "sys.setprofile(None)\n"
+        "served = linalg.__getattr__.__code__ in entered\n"
+        "print(json.dumps({'probes': probes, 'probed': probed, 'served': served}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    report = json.loads(out.stdout)
+    probes = {tuple(p) for p in report["probes"]}
+    assert {("tropabel.linalg", "__path__"), ("tropabel.lattices", "__path__")} <= probes
+    assert report["probed"] == [False, False]
+    assert report["served"] is True
 
 
 def test_lattices_and_linalg_run_without_compiling_groups(sources_only):

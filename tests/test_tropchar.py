@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tropabel.bundles import as_bundle, is_homogeneous, line_bundle
+from tropabel.bundles import TropLineBundle, TropVectorBundle, is_homogeneous
 from tropabel.errors import NotCommuting, NotExact, NotInvertible, SizeMismatch, TropabelError
 from tropabel import lattices, linalg
 from tropabel.lattices import Sublattice
@@ -90,7 +90,7 @@ def rand_bundle_rep(rng, r, g):
     cuts = sorted(rng.sample(range(1, r), min(r - 1, rng.randint(0, 2))))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [r])]
     summands = [
-        line_bundle(
+        TropLineBundle(
             torus,
             rand_hermite(rng, k, g),
             Mat.zeros(g, g),
@@ -98,7 +98,7 @@ def rand_bundle_rep(rng, r, g):
         )
         for k in parts
     ]
-    return conjugate(rep_from_bundle(as_bundle(summands)), rand_element(rng, r))
+    return conjugate(rep_from_bundle(TropVectorBundle(torus, summands)), rand_element(rng, r))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ def test_rep_from_bundle_round_trip():
             [[rng.randint(1, 3), 0], [rng.randint(0, 2), rng.randint(1, 3)]]
         )
         l = (rand_fraction(rng), rand_fraction(rng))
-        e = as_bundle(line_bundle(torus, lat, Mat.zeros(2, 2), l))
+        e = TropVectorBundle(torus, (TropLineBundle(torus, lat, Mat.zeros(2, 2), l),))
         rep = rep_from_bundle(e)
         assert rep == TropRepresentation([TropGLElement(a.perm, a.d) for a in rep.images])
         assert check_commuting(rep)
@@ -369,9 +369,9 @@ def test_rep_from_bundle_round_trip():
 
 def test_rep_from_bundle_multiple_summands():
     torus = TropTorus(Mat.identity(2))
-    s1 = line_bundle(torus, Sublattice([[2, 0], [0, 1]]), Mat.zeros(2, 2), (F(1, 2), 0))
-    s2 = line_bundle(torus, Sublattice.full(2), Mat.zeros(2, 2), (F(1, 5), F(2, 5)))
-    e = as_bundle([s1, s2])
+    s1 = TropLineBundle(torus, Sublattice([[2, 0], [0, 1]]), Mat.zeros(2, 2), (F(1, 2), 0))
+    s2 = TropLineBundle(torus, Sublattice.full(2), Mat.zeros(2, 2), (F(1, 5), F(2, 5)))
+    e = TropVectorBundle(torus, [s1, s2])
     rep = rep_from_bundle(e)
     assert rep.r == 3
     assert canonical_form(rep) == (
@@ -427,18 +427,15 @@ def homogeneous_bundles(draw):
             for i in range(g)
         ]
         l = tuple(draw(RATIONALS) for _ in range(g))
-        summands.append(line_bundle(torus, Sublattice(rows), Mat.zeros(g, g), l))
-    return as_bundle(summands)
+        summands.append(TropLineBundle(torus, Sublattice(rows), Mat.zeros(g, g), l))
+    return TropVectorBundle(torus, summands)
 
 
-INDEX_32 = as_bundle(
-    line_bundle(
-        TropTorus(Mat([[F(1, 2), 3], [F(-2, 3), F(5, 7)]])),
-        Sublattice([[4, 0], [3, 8]]),
-        Mat.zeros(2, 2),
-        (F(5, 12), F(-7, 11)),
-    )
+TORUS_32 = TropTorus(Mat([[F(1, 2), 3], [F(-2, 3), F(5, 7)]]))
+SUMMAND_32 = TropLineBundle(
+    TORUS_32, Sublattice([[4, 0], [3, 8]]), Mat.zeros(2, 2), (F(5, 12), F(-7, 11))
 )
+INDEX_32 = TropVectorBundle(TORUS_32, (SUMMAND_32,))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
